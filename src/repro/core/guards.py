@@ -17,9 +17,8 @@ of rewriting, and it is the invariant difference between FLSM and LSM.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from bisect import bisect_right
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.util.murmur import murmur3_32
 from repro.version.files import FileMetadata
@@ -65,17 +64,22 @@ class GuardPicker:
         return None
 
 
-@dataclass
 class Guard:
     """One guard: its key and the sstables attached to it.
 
-    ``key`` is None for the sentinel guard.  ``files`` is kept in append
-    order: data only ever arrives by appending the output of a compaction
-    of a *whole* upper guard, so later files hold newer versions.
+    ``key`` is None for the sentinel guard.  ``files`` is an immutable
+    tuple in append order: data only ever arrives by appending the output
+    of a compaction of a *whole* upper guard, so later files hold newer
+    versions.  Only the owning :class:`GuardedLevel` replaces ``files``
+    (and keeps ``size_bytes`` in step); everyone else reads.
     """
 
-    key: Optional[bytes]
-    files: List[FileMetadata] = field(default_factory=list)
+    __slots__ = ("key", "files", "size_bytes")
+
+    def __init__(self, key: Optional[bytes]) -> None:
+        self.key = key
+        self.files: Tuple[FileMetadata, ...] = ()
+        self.size_bytes = 0
 
     @property
     def is_sentinel(self) -> bool:
@@ -86,25 +90,48 @@ class Guard:
         return len(self.files)
 
     @property
-    def size_bytes(self) -> int:
-        return sum(f.file_size for f in self.files)
-
-    @property
     def num_entries(self) -> int:
         return sum(f.num_entries for f in self.files)
 
-    def remove_file(self, number: int) -> None:
-        self.files = [f for f in self.files if f.number != number]
+
+class LevelView(NamedTuple):
+    """Immutable picture of one level's guards, as iterators capture it.
+
+    ``files[0]`` is the sentinel's file tuple and ``files[i + 1]`` that of
+    the guard keyed ``keys[i]``, so ``bisect_right(keys, user_key)`` is
+    the index of the guard covering ``user_key``.
+    """
+
+    keys: Tuple[bytes, ...]
+    files: Tuple[Tuple[FileMetadata, ...], ...]
 
 
 class GuardedLevel:
-    """The guards of one FLSM level, ordered by guard key."""
+    """The guards of one FLSM level, ordered by guard key.
 
-    def __init__(self, level: int) -> None:
+    The only place guard file tuples change: :meth:`attach`,
+    :meth:`detach`, the split in :meth:`add_guard` and the absorption in
+    :meth:`remove_guard`.  Each keeps the level's byte and file counts,
+    the empty-guard count, the over-full set and the cached
+    :class:`LevelView` current, so readers never walk the guards to sum.
+    ``overfull_files`` is the file count from which a guard is reported
+    by :meth:`overfull_guards` (``max_sstables_per_guard``, section 3.5).
+    """
+
+    def __init__(self, level: int, overfull_files: int = 2) -> None:
         self.level = level
         self.sentinel = Guard(None)
         self._keys: List[bytes] = []
-        self._guards: Dict[bytes, Guard] = {}
+        #: Guards in key order, sentinel first: ``_order[i + 1]`` is the
+        #: guard keyed ``_keys[i]``.
+        self._order: List[Guard] = [self.sentinel]
+        self._by_number: Dict[int, FileMetadata] = {}
+        self._size_bytes = 0
+        #: Non-sentinel guards holding no file.
+        self.empty_guards = 0
+        self._overfull_files = overfull_files
+        self._overfull: Set[Guard] = set()
+        self._view: Optional[LevelView] = None
 
     # ------------------------------------------------------------------
     @property
@@ -117,82 +144,140 @@ class GuardedLevel:
 
     def guards(self) -> Iterator[Guard]:
         """All guards in key order, sentinel first."""
-        yield self.sentinel
-        for key in self._keys:
-            yield self._guards[key]
+        return iter(self._order)
 
     def non_empty_guards(self) -> Iterator[Guard]:
-        return (g for g in self.guards() if g.files)
+        return (g for g in self._order if g.files)
+
+    def overfull_guards(self) -> List[Guard]:
+        """Guards holding at least ``overfull_files`` files, in key order."""
+        return sorted(self._overfull, key=lambda g: (g.key is not None, g.key))
 
     # ------------------------------------------------------------------
     def add_guard(self, key: bytes) -> bool:
-        """Commit a guard key; returns False if already present."""
-        if key in self._guards:
+        """Commit a guard key; returns False if already present.
+
+        Files of the covering guard that start at or after ``key`` move
+        to the new guard, keeping their relative (age) order.
+        """
+        idx = bisect_right(self._keys, key)
+        if idx and self._keys[idx - 1] == key:
             return False
-        insort(self._keys, key)
-        self._guards[key] = Guard(key)
+        covering = self._order[idx]
+        guard = Guard(key)
+        self._keys.insert(idx, key)
+        self._order.insert(idx + 1, guard)
+        self.empty_guards += 1
+        self._view = None
+        moved = tuple(f for f in covering.files if f.smallest.user_key >= key)
+        if moved:
+            self._set_files(
+                covering,
+                tuple(f for f in covering.files if f.smallest.user_key < key),
+            )
+            self._set_files(guard, moved)
         return True
 
     def has_guard(self, key: bytes) -> bool:
-        return key in self._guards
+        idx = bisect_right(self._keys, key)
+        return idx > 0 and self._keys[idx - 1] == key
 
-    def remove_guard(self, key: bytes) -> Guard:
-        """Detach and return a guard (its files must be re-homed by the
-        caller — see guard deletion, paper section 3.3)."""
-        guard = self._guards.pop(key)
-        self._keys.remove(key)
-        return guard
+    def remove_guard(self, key: bytes) -> None:
+        """Delete a guard; its left neighbour absorbs its range and files
+        (guard deletion is metadata-only, paper section 3.3)."""
+        idx = bisect_right(self._keys, key)
+        if not idx or self._keys[idx - 1] != key:
+            raise KeyError(key)
+        guard = self._order[idx]
+        files = guard.files
+        self._set_files(guard, ())
+        del self._keys[idx - 1]
+        del self._order[idx]
+        self.empty_guards -= 1
+        self._view = None
+        if files:
+            left = self._order[idx - 1]
+            self._set_files(left, left.files + files)
 
     # ------------------------------------------------------------------
     def find_guard(self, user_key: bytes) -> Guard:
         """The unique guard whose range covers ``user_key``."""
-        idx = bisect_right(self._keys, user_key)
-        if idx == 0:
-            return self.sentinel
-        return self._guards[self._keys[idx - 1]]
-
-    def guard_index(self, user_key: bytes) -> int:
-        """Index into :meth:`guards` order (0 = sentinel)."""
-        return bisect_right(self._keys, user_key)
-
-    def guards_from(self, user_key: bytes) -> Iterator[Guard]:
-        """Guards covering ``user_key`` onward, in key order."""
-        idx = bisect_right(self._keys, user_key)
-        if idx == 0:
-            yield self.sentinel
-            start = 0
-        else:
-            start = idx - 1
-        for key in self._keys[start:]:
-            yield self._guards[key]
+        return self._order[bisect_right(self._keys, user_key)]
 
     def guard_range(self, guard: Guard) -> "tuple[Optional[bytes], Optional[bytes]]":
         """Key range ``[lo, hi)`` owned by ``guard`` (None = open end)."""
-        if guard.is_sentinel:
-            hi = self._keys[0] if self._keys else None
-            return (None, hi)
-        idx = self._keys.index(guard.key)  # type: ignore[arg-type]
-        hi = self._keys[idx + 1] if idx + 1 < len(self._keys) else None
+        keys = self._keys
+        idx = 0 if guard.key is None else bisect_right(keys, guard.key)
+        hi = keys[idx] if idx < len(keys) else None
         return (guard.key, hi)
 
     # ------------------------------------------------------------------
-    def add_file(self, meta: FileMetadata) -> None:
+    def attach(self, meta: FileMetadata) -> None:
         """Attach a file to the guard covering its smallest key."""
-        self.find_guard(meta.smallest.user_key).files.append(meta)
+        guard = self.find_guard(meta.smallest.user_key)
+        self._by_number[meta.number] = meta
+        self._set_files(guard, guard.files + (meta,))
+
+    def detach(self, number: int) -> bool:
+        """Remove file ``number`` from its guard; False if not in this level."""
+        meta = self._by_number.pop(number, None)
+        if meta is None:
+            return False
+        guard = self._order[bisect_right(self._keys, meta.smallest.user_key)]
+        self._set_files(guard, tuple(f for f in guard.files if f.number != number))
+        return True
+
+    def __contains__(self, number: int) -> bool:
+        """True when file ``number`` is attached to a guard of this level."""
+        return number in self._by_number
+
+    def _set_files(self, guard: Guard, files: Tuple[FileMetadata, ...]) -> None:
+        """Replace ``guard.files``; every counter derived from it follows."""
+        size = sum(f.file_size for f in files)
+        self._size_bytes += size - guard.size_bytes
+        if guard.key is not None and bool(files) != bool(guard.files):
+            self.empty_guards += -1 if files else 1
+        guard.files = files
+        guard.size_bytes = size
+        if len(files) >= self._overfull_files:
+            self._overfull.add(guard)
+        else:
+            self._overfull.discard(guard)
+        self._view = None
 
     def all_files(self) -> Iterator[FileMetadata]:
-        for guard in self.guards():
+        for guard in self._order:
             yield from guard.files
 
     @property
+    def num_files(self) -> int:
+        return len(self._by_number)
+
+    @property
     def size_bytes(self) -> int:
-        return sum(g.size_bytes for g in self.guards())
+        return self._size_bytes
+
+    def view(self) -> LevelView:
+        """The level as an immutable value, rebuilt only after a mutation.
+
+        An iterator that captured a view keeps seeing exactly those guards
+        and files whatever compactions do to the level afterwards.
+        """
+        view = self._view
+        if view is None:
+            view = self._view = LevelView(
+                tuple(self._keys), tuple(g.files for g in self._order)
+            )
+        return view
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        assert self._keys == sorted(self._keys), "guard keys out of order"
-        assert len(set(self._keys)) == len(self._keys), "duplicate guard keys"
-        for guard in self.guards():
+        keys, order = self._keys, self._order
+        assert keys == sorted(keys), "guard keys out of order"
+        assert len(set(keys)) == len(keys), "duplicate guard keys"
+        assert order[0] is self.sentinel and self.sentinel.key is None
+        assert [g.key for g in order[1:]] == keys, "guard order out of step with keys"
+        for guard in order:
             lo, hi = self.guard_range(guard)
             for meta in guard.files:
                 if lo is not None:
@@ -204,3 +289,26 @@ class GuardedLevel:
                         f"file {meta.number} beyond guard range {hi!r} "
                         f"at level {self.level}"
                     )
+        # Every incremental counter against a from-scratch recomputation.
+        where = f"at level {self.level}"
+        for guard in order:
+            assert guard.size_bytes == sum(f.file_size for f in guard.files), (
+                f"guard {guard.key!r} byte count drifted {where}"
+            )
+        files = [f for guard in order for f in guard.files]
+        assert self._size_bytes == sum(f.file_size for f in files), (
+            f"level byte count drifted {where}"
+        )
+        assert self._by_number == {f.number: f for f in files} and len(
+            self._by_number
+        ) == len(files), f"file index drifted {where}"
+        assert self.empty_guards == sum(1 for g in order[1:] if not g.files), (
+            f"empty-guard count drifted {where}"
+        )
+        assert self._overfull == {
+            g for g in order if len(g.files) >= self._overfull_files
+        }, f"over-full set drifted {where}"
+        if self._view is not None:
+            assert self._view == (tuple(keys), tuple(g.files for g in order)), (
+                f"stale level view {where}"
+            )

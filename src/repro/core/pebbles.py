@@ -28,16 +28,21 @@ switchable for the ablation study.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.guards import Guard, GuardedLevel, GuardPicker
+from repro.core.guards import Guard, GuardedLevel, GuardPicker, LevelView
 from repro.engines.base import Entry, LSMStoreBase
 from repro.engines.options import StoreOptions
 from repro.memtable.memtable import GetResult
 from repro.sim.storage import IoAccount, SimulatedStorage
-from repro.sstable import SSTableBuilder, compaction_iterator, merging_iterator
+from repro.sstable import (
+    SSTableBuilder,
+    compaction_iterator,
+    merge_entries,
+    merging_iterator,
+)
 from repro.util.keys import InternalKey, KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
 from repro.util.murmur import murmur3_64
 from repro.version import VersionEdit
@@ -132,7 +137,9 @@ class PebblesDBStore(LSMStoreBase):
         self._level0: List[FileMetadata] = []
         self._guarded: List[Optional[GuardedLevel]] = [None]
         for level in range(1, opts.num_levels):
-            self._guarded.append(GuardedLevel(level))
+            self._guarded.append(
+                GuardedLevel(level, overfull_files=max(2, opts.max_sstables_per_guard))
+            )
         self._uncommitted: List[Set[bytes]] = [set() for _ in range(opts.num_levels)]
         #: Guard keys removed from the uncommitted set at job submission
         #: but not yet applied to the level (the job is in flight).
@@ -217,7 +224,7 @@ class PebblesDBStore(LSMStoreBase):
         counts = [len(self._level0)]
         for guarded in self._guarded[1:]:
             assert guarded is not None
-            counts.append(sum(1 for _ in guarded.all_files()))
+            counts.append(guarded.num_files)
         return counts
 
     def live_files(self) -> List[FileMetadata]:
@@ -275,7 +282,7 @@ class PebblesDBStore(LSMStoreBase):
         counts = [0]
         for guarded in self._guarded[1:]:
             assert guarded is not None
-            counts.append(sum(1 for g in guarded.guards() if not g.files and not g.is_sentinel))
+            counts.append(guarded.empty_guards)
         return counts
 
     # ==================================================================
@@ -291,7 +298,7 @@ class PebblesDBStore(LSMStoreBase):
             # Level 0 first; files may overlap arbitrarily, newest
             # sequence wins.  One interned probe key serves every table
             # probed for this lookup (readers would otherwise rebuild it,
-            # and its memoized sort tuple, per file), and one murmur
+            # and its sort tuple, per file), and one murmur
             # digest serves every bloom filter screened.
             probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
             kh = murmur3_64(key)
@@ -399,7 +406,9 @@ class PebblesDBStore(LSMStoreBase):
             parallel = (
                 self.options.enable_parallel_seeks and level == parallel_level
             )
-            iters.append(self._guarded_level_iter(level, start_key, probe, account, parallel))
+            iters.append(
+                self._guarded_level_iter(guarded.view(), start_key, probe, account, parallel)
+            )
             first_guard = guarded.find_guard(start_key)
             positioned_tables += len(first_guard.files)
             self._touched_guards.append((level, first_guard.key))
@@ -414,52 +423,39 @@ class PebblesDBStore(LSMStoreBase):
             )
         return iters
 
-    def _file_iter(
-        self, meta: FileMetadata, probe: InternalKey, account: IoAccount
-    ) -> Iterator[Entry]:
-        self._ref_file(meta.number)
-        try:
-            reader = self._get_reader(meta.number, account)
-            yield from reader.seek(probe, account)
-        finally:
-            self._unref_file(meta.number)
-
     def _guarded_level_iter(
         self,
-        level: int,
+        view: LevelView,
         start_key: bytes,
         probe: InternalKey,
         account: IoAccount,
         parallel: bool,
     ) -> Iterator[Entry]:
-        guarded = self._guarded[level]
-        assert guarded is not None
-        guard_snapshots = [list(g.files) for g in guarded.guards_from(start_key)]
-        first = True
-        for files in guard_snapshots:
+        """Walk ``view`` from the guard covering ``start_key`` rightward.
+
+        The view is the level as it stood at seek time; the caller's read
+        pin keeps every file in it on storage, so later compactions can
+        neither hide keys from this iterator nor delete files under it.
+        """
+        guard_files = view.files
+        first = bisect_right(view.keys, start_key)
+        for idx in range(first, len(guard_files)):
+            files = guard_files[idx]
             if not files:
-                first = False
                 continue
-            for meta in files:
-                self._ref_file(meta.number)
-            try:
-                if first and parallel and len(files) > 1:
-                    file_iters = self._parallel_position(files, probe, account)
-                elif first:
-                    file_iters = [
-                        self._get_reader(f.number, account).seek(probe, account)
-                        for f in files
-                    ]
-                else:
-                    file_iters = [
-                        self._get_reader(f.number, account).iter_all(account)
-                        for f in files
-                    ]
-                yield from heapq.merge(*file_iters, key=lambda e: e[0])
-            finally:
-                for meta in files:
-                    self._unref_file(meta.number)
-            first = False
+            if idx != first:
+                file_iters = [
+                    self._get_reader(f.number, account).iter_all(account)
+                    for f in files
+                ]
+            elif parallel and len(files) > 1:
+                file_iters = self._parallel_position(files, probe, account)
+            else:
+                file_iters = [
+                    self._get_reader(f.number, account).seek(probe, account)
+                    for f in files
+                ]
+            yield from merge_entries(file_iters)
 
     def _parallel_position(
         self, files: Sequence[FileMetadata], probe: InternalKey, account: IoAccount
@@ -502,47 +498,29 @@ class PebblesDBStore(LSMStoreBase):
             assert guarded is not None
             if guarded.size_bytes == 0:
                 continue
-            iters.append(self._guarded_level_iter_reverse(guarded, bound, account))
+            iters.append(
+                self._guarded_level_iter_reverse(guarded.view(), bound, account)
+            )
         return iters
 
-    def _file_iter_reverse(
-        self, meta: FileMetadata, bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        self._ref_file(meta.number)
-        try:
-            reader = self._get_reader(meta.number, account)
-            yield from reader.iter_reverse(account, max_user_key=bound)
-        finally:
-            self._unref_file(meta.number)
-
     def _guarded_level_iter_reverse(
-        self, guarded: GuardedLevel, bound: Optional[bytes], account: IoAccount
+        self, view: LevelView, bound: Optional[bytes], account: IoAccount
     ) -> Iterator[Entry]:
         """Walk guards in descending key order, merging each guard's
         (mutually overlapping) sstables backward."""
-        guards = list(guarded.guards())
-        if bound is not None:
-            idx = guarded.guard_index(bound)  # 0 = sentinel
-            guards = guards[: idx + 1]
-        for guard in reversed(guards):
-            files = list(guard.files)
+        guard_files = view.files
+        last = len(view.keys) if bound is None else bisect_right(view.keys, bound)
+        for idx in range(last, -1, -1):
+            files = guard_files[idx]
             if not files:
                 continue
-            for meta in files:
-                self._ref_file(meta.number)
-            try:
-                file_iters = [
-                    self._get_reader(f.number, account).iter_reverse(
-                        account, max_user_key=bound
-                    )
-                    for f in files
-                ]
-                yield from heapq.merge(
-                    *file_iters, key=lambda e: e[0], reverse=True
+            file_iters = [
+                self._get_reader(f.number, account).iter_reverse(
+                    account, max_user_key=bound
                 )
-            finally:
-                for meta in files:
-                    self._unref_file(meta.number)
+                for f in files
+            ]
+            yield from merge_entries(file_iters, reverse=True)
 
     def _last_populated_level(self) -> int:
         for level in range(self.options.num_levels - 1, 0, -1):
@@ -641,13 +619,12 @@ class PebblesDBStore(LSMStoreBase):
                 self._l0_conflict_blocked = True
                 self._stats.compaction_conflicts += 1
         # Priority 2: over-full guards (max_sstables_per_guard, section 3.5).
-        trigger = max(2, opts.max_sstables_per_guard)
         seen: Set[Tuple[int, Optional[bytes]]] = set()
         for level in range(1, opts.num_levels):
             guarded = self._guarded[level]
             assert guarded is not None
-            for guard in guarded.guards():
-                if guard.num_files >= trigger and not self._guard_busy(guard):
+            for guard in guarded.overfull_guards():
+                if not self._guard_busy(guard):
                     if self._claims_available(self._guard_claims(level, guard)):
                         candidates.append(("guard", level, guard, "overfull"))
                         seen.add((level, guard.key))
@@ -808,7 +785,7 @@ class PebblesDBStore(LSMStoreBase):
         The source claim is the guard's own range.  The target claim is
         that range *widened to the committed-guard boundaries covering
         it*: guard commits, straddler consumption, forced merges with
-        full guards, and the splits `_add_guard_live` performs at apply
+        full guards, and the splits ``add_guard`` performs at apply
         all stay inside the covering guards of the source range, so two
         jobs with disjoint widened claims cannot touch the same target
         guard.  A range end that is itself a committed target boundary
@@ -1313,11 +1290,8 @@ class PebblesDBStore(LSMStoreBase):
         gcctx=None,
     ) -> None:
         """Record the edit and submit the job for deferred application."""
-        consumed_levels = {
-            meta.number: self._level_of_file(meta.number) for meta in consumed
-        }
         for meta in consumed:
-            level = consumed_levels[meta.number]
+            level = self._level_of_file(meta.number)
             edit.delete_file(level if level is not None else source_level, meta.number)
         for level, guard_key, meta in placements:
             if guard_key is None:
@@ -1341,7 +1315,9 @@ class PebblesDBStore(LSMStoreBase):
             self._vlog_retire(gcctx, durable)
             for key in new_keys:
                 level = [lvl for lvl, k in edit.new_guards if k == key][0]
-                self._add_guard_live(level, key)
+                guarded = self._guarded[level]
+                assert guarded is not None
+                guarded.add_guard(key)
                 self._committing.discard((level, key))
             for meta in consumed:
                 self._detach_file(meta)
@@ -1350,7 +1326,7 @@ class PebblesDBStore(LSMStoreBase):
             for level, guard_key, meta in placements:
                 guarded = self._guarded[level]
                 assert guarded is not None
-                guarded.add_file(meta)
+                guarded.attach(meta)
             self._release_claims(claim_token)
             self._stats.compactions += 1
             self._stats.compaction_bytes_written += bytes_written
@@ -1392,29 +1368,14 @@ class PebblesDBStore(LSMStoreBase):
             self.executor.submit("compaction", job_seconds, apply, at=start_at)
         )
 
-    def _add_guard_live(self, level: int, key: bytes) -> None:
-        guarded = self._guarded[level]
-        assert guarded is not None
-        if guarded.has_guard(key):
-            return
-        covering = guarded.find_guard(key)
-        moved = [f for f in covering.files if f.smallest.user_key >= key]
-        guarded.add_guard(key)
-        new_guard = guarded.find_guard(key)
-        for meta in moved:
-            covering.remove_file(meta.number)
-            new_guard.files.append(meta)
-
     def _detach_file(self, meta: FileMetadata) -> None:
         if meta in self._level0:
             self._level0.remove(meta)
             return
         for guarded in self._guarded[1:]:
             assert guarded is not None
-            for guard in guarded.guards():
-                if any(f.number == meta.number for f in guard.files):
-                    guard.remove_file(meta.number)
-                    return
+            if guarded.detach(meta.number):
+                return
 
     def _level_of_file(self, number: int) -> Optional[int]:
         if any(f.number == number for f in self._level0):
@@ -1422,7 +1383,7 @@ class PebblesDBStore(LSMStoreBase):
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
             assert guarded is not None
-            if any(f.number == number for f in guarded.all_files()):
+            if number in guarded:
                 return level
         return None
 
@@ -1445,9 +1406,7 @@ class PebblesDBStore(LSMStoreBase):
                 assert guarded is not None
                 if not guarded.has_guard(key):
                     continue
-                guard = guarded.remove_guard(key)
-                for meta in guard.files:
-                    guarded.add_file(meta)  # absorbed by the left neighbour
+                guarded.remove_guard(key)  # the left neighbour absorbs its files
                 edit.deleted_guards.append((level, key))
                 changed = True
             self._uncommitted_discard(key)
@@ -1579,26 +1538,25 @@ class PebblesDBStore(LSMStoreBase):
             return
         guarded = self._guarded[level]
         assert guarded is not None
-        guarded.add_file(meta)
+        guarded.attach(meta)
 
     def _recover_drop_file(self, level: int, number: int) -> None:
         self._level0 = [f for f in self._level0 if f.number != number]
         for guarded in self._guarded[1:]:
             assert guarded is not None
-            for guard in guarded.guards():
-                guard.remove_file(number)
+            guarded.detach(number)
 
     def _recover_guard(self, level: int, key: bytes) -> None:
-        self._add_guard_live(level, key)
+        guarded = self._guarded[level]
+        assert guarded is not None
+        guarded.add_guard(key)
         self._uncommitted[level].discard(key)
 
     def _recover_guard_deletion(self, level: int, key: bytes) -> None:
         guarded = self._guarded[level]
         assert guarded is not None
         if guarded.has_guard(key):
-            guard = guarded.remove_guard(key)
-            for meta in guard.files:
-                guarded.add_file(meta)
+            guarded.remove_guard(key)
 
     def _post_recover(self) -> None:
         """Repair the skip-list property after a restart.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -38,6 +38,7 @@ from repro.sstable import (
     DecodedBlockCache,
     SSTableBuilder,
     SSTableReader,
+    merge_entries,
     merging_iterator,
 )
 from repro.sstable.format import ValuePointer
@@ -430,8 +431,12 @@ class LSMStoreBase(KeyValueStore):
             if self.options.block_cache_bytes > 0
             else None
         )
-        self._file_refs: Dict[int, int] = {}
-        self._doomed_files: set = set()
+        #: Read pins held by open iterators, oldest first (insertion
+        #: order), and the sstables retired while any pin was held, each
+        #: with the newest pin number issued before its retirement.
+        self._read_pins: Dict[int, None] = {}
+        self._pin_seq = 0
+        self._retired_files: "deque[Tuple[int, int]]" = deque()
         self._snapshots: List[int] = []
         self._closed = False
         #: Sticky background error (RocksDB's SetBackgroundError model).
@@ -1823,23 +1828,48 @@ class LSMStoreBase(KeyValueStore):
             cache.popitem(last=False)
         return reader
 
-    def _ref_file(self, number: int) -> None:
-        self._file_refs[number] = self._file_refs.get(number, 0) + 1
+    def _file_iter(
+        self, meta: FileMetadata, probe: InternalKey, account: IoAccount
+    ) -> Iterator[Entry]:
+        """One table from ``probe`` onward; opened when first advanced."""
+        yield from self._get_reader(meta.number, account).seek(probe, account)
 
-    def _unref_file(self, number: int) -> None:
-        refs = self._file_refs.get(number, 0) - 1
-        if refs <= 0:
-            self._file_refs.pop(number, None)
-            if number in self._doomed_files:
-                self._doomed_files.discard(number)
-                self._drop_table_file(number)
-        else:
-            self._file_refs[number] = refs
+    def _file_iter_reverse(
+        self, meta: FileMetadata, bound: Optional[bytes], account: IoAccount
+    ) -> Iterator[Entry]:
+        """One table backward from ``bound``; opened when first advanced."""
+        reader = self._get_reader(meta.number, account)
+        yield from reader.iter_reverse(account, max_user_key=bound)
+
+    def _pin_reads(self) -> int:
+        """Keep every sstable and value-log segment that is live now on
+        storage until unpinned.
+
+        One pin covers a whole iterator: consumer code between its yields
+        may trigger compactions, and whatever file lists, guard views or
+        value pointers the iterator captured after taking the pin stay
+        readable however many of those files are retired meanwhile.
+        """
+        self._pin_seq += 1
+        self._read_pins[self._pin_seq] = None
+        if self._vlog is not None:
+            self._vlog.pin()
+        return self._pin_seq
+
+    def _unpin_reads(self, pin: int) -> None:
+        """Release a pin; delete the retired files no older pin can see."""
+        if self._vlog is not None:
+            self._vlog.unpin()
+        del self._read_pins[pin]
+        oldest = next(iter(self._read_pins), None)
+        retired = self._retired_files
+        while retired and (oldest is None or retired[0][0] < oldest):
+            self._drop_table_file(retired.popleft()[1])
 
     def _retire_file(self, number: int) -> None:
-        """Delete a file once no iterator holds a reference to it."""
-        if self._file_refs.get(number, 0) > 0:
-            self._doomed_files.add(number)
+        """Delete a file once every pin taken before now is released."""
+        if self._read_pins:
+            self._retired_files.append((self._pin_seq, number))
         else:
             self._drop_table_file(number)
 
@@ -1869,17 +1899,13 @@ class LSMStoreBase(KeyValueStore):
         """Newest visible version of each user key from ``start`` onward."""
         acct = self._user_acct
         snapshot = snap.sequence if snap is not None else self._last_sequence
-        iters: List[Iterator[Entry]] = [self._mem.seek(start)]
-        iters.extend(imm.seek(start) for imm, _ in self._imm)
-        iters.extend(self._table_iterators(start, acct))
-        merged = merging_iterator(iters, cpu=self.cpu, account=acct)
-        # Pin the value log for the generator's lifetime: consumer code
-        # between yields may trigger compactions whose GC would otherwise
-        # delete a segment this scan still has pointers into.
         vlog = self._vlog
-        if vlog is not None:
-            vlog.pin()
+        pin = self._pin_reads()
         try:
+            iters: List[Iterator[Entry]] = [self._mem.seek(start)]
+            iters.extend(imm.seek(start) for imm, _ in self._imm)
+            iters.extend(self._table_iterators(start, acct))
+            merged = merging_iterator(iters, cpu=self.cpu, account=acct)
             prev: Optional[bytes] = None
             for key, value in merged:
                 if key.sequence > snapshot:
@@ -1898,8 +1924,7 @@ class LSMStoreBase(KeyValueStore):
                 # values; a no-op for memtable values (bytes already).
                 yield key.user_key, bytes(value)
         finally:
-            if vlog is not None:
-                vlog.unpin()
+            self._unpin_reads(pin)
 
     def _visible_entries_reverse(
         self, start: Optional[bytes], snap: Optional[Snapshot] = None
@@ -1910,18 +1935,15 @@ class LSMStoreBase(KeyValueStore):
         one user key the versions arrive oldest first; the newest visible
         one is decided when the user key changes.
         """
-        import heapq as _heapq
-
         acct = self._user_acct
         snapshot = snap.sequence if snap is not None else self._last_sequence
-        iters: List[Iterator[Entry]] = [self._mem.reverse_iter(start)]
-        iters.extend(imm.reverse_iter(start) for imm, _ in self._imm)
-        iters.extend(self._table_iterators_reverse(start, acct))
-        merged = _heapq.merge(*iters, key=lambda e: e[0], reverse=True)
         vlog = self._vlog
-        if vlog is not None:
-            vlog.pin()
+        pin = self._pin_reads()
         try:
+            iters: List[Iterator[Entry]] = [self._mem.reverse_iter(start)]
+            iters.extend(imm.reverse_iter(start) for imm, _ in self._imm)
+            iters.extend(self._table_iterators_reverse(start, acct))
+            merged = merge_entries(iters, reverse=True)
             current_key: Optional[bytes] = None
             candidate: Optional[Entry] = None
 
@@ -1952,8 +1974,7 @@ class LSMStoreBase(KeyValueStore):
             if out is not None:
                 yield out
         finally:
-            if vlog is not None:
-                vlog.unpin()
+            self._unpin_reads(pin)
 
     def _table_iterators_reverse(
         self, start: Optional[bytes], account: IoAccount

@@ -248,16 +248,6 @@ class LeveledLSMStore(LSMStoreBase):
                 hi = mid
         return lo
 
-    def _file_iter(
-        self, meta: FileMetadata, probe: InternalKey, account: IoAccount
-    ) -> Iterator[Entry]:
-        self._ref_file(meta.number)
-        try:
-            reader = self._get_reader(meta.number, account)
-            yield from reader.seek(probe, account)
-        finally:
-            self._unref_file(meta.number)
-
     def _level_iter(
         self,
         files: List[FileMetadata],
@@ -265,20 +255,14 @@ class LeveledLSMStore(LSMStoreBase):
         probe: InternalKey,
         account: IoAccount,
     ) -> Iterator[Entry]:
-        for number in (f.number for f in files[idx:]):
-            self._ref_file(number)
-        try:
-            first = True
-            for meta in files[idx:]:
-                reader = self._get_reader(meta.number, account)
-                if first:
-                    yield from reader.seek(probe, account)
-                    first = False
-                else:
-                    yield from reader.iter_all(account)
-        finally:
-            for number in (f.number for f in files[idx:]):
-                self._unref_file(number)
+        first = True
+        for meta in files[idx:]:
+            reader = self._get_reader(meta.number, account)
+            if first:
+                yield from reader.seek(probe, account)
+                first = False
+            else:
+                yield from reader.iter_all(account)
 
     def _table_iterators_reverse(
         self, start: Optional[bytes], account: IoAccount
@@ -296,30 +280,14 @@ class LeveledLSMStore(LSMStoreBase):
             iters.append(self._level_iter_reverse(files, bound, account))
         return iters
 
-    def _file_iter_reverse(
-        self, meta: FileMetadata, bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        self._ref_file(meta.number)
-        try:
-            reader = self._get_reader(meta.number, account)
-            yield from reader.iter_reverse(account, max_user_key=bound)
-        finally:
-            self._unref_file(meta.number)
-
     def _level_iter_reverse(
         self, files: List[FileMetadata], bound: Optional[bytes], account: IoAccount
     ) -> Iterator[Entry]:
-        for number in (f.number for f in files):
-            self._ref_file(number)
-        try:
-            for meta in reversed(files):
-                if bound is not None and meta.smallest.user_key > bound:
-                    continue
-                reader = self._get_reader(meta.number, account)
-                yield from reader.iter_reverse(account, max_user_key=bound)
-        finally:
-            for number in (f.number for f in files):
-                self._unref_file(number)
+        for meta in reversed(files):
+            if bound is not None and meta.smallest.user_key > bound:
+                continue
+            reader = self._get_reader(meta.number, account)
+            yield from reader.iter_reverse(account, max_user_key=bound)
 
     # ==================================================================
     # Compaction

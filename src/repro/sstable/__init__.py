@@ -21,7 +21,7 @@ from repro.sstable.format import (
 from repro.sstable.block_cache import BlockCacheStats, DecodedBlock, DecodedBlockCache
 from repro.sstable.builder import SSTableBuilder, TableProperties
 from repro.sstable.reader import SSTableReader
-from repro.sstable.merger import merging_iterator, compaction_iterator
+from repro.sstable.merger import compaction_iterator, merge_entries, merging_iterator
 
 __all__ = [
     "FOOTER_SIZE",
@@ -38,6 +38,7 @@ __all__ = [
     "SSTableBuilder",
     "TableProperties",
     "SSTableReader",
+    "merge_entries",
     "merging_iterator",
     "compaction_iterator",
 ]

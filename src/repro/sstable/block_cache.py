@@ -80,8 +80,8 @@ class DecodedBlock:
         if self._keys is not None:
             sks = self._sks
             if sks is None:
-                sks = self._sks = [key._sort_key() for key in self._keys]
-            return bisect_left(sks, probe._sort_key())
+                sks = self._sks = [key.sort_key for key in self._keys]
+            return bisect_left(sks, probe.sort_key)
         if _HAVE_BISECT_KEY:
             return bisect_left(self.entries, probe, key=_entry_key)
         return bisect_left(self.keys, probe)

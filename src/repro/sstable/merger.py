@@ -2,6 +2,8 @@
 
 Used in three places: compaction (merge a guard's or level's sstables),
 database iterators (merge memtable + per-level streams), and range queries.
+Every merge in the program goes through :func:`merge_entries`, which keys
+the heap on ``InternalKey.sort_key`` so comparisons are C tuple compares.
 ``compaction_iterator`` additionally collapses shadowed versions and
 garbage-collects tombstones at the bottom level — the only place a delete
 may be forgotten without resurrecting older versions.
@@ -20,6 +22,21 @@ from repro.util.keys import KIND_DELETE, InternalKey
 Entry = Tuple[InternalKey, bytes]
 
 
+def _entry_sort_key(entry: Entry) -> tuple:
+    return entry[0].sort_key
+
+
+def merge_entries(
+    iterators: Iterable[Iterator[Entry]], reverse: bool = False
+) -> Iterator[Entry]:
+    """Merge ordered entry streams (all descending when ``reverse``).
+
+    Internal keys are globally unique (every write gets a fresh sequence
+    number) so ties cannot occur.
+    """
+    return heapq.merge(*iterators, key=_entry_sort_key, reverse=reverse)
+
+
 def merging_iterator(
     iterators: Iterable[Iterator[Entry]],
     *,
@@ -28,11 +45,10 @@ def merging_iterator(
 ) -> Iterator[Entry]:
     """Merge ordered entry streams into one ordered stream.
 
-    Internal keys are globally unique (every write gets a fresh sequence
-    number) so ties cannot occur.  When ``cpu``/``account`` are given, each
-    step charges the merging-iterator CPU cost.
+    When ``cpu``/``account`` are given, each step charges the
+    merging-iterator CPU cost.
     """
-    merged = heapq.merge(*iterators, key=lambda entry: entry[0])
+    merged = merge_entries(iterators)
     if cpu is None or account is None:
         yield from merged
         return

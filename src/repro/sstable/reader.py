@@ -107,7 +107,7 @@ class SSTableReader:
         self._index_sks = (
             index_sks
             if index_sks is not None
-            else [key._sort_key() for key in self._index_keys]
+            else [key.sort_key for key in self._index_keys]
         )
         self.bloom = bloom
         self.file_size = file_size
@@ -305,14 +305,14 @@ class SSTableReader:
 
         Callers probing many tables for the same key (the engine get
         path) pass a pre-built ``probe`` so the internal key — and its
-        memoized sort tuple — is constructed once per lookup, not once
+        sort tuple — is constructed once per lookup, not once
         per table.
         """
         cpu = self._storage.cpu
         account.charge(cpu.charge("sstable_search", cpu.sstable_search))
         if probe is None:
             probe = InternalKey(user_key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
-        idx = bisect_left(self._index_sks, probe._sort_key())
+        idx = bisect_left(self._index_sks, probe.sort_key)
         while idx < len(self._index):
             block = self._decoded_block(self._index[idx], account)
             pos = block.bisect(probe)
@@ -347,7 +347,7 @@ class SSTableReader:
         """Iterate entries starting at the first internal key >= probe."""
         cpu = self._storage.cpu
         account.charge(cpu.charge("sstable_search", cpu.sstable_search))
-        idx = bisect_left(self._index_sks, probe._sort_key())
+        idx = bisect_left(self._index_sks, probe.sort_key)
         first = True
         for entry in self._index[idx:]:
             block = self._decoded_block(entry, account)

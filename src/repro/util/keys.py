@@ -32,9 +32,13 @@ _TRAILER_LEN = 8
 
 
 class InternalKey:
-    """A versioned key.  Orders by (user_key asc, sequence desc)."""
+    """A versioned key.  Orders by (user_key asc, sequence desc).
 
-    __slots__ = ("user_key", "sequence", "kind", "_sk")
+    ``sort_key`` is that order as a plain tuple, built once here: merge
+    heaps and bisects key on it so their comparisons never leave C.
+    """
+
+    __slots__ = ("user_key", "sequence", "kind", "sort_key")
 
     def __init__(self, user_key: bytes, sequence: int, kind: int) -> None:
         if not 0 <= sequence <= MAX_SEQUENCE:
@@ -44,30 +48,21 @@ class InternalKey:
         self.user_key = user_key
         self.sequence = sequence
         self.kind = kind
-
-    def _sort_key(self) -> Tuple[bytes, int, int]:
         # Negating the sequence makes plain tuple comparison give the
-        # newest-first order within a user key.  The tuple is memoized in
-        # the ``_sk`` slot: a bisect probe compares the same key O(log n)
-        # times, and rebuilding it dominated comparison cost.
-        try:
-            return self._sk
-        except AttributeError:
-            sk = (self.user_key, -self.sequence, -self.kind)
-            self._sk = sk
-            return sk
+        # newest-first order within a user key.
+        self.sort_key: Tuple[bytes, int, int] = (user_key, -sequence, -kind)
 
     def __lt__(self, other: "InternalKey") -> bool:
-        return self._sort_key() < other._sort_key()
+        return self.sort_key < other.sort_key
 
     def __le__(self, other: "InternalKey") -> bool:
-        return self._sort_key() <= other._sort_key()
+        return self.sort_key <= other.sort_key
 
     def __gt__(self, other: "InternalKey") -> bool:
-        return self._sort_key() > other._sort_key()
+        return self.sort_key > other.sort_key
 
     def __ge__(self, other: "InternalKey") -> bool:
-        return self._sort_key() >= other._sort_key()
+        return self.sort_key >= other.sort_key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InternalKey):

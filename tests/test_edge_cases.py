@@ -101,7 +101,7 @@ class TestIterators:
         with db.seek(b"a") as it:
             assert it.key() == b"a"
 
-    def test_abandoned_iterators_dont_leak_file_refs(self, env):
+    def test_abandoned_iterators_dont_leak_read_pins(self, env):
         db = make_store("pebblesdb", env)
         for i in range(1500):
             db.put(b"k%05d" % i, b"v" * 64)
@@ -111,8 +111,8 @@ class TestIterators:
             it.next()
             it.close()
         db.compact_all()
-        # All retired files must actually be deleted once refs drop.
-        assert not db._doomed_files
+        # All retired files must actually be deleted once pins drop.
+        assert not db._read_pins and not db._retired_files
         db.check_invariants()
 
     def test_range_query_with_limit(self, env):
