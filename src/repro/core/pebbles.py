@@ -34,20 +34,20 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.guards import Guard, GuardedLevel, GuardPicker, LevelView
 from repro.engines.base import Entry, LSMStoreBase
+from repro.engines.compaction import CompactionContext, CompactionResult
 from repro.engines.options import StoreOptions
 from repro.memtable.memtable import GetResult
 from repro.sim.storage import IoAccount, SimulatedStorage
-from repro.sstable import (
-    SSTableBuilder,
-    compaction_iterator,
-    merge_entries,
-    merging_iterator,
-)
+from repro.sstable import merge_entries
 from repro.util.keys import InternalKey, KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
 from repro.util.murmur import murmur3_64
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_KEY, GUARD_NONE, GUARD_SENTINEL
+
+#: Aggressive compaction pushes level *i* down once it is within 25% of
+#: the size of level *i+1* (paper section 4.2).
+AGGRESSIVE_COMPACTION_RATIO = 0.25
 
 
 def _key_label(key: Optional[bytes]) -> str:
@@ -55,6 +55,15 @@ def _key_label(key: Optional[bytes]) -> str:
     if key is None:
         return "<sentinel>"
     return key.decode("ascii", "backslashreplace")
+
+
+def _placed(
+    level: int, guard_key: Optional[bytes], meta: FileMetadata
+) -> Tuple[int, FileMetadata, int, bytes]:
+    """A version-edit file entry for ``meta`` under ``guard_key`` (None = sentinel)."""
+    if guard_key is None:
+        return (level, meta, GUARD_SENTINEL, b"")
+    return (level, meta, GUARD_KEY, guard_key)
 
 
 class _SwitchAccount:
@@ -145,7 +154,6 @@ class PebblesDBStore(LSMStoreBase):
         #: but not yet applied to the level (the job is in flight).
         self._committing: Set[Tuple[int, bytes]] = set()
         self._pending_guard_deletions: Set[bytes] = set()
-        self._busy: Set[int] = set()
         self._picker = GuardPicker(
             opts.top_level_bits, opts.bit_decrement, opts.num_levels
         )
@@ -245,7 +253,7 @@ class PebblesDBStore(LSMStoreBase):
         self.executor.wait_all()
         if any(f.overlaps(lo, hi) for f in self._level0):
             if self._claims_available(self._level0_claims()):
-                if not self._submit_level0_protected():
+                if not self._run_compaction(0, None):
                     return
                 self.executor.wait_all()
         for level in range(1, self.options.num_levels):
@@ -257,7 +265,7 @@ class PebblesDBStore(LSMStoreBase):
                 if not any(f.overlaps(lo, hi) for f in guard.files):
                     continue
                 if self._claims_available(self._guard_claims(level, guard)):
-                    if not self._submit_guard_protected(level, guard):
+                    if not self._run_compaction(level, guard):
                         return
                     self.executor.wait_all()
             self.executor.wait_all()
@@ -560,18 +568,16 @@ class PebblesDBStore(LSMStoreBase):
     # ==================================================================
     # Compaction (paper sections 3.4, 4.2)
     # ==================================================================
+    COMPACTION_CAUSE = "compaction.guard"
+
     def _schedule_compactions(self) -> None:
-        if self._background_error is not None:
-            return
-        for _ in range(64):
-            if not self._pick_and_submit():
-                break
+        # Guard deletions are metadata-only; they go first.
+        if self._pending_guard_deletions and self._background_error is None:
+            self._apply_guard_deletions()
+        super()._schedule_compactions()
 
     def _pick_and_submit(self) -> bool:
         opts = self.options
-        # Guard deletions are metadata-only; process them first.
-        if self._pending_guard_deletions:
-            self._apply_guard_deletions()
         self._l0_conflict_blocked = False
         if not self._has_parallel_slot():
             # Every slot is busy; note when a due Level-0 compaction is
@@ -592,10 +598,8 @@ class PebblesDBStore(LSMStoreBase):
         idx = 0
         if self._dispatch_policy is not None:
             idx = self._dispatch_policy(candidates) % len(candidates)
-        kind, level, guard, _reason = candidates[idx]
-        if kind == "level0":
-            return self._submit_level0_protected()
-        return self._submit_guard_protected(level, guard)
+        _kind, level, guard, _reason = candidates[idx]
+        return self._run_compaction(level, guard)
 
     def _collect_candidates(self) -> List[Tuple[str, int, Optional[Guard], str]]:
         """Runnable compaction candidates, in deterministic priority order.
@@ -653,28 +657,13 @@ class PebblesDBStore(LSMStoreBase):
             ]
         return candidates
 
-    # ------------------------------------------------------------------
-    # Fault-protected submission (see LSMStoreBase._run_protected)
-    # ------------------------------------------------------------------
-    def _submit_level0_protected(self) -> bool:
-        self._run_protected("compaction", self._submit_level0_compaction)
-        return self._background_error is None
-
-    def _submit_guard_protected(self, level: int, guard: Guard) -> bool:
-        self._run_protected(
-            "compaction", lambda: self._submit_guard_compaction(level, guard)
-        )
-        return self._background_error is None
-
-    def _capture_background_state(self):
-        # Everything a compaction submit mutates before its job is queued:
-        # busy files, conflict-map claims and outflow accounting, the
+    def _capture_scheduling_state(self):
+        # What a compute mutates besides the busy set before its job is
+        # queued: conflict-map claims and outflow accounting, the
         # guard-commit bookkeeping, and the seek-compaction inputs.
         return (
-            set(self._busy),
             dict(self._claims),
             dict(self._inflight_outflow),
-            self._compactions_inflight,
             [set(keys) for keys in self._uncommitted],
             set(self._committing),
             list(self._touched_guards),
@@ -682,12 +671,10 @@ class PebblesDBStore(LSMStoreBase):
             self._seek_compaction_due,
         )
 
-    def _restore_background_state(self, snapshot) -> None:
+    def _restore_scheduling_state(self, snapshot) -> None:
         (
-            self._busy,
             self._claims,
             self._inflight_outflow,
-            self._compactions_inflight,
             self._uncommitted,
             self._committing,
             self._touched_guards,
@@ -696,11 +683,8 @@ class PebblesDBStore(LSMStoreBase):
         ) = snapshot
 
     def _reset_scheduling_state(self) -> None:
-        # resume() runs after wait_all(): any remaining marker is stale.
-        self._busy.clear()
         self._claims.clear()
         self._inflight_outflow.clear()
-        self._compactions_inflight = 0
 
     def _guard_busy(self, guard: Guard) -> bool:
         return any(f.number in self._busy for f in guard.files)
@@ -711,12 +695,10 @@ class PebblesDBStore(LSMStoreBase):
     def _scheduler_mode(self) -> str:
         return self.options.compaction_scheduler
 
-    def _max_parallel_compactions(self) -> int:
-        cap = self.options.max_parallel_compactions
-        return cap if cap is not None else self.executor.workers
-
     def _has_parallel_slot(self) -> bool:
-        return len(self._claims) < self._max_parallel_compactions()
+        # One job per worker: more would only queue on busy timelines
+        # while inflating write amplification.
+        return len(self._claims) < self.executor.workers
 
     @staticmethod
     def _ranges_overlap(
@@ -754,7 +736,6 @@ class PebblesDBStore(LSMStoreBase):
         self._inflight_outflow[source_level] = (
             self._inflight_outflow.get(source_level, 0) + outflow
         )
-        self._note_compaction_inflight(1)
         return token
 
     def _release_claims(self, token: Optional[int]) -> None:
@@ -769,7 +750,6 @@ class PebblesDBStore(LSMStoreBase):
             self._inflight_outflow[source_level] = remaining
         else:
             self._inflight_outflow.pop(source_level, None)
-        self._note_compaction_inflight(-1)
 
     def _level0_claims(self):
         """A Level-0 compaction may touch any key: whole-level claims.
@@ -859,7 +839,7 @@ class PebblesDBStore(LSMStoreBase):
                 and self._has_parallel_slot()
                 and self._claims_available(self._guard_claims(level, guard))
             ):
-                if not self._submit_guard_protected(level, guard):
+                if not self._run_compaction(level, guard):
                     return submitted
                 submitted = True
         # Aggressive level compaction: push small levels down.
@@ -867,7 +847,7 @@ class PebblesDBStore(LSMStoreBase):
             for level in range(1, opts.num_levels - 1):
                 if not sizes[level] or not sizes[level + 1]:
                     continue
-                if sizes[level] >= opts.aggressive_compaction_ratio * sizes[level + 1]:
+                if sizes[level] >= AGGRESSIVE_COMPACTION_RATIO * sizes[level + 1]:
                     guarded = self._guarded[level]
                     assert guarded is not None
                     for guard in list(guarded.non_empty_guards()):
@@ -878,141 +858,95 @@ class PebblesDBStore(LSMStoreBase):
                                 self._guard_claims(level, guard)
                             )
                         ):
-                            if not self._submit_guard_protected(level, guard):
+                            if not self._run_compaction(level, guard):
                                 return submitted
                             submitted = True
                     break
         return submitted
 
     # ------------------------------------------------------------------
-    # Level 0 -> Level 1
+    # Compute: Level 0 -> Level 1, or a guard at level i -> level i+1
     # ------------------------------------------------------------------
-    def _submit_level0_compaction(self) -> None:
-        inputs = list(self._level0)
-        for meta in inputs:
-            self._busy.add(meta.number)
-        token = self._acquire_claims(
-            self._level0_claims(), 0, sum(f.file_size for f in inputs)
-        )
-        acct = self.storage.background_account(self.prefix + "compaction.guard.L0")
-        gcctx = self._vlog_context(acct)
-        edit = VersionEdit()
-        new_keys, straddlers = self._commit_target_guards(1, None, None, edit)
-        try:
-            placements, merged_away = self._compact_stream_into(
-                inputs, 1, acct, edit, extra_inputs=straddlers,
-                new_keys=new_keys, gcctx=gcctx,
-            )
-        except BaseException:
-            if gcctx is not None:
-                gcctx.abandon()
-            raise
-        self._finalize_compaction_job(
-            0, inputs + straddlers + merged_away, placements, edit, acct,
-            new_keys, token, gcctx,
-        )
-
-    # ------------------------------------------------------------------
-    # Guard at level i -> level i+1
-    # ------------------------------------------------------------------
-    def _submit_guard_compaction(self, level: int, guard: Guard) -> None:
+    def _compute_compaction(
+        self, level: int, guard: Optional[Guard], ctx: CompactionContext
+    ) -> Optional[CompactionResult]:
+        # ``guard`` None: all of Level 0.
         opts = self.options
-        inputs = list(guard.files)
+        inputs = list(self._level0 if guard is None else guard.files)
         if not inputs:
-            return
-        claims = self._guard_claims(level, guard)
-        for meta in inputs:
-            self._busy.add(meta.number)
-        token = self._acquire_claims(
-            claims, level, sum(f.file_size for f in inputs)
+            return None
+        claims = (
+            self._level0_claims() if guard is None else self._guard_claims(level, guard)
         )
-        acct = self.storage.background_account(
-            self.prefix + f"compaction.guard.L{level}"
-        )
-        gcctx = self._vlog_context(acct)
-        edit = VersionEdit()
+        self._busy.update(f.number for f in inputs)
+        token = self._acquire_claims(claims, level, sum(f.file_size for f in inputs))
         last = opts.num_levels - 1
-
         if level == last:
             # Last level: rewrite the guard in place as one sstable.
-            try:
-                placements = self._rewrite_guard_in_place(level, inputs, acct, gcctx)
-            except BaseException:
-                if gcctx is not None:
-                    gcctx.abandon()
-                raise
-            self._finalize_compaction_job(
-                level, inputs, placements, edit, acct, [], token, gcctx
-            )
-            return
+            return self._rewrite_guard_in_place(level, inputs, ctx, token)
 
         target = level + 1
-        guarded = self._guarded[level]
-        assert guarded is not None
-        lo, hi = guarded.guard_range(guard)
-        new_keys, straddlers = self._commit_target_guards(target, lo, hi, edit)
+        lo = hi = None
+        if guard is not None:
+            guarded = self._guarded[level]
+            assert guarded is not None
+            lo, hi = guarded.guard_range(guard)
+        new_keys, straddlers = self._commit_target_guards(target, lo, hi)
 
-        if target == last:
+        if guard is not None and target == last:
             # Second-to-last level heuristic (paper section 3.4): estimate
             # the merge IO forced by full last-level guards; if it exceeds
             # the threshold, rewrite in place instead of pushing down.
             input_bytes = sum(f.file_size for f in inputs)
             merge_bytes = self._estimate_last_level_merge_io(target, lo, hi, input_bytes)
             if input_bytes and merge_bytes >= opts.last_level_merge_io_ratio * input_bytes:
-                self._rollback_guard_commit(target, new_keys, straddlers, edit)
-                try:
-                    placements = self._rewrite_guard_in_place(
-                        level, inputs, acct, gcctx
-                    )
-                except BaseException:
-                    if gcctx is not None:
-                        gcctx.abandon()
-                    raise
-                self._finalize_compaction_job(
-                    level, inputs, placements, edit, acct, [], token, gcctx
-                )
-                return
+                # The heuristic rejects the push-down: undo the tentative
+                # guard commit.
+                for key in new_keys:
+                    self._uncommitted[target].add(key)
+                    self._committing.discard((target, key))
+                self._busy.difference_update(f.number for f in straddlers)
+                return self._rewrite_guard_in_place(level, inputs, ctx, token)
 
-        try:
-            placements, merged_away = self._compact_stream_into(
-                inputs, target, acct, edit, extra_inputs=straddlers,
-                new_keys=new_keys, gcctx=gcctx,
-            )
-        except BaseException:
-            if gcctx is not None:
-                gcctx.abandon()
-            raise
-        self._finalize_compaction_job(
-            level, inputs + straddlers + merged_away, placements, edit, acct,
-            new_keys, token, gcctx,
+        outputs, merged_away = self._partition_into(
+            inputs + straddlers, target, ctx, new_keys
+        )
+        return CompactionResult(
+            [(level, f) for f in inputs]
+            + [(target, f) for f in straddlers + merged_away],
+            outputs,
+            [(target, key) for key in new_keys],
+            token,
         )
 
-    def _rollback_guard_commit(
-        self,
-        target: int,
-        new_keys: List[bytes],
-        straddlers: List[FileMetadata],
-        edit: VersionEdit,
-    ) -> None:
-        """Undo a tentative guard commit when the heuristic rejects the job."""
-        for key in new_keys:
-            self._uncommitted[target].add(key)
-            self._committing.discard((target, key))
-        edit.new_guards = [
-            (lvl, k) for (lvl, k) in edit.new_guards if not (lvl == target and k in new_keys)
-        ]
-        for meta in straddlers:
-            self._busy.discard(meta.number)
+    def _install_compaction(self, result: CompactionResult) -> None:
+        for level, key in result.new_guards:
+            guarded = self._guarded[level]
+            assert guarded is not None
+            guarded.add_guard(key)
+            self._committing.discard((level, key))
+        for _, meta in result.consumed:
+            self._detach_file(meta)
+        for level, meta, _, _ in result.outputs:
+            guarded = self._guarded[level]
+            assert guarded is not None
+            guarded.attach(meta)
+        self._release_claims(result.claim)
+
+    def _compaction_span(self, result: CompactionResult, job):
+        files = [meta for _, meta in result.consumed]
+        return "compaction.guard", {
+            "guard_lo": _key_label(min(f.smallest.user_key for f in files)),
+            "guard_hi": _key_label(max(f.largest.user_key for f in files)),
+            "new_guards": len(result.new_guards),
+            "conflict_wait": job.queue_wait,
+        }
 
     # ------------------------------------------------------------------
     # Compaction building blocks
     # ------------------------------------------------------------------
     def _commit_target_guards(
-        self,
-        target: int,
-        lo: Optional[bytes],
-        hi: Optional[bytes],
-        edit: VersionEdit,
+        self, target: int, lo: Optional[bytes], hi: Optional[bytes]
     ) -> Tuple[List[bytes], List[FileMetadata]]:
         """Commit uncommitted guards of ``target`` within ``[lo, hi)``.
 
@@ -1044,7 +978,6 @@ class PebblesDBStore(LSMStoreBase):
         for key in keys:
             self._uncommitted[target].discard(key)
             self._committing.add((target, key))
-            edit.new_guards.append((target, key))
         return (keys, straddlers)
 
     def _estimate_last_level_merge_io(
@@ -1064,60 +997,38 @@ class PebblesDBStore(LSMStoreBase):
                 total += guard.size_bytes + input_bytes
         return total
 
-    def _compact_stream_into(
+    def _partition_into(
         self,
         inputs: List[FileMetadata],
         target: int,
-        acct: IoAccount,
-        edit: VersionEdit,
-        extra_inputs: Optional[List[FileMetadata]] = None,
-        new_keys: Optional[List[bytes]] = None,
-        gcctx=None,
-    ) -> Tuple[List[Tuple[int, Optional[bytes], FileMetadata]], List[FileMetadata]]:
+        ctx: CompactionContext,
+        new_keys: List[bytes],
+    ) -> Tuple[List[Tuple[int, FileMetadata, int, bytes]], List[FileMetadata]]:
         """Merge ``inputs`` and partition the stream by ``target``'s guards.
 
         Partitioning uses the committed guards *plus* the guards this job
         is committing (``new_keys``) — the paper's "old guards and
-        uncommitted guards" rule (section 3.3).  Returns ``(placements,
-        merged_away)``: placements are ``(level, guard_key_or_None, meta)``
-        and ``merged_away`` lists pre-existing files consumed by a forced
-        merge with a full guard.
-
-        ``extra_inputs`` (straddler sstables from the target level) are
-        merged into the same stream, so their data re-lands partitioned by
-        the new boundaries.
+        uncommitted guards" rule (section 3.3).  ``inputs`` includes the
+        straddler sstables from the target level, so their data re-lands
+        partitioned by the new boundaries.  Returns ``(outputs,
+        merged_away)``: the placed fragments, and the pre-existing files
+        consumed by a forced merge with a full guard.
         """
         opts = self.options
-        all_inputs = list(inputs) + list(extra_inputs or [])
-        input_entries = sum(f.num_entries for f in all_inputs)
-        iters = [
-            self._get_reader(f.number, acct).iter_all(acct, cache_insert=False)
-            for f in all_inputs
-        ]
         # Tombstones cannot be dropped for the stream as a whole: a
         # fragment *appended* to a guard leaves that guard's existing
         # sstables in place, and one of them may hold an older version of
         # the deleted key.  Dropping is decided per segment below — only
         # when the output replaces every sstable of the target guard
         # (forced merge) or the guard is empty, with nothing below.
+        stream = _Peekable(ctx.merge(inputs, drop_tombstones=False))
         is_bottom = self._is_bottom_level(target)
-        snapshots = self._active_snapshots()
-        base = compaction_iterator(
-            merging_iterator(iters),
-            drop_tombstones=False,
-            snapshots=snapshots,
-            on_drop=gcctx.on_drop if gcctx is not None else None,
-        )
-        if gcctx is not None:
-            base = gcctx.rewrite(base)
-        stream = _Peekable(base)
         guarded = self._guarded[target]
         assert guarded is not None
         committed = set(guarded.guard_keys)
-        boundaries = sorted(committed | set(new_keys or []))
-        placements: List[Tuple[int, Optional[bytes], FileMetadata]] = []
+        boundaries = sorted(committed | set(new_keys))
+        outputs: List[Tuple[int, FileMetadata, int, bytes]] = []
         merged_away: List[FileMetadata] = []
-        out_entries = 0
 
         # Segment i covers [lo_i, hi_i): lo of segment 0 is the open
         # sentinel start; hi of the last segment is open-ended.
@@ -1142,48 +1053,20 @@ class PebblesDBStore(LSMStoreBase):
                 # behaviour (section 3.5); with the default it mainly
                 # happens in the last level (section 3.4).
                 existing = list(guard.files)
-                for meta in existing:
-                    self._busy.add(meta.number)
-                ex_iters = [
-                    self._get_reader(f.number, acct).iter_all(acct, cache_insert=False)
-                    for f in existing
-                ]
-                merged = compaction_iterator(
-                    merging_iterator(ex_iters + [chunk]),
-                    drop_tombstones=is_bottom,
-                    snapshots=snapshots,
-                    on_drop=gcctx.on_drop if gcctx is not None else None,
-                )
-                # Chunk entries relocated by the outer rewrite now point at
-                # the active segment (never cold), so re-wrapping cannot
-                # relocate the same record twice.
-                if gcctx is not None:
-                    merged = gcctx.rewrite(merged)
-                metas = self._emit_fragment(merged, acct)
+                self._busy.update(f.number for f in existing)
+                chunk = ctx.merge(existing, drop_tombstones=is_bottom, also=[chunk])
                 merged_away.extend(existing)
-                input_entries += sum(f.num_entries for f in existing)
-            else:
-                if is_bottom and guard is not None and not guard.files:
-                    oldest_snapshot = snapshots[0] if snapshots else None
-                    chunk = (
-                        entry
-                        for entry in chunk
-                        if entry[0].kind != KIND_DELETE
-                        or (oldest_snapshot is not None
-                            and oldest_snapshot < entry[0].sequence)
-                    )
-                metas = self._emit_fragment(chunk, acct)
-            for meta in metas:
-                placements.append((target, lo, meta))
-                out_entries += meta.num_entries
-        acct.charge(
-            self.cpu.charge(
-                "compaction_merge",
-                self.cpu.merge_entry * input_entries
-                + self.cpu.bloom_build_per_key * out_entries,
-            )
-        )
-        return placements, merged_away
+            elif is_bottom and guard is not None and not guard.files:
+                oldest_snapshot = ctx.snapshots[0] if ctx.snapshots else None
+                chunk = (
+                    entry
+                    for entry in chunk
+                    if entry[0].kind != KIND_DELETE
+                    or (oldest_snapshot is not None
+                        and oldest_snapshot < entry[0].sequence)
+                )
+            outputs.extend(_placed(target, lo, meta) for meta in ctx.write(chunk))
+        return outputs, merged_away
 
     def _existing_guard_for_segment(
         self,
@@ -1207,66 +1090,21 @@ class PebblesDBStore(LSMStoreBase):
         return guard
 
     def _rewrite_guard_in_place(
-        self, level: int, inputs: List[FileMetadata], acct: IoAccount, gcctx=None
-    ) -> List[Tuple[int, Optional[bytes], FileMetadata]]:
+        self,
+        level: int,
+        inputs: List[FileMetadata],
+        ctx: CompactionContext,
+        token: int,
+    ) -> CompactionResult:
         """Merge a guard's sstables into one table at the same level."""
-        iters = [
-            self._get_reader(f.number, acct).iter_all(acct, cache_insert=False)
-            for f in inputs
-        ]
-        drop = self._is_bottom_level(level)
-        merged = compaction_iterator(
-            merging_iterator(iters),
-            drop_tombstones=drop,
-            snapshots=self._active_snapshots(),
-            on_drop=gcctx.on_drop if gcctx is not None else None,
-        )
-        if gcctx is not None:
-            merged = gcctx.rewrite(merged)
-        metas = self._emit_fragment(merged, acct)
-        entries = sum(f.num_entries for f in inputs)
-        acct.charge(
-            self.cpu.charge(
-                "compaction_merge",
-                self.cpu.merge_entry * entries
-                + self.cpu.bloom_build_per_key * sum(m.num_entries for m in metas),
-            )
-        )
+        merged = ctx.merge(inputs, drop_tombstones=self._is_bottom_level(level))
         guarded = self._guarded[level]
         assert guarded is not None
-        placements = []
-        for meta in metas:
-            guard = guarded.find_guard(meta.smallest.user_key)
-            placements.append((level, guard.key, meta))
-        return placements
-
-    def _emit_fragment(self, entries: Iterator[Entry], acct: IoAccount) -> List[FileMetadata]:
-        """Write one guard fragment (a single sstable) from a stream."""
-        opts = self.options
-        builder = SSTableBuilder(opts.block_bytes, opts.bloom_bits_per_key)
-        for key, value in entries:
-            builder.add(key, value)
-        if builder.num_entries == 0:
-            return []
-        blob, props, _ = builder.finish()
-        number = self._alloc_file_number()
-        name = self._sst_name(number)
-        self.storage.create(name, charge_factor=opts.compression_ratio)
-        if opts.compression_ratio < 1.0:
-            acct.charge(
-                self.cpu.charge("compress", self.cpu.compress_per_kb * len(blob) / 1024)
-            )
-        self.storage.append(name, blob, acct)
-        self.storage.sync(name, acct)
-        return [
-            FileMetadata(
-                number=number,
-                smallest=props.smallest,
-                largest=props.largest,
-                file_size=props.file_size,
-                num_entries=props.num_entries,
-            )
+        outputs = [
+            _placed(level, guarded.find_guard(meta.smallest.user_key).key, meta)
+            for meta in ctx.write(merged)
         ]
+        return CompactionResult([(level, f) for f in inputs], outputs, claim=token)
 
     def _is_bottom_level(self, level: int) -> bool:
         """No live data strictly below ``level`` (tombstones can be GC'd)."""
@@ -1277,97 +1115,6 @@ class PebblesDBStore(LSMStoreBase):
                 return False
         return True
 
-    # ------------------------------------------------------------------
-    def _finalize_compaction_job(
-        self,
-        source_level: int,
-        consumed: List[FileMetadata],
-        placements: List[Tuple[int, Optional[bytes], FileMetadata]],
-        edit: VersionEdit,
-        acct: IoAccount,
-        new_keys: List[bytes],
-        claim_token: Optional[int] = None,
-        gcctx=None,
-    ) -> None:
-        """Record the edit and submit the job for deferred application."""
-        for meta in consumed:
-            level = self._level_of_file(meta.number)
-            edit.delete_file(level if level is not None else source_level, meta.number)
-        for level, guard_key, meta in placements:
-            if guard_key is None:
-                edit.add_file(level, meta, GUARD_SENTINEL)
-            else:
-                edit.add_file(level, meta, GUARD_KEY, guard_key)
-        edit.next_file_number = self._next_file_number
-        bytes_written = sum(m.file_size for _, _, m in placements)
-        trc = self.tracer
-        parent = trc.current() if trc is not None else None
-        job_ref: List = []
-
-        def apply() -> None:
-            # MANIFEST first: whether the edit became durable decides
-            # whether the consumed inputs may be deleted (a non-durable
-            # edit means crash recovery replays the old version, which
-            # still references them — deletion then waits for resume()).
-            manifest_acct = self.storage.background_account(self.prefix + "manifest")
-            self._vlog_commit(gcctx, edit)
-            durable = self._append_manifest(edit, manifest_acct)
-            self._vlog_retire(gcctx, durable)
-            for key in new_keys:
-                level = [lvl for lvl, k in edit.new_guards if k == key][0]
-                guarded = self._guarded[level]
-                assert guarded is not None
-                guarded.add_guard(key)
-                self._committing.discard((level, key))
-            for meta in consumed:
-                self._detach_file(meta)
-                self._busy.discard(meta.number)
-                self._retire_or_defer(meta.number, durable)
-            for level, guard_key, meta in placements:
-                guarded = self._guarded[level]
-                assert guarded is not None
-                guarded.attach(meta)
-            self._release_claims(claim_token)
-            self._stats.compactions += 1
-            self._stats.compaction_bytes_written += bytes_written
-            if trc is not None and job_ref:
-                job = job_ref[0]
-                span = trc.start_span(
-                    "compaction.guard",
-                    kind="background",
-                    parent=parent,
-                    start=job.start,
-                    level=source_level,
-                    guard_lo=_key_label(
-                        min(f.smallest.user_key for f in consumed)
-                        if consumed
-                        else None
-                    ),
-                    guard_hi=_key_label(
-                        max(f.largest.user_key for f in consumed)
-                        if consumed
-                        else None
-                    ),
-                    files_in=len(consumed),
-                    files_out=len(placements),
-                    bytes_in=sum(f.file_size for f in consumed),
-                    bytes_out=bytes_written,
-                    new_guards=len(new_keys),
-                    conflict_wait=job.queue_wait,
-                )
-                span.end(at=job.completion)
-            self._schedule_compactions()
-
-        # GC relocation IO lives on its own ledger account; the job's
-        # duration covers both so the timeline matches the pre-split one.
-        job_seconds = acct.seconds + (gcctx.seconds if gcctx is not None else 0.0)
-        self._compaction_seconds.record(job_seconds)
-        bytes_in = sum(f.file_size for f in consumed)
-        start_at = self._compaction_start_time(bytes_in + bytes_written)
-        job_ref.append(
-            self.executor.submit("compaction", job_seconds, apply, at=start_at)
-        )
-
     def _detach_file(self, meta: FileMetadata) -> None:
         if meta in self._level0:
             self._level0.remove(meta)
@@ -1376,16 +1123,6 @@ class PebblesDBStore(LSMStoreBase):
             assert guarded is not None
             if guarded.detach(meta.number):
                 return
-
-    def _level_of_file(self, number: int) -> Optional[int]:
-        if any(f.number == number for f in self._level0):
-            return 0
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            assert guarded is not None
-            if number in guarded:
-                return level
-        return None
 
     # ==================================================================
     # Guard deletion (paper section 3.3)
@@ -1443,7 +1180,7 @@ class PebblesDBStore(LSMStoreBase):
             for guard in list(guarded.guards()):
                 if guard.files and not self._guard_busy(guard):
                     if self._claims_available(self._guard_claims(level, guard)):
-                        if not self._submit_guard_protected(level, guard):
+                        if not self._run_compaction(level, guard):
                             return
                         self.executor.wait_all()
             self.executor.wait_all()

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.obs.ledger import IoLedger
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -43,7 +43,7 @@ from repro.sstable import (
 )
 from repro.sstable.format import ValuePointer
 from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_VPTR, InternalKey
-from repro.vlog.log import ValueLog, VlogCompactionContext
+from repro.vlog.log import ValueLog
 from repro.version import (
     ManifestReader,
     ManifestWriter,
@@ -53,6 +53,7 @@ from repro.version import (
 )
 from repro.version.files import FileMetadata
 from repro.wal import LogReader, LogWriter, decode_batch, encode_batch
+from repro.engines.compaction import CompactionRunner
 from repro.engines.options import StoreOptions
 
 Entry = Tuple[InternalKey, bytes]
@@ -383,7 +384,7 @@ def _validate_key(key: bytes) -> None:
         raise InvalidArgumentError(f"keys must be non-empty bytes, got {key!r}")
 
 
-class LSMStoreBase(KeyValueStore):
+class LSMStoreBase(CompactionRunner, KeyValueStore):
     """Common write path, stalls, table cache, and recovery."""
 
     def __init__(
@@ -405,6 +406,8 @@ class LSMStoreBase(KeyValueStore):
         #: range conflicts (used to attribute stop-trigger stall time).
         self._compactions_inflight = 0
         self._l0_conflict_blocked = False
+        #: Numbers of the sstables some in-flight compaction consumes.
+        self._busy: Set[int] = set()
         #: Optional dispatch policy for schedule exploration: given the
         #: deterministic list of runnable compaction candidates, returns
         #: the index to submit next (None = engine priority order).
@@ -495,7 +498,7 @@ class LSMStoreBase(KeyValueStore):
         self._stall_accounted_until = 0.0
         #: Token-bucket pacing of compaction job start times (None = no
         #: limit).  Flushes and due-L0 drains bypass it; see
-        #: :meth:`_compaction_start_time`.
+        #: :meth:`CompactionRunner._compaction_start_time`.
         self._compaction_limiter: Optional[TokenBucket] = None
         if self.options.compaction_rate_bytes_per_sec is not None:
             self._compaction_limiter = TokenBucket(
@@ -507,8 +510,6 @@ class LSMStoreBase(KeyValueStore):
             self._rate_limit_delay = self.registry.counter(
                 "compaction.rate_limit_delay_seconds"
             )
-            #: stall.seconds at the last reservation (auto-widen input).
-            self._limiter_stall_mark = 0.0
         #: Per-level read-path tallies.  The per-probe path does a plain
         #: list add; the sums fold into ``read.files_probed`` /
         #: ``read.bloom_skipped`` registry counters when stats are read.
@@ -555,10 +556,6 @@ class LSMStoreBase(KeyValueStore):
     @abstractmethod
     def _level0_file_count(self) -> int:
         """Files currently in Level 0 (write stall input)."""
-
-    @abstractmethod
-    def _schedule_compactions(self) -> None:
-        """Inspect state and submit any needed compaction jobs."""
 
     @abstractmethod
     def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount):
@@ -731,9 +728,6 @@ class LSMStoreBase(KeyValueStore):
         idx = bisect_left(self._snapshots, snapshot.sequence)
         if idx < len(self._snapshots) and self._snapshots[idx] == snapshot.sequence:
             del self._snapshots[idx]
-
-    def _active_snapshots(self) -> Tuple[int, ...]:
-        return tuple(self._snapshots)
 
     # ------------------------------------------------------------------
     def flush_memtable(self) -> None:
@@ -1036,10 +1030,6 @@ class LSMStoreBase(KeyValueStore):
         """Hook for engine-specific property names."""
         return []
 
-    def _scheduler_mode(self) -> str:
-        """Granularity at which this engine serializes compactions."""
-        return "level"
-
     def set_dispatch_policy(
         self, policy: Optional[Callable[[List], int]]
     ) -> None:
@@ -1053,12 +1043,6 @@ class LSMStoreBase(KeyValueStore):
         user-visible state.
         """
         self._dispatch_policy = policy
-
-    def _note_compaction_inflight(self, delta: int) -> None:
-        """Track in-flight compaction jobs and their concurrency peak."""
-        self._compactions_inflight += delta
-        if self._compactions_inflight > self._stats.compactions_parallel_peak:
-            self._stats.compactions_parallel_peak = self._compactions_inflight
 
     def files_per_level(self) -> List[int]:
         """Live sstable count per level (default: derived from sizes)."""
@@ -1275,32 +1259,6 @@ class LSMStoreBase(KeyValueStore):
         self.executor.wait_for(job)
         self._attribute_stall(cause, before, self.clock.now)
 
-    def _compaction_start_time(self, amount_bytes: float) -> Optional[float]:
-        """Token-bucket admission for one compaction job.
-
-        Returns the sim time the job may start (to pass as ``at=`` to the
-        executor), or None when it may start immediately.  Bypasses the
-        limiter entirely while Level 0 is at or past the slowdown
-        trigger: a due L0 drain must never queue behind the limiter's
-        debt, which is what makes "rate limiter never deadlocks a due L0
-        compaction" an invariant rather than a tuning outcome.
-        """
-        limiter = self._compaction_limiter
-        if limiter is None:
-            return None
-        if self._level0_file_count() >= self.options.level0_slowdown_trigger:
-            return None
-        if self.options.compaction_rate_auto:
-            stalled = self._stats.stall_seconds > self._limiter_stall_mark
-            self._limiter_stall_mark = self._stats.stall_seconds
-            limiter.adapt(stalled)
-        start = limiter.reserve(amount_bytes, self.clock.now)
-        if start <= self.clock.now:
-            return None
-        self._rate_limited_jobs.value += 1
-        self._rate_limit_delay.value += start - self.clock.now
-        return start
-
     def _next_pending_job(self) -> Optional[Job]:
         return self.executor.peek_next()
 
@@ -1345,37 +1303,26 @@ class LSMStoreBase(KeyValueStore):
         )
         acct.charge(cpu_cost)
 
-        trc = self.tracer
-        parent = trc.current() if trc is not None else None
-        job_ref: List[Job] = []
-
-        def apply() -> None:
-            self._install_flush(metas, edit)
-            manifest_acct = self.storage.background_account(self.prefix + "manifest")
-            durable = self._append_manifest(edit, manifest_acct)
+        def settle(durable: bool) -> None:
             self._imm.pop(0)
             self._flush_job = None
             if self.options.wal_enabled:
                 self._reclaim_wals(edit.log_number, durable)
             self._stats.flushes += 1
-            if trc is not None and job_ref:
-                job = job_ref[0]
-                span = trc.start_span(
-                    "flush",
-                    kind="background",
-                    parent=parent,
-                    start=job.start,
-                    files_out=len(metas),
-                    bytes_out=sum(m.file_size for m in metas),
-                    entries=sum(m.num_entries for m in metas),
-                )
-                span.end(at=job.completion)
-            self._maybe_schedule_flush()
-            self._schedule_compactions()
+
+        def span(job: Job):
+            return "flush", dict(
+                files_out=len(metas),
+                bytes_out=sum(m.file_size for m in metas),
+                entries=sum(m.num_entries for m in metas),
+            )
 
         self._flush_seconds.record(acct.seconds)
-        self._flush_job = self.executor.submit("flush", acct.seconds, apply)
-        job_ref.append(self._flush_job)
+        # The flushed files join Level 0 (and the edit) only at apply time.
+        self._flush_job = self._submit_job(
+            "flush", acct.seconds, edit, settle, span,
+            prepare=lambda: self._install_flush(metas, edit),
+        )
 
     def _reclaim_wals(self, log_number: Optional[int], durable: bool) -> None:
         """Delete WALs superseded by a flush whose edit is in the MANIFEST.
@@ -1465,33 +1412,31 @@ class LSMStoreBase(KeyValueStore):
         attempt = 0
         while True:
             start_number = self._next_file_number
-            snapshot = self._capture_background_state()
+            busy, inflight = set(self._busy), self._compactions_inflight
+            engine_state = self._capture_scheduling_state()
             try:
                 return compute()
-            except TransientIOError as exc:
-                self._discard_attempt(start_number)
-                self._restore_background_state(snapshot)
-                if attempt >= opts.fault_retry_limit:
-                    self._set_background_error(kind, exc)
-                    return None
-                self._stats.transient_fault_retries += 1
-                if self.tracer is not None:
-                    self.tracer.point(
-                        "fault.retry", kind=kind, attempt=attempt + 1
-                    )
-                self._flight_point("fault.retry", kind=kind, attempt=attempt + 1)
-                self.clock.advance(
-                    min(
-                        opts.fault_retry_base_delay * (2 ** attempt),
-                        opts.fault_retry_max_delay,
-                    )
-                )
-                attempt += 1
             except (CorruptionError, StorageError) as exc:
                 self._discard_attempt(start_number)
-                self._restore_background_state(snapshot)
-                self._set_background_error(kind, exc)
-                return None
+                self._busy, self._compactions_inflight = busy, inflight
+                self._restore_scheduling_state(engine_state)
+                if (
+                    not isinstance(exc, TransientIOError)
+                    or attempt >= opts.fault_retry_limit
+                ):
+                    self._set_background_error(kind, exc)
+                    return None
+            self._stats.transient_fault_retries += 1
+            if self.tracer is not None:
+                self.tracer.point("fault.retry", kind=kind, attempt=attempt + 1)
+            self._flight_point("fault.retry", kind=kind, attempt=attempt + 1)
+            self.clock.advance(
+                min(
+                    opts.fault_retry_base_delay * (2 ** attempt),
+                    opts.fault_retry_max_delay,
+                )
+            )
+            attempt += 1
 
     def _discard_attempt(self, start_number: int) -> None:
         """Delete sstables written by a failed compute attempt.
@@ -1507,16 +1452,6 @@ class LSMStoreBase(KeyValueStore):
             name = self._sst_name(number)
             if self.storage.exists(name):
                 self.storage.delete(name)
-
-    def _capture_background_state(self):
-        """Snapshot engine scheduling state a failed attempt must restore."""
-        return None
-
-    def _restore_background_state(self, snapshot) -> None:
-        """Restore the :meth:`_capture_background_state` snapshot."""
-
-    def _reset_scheduling_state(self) -> None:
-        """Drop stale busy/in-flight markers after resume()."""
 
     def _append_manifest(self, edit: VersionEdit, account: IoAccount) -> bool:
         """Append an edit to the MANIFEST, retrying transient faults.
@@ -1666,6 +1601,9 @@ class LSMStoreBase(KeyValueStore):
         self._stats.resumes += 1
         if self.tracer is not None:
             self.tracer.point("fault.resume")
+        # wait_all() ran above: nothing is in flight, any marker is stale.
+        self._busy.clear()
+        self._compactions_inflight = 0
         self._reset_scheduling_state()
         # Rescheduled work may hit the same fault and re-degrade the
         # store immediately; report the post-reschedule health honestly.
@@ -1673,50 +1611,6 @@ class LSMStoreBase(KeyValueStore):
         self._schedule_compactions()
         self.executor.drain()
         return self._background_error is None
-
-    def _retire_or_defer(self, number: int, durable: bool) -> None:
-        """Retire an input file, or hold it until its edit is durable."""
-        if durable:
-            self._retire_file(number)
-        else:
-            self._deferred_retirements.append(number)
-
-    # ------------------------------------------------------------------
-    # Value-log GC hooks (engines call these around compaction jobs)
-    # ------------------------------------------------------------------
-    def _vlog_context(
-        self, account: IoAccount
-    ) -> Optional[VlogCompactionContext]:
-        """Fresh GC context for one compaction compute attempt.
-
-        Fresh per *attempt* — a retried attempt must not inherit the
-        failed one's relocation bookkeeping (``abandon`` turned those
-        copies into stray dead bytes already).
-
-        GC relocation IO is charged to a dedicated ``vlog.gc`` account
-        (not the compaction job's ``account``) so the attribution ledger
-        separates tree rewrites from value-log GC; job durations add
-        :attr:`VlogCompactionContext.seconds` back in, keeping the
-        simulated timeline identical to the single-account scheme.
-        """
-        if self._vlog is None:
-            return None
-        gc_account = self.storage.background_account(self.prefix + "vlog.gc")
-        return VlogCompactionContext(self._vlog, gc_account)
-
-    def _vlog_commit(
-        self, gcctx: Optional[VlogCompactionContext], edit: VersionEdit
-    ) -> None:
-        """Fold a job's GC counters into its edit (before the MANIFEST append)."""
-        if gcctx is not None:
-            gcctx.commit(edit)
-
-    def _vlog_retire(
-        self, gcctx: Optional[VlogCompactionContext], durable: bool
-    ) -> None:
-        """Delete fully-dead segments, durable-gated like sstable retirement."""
-        if gcctx is not None:
-            self._deferred_vlog_retirements.extend(gcctx.retire(durable))
 
     def _switch_wal_file(self) -> None:
         """Abandon the current WAL file after a failed append.
@@ -1742,20 +1636,19 @@ class LSMStoreBase(KeyValueStore):
         account: IoAccount,
         split_bytes: Optional[int],
     ) -> List[FileMetadata]:
-        """Write one or more sstables from an ordered entry stream.
+        """Write an ordered entry stream as sstables (the one sstable writer).
 
-        ``split_bytes`` caps each output file (None = single file).
+        ``split_bytes`` caps each output file; None writes a single file.
+        Consuming ``entries`` may itself allocate file numbers (value-log
+        relocation rotates segments off the same counter), so *when* an
+        output takes its number is part of the on-storage result: a
+        single-file output takes it once its last entry is in, a split
+        output takes each file's number at that file's first entry.
         """
-        metas: List[FileMetadata] = []
-        builder: Optional[SSTableBuilder] = None
-        number = 0
         opts = self.options
+        metas: List[FileMetadata] = []
 
-        def finish_current() -> None:
-            nonlocal builder, number
-            if builder is None or builder.num_entries == 0:
-                builder = None
-                return
+        def finish(builder: SSTableBuilder, number: int) -> None:
             blob, props, _ = builder.finish()
             name = self._sst_name(number)
             self.storage.create(name, charge_factor=opts.compression_ratio)
@@ -1776,8 +1669,17 @@ class LSMStoreBase(KeyValueStore):
                     num_entries=props.num_entries,
                 )
             )
-            builder = None
 
+        if split_bytes is None:
+            builder = SSTableBuilder(opts.block_bytes, opts.bloom_bits_per_key)
+            for key, value in entries:
+                builder.add(key, value)
+            if builder.num_entries:
+                finish(builder, self._alloc_file_number())
+            return metas
+
+        builder = None
+        number = 0
         pending_split = False
         prev_user_key: Optional[bytes] = None
         for key, value in entries:
@@ -1785,16 +1687,18 @@ class LSMStoreBase(KeyValueStore):
             # the same level sharing a user key would break the disjoint
             # level invariant (matters when snapshots preserve versions).
             if pending_split and key.user_key != prev_user_key:
-                finish_current()
+                finish(builder, number)
+                builder = None
                 pending_split = False
             if builder is None:
                 number = self._alloc_file_number()
                 builder = SSTableBuilder(opts.block_bytes, opts.bloom_bits_per_key)
             builder.add(key, value)
             prev_user_key = key.user_key
-            if split_bytes is not None and builder.estimated_size >= split_bytes:
+            if builder.estimated_size >= split_bytes:
                 pending_split = True
-        finish_current()
+        if builder is not None:
+            finish(builder, number)
         return metas
 
     # ------------------------------------------------------------------

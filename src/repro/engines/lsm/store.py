@@ -16,12 +16,12 @@ nearly free for LSM but not for FLSM (paper section 4.5).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.engines.base import Entry, LSMStoreBase
+from repro.engines.compaction import CompactionContext, CompactionResult
 from repro.memtable.memtable import GetResult
 from repro.sim.storage import IoAccount
-from repro.sstable import compaction_iterator, merging_iterator
 from repro.util.keys import InternalKey, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
 from repro.util.murmur import murmur3_64
 from repro.version import VersionEdit
@@ -34,7 +34,6 @@ class LeveledLSMStore(LSMStoreBase):
 
     def __init__(self, *args, **kwargs) -> None:
         self._levels: List[List[FileMetadata]] = []
-        self._busy: Set[int] = set()
         self._compact_pointer: Dict[int, bytes] = {}
         self._seek_overflow: List[Tuple[int, FileMetadata]] = []
         #: Optional compaction trace for the Figure 2.1 illustration:
@@ -90,7 +89,7 @@ class LeveledLSMStore(LSMStoreBase):
                 next_inputs = self._overlapping(level + 1, inputs)
                 if any(f.number in self._busy for f in next_inputs):
                     break
-                if not self._submit_protected(level, inputs, next_inputs):
+                if not self._run_compaction(level, (inputs, next_inputs)):
                     return
                 self.executor.wait_all()
 
@@ -228,8 +227,6 @@ class LeveledLSMStore(LSMStoreBase):
                     self.cpu.iterator_seek_per_table * len(metas),
                 )
             )
-        if not self.options.seek_compaction_enabled:
-            return
         for meta in metas:
             meta.allowed_seeks -= 1
             if meta.allowed_seeks == 0:
@@ -290,62 +287,26 @@ class LeveledLSMStore(LSMStoreBase):
             yield from reader.iter_reverse(account, max_user_key=bound)
 
     # ==================================================================
-    # Compaction
+    # Compaction: pick, compute, install (the lifecycle between them is
+    # repro.engines.compaction)
     # ==================================================================
-    def _schedule_compactions(self) -> None:
-        if self._background_error is not None:
-            return
-        for _ in range(len(self._levels) * 2):
-            if not self._pick_and_submit():
-                break
+    COMPACTION_CAUSE = "compaction.level"
 
     def _pick_and_submit(self) -> bool:
         self._l0_conflict_blocked = False
         spec = self._pick_compaction()
-        if spec is None:
-            return False
-        level, inputs, next_inputs = spec
-        return self._submit_protected(level, inputs, next_inputs)
+        return spec is not None and self._run_compaction(spec[0], spec[1:])
 
     def _scheduler_mode(self) -> str:
         # Leveled compaction already serializes at file granularity: jobs
         # conflict only when their input/output file sets intersect.
         return "file"
 
-    def _submit_protected(
-        self,
-        level: int,
-        inputs: List[FileMetadata],
-        next_inputs: List[FileMetadata],
-    ) -> bool:
-        """Submit a compaction with fault retries; False once degraded."""
-        self._run_protected(
-            "compaction", lambda: self._submit_compaction(level, inputs, next_inputs)
-        )
-        return self._background_error is None
+    def _capture_scheduling_state(self):
+        return dict(self._compact_pointer), list(self._seek_overflow)
 
-    # --- fault-rollback hooks (see LSMStoreBase._run_protected) ---------
-    def _capture_background_state(self):
-        return (
-            set(self._busy),
-            dict(self._compact_pointer),
-            list(self._seek_overflow),
-            self._compactions_inflight,
-        )
-
-    def _restore_background_state(self, snapshot) -> None:
-        (
-            self._busy,
-            self._compact_pointer,
-            self._seek_overflow,
-            self._compactions_inflight,
-        ) = snapshot
-
-    def _reset_scheduling_state(self) -> None:
-        # resume() runs after wait_all(): no job is in flight, so any
-        # remaining busy marker is stale.
-        self._busy.clear()
-        self._compactions_inflight = 0
+    def _restore_scheduling_state(self, snapshot) -> None:
+        self._compact_pointer, self._seek_overflow = snapshot
 
     def _pick_compaction(
         self,
@@ -358,11 +319,8 @@ class LeveledLSMStore(LSMStoreBase):
                 next_inputs = self._overlapping(1, l0)
                 if all(f.number not in self._busy for f in next_inputs):
                     return (0, l0, next_inputs)
-                self._l0_conflict_blocked = True
-                self._stats.compaction_conflicts += 1
-            else:
-                self._l0_conflict_blocked = True
-                self._stats.compaction_conflicts += 1
+            self._l0_conflict_blocked = True
+            self._stats.compaction_conflicts += 1
         # Priority 2: level size vs target.
         best_level, best_score = -1, opts.compaction_eagerness
         sizes = self.level_sizes()
@@ -442,19 +400,14 @@ class LeveledLSMStore(LSMStoreBase):
         hi = max(f.largest.user_key for f in inputs)
         return [f for f in self._levels[level] if f.overlaps(lo, hi)]
 
-    def _submit_compaction(
-        self,
-        level: int,
-        inputs: List[FileMetadata],
-        next_inputs: List[FileMetadata],
-    ) -> None:
+    def _compute_compaction(
+        self, level: int, pick, ctx: CompactionContext
+    ) -> CompactionResult:
+        inputs, next_inputs = pick
         opts = self.options
         target = level + 1
-        all_inputs = inputs + next_inputs
-        for meta in all_inputs:
-            self._busy.add(meta.number)
-        self._note_compaction_inflight(1)
-
+        self._busy.update(f.number for f in inputs + next_inputs)
+        consumed = [(level, f) for f in inputs] + [(target, f) for f in next_inputs]
         # Trivial move: nothing to merge with and inputs mutually disjoint —
         # a metadata-only edit, no IO.  This is LevelDB's fast path that
         # makes sequential insertion so cheap (paper section 4.5).
@@ -463,98 +416,30 @@ class LeveledLSMStore(LSMStoreBase):
             and not next_inputs
             and self._mutually_disjoint(inputs)
         ):
-            self._submit_trivial_move(level, inputs)
-            return
-
-        acct = self.storage.background_account(
-            self.prefix + f"compaction.level.L{level}"
-        )
-        input_entries = sum(f.num_entries for f in all_inputs)
-        iters = [
-            self._get_reader(f.number, acct).iter_all(acct, cache_insert=False)
-            for f in all_inputs
-        ]
-        drop = self._is_bottom(target)
-        gcctx = self._vlog_context(acct)
-        merged = compaction_iterator(
-            merging_iterator(iters),
-            drop_tombstones=drop,
-            snapshots=self._active_snapshots(),
-            on_drop=gcctx.on_drop if gcctx is not None else None,
-        )
-        stream = merged if gcctx is None else gcctx.rewrite(merged)
-        try:
-            metas = self._write_sstables(stream, acct, split_bytes=opts.target_file_bytes)
-        except BaseException:
-            # A faulted attempt may have relocated records already; the
-            # retry gets a fresh context, so these copies are stray dead.
-            if gcctx is not None:
-                gcctx.abandon()
-            raise
-        acct.charge(
-            self.cpu.charge(
-                "compaction_merge",
-                self.cpu.merge_entry * input_entries
-                + self.cpu.bloom_build_per_key * sum(m.num_entries for m in metas),
-            )
-        )
-        edit = VersionEdit(next_file_number=self._next_file_number)
-        for meta in inputs:
-            edit.delete_file(level, meta.number)
-        for meta in next_inputs:
-            edit.delete_file(target, meta.number)
-        for meta in metas:
-            edit.add_file(target, meta, GUARD_NONE)
+            moved = [(target, f, GUARD_NONE, b"") for f in inputs]
+            return CompactionResult(consumed, moved)
+        merged = ctx.merge(inputs + next_inputs, self._is_bottom(target))
+        metas = ctx.write(merged, split_bytes=opts.target_file_bytes)
         if inputs:
             self._compact_pointer[level] = max(f.largest.user_key for f in inputs)
-        bytes_written = sum(m.file_size for m in metas)
         if self.compaction_trace is not None:
             self.compaction_trace.append(
                 (
                     level,
-                    [f.number for f in all_inputs],
+                    [f.number for _, f in consumed],
                     [m.number for m in metas],
-                    bytes_written,
+                    sum(m.file_size for m in metas),
                 )
             )
-
-        trc = self.tracer
-        parent = trc.current() if trc is not None else None
-        job_ref: List = []
-
-        def apply() -> None:
-            self._apply_compaction_edit(
-                level, target, inputs, next_inputs, metas, edit, gcctx
-            )
-            self._note_compaction_inflight(-1)
-            self._stats.compactions += 1
-            self._stats.compaction_bytes_written += bytes_written
-            if trc is not None and job_ref:
-                job = job_ref[0]
-                span = trc.start_span(
-                    "compaction",
-                    kind="background",
-                    parent=parent,
-                    start=job.start,
-                    level=level,
-                    files_in=len(all_inputs),
-                    files_out=len(metas),
-                    bytes_in=sum(f.file_size for f in all_inputs),
-                    bytes_out=bytes_written,
-                    queue_wait=job.queue_wait,
-                )
-                span.end(at=job.completion)
-            self._schedule_compactions()
-
-        # GC relocation IO lives on its own ledger account; the job's
-        # duration covers both so the timeline matches the pre-split one.
-        job_seconds = acct.seconds + (gcctx.seconds if gcctx is not None else 0.0)
-        self._compaction_seconds.record(job_seconds)
-        bytes_in = sum(f.file_size for f in all_inputs)
-        start_at = self._compaction_start_time(bytes_in + bytes_written)
-        job_ref.append(
-            self.executor.submit("compaction", job_seconds, apply, at=start_at)
+        return CompactionResult(
+            consumed, [(target, m, GUARD_NONE, b"") for m in metas]
         )
+
+    def _install_compaction(self, result: CompactionResult) -> None:
+        for level, meta in result.consumed:
+            self._remove_from_level(level, meta.number)
+        for level, meta, _, _ in result.outputs:
+            insort(self._levels[level], meta, key=lambda f: f.smallest)
 
     @staticmethod
     def _mutually_disjoint(metas: List[FileMetadata]) -> bool:
@@ -563,73 +448,6 @@ class LeveledLSMStore(LSMStoreBase):
             a.largest.user_key < b.smallest.user_key
             for a, b in zip(ordered, ordered[1:])
         )
-
-    def _submit_trivial_move(self, level: int, inputs: List[FileMetadata]) -> None:
-        target = level + 1
-        edit = VersionEdit()
-        for meta in inputs:
-            edit.delete_file(level, meta.number)
-            edit.add_file(target, meta, GUARD_NONE)
-
-        trc = self.tracer
-        parent = trc.current() if trc is not None else None
-        job_ref: List = []
-
-        def apply() -> None:
-            for meta in inputs:
-                self._remove_from_level(level, meta.number)
-                insort(self._levels[target], meta, key=lambda f: f.smallest)
-                self._busy.discard(meta.number)
-            manifest_acct = self.storage.background_account(self.prefix + "manifest")
-            # Metadata-only: no file moves, so nothing to defer on failure.
-            self._append_manifest(edit, manifest_acct)
-            self._note_compaction_inflight(-1)
-            self._stats.compactions += 1
-            if trc is not None and job_ref:
-                job = job_ref[0]
-                span = trc.start_span(
-                    "compaction.move",
-                    kind="background",
-                    parent=parent,
-                    start=job.start,
-                    level=level,
-                    files_in=len(inputs),
-                )
-                span.end(at=job.completion)
-            self._schedule_compactions()
-
-        job_ref.append(self.executor.submit("move", 1.0e-5, apply))
-
-    def _apply_compaction_edit(
-        self,
-        level: int,
-        target: int,
-        inputs: List[FileMetadata],
-        next_inputs: List[FileMetadata],
-        metas: List[FileMetadata],
-        edit: VersionEdit,
-        gcctx=None,
-    ) -> None:
-        manifest_acct = self.storage.background_account(self.prefix + "manifest")
-        # Value-log GC counters join the edit before the append so recovery
-        # replays the same liveness state (and relocated records are synced
-        # before the manifest can make them reachable).
-        self._vlog_commit(gcctx, edit)
-        # The edit must reach the MANIFEST before any input file dies: if
-        # it does not, crash recovery replays the old version, which still
-        # references the inputs, so their deletion is deferred to resume().
-        durable = self._append_manifest(edit, manifest_acct)
-        self._vlog_retire(gcctx, durable)
-        for meta in inputs:
-            self._remove_from_level(level, meta.number)
-            self._busy.discard(meta.number)
-            self._retire_or_defer(meta.number, durable)
-        for meta in next_inputs:
-            self._remove_from_level(target, meta.number)
-            self._busy.discard(meta.number)
-            self._retire_or_defer(meta.number, durable)
-        for meta in metas:
-            insort(self._levels[target], meta, key=lambda f: f.smallest)
 
     def _remove_from_level(self, level: int, number: int) -> None:
         self._levels[level] = [f for f in self._levels[level] if f.number != number]
@@ -660,7 +478,7 @@ class LeveledLSMStore(LSMStoreBase):
                 next_inputs = self._overlapping(level + 1, inputs)
                 if any(f.number in self._busy for f in next_inputs):
                     break
-                if not self._submit_protected(level, inputs, next_inputs):
+                if not self._run_compaction(level, (inputs, next_inputs)):
                     return
                 self.executor.wait_all()
 

@@ -91,21 +91,12 @@ class StoreOptions:
     #: the limiter can never deadlock a due L0 compaction behind the
     #: very debt it is supposed to drain.
     compaction_rate_bytes_per_sec: "int | None" = None
-    #: Let the limiter widen itself when write stalls climb: each time a
-    #: reservation is made after new stall seconds accrued, the effective
-    #: rate doubles (capped at 16x the configured rate); it decays back
-    #: one halving per stall-free reservation.
-    compaction_rate_auto: bool = False
     #: Compaction scheduling granularity for the FLSM engine: "guard"
     #: serializes in-flight jobs with a per-(level, key-range) conflict
     #: map so independent guards compact concurrently; "level" restores
     #: the historical whole-level locks.  Leveled engines schedule at
     #: file granularity and ignore this knob.
     compaction_scheduler: str = "guard"
-    #: Cap on concurrently in-flight compaction jobs; ``None`` means one
-    #: per background worker (more would only queue on busy timelines
-    #: while inflating write amplification).
-    max_parallel_compactions: "int | None" = None
 
     #: Device bytes per logical sstable byte; 1.0 = compression off (the
     #: paper's configuration, section 5.1), ~0.5 models snappy.  The WAL
@@ -147,8 +138,6 @@ class StoreOptions:
     #: per entry.  Host-side only (same simulated metrics either way);
     #: the off switch exists for the bench_readpath ablation.
     zero_copy_blocks: bool = True
-    #: Seeks allowed against a file before it is scheduled for compaction.
-    seek_compaction_enabled: bool = True
 
     # --- observability -----------------------------------------------------
     #: Flight-recorder sampling mode: ``"off"`` disables the recorder,
@@ -189,8 +178,6 @@ class StoreOptions:
     enable_parallel_seeks: bool = True
     enable_seek_based_compaction: bool = True
     enable_aggressive_seek_compaction: bool = True
-    #: Compact level i into i+1 when size(i) >= this fraction of size(i+1).
-    aggressive_compaction_ratio: float = 0.25
     #: Consecutive seek() calls that trigger seek-based compaction.
     seek_compaction_threshold: int = 10
 
@@ -224,8 +211,6 @@ class StoreOptions:
             raise ValueError(
                 f"unknown compaction scheduler: {self.compaction_scheduler!r}"
             )
-        if self.max_parallel_compactions is not None and self.max_parallel_compactions < 1:
-            raise ValueError("max_parallel_compactions must be >= 1 (or None)")
         if self.backpressure not in ("cliff", "graduated"):
             raise ValueError(f"unknown backpressure mode: {self.backpressure!r}")
         from repro.obs.recorder import parse_sample_mode
@@ -248,11 +233,6 @@ class StoreOptions:
             raise ValueError("vlog_segment_bytes must be positive")
         if not 0.0 < self.vlog_gc_dead_ratio <= 1.0:
             raise ValueError("vlog_gc_dead_ratio must be in (0, 1]")
-        from repro.obs.recorder import parse_sample_mode
-
-        parse_sample_mode(self.trace_sample)  # raises ValueError when invalid
-        if self.trace_ring_capacity < 1:
-            raise ValueError("trace_ring_capacity must be >= 1")
 
     def level_target_bytes(self, level: int) -> int:
         """Size target for ``level`` (level 0 is file-count-triggered)."""

@@ -28,9 +28,6 @@ class TokenBucket:
     deadlock it.
     """
 
-    #: Cap on the auto-widening multiplier (see :meth:`adapt`).
-    MAX_WIDEN = 16.0
-
     def __init__(self, rate: float, burst: "float | None" = None) -> None:
         if rate <= 0:
             raise ValueError("rate must be > 0")
@@ -42,25 +39,16 @@ class TokenBucket:
         #: Sim time at which the bucket next has zero debt and zero credit.
         #: Behind ``now`` = accumulated credit; ahead of ``now`` = debt.
         self._ready = 0.0
-        #: Auto-tune multiplier applied to ``rate`` (1 = configured rate).
-        self.widen = 1.0
-        #: Highest multiplier ever reached (``widen`` decays back toward
-        #: 1 when pressure clears; the peak records that it happened).
-        self.widen_peak = 1.0
         # Accounting for observability.
         self.reservations = 0
         self.delayed = 0
         self.delay_seconds = 0.0
 
-    @property
-    def effective_rate(self) -> float:
-        return self.rate * self.widen
-
     def reserve(self, amount: float, now: float) -> float:
         """Earliest sim time a job consuming ``amount`` units may start."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
-        rate = self.effective_rate
+        rate = self.rate
         cost = amount / rate
         # Refill while idle, capped at ``burst`` units of credit.
         ready = max(self._ready, now - self.burst / rate)
@@ -72,18 +60,5 @@ class TokenBucket:
             self.delay_seconds += start - now
         return start
 
-    def adapt(self, under_pressure: bool) -> None:
-        """Auto-tune: double the rate under write-stall pressure (capped
-        at ``MAX_WIDEN`` x), halve back toward the configured rate when
-        the pressure clears."""
-        if under_pressure:
-            self.widen = min(self.MAX_WIDEN, self.widen * 2.0)
-            self.widen_peak = max(self.widen_peak, self.widen)
-        else:
-            self.widen = max(1.0, self.widen / 2.0)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TokenBucket(rate={self.rate:.0f}, widen={self.widen:.1f}, "
-            f"ready={self._ready:.6f})"
-        )
+        return f"TokenBucket(rate={self.rate:.0f}, ready={self._ready:.6f})"

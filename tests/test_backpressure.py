@@ -294,16 +294,6 @@ class TestTokenBucket:
         assert bucket.reserve(400.0, now=100.0) == 100.0
         assert bucket.reserve(400.0, now=100.0) == pytest.approx(102.0)
 
-    def test_adapt_bounds(self):
-        bucket = TokenBucket(100.0)
-        for _ in range(10):
-            bucket.adapt(True)
-        assert bucket.widen == TokenBucket.MAX_WIDEN
-        assert bucket.effective_rate == 100.0 * TokenBucket.MAX_WIDEN
-        for _ in range(10):
-            bucket.adapt(False)
-        assert bucket.widen == 1.0
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             TokenBucket(0)
@@ -359,28 +349,6 @@ class TestCompactionRateLimiter:
             results[rate] = (dict(db.scan()), model)
         for state, model in results.values():
             assert state == model
-
-    def test_auto_mode_widens_under_stall_pressure(self, env):
-        db = make_store(
-            "pebblesdb",
-            env,
-            background_workers=1,
-            level0_compaction_trigger=2,
-            level0_slowdown_trigger=3,
-            level0_stop_trigger=6,
-            compaction_rate_bytes_per_sec=20_000,
-            compaction_rate_auto=True,
-        )
-        self._workload(db)
-        db.wait_idle()
-        db.check_invariants()
-        limiter = db._compaction_limiter
-        assert limiter is not None
-        assert 1.0 <= limiter.widen <= TokenBucket.MAX_WIDEN
-        # The stalls it saw widened the rate at some point; the
-        # multiplier then decays back toward 1 once pressure clears.
-        assert limiter.widen_peak > 1.0
-        assert limiter.widen_peak <= TokenBucket.MAX_WIDEN
 
     def test_chaos_persistent_fault_under_rate_limit_degrades_then_resumes(
         self, env

@@ -166,10 +166,12 @@ def _value(scenario: str, tag: bytes, i: int) -> bytes:
 def _fault_plan() -> FaultPlan:
     """Transient sstable-append faults spread over flushes and compactions,
     one of them a burst that uses the whole retry budget."""
-    spec = lambda at, times=1: FaultSpec(  # noqa: E731
-        op="append", name_pattern="db/*.sst", at_op=at, times=times
+    return FaultPlan(
+        [
+            FaultSpec(op="append", name_pattern="db/*.sst", at_op=at, times=times)
+            for at, times in ((7, 1), (20, 3), (61, 1), (140, 1), (333, 1))
+        ]
     )
-    return FaultPlan([spec(7), spec(20, times=3), spec(61), spec(140), spec(333)])
 
 
 def run_workload(engine: str, scenario: str = "default"):
