@@ -14,19 +14,6 @@ enabled — and checks two things:
    by a single unit, because the cache charges the exact simulated costs
    a raw read would have.
 
-A third, ablation run isolates the **zero-copy decode** win from the
-cache win: the cache-off configuration is repeated with
-``zero_copy_blocks`` disabled (per-entry ``bytes()`` copies restored),
-and both numbers plus their ratio land in the report's ``zero_copy``
-section.  Zero-copy is host-side only, so the simulated metrics must be
-identical there too.  Set ``READPATH_ZC_ABLATION=0`` to skip the extra
-run.
-
-The ablation also sweeps large values (4 KiB and 64 KiB, scaled-down
-key counts): copy cost grows with the value size, so these points show
-where zero-copy decode matters most.  Each lands in
-``zero_copy["value_sweep"]`` with the same sim-identical check.
-
 Results land in ``BENCH_readpath.json`` at the repo root (and in
 pytest-benchmark's ``extra_info``).  Scale with ``READPATH_GETS`` /
 ``READPATH_KEYS`` env vars; CI uses a reduced op count.
@@ -47,7 +34,6 @@ NUM_KEYS = int(os.environ.get("READPATH_KEYS", "12000"))
 GETS = int(os.environ.get("READPATH_GETS", "1000000"))
 VALUE_SIZE = 512
 CACHE_BYTES = 32 * 1024 * 1024
-ZC_ABLATION = os.environ.get("READPATH_ZC_ABLATION", "1") != "0"
 
 #: Full-size runs must clear the acceptance bar; reduced runs (CI smoke)
 #: amortize the warm-up over fewer reads, so they get a softer floor.
@@ -57,39 +43,23 @@ SPEEDUP_FLOOR = 2.0 if _FULL_SCALE else 1.2
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_readpath.json"
 
 
-#: Zero-copy ablation points at larger values: (value_size, num_keys,
-#: gets scale).  Key counts shrink so the datasets stay host-RAM sized.
-VALUE_SWEEP = [(4096, 3000, 10), (65536, 400, 40)]
-
-
-def _measure(
-    block_cache_bytes: int,
-    zero_copy: bool = True,
-    value_size: int = VALUE_SIZE,
-    num_keys: int = NUM_KEYS,
-    gets: int = GETS,
-):
+def _measure(block_cache_bytes: int):
     """One warmed-store random-read run; returns (wall, sim_metrics, stats)."""
     # Each measurement starts from a clean heap so an earlier run's
     # garbage cannot tax this run's timed loop.
     gc.collect()
     cfg = standard_config(
-        num_keys=num_keys,
-        value_size=value_size,
+        num_keys=NUM_KEYS,
+        value_size=VALUE_SIZE,
         seed=3,
-        option_overrides={
-            "pebblesdb": {
-                "block_cache_bytes": block_cache_bytes,
-                "zero_copy_blocks": zero_copy,
-            }
-        },
+        option_overrides={"pebblesdb": {"block_cache_bytes": block_cache_bytes}},
     )
     run = fresh_run("pebblesdb", cfg)
     run.bench.fill_random()
     run.db.compact_all()
     run.db.wait_idle()
     t0 = time.perf_counter()
-    result = run.bench.read_random(gets)
+    result = run.bench.read_random(GETS)
     wall = time.perf_counter() - t0
     run.db.wait_idle()
     storage = run.env.storage
@@ -120,7 +90,7 @@ def test_readpath_cache_speedup(benchmark):
     def experiment():
         wall_off, sim_off, _ = _measure(0)
         wall_on, sim_on, cache_stats = _measure(CACHE_BYTES)
-        report = {
+        return {
             "engine": "pebblesdb",
             "num_keys": NUM_KEYS,
             "gets": GETS,
@@ -133,38 +103,6 @@ def test_readpath_cache_speedup(benchmark):
             "block_cache": cache_stats,
             "sim_metrics": sim_on,
         }
-        if ZC_ABLATION:
-            # Ablation: same cache-off run with value copies restored, so
-            # the decode win is isolated from the cache win above.
-            wall_copy, sim_copy, _ = _measure(0, zero_copy=False)
-            report["zero_copy"] = {
-                "wall_seconds_on": round(wall_off, 3),
-                "wall_seconds_off": round(wall_copy, 3),
-                "speedup": round(wall_copy / wall_off, 3),
-                "sim_metrics_identical": sim_copy == sim_off,
-                "value_sweep": [],
-            }
-            for value_size, keys, scale in VALUE_SWEEP:
-                gets = max(GETS // scale, 1)
-                wall_zc, sim_zc, _ = _measure(
-                    0, value_size=value_size, num_keys=keys, gets=gets
-                )
-                wall_cp, sim_cp, _ = _measure(
-                    0, zero_copy=False,
-                    value_size=value_size, num_keys=keys, gets=gets,
-                )
-                report["zero_copy"]["value_sweep"].append(
-                    {
-                        "value_size": value_size,
-                        "num_keys": keys,
-                        "gets": gets,
-                        "wall_seconds_on": round(wall_zc, 3),
-                        "wall_seconds_off": round(wall_cp, 3),
-                        "speedup": round(wall_cp / wall_zc, 3),
-                        "sim_metrics_identical": sim_zc == sim_cp,
-                    }
-                )
-        return report
 
     result = run_once(benchmark, experiment)
     _JSON_PATH.write_text(json.dumps(result, indent=2) + "\n")
@@ -177,21 +115,6 @@ def test_readpath_cache_speedup(benchmark):
         f"(decoded-cache hit rate {result['block_cache']['hit_rate'] * 100:.1f}%)"
     )
     print(f"simulated metrics identical: {result['sim_metrics_identical']}")
-    if "zero_copy" in result:
-        zc = result["zero_copy"]
-        print(
-            f"zero-copy ablation (cache off): "
-            f"copies={zc['wall_seconds_off']:.2f}s "
-            f"zero-copy={zc['wall_seconds_on']:.2f}s "
-            f"speedup={zc['speedup']:.2f}x"
-        )
-        for point in zc.get("value_sweep", []):
-            print(
-                f"zero-copy at {point['value_size']}B values: "
-                f"copies={point['wall_seconds_off']:.2f}s "
-                f"zero-copy={point['wall_seconds_on']:.2f}s "
-                f"speedup={point['speedup']:.2f}x"
-            )
     print(f"recorded to {_JSON_PATH.name}")
 
     assert result["sim_metrics_identical"], (
@@ -202,13 +125,3 @@ def test_readpath_cache_speedup(benchmark):
         f"read-path speedup {result['speedup']:.2f}x below the "
         f"{SPEEDUP_FLOOR}x floor"
     )
-    if "zero_copy" in result:
-        assert result["zero_copy"]["sim_metrics_identical"], (
-            "zero-copy decode changed a simulated metric — it is a "
-            "host-side representation change and must be invisible"
-        )
-        for point in result["zero_copy"].get("value_sweep", []):
-            assert point["sim_metrics_identical"], (
-                f"zero-copy at {point['value_size']}B values changed a "
-                f"simulated metric — it must be invisible"
-            )

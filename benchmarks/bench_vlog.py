@@ -96,10 +96,10 @@ def _run_workload(value_size: int, num_keys: int, separation: Optional[int]):
         "device_mb_written": round(stats.device_bytes_written / 1e6, 2),
         "sstables": stats.sstable_count,
     }
-    for key in ("vlog_segments", "vlog_bytes_written", "vlog_gc_relocated",
-                "vlog_dead_bytes"):
-        if key in stats.extra:
-            point[key] = stats.extra[key]
+    for name in ("vlog.segments", "vlog.bytes_written", "vlog.gc_relocated",
+                 "vlog.dead_bytes"):
+        if db.registry.get(name) is not None:
+            point[name.replace(".", "_")] = db.registry.value(name)
     db.close()
     return point, contents, env.storage
 

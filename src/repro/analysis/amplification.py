@@ -17,9 +17,7 @@ from repro.engines.base import KeyValueStore, StoreStats
 
 def write_amplification(stats: StoreStats) -> float:
     """Total device write IO over user data written."""
-    if stats.user_bytes_written == 0:
-        return 0.0
-    return stats.device_bytes_written / stats.user_bytes_written
+    return stats.write_amplification
 
 
 def space_amplification(live_bytes: int, logical_bytes: int) -> float:

@@ -12,7 +12,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 from repro.apps.hyperdex import HyperDexStore
 from repro.apps.mongo import MongoStore
-from repro.engines.base import DBIterator, KeyValueStore, StoreStats
+from repro.engines.base import DBIterator, KeyValueStore
 
 _FIELD = "field0"
 
@@ -76,8 +76,8 @@ class YcsbAppAdapter(KeyValueStore):
         return DBIterator(gen())
 
     # ------------------------------------------------------------------
-    def stats(self) -> StoreStats:
-        return self.app.kv.stats()
+    def stats_part(self):
+        return self.app.kv.stats_part()
 
     def close(self) -> None:
         self.app.kv.close()

@@ -13,7 +13,7 @@ The FLSM rules implemented here (paper chapter 3):
   guard.  Data is rewritten only (a) in the last level, where fragments
   must merge with a full guard, and (b) in the second-to-last level when
   merging into the last level would cost more than
-  ``last_level_merge_io_ratio`` times the input (section 3.4).
+  ``LAST_LEVEL_MERGE_IO_RATIO`` times the input (section 3.4).
 * An sstable that an uncommitted guard would split is not rewritten in its
   own level: it is compacted down to the next level (section 3.3).
 * Guard deletion is asynchronous and metadata-only: the deleted guard's
@@ -48,6 +48,11 @@ from repro.version.manifest import GUARD_KEY, GUARD_NONE, GUARD_SENTINEL
 #: Aggressive compaction pushes level *i* down once it is within 25% of
 #: the size of level *i+1* (paper section 4.2).
 AGGRESSIVE_COMPACTION_RATIO = 0.25
+
+#: A second-to-last-level guard is rewritten in place instead of pushed
+#: down when merging it into the last level would cost at least this many
+#: times its own bytes (the paper's 25x heuristic, section 3.4).
+LAST_LEVEL_MERGE_IO_RATIO = 25.0
 
 
 def _key_label(key: Optional[bytes]) -> str:
@@ -270,17 +275,14 @@ class PebblesDBStore(LSMStoreBase):
                     self.executor.wait_all()
             self.executor.wait_all()
 
-    def _extra_property(self, name: str) -> Optional[str]:
-        if name == "repro.guards":
-            return " ".join(str(n) for n in self.guard_counts())
-        if name == "repro.empty-guards":
-            return " ".join(str(n) for n in self.empty_guard_counts())
-        if name == "repro.uncommitted-guards":
-            return " ".join(str(len(s)) for s in self._uncommitted)
-        return None
-
-    def _extra_property_names(self) -> List[str]:
-        return ["repro.guards", "repro.empty-guards", "repro.uncommitted-guards"]
+    PROPERTIES = {
+        **LSMStoreBase.PROPERTIES,
+        "repro.guards": lambda db: " ".join(map(str, db.guard_counts())),
+        "repro.empty-guards": lambda db: " ".join(map(str, db.empty_guard_counts())),
+        "repro.uncommitted-guards": lambda db: " ".join(
+            str(len(s)) for s in db._uncommitted
+        ),
+    }
 
     def guard_counts(self) -> List[int]:
         """Committed guards per level (diagnostics, Figure 3.1/5.4)."""
@@ -899,7 +901,7 @@ class PebblesDBStore(LSMStoreBase):
             # the threshold, rewrite in place instead of pushing down.
             input_bytes = sum(f.file_size for f in inputs)
             merge_bytes = self._estimate_last_level_merge_io(target, lo, hi, input_bytes)
-            if input_bytes and merge_bytes >= opts.last_level_merge_io_ratio * input_bytes:
+            if input_bytes and merge_bytes >= LAST_LEVEL_MERGE_IO_RATIO * input_bytes:
                 # The heuristic rejects the push-down: undo the tentative
                 # guard commit.
                 for key in new_keys:

@@ -15,13 +15,15 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.obs.admin import aggregate_admin, compact_json
 from repro.obs.ledger import IoLedger
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.recorder import FlightRecorder
+from repro.obs.render import health_line, summary
 from repro.obs.trace import Tracer, TraceSink
-from repro.obs.windows import SUMMARY_PERCENTILES, WindowedHistogram
+from repro.obs.windows import WindowedHistogram
 from repro.errors import (
     BackgroundError,
     CorruptionError,
@@ -57,6 +59,16 @@ from repro.engines.compaction import CompactionRunner
 from repro.engines.options import StoreOptions
 
 Entry = Tuple[InternalKey, bytes]
+
+#: Retries a background flush/compaction/MANIFEST append attempts after a
+#: transient I/O fault before declaring a sticky background error.
+FAULT_RETRY_LIMIT = 3
+
+
+def _retry_backoff(attempt: int) -> float:
+    """Simulated seconds to wait before retry ``attempt`` (0-based):
+    1 ms doubling per retry, capped at 50 ms."""
+    return min(1.0e-3 * 2 ** attempt, 50.0e-3)
 
 
 @dataclass
@@ -100,10 +112,6 @@ class StoreStats:
     compaction_conflicts: int = 0
     conflict_stall_seconds: float = 0.0
     compactions_parallel_peak: int = 0
-    #: Engine- or harness-specific scalar extras.  Values are numeric
-    #: only (int or float); anything richer belongs in the registry as a
-    #: typed metric, not in this bag.
-    extra: Dict[str, Union[int, float]] = field(default_factory=dict)
 
     @property
     def block_cache_hit_rate(self) -> float:
@@ -117,8 +125,10 @@ class StoreStats:
         return self.device_bytes_written / self.user_bytes_written
 
 
-#: StoreStats attribute -> registry metric name, for the counters engines
-#: mutate directly on the hot path.
+#: StoreStats attribute -> registry metric name: the counters and the one
+#: gauge engines mutate directly, then the values ``stats_part()`` derives
+#: at read time.  ``STAT_METRICS`` is the whole table — every numeric
+#: StoreStats field is the registry metric it names, nothing else.
 _STAT_COUNTERS = {
     "puts": "op.puts",
     "gets": "op.gets",
@@ -139,15 +149,25 @@ _STAT_COUNTERS = {
 _STAT_GAUGES = {
     "compactions_parallel_peak": "compaction.parallel_peak",
 }
+STAT_METRICS = {
+    **_STAT_COUNTERS,
+    **_STAT_GAUGES,
+    "device_bytes_written": "io.device_bytes_written",
+    "device_bytes_read": "io.device_bytes_read",
+    "memory_bytes": "store.memory_bytes",
+    "sstable_count": "store.sstables",
+    "block_cache_hits": "block_cache.hits",
+    "block_cache_misses": "block_cache.misses",
+    "block_cache_bytes": "block_cache.bytes",
+    "degraded": "fault.degraded",
+}
 
 
 class StatsCounters:
     """Mutable stat attributes backed by a :class:`MetricsRegistry`.
 
-    Engines keep writing ``self._stats.puts += 1`` exactly as they did on
-    the old mutable :class:`StoreStats` bag, but every attribute is now a
+    Engines write ``self._stats.flushes += 1``; every attribute is a
     registry metric, making the registry the single source of truth.
-    :meth:`fill` assembles the public :class:`StoreStats` *view* from it.
     """
 
     __slots__ = ("registry", "_m")
@@ -159,10 +179,6 @@ class StatsCounters:
             self._m[attr] = registry.counter(name)
         for attr, name in _STAT_GAUGES.items():
             self._m[attr] = registry.gauge(name)
-
-    def fill(self, stats: "StoreStats") -> None:
-        for attr, metric in self._m.items():
-            setattr(stats, attr, metric.value)
 
     def bind(self, attr: str):
         """The raw metric behind one attribute.
@@ -273,24 +289,102 @@ class KeyValueStore(ABC):
         raise NotImplementedError(f"{type(self).__name__} cannot iterate backward")
 
     @abstractmethod
-    def stats(self) -> StoreStats:
-        """Snapshot of operational counters."""
-
-    @abstractmethod
     def close(self) -> None:
         """Finish background work and release the store."""
 
-    # Optional lifecycle hooks (engines without background work inherit
-    # these no-ops, keeping the harness engine-agnostic) -----------------
+    # ------------------------------------------------------------------
+    # The stats plane: one read entry point, everything else a view of it
+    # ------------------------------------------------------------------
+    #: ``StoreStats.preset`` (LSM engines report their options preset).
+    preset = ""
+
+    def background_error(self) -> Optional[BackgroundError]:
+        """The sticky background error, or None when healthy."""
+        return None
+
     @property
     def is_degraded(self) -> bool:
-        """True while a sticky background error blocks writes.
+        """True while a sticky background error blocks writes (cheap
+        enough for per-request checks; ``stats_part()`` is not)."""
+        return self.background_error() is not None
 
-        Cheap enough for per-request checks; ``stats()`` builds a full
-        snapshot and refreshes registry gauges, which is not.
+    def _refresh_derived(self) -> None:
+        """Set the engine's read-time metrics (memory, sstables, caches)."""
+
+    def io_ledger(self) -> IoLedger:
+        """Per-cause I/O attribution for this store's traffic."""
+        return IoLedger.from_storage(self.storage, self.prefix)
+
+    def stats_part(self) -> Dict[str, object]:
+        """This store's stats *part*: the registry with every derived
+        value computed once, plus health, I/O ledger and op windows.
+
+        Plain data (it pickles; see :mod:`repro.obs.admin`).  ``stats()``,
+        every ``repro.*`` property and the serving layer's admin sections
+        are views of it, so a number has one definition: device bytes and
+        syncs are the :class:`IoLedger` totals.
         """
-        return False
+        self._refresh_derived()
+        reg = self.registry
+        ledger = self.io_ledger()
+        reg.gauge("io.device_bytes_written").set(ledger.total_write_bytes)
+        reg.gauge("io.device_bytes_read").set(ledger.total_read_bytes)
+        reg.gauge("io.device_syncs").set(ledger.total_syncs)
+        error = self.background_error()
+        reg.gauge("fault.degraded").set(0 if error is None else 1)
+        return {
+            "preset": self.preset,
+            "registry": reg,
+            "health": health_line(reg),
+            "background_error": "" if error is None else str(error),
+            "ledger": ledger.to_dict(),
+            "windows": dict(getattr(self, "op_windows", {})),
+        }
 
+    def stats(self) -> StoreStats:
+        """The flat counter view: ``STAT_METRICS`` read off the part."""
+        part = self.stats_part()
+        reg = part["registry"]
+        s = StoreStats(
+            preset=part["preset"], background_error=part["background_error"]
+        )
+        for attr, name in STAT_METRICS.items():
+            setattr(s, attr, reg.value(name))
+        s.degraded = bool(s.degraded)
+        while (
+            size := reg.get("store.level_bytes", level=len(s.level_sizes))
+        ) is not None:
+            s.level_sizes.append(size.value)
+        return s
+
+    #: ``get_property`` dispatch, LevelDB-style: name -> renderer(store).
+    #: A name ending ``<N>`` takes a trailing integer, passed as a second
+    #: argument.  Subclasses extend the table; ``property_names()`` is
+    #: its keys.  ``repro.health`` leads with ``ok``/``degraded``.
+    PROPERTIES: Dict[str, Callable[..., Optional[str]]] = {
+        "repro.stats": lambda db: summary(db.stats()),
+        "repro.health": lambda db: db.stats_part()["health"],
+        "repro.background-error": lambda db: str(db.background_error() or ""),
+        "repro.metrics": lambda db: aggregate_admin("metrics", [db.stats_part()]),
+        "repro.ledger": lambda db: aggregate_admin("ledger", [db.stats_part()]),
+        "repro.windows": lambda db: aggregate_admin("windows", [db.stats_part()]),
+    }
+
+    def get_property(self, name: str) -> Optional[str]:
+        """Textual store property; None when unknown."""
+        stem = name.rstrip("0123456789")
+        if stem == name:
+            render = self.PROPERTIES.get(name)
+            return None if render is None or name.endswith("<N>") else render(self)
+        render = self.PROPERTIES.get(stem + "<N>")
+        return None if render is None else render(self, int(name[len(stem):]))
+
+    def property_names(self) -> List[str]:
+        """Property names :meth:`get_property` understands for this engine."""
+        return list(self.PROPERTIES)
+
+    # Optional lifecycle hooks (engines without background work inherit
+    # these no-ops, keeping the harness engine-agnostic) -----------------
     def wait_idle(self) -> None:
         """Let background work finish; no-op for synchronous engines."""
 
@@ -302,27 +396,6 @@ class KeyValueStore(ABC):
 
     def check_invariants(self) -> None:
         """Raise AssertionError on internal inconsistency."""
-
-    def get_property(self, name: str) -> Optional[str]:
-        """Textual store properties, LevelDB-style; None when unknown.
-
-        Every engine understands ``repro.health`` (first token
-        ``ok``/``degraded``, followed by scheduler counters),
-        ``repro.background-error``, and ``repro.metrics`` (the text
-        exposition of the metrics registry); LSM engines add more.
-        """
-        if name == "repro.health":
-            return _health_line(self.stats())
-        if name == "repro.background-error":
-            return self.stats().background_error
-        if name == "repro.metrics":
-            registry = getattr(self, "registry", None)
-            return registry.to_text() if registry is not None else ""
-        return None
-
-    def property_names(self) -> List[str]:
-        """Property names :meth:`get_property` understands for this engine."""
-        return ["repro.health", "repro.background-error", "repro.metrics"]
 
     # Convenience built on the primitives -------------------------------
     def write_batch(
@@ -350,33 +423,6 @@ class KeyValueStore(ABC):
             it.next()
         it.close()
         return out
-
-
-def _health_line(stats: StoreStats) -> str:
-    """``repro.health`` text: state first, scheduler counters after.
-
-    The state token stays first so existing ``health.split()[0]`` (and
-    plain equality on the historical ``ok``/``degraded``) keeps a stable
-    meaning while the line also surfaces the parallel-compaction peak and
-    conflict-stall attribution.
-    """
-    state = "degraded" if stats.degraded else "ok"
-    line = (
-        f"{state} parallel-peak={stats.compactions_parallel_peak} "
-        f"conflict-stall={stats.conflict_stall_seconds:.6f}s"
-    )
-    extra = stats.extra
-    if "overload_rejects" in extra:
-        line += (
-            f" overload-rejects={int(extra['overload_rejects'])}"
-            f" retry-after-hints={int(extra['retry_after_hints'])}"
-        )
-    if "vlog_gc_relocated" in extra:
-        line += (
-            f" vlog-gc-relocated={int(extra['vlog_gc_relocated'])}"
-            f" vlog-dead-bytes={int(extra['vlog_dead_bytes'])}"
-        )
-    return line
 
 
 def _validate_key(key: bytes) -> None:
@@ -775,59 +821,30 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._closed = True
 
     # ------------------------------------------------------------------
-    def _flush_probe_tallies(self) -> None:
-        """Fold the per-level read-path tallies into registry counters."""
+    @property
+    def preset(self) -> str:
+        return self.options.preset
+
+    def _refresh_derived(self) -> None:
+        """Fold the per-level read-path tallies into their counters and
+        set the read-time gauges (layout, memory, block cache, value log)."""
+        reg = self.registry
         for what, tallies in (
             ("files_probed", self._probe_files),
             ("bloom_skipped", self._probe_bloom),
         ):
             for level, n in enumerate(tallies):
                 if n:
-                    self.registry.counter(f"read.{what}", level=level).value += n
+                    reg.counter(f"read.{what}", level=level).value += n
                     tallies[level] = 0
-
-    def stats(self) -> StoreStats:
-        """Assemble the public counter view from the metrics registry."""
-        self._flush_probe_tallies()
-        s = StoreStats(preset=self.options.preset)
-        self._stats.fill(s)
-        written = self.storage.stats.written_by_account
-        read = self.storage.stats.read_by_account
-        s.device_bytes_written = sum(
-            v for name, v in written.items() if name.startswith(self.prefix)
-        )
-        s.device_bytes_read = sum(
-            v for name, v in read.items() if name.startswith(self.prefix)
-        )
-        s.memory_bytes = self.memory_bytes()
-        s.sstable_count = len(self.sstable_file_numbers())
-        s.level_sizes = self.level_sizes()
-        if self._block_cache is not None:
-            s.block_cache_hits = self._block_cache.stats.hits
-            s.block_cache_misses = self._block_cache.stats.misses
-            s.block_cache_bytes = self._block_cache.size_bytes
-        s.degraded = self._background_error is not None
-        s.background_error = (
-            str(self._background_error) if self._background_error is not None else ""
-        )
-        # Mirror the derived values into the registry so one exposition
-        # dump is self-contained.
-        reg = self.registry
-        reg.gauge("io.device_bytes_written").set(s.device_bytes_written)
-        reg.gauge("io.device_bytes_read").set(s.device_bytes_read)
-        syncs = self.storage.stats.syncs_by_account
-        reg.gauge("io.device_syncs").set(
-            sum(v for name, v in syncs.items() if name.startswith(self.prefix))
-        )
-        reg.gauge("store.memory_bytes").set(s.memory_bytes)
-        reg.gauge("store.sstables").set(s.sstable_count)
-        reg.gauge("fault.degraded").set(1 if s.degraded else 0)
-        for level, size in enumerate(s.level_sizes):
+        reg.gauge("store.memory_bytes").set(self.memory_bytes())
+        reg.gauge("store.sstables").set(len(self.sstable_file_numbers()))
+        for level, size in enumerate(self.level_sizes()):
             reg.gauge("store.level_bytes", level=level).set(size)
         if self._block_cache is not None:
-            reg.gauge("block_cache.hits").set(s.block_cache_hits)
-            reg.gauge("block_cache.misses").set(s.block_cache_misses)
-            reg.gauge("block_cache.bytes").set(s.block_cache_bytes)
+            reg.gauge("block_cache.hits").set(self._block_cache.stats.hits)
+            reg.gauge("block_cache.misses").set(self._block_cache.stats.misses)
+            reg.gauge("block_cache.bytes").set(self._block_cache.size_bytes)
         if self._vlog is not None:
             vl = self._vlog
             reg.counter("vlog.bytes_written").value = vl.bytes_written
@@ -837,16 +854,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             reg.gauge("vlog.segments").set(len(vl.segment_numbers()))
             reg.gauge("vlog.data_bytes").set(vl.data_bytes())
             reg.gauge("vlog.dead_bytes").set(vl.dead_bytes())
-            s.extra["vlog_segments"] = len(vl.segment_numbers())
-            s.extra["vlog_bytes_written"] = vl.bytes_written
-            s.extra["vlog_gc_relocated"] = vl.gc_relocated_bytes
-            s.extra["vlog_dead_bytes"] = vl.dead_bytes()
-        # Serving-layer counters the server mirrors into this registry
-        # (0 for stores that never served requests) — surfaced so one
-        # health/stats line reflects the whole store state.
-        s.extra["overload_rejects"] = reg.counter("server.overload_rejects").value
-        s.extra["retry_after_hints"] = reg.counter("server.retry_after_hints").value
-        return s
 
     def enable_tracing(
         self, sink: TraceSink, component: str = "engine"
@@ -861,20 +868,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             sink, clock=self.clock, component=component, seed=self.seed
         )
         return self.tracer
-
-    def io_ledger(self) -> IoLedger:
-        """Per-cause I/O attribution for this store's traffic."""
-        return IoLedger.from_storage(self.storage, self.prefix)
-
-    def windows_payload(self) -> Dict[str, object]:
-        """JSON-friendly per-op windowed-percentile series (admin plane)."""
-        series: Dict[str, Dict[str, List]] = {}
-        for op, wh in sorted(self.op_windows.items()):
-            series[op] = {
-                name: [[i, v] for i, v in wh.percentile_series(q)]
-                for name, q in SUMMARY_PERCENTILES
-            }
-        return {"window_seconds": 0.5, "series": series}
 
     def _stall_cause(self, cause: str) -> Counter:
         counter = self._stall_cause_counters.get(cause)
@@ -914,121 +907,44 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     # ------------------------------------------------------------------
     # Introspection (LevelDB's GetProperty)
     # ------------------------------------------------------------------
-    def get_property(self, name: str) -> Optional[str]:
-        """Textual store properties, LevelDB-style.
+    def _block_cache_line(self) -> str:
+        if self._block_cache is None:
+            return "disabled"
+        bc = self._block_cache.stats
+        return (
+            f"hits={bc.hits} misses={bc.misses} "
+            f"hit-rate={bc.hit_rate:.3f} "
+            f"bytes={self._block_cache.size_bytes} "
+            f"blocks={len(self._block_cache)} evictions={bc.evictions}"
+        )
 
-        Supported names: ``repro.stats``, ``repro.levels``,
-        ``repro.sstables``, ``repro.approximate-memory-usage``,
-        ``repro.health`` (``ok``/``degraded`` plus scheduler counters),
-        ``repro.background-error``
-        (empty when healthy), ``repro.metrics`` (registry text
-        exposition), ``repro.compaction-scheduler`` (mode,
-        worker count, in-flight/peak parallelism, conflict counters),
-        ``repro.num-files-at-level<N>``, plus engine extras (PebblesDB
-        adds ``repro.guards``, ``repro.empty-guards``,
-        ``repro.uncommitted-guards``).  Returns None for unknown names.
-        """
-        if name == "repro.stats":
-            s = self.stats()
-            return (
-                f"puts={s.puts} gets={s.gets} deletes={s.deletes} seeks={s.seeks}\n"
-                f"user-bytes={s.user_bytes_written} "
-                f"device-write-bytes={s.device_bytes_written} "
-                f"device-read-bytes={s.device_bytes_read}\n"
-                f"write-amplification={s.write_amplification:.3f} "
-                f"stall-seconds={s.stall_seconds:.6f}\n"
-                f"flushes={s.flushes} compactions={s.compactions} "
-                f"sstables={s.sstable_count}"
-            )
-        if name == "repro.levels":
-            return " ".join(str(n) for n in self.level_sizes())
-        if name == "repro.sstables":
-            layout = getattr(self, "layout", None)
-            return layout() if layout else None
-        if name == "repro.approximate-memory-usage":
-            return str(self.memory_bytes())
-        if name == "repro.block-cache":
-            if self._block_cache is None:
-                return "disabled"
-            bc = self._block_cache.stats
-            return (
-                f"hits={bc.hits} misses={bc.misses} "
-                f"hit-rate={bc.hit_rate:.3f} "
-                f"bytes={self._block_cache.size_bytes} "
-                f"blocks={len(self._block_cache)} evictions={bc.evictions}"
-            )
-        if name == "repro.health":
-            return _health_line(self.stats())
-        if name == "repro.background-error":
-            return "" if self._background_error is None else str(self._background_error)
-        if name == "repro.metrics":
-            self.stats()  # refresh derived gauges before dumping
-            return self.registry.to_text()
-        if name == "repro.compaction-scheduler":
-            s = self._stats
-            return (
-                f"mode={self._scheduler_mode()} workers={self.executor.workers} "
-                f"inflight={self._compactions_inflight} "
-                f"peak={s.compactions_parallel_peak} "
-                f"conflicts={s.compaction_conflicts} "
-                f"conflict-stall={s.conflict_stall_seconds:.6f}s"
-            )
-        if name == "repro.vlog":
-            return (
-                self._vlog.state_line() if self._vlog is not None else "disabled"
-            )
-        if name == "repro.ledger":
-            return IoLedger.from_storage(self.storage, self.prefix).to_json()
-        if name == "repro.windows":
-            import json as _json
+    def _scheduler_line(self) -> str:
+        s = self._stats
+        return (
+            f"mode={self._scheduler_mode()} workers={self.executor.workers} "
+            f"inflight={self._compactions_inflight} "
+            f"peak={s.compactions_parallel_peak} "
+            f"conflicts={s.compaction_conflicts} "
+            f"conflict-stall={s.conflict_stall_seconds:.6f}s"
+        )
 
-            return _json.dumps(
-                self.windows_payload(), sort_keys=True, separators=(",", ":")
-            )
-        if name == "repro.flight-recorder":
-            import json as _json
+    def _files_at_level(self, level: int) -> Optional[str]:
+        counts = self.files_per_level()
+        return str(counts[level]) if level < len(counts) else None
 
-            return _json.dumps(
-                self.recorder.summary(), sort_keys=True, separators=(",", ":")
-            )
-        if name.startswith("repro.num-files-at-level"):
-            try:
-                level = int(name[len("repro.num-files-at-level"):])
-            except ValueError:
-                return None
-            counts = self.files_per_level()
-            if 0 <= level < len(counts):
-                return str(counts[level])
-            return None
-        return self._extra_property(name)
-
-    def _extra_property(self, name: str) -> Optional[str]:
-        """Hook for engine-specific properties."""
-        return None
-
-    def property_names(self) -> List[str]:
-        names = [
-            "repro.stats",
-            "repro.levels",
-            "repro.sstables",
-            "repro.approximate-memory-usage",
-            "repro.block-cache",
-            "repro.health",
-            "repro.background-error",
-            "repro.metrics",
-            "repro.compaction-scheduler",
-            "repro.vlog",
-            "repro.ledger",
-            "repro.windows",
-            "repro.flight-recorder",
-            "repro.num-files-at-level<N>",
-        ]
-        names.extend(self._extra_property_names())
-        return names
-
-    def _extra_property_names(self) -> List[str]:
-        """Hook for engine-specific property names."""
-        return []
+    PROPERTIES = {
+        **KeyValueStore.PROPERTIES,
+        "repro.levels": lambda db: " ".join(map(str, db.level_sizes())),
+        "repro.sstables": lambda db: db.layout(),
+        "repro.approximate-memory-usage": lambda db: str(db.memory_bytes()),
+        "repro.block-cache": _block_cache_line,
+        "repro.compaction-scheduler": _scheduler_line,
+        "repro.vlog": lambda db: (
+            db._vlog.state_line() if db._vlog is not None else "disabled"
+        ),
+        "repro.flight-recorder": lambda db: compact_json(db.recorder.summary()),
+        "repro.num-files-at-level<N>": _files_at_level,
+    }
 
     def set_dispatch_policy(
         self, policy: Optional[Callable[[List], int]]
@@ -1114,41 +1030,40 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     self._last_sequence = seq + len(ops) - 1
                     vlog.abandon_tail(pointers)
                     raise
-        if opts.wal_enabled:
-            payload = encode_batch(seq, tree_ops)
-            assert self._wal is not None
-            size_before = self.storage.size(self._wal.name)
-            try:
-                self._wal.append(
-                    payload, self._wal_acct, sync=opts.sync_writes or sync
-                )
-            except StorageError:
-                # The failed append may have left a torn record; a later
-                # record appended after it would be unreachable at replay
-                # (the reader stops at the first bad record), so no
-                # acknowledged write may ever land in this file again.
-                # The memtable was not touched: the write fails cleanly.
-                if self.storage.size(self._wal.name) != size_before:
-                    # Bytes landed despite the failure — a torn record, or
-                    # a *complete* record whose sync failed.  A complete
-                    # record replays at recovery, so burn its sequence
-                    # numbers: were a later acknowledged write to reuse
-                    # them, replay would apply this phantom record first
-                    # and skip the acknowledged one as a duplicate,
-                    # silently replacing acknowledged data.
-                    self._last_sequence = seq + len(ops) - 1
-                if vlog is not None and tree_ops is not ops:
-                    # The batch's value-log records are unreferenced now.
-                    vlog.abandon_tail(pointers)
-                self._switch_wal_file()
-                raise
-            self._wal_acct.charge(
-                self.cpu.charge("wal_record", self.cpu.wal_record * len(ops))
+        payload = encode_batch(seq, tree_ops)
+        assert self._wal is not None
+        size_before = self.storage.size(self._wal.name)
+        try:
+            self._wal.append(
+                payload, self._wal_acct, sync=opts.sync_writes or sync
             )
-            if opts.sync_writes or sync:
-                self._wal_sync_counter.value += 1
-                if span is not None:
-                    span.set(wal_sync=True)
+        except StorageError:
+            # The failed append may have left a torn record; a later
+            # record appended after it would be unreachable at replay
+            # (the reader stops at the first bad record), so no
+            # acknowledged write may ever land in this file again.
+            # The memtable was not touched: the write fails cleanly.
+            if self.storage.size(self._wal.name) != size_before:
+                # Bytes landed despite the failure — a torn record, or
+                # a *complete* record whose sync failed.  A complete
+                # record replays at recovery, so burn its sequence
+                # numbers: were a later acknowledged write to reuse
+                # them, replay would apply this phantom record first
+                # and skip the acknowledged one as a duplicate,
+                # silently replacing acknowledged data.
+                self._last_sequence = seq + len(ops) - 1
+            if vlog is not None and tree_ops is not ops:
+                # The batch's value-log records are unreferenced now.
+                vlog.abandon_tail(pointers)
+            self._switch_wal_file()
+            raise
+        self._wal_acct.charge(
+            self.cpu.charge("wal_record", self.cpu.wal_record * len(ops))
+        )
+        if opts.sync_writes or sync:
+            self._wal_sync_counter.value += 1
+            if span is not None:
+                span.set(wal_sync=True)
         bytes_written = 0
         for i, (kind, key, value) in enumerate(tree_ops):
             self._mem.add(seq + i, kind, key, value)
@@ -1266,8 +1181,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._imm.append((self._mem, self._wal_number))
         self._mem = Memtable(self.seed + len(self._imm) + self._next_file_number)
         self._wal_number = self._alloc_file_number()
-        if self.options.wal_enabled:
-            self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
+        self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
         self._maybe_schedule_flush()
 
     # ------------------------------------------------------------------
@@ -1306,8 +1220,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         def settle(durable: bool) -> None:
             self._imm.pop(0)
             self._flush_job = None
-            if self.options.wal_enabled:
-                self._reclaim_wals(edit.log_number, durable)
+            self._reclaim_wals(edit.log_number, durable)
             self._stats.flushes += 1
 
         def span(job: Job):
@@ -1354,13 +1267,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     # ==================================================================
     # Fault handling and graceful degradation
     # ==================================================================
-    @property
-    def is_degraded(self) -> bool:
-        """True while a sticky background error blocks writes."""
-        return self._background_error is not None
-
     def background_error(self) -> Optional[BackgroundError]:
-        """The sticky background error, or None when healthy."""
         return self._background_error
 
     def _raise_if_degraded(self) -> None:
@@ -1408,7 +1315,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         corruption, or an exhausted retry budget sets the sticky
         background error instead and returns None.
         """
-        opts = self.options
         attempt = 0
         while True:
             start_number = self._next_file_number
@@ -1422,7 +1328,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 self._restore_scheduling_state(engine_state)
                 if (
                     not isinstance(exc, TransientIOError)
-                    or attempt >= opts.fault_retry_limit
+                    or attempt >= FAULT_RETRY_LIMIT
                 ):
                     self._set_background_error(kind, exc)
                     return None
@@ -1430,12 +1336,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             if self.tracer is not None:
                 self.tracer.point("fault.retry", kind=kind, attempt=attempt + 1)
             self._flight_point("fault.retry", kind=kind, attempt=attempt + 1)
-            self.clock.advance(
-                min(
-                    opts.fault_retry_base_delay * (2 ** attempt),
-                    opts.fault_retry_max_delay,
-                )
-            )
+            self.clock.advance(_retry_backoff(attempt))
             attempt += 1
 
     def _discard_attempt(self, start_number: int) -> None:
@@ -1466,10 +1367,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         if self._manifest_suspect:
             self._pending_manifest_edits.append(edit)
             return False
-        opts = self.options
         name = self._manifest.name
         error: Optional[Exception] = None
-        for attempt in range(opts.fault_retry_limit + 1):
+        for attempt in range(FAULT_RETRY_LIMIT + 1):
             size_before = self.storage.size(name)
             try:
                 self._manifest.append(edit, account)
@@ -1482,18 +1382,13 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     # could shadow or duplicate edits at recovery; stop and
                     # let resume() rotate to a fresh MANIFEST.
                     break
-                if attempt < opts.fault_retry_limit:
+                if attempt < FAULT_RETRY_LIMIT:
                     self._stats.transient_fault_retries += 1
                     if self.tracer is not None:
                         self.tracer.point(
                             "fault.retry", kind="manifest_append", attempt=attempt + 1
                         )
-                    self.clock.advance(
-                        min(
-                            opts.fault_retry_base_delay * (2 ** attempt),
-                            opts.fault_retry_max_delay,
-                        )
-                    )
+                    self.clock.advance(_retry_backoff(attempt))
             except (CorruptionError, StorageError) as exc:
                 error = exc
                 break
@@ -1718,7 +1613,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 load_bloom=self.options.enable_sstable_bloom,
                 block_cache=self._block_cache,
                 cache_key=number,
-                zero_copy=self.options.zero_copy_blocks,
             )
         except (CorruptionError, StorageError):
             # A failed open may have cached partial metadata for this
@@ -1919,8 +1813,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         )
         self._manifest.append(edit, acct)
         set_current(self.storage, manifest_name, acct, self.prefix)
-        if self.options.wal_enabled:
-            self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
+        self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
 
     def _recover(self, manifest_name: str, acct: IoAccount) -> None:
         log_number = 0
@@ -1970,8 +1863,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             self._vlog.recover(vlog_dead, vlog_deleted)
         self._replay_wals(log_number, acct)
         self._wal_number = self._alloc_file_number()
-        if self.options.wal_enabled:
-            self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
+        self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
         edit = VersionEdit(
             last_sequence=self._last_sequence,
             next_file_number=self._next_file_number,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.engines.base import DBIterator, KeyValueStore, StatsCounters, StoreStats
+from repro.engines.base import DBIterator, KeyValueStore, StatsCounters
 from repro.obs.metrics import MetricsRegistry
 from repro.engines.btree.bptree import PAGE_SIZE, BPlusTree
 from repro.errors import (
@@ -30,6 +30,8 @@ from repro.util.keys import KIND_DELETE, KIND_PUT
 
 class BPlusTreeStore(KeyValueStore):
     """Embedded B+tree key-value store with write-through pages."""
+
+    preset = "btree"
 
     def __init__(
         self,
@@ -129,10 +131,6 @@ class BPlusTreeStore(KeyValueStore):
     # ------------------------------------------------------------------
     # Degraded mode and resume (mirrors LSMStoreBase's state machine)
     # ------------------------------------------------------------------
-    @property
-    def is_degraded(self) -> bool:
-        return self._background_error is not None
-
     def background_error(self) -> Optional[BackgroundError]:
         return self._background_error
 
@@ -251,24 +249,8 @@ class BPlusTreeStore(KeyValueStore):
         return DBIterator(gen(), on_next=on_next)
 
     # ------------------------------------------------------------------
-    def stats(self) -> StoreStats:
-        s = StoreStats(preset="btree")
-        self._stats.fill(s)
-        written = self.storage.stats.written_by_account
-        read = self.storage.stats.read_by_account
-        s.device_bytes_written = sum(
-            v for name, v in written.items() if name.startswith(self.prefix)
-        )
-        s.device_bytes_read = sum(
-            v for name, v in read.items() if name.startswith(self.prefix)
-        )
-        s.sstable_count = 0
-        s.memory_bytes = len(self._tree) * 64
-        s.degraded = self._background_error is not None
-        s.background_error = (
-            str(self._background_error) if self._background_error is not None else ""
-        )
-        return s
+    def _refresh_derived(self) -> None:
+        self.registry.gauge("store.memory_bytes").set(len(self._tree) * 64)
 
     def check_invariants(self) -> None:
         self._tree.check_invariants()

@@ -30,6 +30,9 @@ from dataclasses import dataclass, replace
 KiB = 1024
 MiB = 1024 * 1024
 
+#: Level i's size target is ``level1_max_bytes * LEVEL_SIZE_MULTIPLIER**(i-1)``.
+LEVEL_SIZE_MULTIPLIER = 10
+
 
 @dataclass
 class StoreOptions:
@@ -41,7 +44,6 @@ class StoreOptions:
     # --- write path ------------------------------------------------------
     memtable_bytes: int = 64 * KiB
     max_immutable_memtables: int = 2
-    wal_enabled: bool = True
     sync_writes: bool = False
 
     # --- shape of the level hierarchy -------------------------------------
@@ -49,9 +51,8 @@ class StoreOptions:
     level0_compaction_trigger: int = 4
     level0_slowdown_trigger: int = 8
     level0_stop_trigger: int = 12
-    #: Target size of Level 1; level i target is this * multiplier**(i-1).
+    #: Target size of Level 1 (see ``LEVEL_SIZE_MULTIPLIER`` for level i).
     level1_max_bytes: int = 160 * KiB
-    level_size_multiplier: int = 10
     #: Max sstable produced by compaction (LevelDB's target_file_size).
     target_file_bytes: int = 64 * KiB
 
@@ -132,12 +133,6 @@ class StoreOptions:
     #: counts, and page-cache hit rates are identical with it on or off,
     #: so it never perturbs a reproduced figure.
     block_cache_bytes: int = 32 * MiB
-    #: Decode data blocks zero-copy: values stay memoryview slices into
-    #: the raw block until a value is actually returned to a caller, so
-    #: an uncached point read allocates one bytes object instead of one
-    #: per entry.  Host-side only (same simulated metrics either way);
-    #: the off switch exists for the bench_readpath ablation.
-    zero_copy_blocks: bool = True
 
     # --- observability -----------------------------------------------------
     #: Flight-recorder sampling mode: ``"off"`` disables the recorder,
@@ -152,13 +147,6 @@ class StoreOptions:
     trace_dump_dir: "str | None" = None
 
     # --- fault handling ---------------------------------------------------
-    #: Retries a background flush/compaction attempts after a transient
-    #: I/O fault before declaring a sticky background error.
-    fault_retry_limit: int = 3
-    #: First retry backoff in simulated seconds; doubles per retry.
-    fault_retry_base_delay: float = 1.0e-3
-    #: Backoff cap in simulated seconds.
-    fault_retry_max_delay: float = 50.0e-3
     #: Treat corruption found mid-WAL (before the durable boundary) as an
     #: error during recovery instead of silently stopping replay.  None =
     #: follow ``sync_writes`` (with synchronous writes every acknowledged
@@ -172,8 +160,6 @@ class StoreOptions:
     bit_decrement: int = 2
     #: Compact a guard into the next level at this many sstables.
     max_sstables_per_guard: int = 4
-    #: Paper's 25x heuristic for rewriting in the second-to-last level.
-    last_level_merge_io_ratio: float = 25.0
     enable_sstable_bloom: bool = True
     enable_parallel_seeks: bool = True
     enable_seek_based_compaction: bool = True
@@ -238,7 +224,7 @@ class StoreOptions:
         """Size target for ``level`` (level 0 is file-count-triggered)."""
         if level <= 0:
             return self.level0_compaction_trigger * self.memtable_bytes
-        return self.level1_max_bytes * self.level_size_multiplier ** (level - 1)
+        return self.level1_max_bytes * LEVEL_SIZE_MULTIPLIER ** (level - 1)
 
     def scaled(self, factor: float) -> "StoreOptions":
         """Scale every byte-sized knob by ``factor`` (workload sizing aid)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.engines.base import DBIterator, KeyValueStore, StatsCounters, StoreStats
+from repro.engines.base import DBIterator, KeyValueStore, StatsCounters
 from repro.obs.metrics import MetricsRegistry
 from repro.engines.btree.bptree import PAGE_SIZE, BPlusTree
 from repro.errors import InvalidArgumentError, StoreClosedError
@@ -29,6 +29,8 @@ from repro.util.keys import KIND_DELETE, KIND_PUT
 
 class WiredTigerStore(KeyValueStore):
     """Checkpoint + journal B-tree store."""
+
+    preset = "wiredtiger"
 
     def __init__(
         self,
@@ -202,19 +204,10 @@ class WiredTigerStore(KeyValueStore):
             raise InvalidArgumentError(f"keys must be non-empty bytes: {key!r}")
 
     # ------------------------------------------------------------------
-    def stats(self) -> StoreStats:
-        s = StoreStats(preset="wiredtiger")
-        self._stats.fill(s)
-        written = self.storage.stats.written_by_account
-        read = self.storage.stats.read_by_account
-        s.device_bytes_written = sum(
-            v for name, v in written.items() if name.startswith(self.prefix)
+    def _refresh_derived(self) -> None:
+        self.registry.gauge("store.memory_bytes").set(
+            len(self._tree) * 64 + self._dirty_bytes
         )
-        s.device_bytes_read = sum(
-            v for name, v in read.items() if name.startswith(self.prefix)
-        )
-        s.memory_bytes = len(self._tree) * 64 + self._dirty_bytes
-        return s
 
     def check_invariants(self) -> None:
         self._tree.check_invariants()

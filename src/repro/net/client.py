@@ -752,17 +752,16 @@ class BlockingClusterClient:
         return sink
 
     def stats(self):
-        """Aggregate engine stats across all shards (sums counters)."""
-        from repro.engines.base import StoreStats
+        """Aggregate engine stats across all shards (sums every
+        ``STAT_METRICS`` field; degraded if any shard is)."""
+        from repro.engines.base import STAT_METRICS, StoreStats
 
         total = StoreStats()
         for shard in self.server.shards:
-            s = shard.db.stats()
-            for name, value in vars(s).items():
-                if isinstance(value, bool):
-                    setattr(total, name, getattr(total, name) or value)
-                elif isinstance(value, (int, float)):
-                    setattr(total, name, getattr(total, name, 0) + value)
+            stats = shard.db.stats()
+            for name in STAT_METRICS:
+                setattr(total, name, getattr(total, name) + getattr(stats, name))
+        total.degraded = bool(total.degraded)
         return total
 
     def flush_memtable(self) -> None:

@@ -89,8 +89,9 @@ from repro.net.protocol import (
     encode_ship_commit,
     encode_ship_snapshot,
 )
-from repro.net.server import KVServer, ServerConfig, aggregate_admin
+from repro.net.server import KVServer, ServerConfig
 from repro.net.transport import LoopbackEndpoint, StreamEndpoint, loopback_pair
+from repro.obs.admin import aggregate_admin
 from repro.obs.ledger import IoLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
@@ -215,10 +216,8 @@ async def _shard_worker(conn, ship_conn, config: ServerConfig, shard_id: int) ->
                 conn.send(("sim_time", server.shard_sim_times()[0]))
             elif cmd == "totals":
                 conn.send(("totals", server.total_ops(), server.protocol_errors))
-            elif cmd == "metrics":
-                conn.send(("metrics", server.metrics_text()))
             elif cmd == "admin":
-                # Raw per-shard admin parts (everything in them pickles);
+                # Raw per-shard stats parts (everything in them pickles);
                 # the parent aggregates with the same function loopback
                 # mode uses, so both modes expose identical sections.
                 conn.send(("admin", server._admin_parts()))
@@ -801,23 +800,15 @@ class ProcessKVServer:
         return sum(worker.call("totals")[2] for worker in self._workers)
 
     def metrics_text(self) -> str:
-        """Cluster exposition: worker shards first, then the parent's
-        supervisor/ship/replay registry.  Dead workers are skipped."""
-        texts = []
-        for worker in self._workers:
-            try:
-                texts.append(worker.call("metrics")[1])
-            except TransientNetError:
-                continue
-        texts.append(self.registry.to_text())
-        return "\n".join(texts)
+        """Cluster-wide exposition (the ``metrics`` admin section)."""
+        return self.admin_text("metrics")
 
     def _admin_parts(self) -> List[Dict[str, object]]:
-        """Per-shard admin parts, gathered over the control pipes.
+        """Per-shard stats parts, gathered over the control pipes.
 
         The worker ships the exact structure ``KVServer._admin_parts``
         builds; the parent overlays its own view of the shard state and
-        substitutes an empty stub for dead/unreachable workers so the
+        substitutes a bare stub for dead/unreachable workers so the
         health section still reports the shard (as restarting/degraded)
         instead of silently dropping it.
         """
@@ -826,18 +817,7 @@ class ProcessKVServer:
             try:
                 worker_parts = worker.call("admin", timeout=30.0)[1]
             except TransientNetError:
-                parts.append(
-                    {
-                        "shard": shard_id,
-                        "state": self._shard_states[shard_id],
-                        "registry": None,
-                        "health": "",
-                        "ops": {},
-                        "ledger": IoLedger().to_dict(),
-                        "windows": {},
-                    }
-                )
-                continue
+                worker_parts = [{"shard": shard_id}]
             for part in worker_parts:
                 part["state"] = self._shard_states[shard_id]
                 parts.append(part)

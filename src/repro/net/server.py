@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import repro
@@ -45,9 +44,7 @@ from repro.errors import (
     StoreClosedError,
 )
 from repro.net.errors import FrameError
-from repro.obs.ledger import IoLedger
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.windows import SUMMARY_PERCENTILES, WindowedHistogram
+from repro.obs.admin import ADMIN_SECTIONS, aggregate_admin  # noqa: F401  (re-exported)
 from repro.net.protocol import (
     OP_NAMES,
     WRITE_OPS,
@@ -133,92 +130,6 @@ class ServerConfig:
         codec = KeyCodec(16)
         sample = (codec.encode(i) for i in range(self.uniform_keys))
         return ShardRouter.from_samples(sample, self.shards)
-
-
-#: Sections the read-only ``Op.ADMIN`` wire op understands.
-ADMIN_SECTIONS = ("metrics", "health", "ledger", "windows")
-
-
-def aggregate_admin(
-    section: str,
-    parts: List[Dict[str, object]],
-    parent_registry: Optional[MetricsRegistry] = None,
-    parent_ledger: Optional[IoLedger] = None,
-) -> Optional[str]:
-    """Aggregate per-shard admin parts into one section's text.
-
-    ``parts`` is a list of per-shard dicts (see ``KVServer._admin_parts``)
-    with keys ``shard``, ``state``, ``registry``, ``health``, ``ops``,
-    ``ledger`` (an :meth:`IoLedger.to_dict` payload) and ``windows``
-    (op name → :class:`WindowedHistogram`).  Both serving modes — the
-    in-process :class:`KVServer` and the process-mode supervisor — feed
-    the *same* function, so a same-seed cluster returns identical
-    aggregated snapshots in either mode (the process mode additionally
-    merges the parent supervisor's registry and ship-log ledger when it
-    has any).  Returns ``None`` for an unknown section.
-    """
-    if section in ("", "metrics"):
-        merged = MetricsRegistry()
-        for part in parts:
-            registry = part.get("registry")
-            if registry is not None:
-                merged.merge(registry)
-        if parent_registry is not None:
-            merged.merge(parent_registry)
-        return merged.to_text()
-    if section == "health":
-        rows = [
-            {
-                "shard": part["shard"],
-                "state": part.get("state", "active"),
-                "health": part.get("health", ""),
-                "ops": part.get("ops", {}),
-            }
-            for part in sorted(parts, key=lambda p: p["shard"])
-        ]
-        totals: Dict[str, int] = {}
-        for part in parts:
-            for name, value in (part.get("ops") or {}).items():
-                totals[name] = totals.get(name, 0) + value
-        return json.dumps(
-            {"shards": rows, "totals": totals},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    if section == "ledger":
-        ledger = IoLedger()
-        for part in sorted(parts, key=lambda p: p["shard"]):
-            ledger = ledger.merge(IoLedger.from_dict(part.get("ledger") or {}))
-        if parent_ledger is not None:
-            ledger = ledger.merge(parent_ledger)
-        return ledger.to_json()
-    if section == "windows":
-        combined: Dict[str, WindowedHistogram] = {}
-        for part in sorted(parts, key=lambda p: p["shard"]):
-            for op, wh in (part.get("windows") or {}).items():
-                mine = combined.get(op)
-                if mine is None:
-                    mine = WindowedHistogram(
-                        window_seconds=wh.window_seconds, lo=wh.lo, growth=wh.growth
-                    )
-                    combined[op] = mine
-                mine.merge(wh)
-        series = {
-            op: {
-                name: [[i, v] for i, v in wh.percentile_series(q)]
-                for name, q in SUMMARY_PERCENTILES
-            }
-            for op, wh in sorted(combined.items())
-        }
-        width = (
-            next(iter(combined.values())).window_seconds if combined else 0.5
-        )
-        return json.dumps(
-            {"window_seconds": width, "series": series},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    return None
 
 
 @dataclass
@@ -803,12 +714,9 @@ class KVServer:
             hint = self.config.overload_retry_after * max(
                 1.0, shard.write_debt / cap
             )
-            # Mirror into the store registry so `repro.health` and shell
-            # `stats` surface shedding, and snapshot the flight recorder.
-            registry = getattr(shard.db, "registry", None)
-            if registry is not None:
-                registry.counter("server.overload_rejects").value += 1
-                registry.counter("server.retry_after_hints").value += 1
+            # Mirror into the store registry so `repro.health` surfaces
+            # shedding, and snapshot the flight recorder.
+            shard.db.registry.counter("server.overload_rejects").value += 1
             recorder = getattr(shard.db, "recorder", None)
             if recorder is not None:
                 recorder.point(
@@ -875,36 +783,24 @@ class KVServer:
 
     def metrics_text(self) -> str:
         """Cluster-wide exposition: counters summed, gauges maxed."""
-        merged = MetricsRegistry()
-        for shard in self.shards:
-            shard.db.stats()  # refresh derived gauges before the dump
-            registry = getattr(shard.db, "registry", None)
-            if registry is not None:
-                merged.merge(registry)
-        return merged.to_text()
+        return self.admin_text("metrics")
 
     def _admin_parts(self) -> List[Dict[str, object]]:
-        """Per-shard inputs for :func:`aggregate_admin`.
+        """One stats part per shard for :func:`aggregate_admin`.
 
         The process serving mode asks each worker for exactly this
         structure over the control pipe (everything in it pickles), so
         loopback and process modes aggregate identical parts.
         """
-        parts: List[Dict[str, object]] = []
-        for shard in self.shards:
-            shard.db.stats()  # refresh derived gauges/extras
-            parts.append(
-                {
-                    "shard": shard.index,
-                    "state": "active",
-                    "registry": getattr(shard.db, "registry", None),
-                    "health": shard.db.get_property("repro.health") or "",
-                    "ops": dict(vars(shard.stats)),
-                    "ledger": IoLedger.from_storage(shard.env.storage).to_dict(),
-                    "windows": dict(getattr(shard.db, "op_windows", {})),
-                }
+        return [
+            dict(
+                shard.db.stats_part(),
+                shard=shard.index,
+                state="active",
+                ops=dict(vars(shard.stats)),
             )
-        return parts
+            for shard in self.shards
+        ]
 
     def admin_text(self, section: str) -> Optional[str]:
         """One aggregated admin section (``Op.ADMIN``); None if unknown."""

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 from repro.engines.registry import ENGINES
 from repro.errors import ReproError
 from repro.harness import fresh_run, standard_config
+from repro.obs.render import report
 from repro.sim.aging import FilesystemAging
 from repro.sim.device import DeviceModel
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -293,41 +294,20 @@ def _run_one(
         pass
     stats = run.db.stats()
     print("-" * 78)
-    print(
-        f"write amplification {stats.write_amplification:.2f}x | "
-        f"device W {stats.device_bytes_written / 1e6:.1f} MB "
-        f"R {stats.device_bytes_read / 1e6:.1f} MB | "
-        f"stalls {stats.stall_seconds:.3f}s | "
-        f"sstables {stats.sstable_count} | "
-        f"sim time {run.env.now:.3f}s"
-    )
+    print(f"write amplification, device IO and stalls at sim time {run.env.now:.3f}s")
+    print(report(run.db))
     scheduler = run.db.get_property("repro.compaction-scheduler")
-    if scheduler is not None:
-        print(f"compaction scheduler: {scheduler}")
-    vlog = run.db.get_property("repro.vlog")
-    if vlog is not None and vlog != "disabled":
-        print(f"value log: {vlog}")
-    if stats.block_cache_hits or stats.block_cache_misses:
-        print(
-            f"decoded-block cache (host-side): "
-            f"{stats.block_cache_hit_rate * 100:.1f}% hits "
-            f"({stats.block_cache_hits} hit / {stats.block_cache_misses} miss, "
-            f"{stats.block_cache_bytes / 1e6:.1f} MB resident)"
-        )
     faults = run.env.storage.faults
     if faults is not None:
         fs = faults.stats
-        health = run.db.get_property("repro.health")
         print(
             f"faults: {fs.faults_injected} injected over {fs.ops_seen} storage "
             f"ops ({fs.transient_injected} transient / "
             f"{fs.persistent_injected} persistent) | "
             f"retries {stats.transient_fault_retries} | "
             f"background errors {stats.background_errors} | "
-            f"resumes {stats.resumes} | health {health}"
+            f"resumes {stats.resumes}"
         )
-        if stats.degraded:
-            print(f"background error: {run.db.get_property('repro.background-error')}")
     if reports is not None:
         summary = {
             "engine": engine,

@@ -24,6 +24,7 @@ from typing import IO, List, Optional
 
 import repro
 from repro.engines.registry import ENGINES
+from repro.obs.render import report
 
 HELP = """\
 commands:
@@ -124,53 +125,8 @@ class StoreShell:
                 self._print(f"{key.decode(errors='replace')} -> "
                             f"{value.decode(errors='replace')}")
         elif cmd == "stats":
-            stats = self.db.stats()
-            self._print(
-                f"puts={stats.puts} gets={stats.gets} deletes={stats.deletes} "
-                f"seeks={stats.seeks}"
-            )
-            self._print(
-                f"user W {stats.user_bytes_written / 1e6:.2f} MB | device W "
-                f"{stats.device_bytes_written / 1e6:.2f} MB R "
-                f"{stats.device_bytes_read / 1e6:.2f} MB | amp "
-                f"{stats.write_amplification:.2f}x"
-            )
-            self._print(
-                f"sstables={stats.sstable_count} stalls={stats.stall_seconds:.3f}s "
-                f"sim-time={self.env.now:.3f}s"
-            )
-            health = self.db.get_property("repro.health")
-            if health is not None:
-                self._print(f"health={health}")
-            if stats.degraded:
-                self._print(
-                    f"background error: "
-                    f"{self.db.get_property('repro.background-error')}"
-                )
-            scheduler = self.db.get_property("repro.compaction-scheduler")
-            if scheduler is not None:
-                self._print(f"compaction scheduler: {scheduler}")
-            extra = getattr(stats, "extra", {})
-            if extra.get("overload_rejects") or extra.get("retry_after_hints"):
-                self._print(
-                    f"overload: rejects={int(extra['overload_rejects'])} "
-                    f"retry-after-hints={int(extra['retry_after_hints'])}"
-                )
-            vlog = self.db.get_property("repro.vlog")
-            if vlog is not None and vlog != "disabled":
-                self._print(f"value log: {vlog}")
-                if "vlog_gc_relocated" in extra:
-                    self._print(
-                        f"value-log GC: relocated "
-                        f"{int(extra['vlog_gc_relocated'])} B, dead "
-                        f"{int(extra['vlog_dead_bytes'])} B awaiting GC"
-                    )
-            if stats.block_cache_hits or stats.block_cache_misses:
-                self._print(
-                    f"block cache: {stats.block_cache_hit_rate * 100:.1f}% hits "
-                    f"({stats.block_cache_hits} hit / "
-                    f"{stats.block_cache_misses} miss)"
-                )
+            self._print(report(self.db))
+            self._print(f"sim-time={self.env.now:.3f}s")
         elif cmd == "metrics":
             text = self.db.get_property("repro.metrics")
             self._print(text if text else "(engine exposes no metrics)")

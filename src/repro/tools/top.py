@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 import time
 from typing import List, Optional
 
 from repro.net.client import ClusterClient
-from repro.obs.ledger import IoLedger
+from repro.obs.render import render_health, render_ledger, render_windows
 
 _SECTIONS = ("health", "ledger", "windows", "metrics")
 
@@ -74,54 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def render_health(text: str) -> None:
-    payload = json.loads(text)
-    print(f"{'shard':>5} {'state':<11} health")
-    print("-" * 72)
-    for row in payload["shards"]:
-        print(f"{row['shard']:>5} {row['state']:<11} {row['health']}")
-    totals = payload["totals"]
-    if totals:
-        ops = " ".join(f"{k}={v}" for k, v in sorted(totals.items()) if v)
-        print(f"totals: {ops or '(no ops yet)'}")
-
-
-def render_ledger(text: str) -> None:
-    print(IoLedger.from_dict(json.loads(text)).to_text())
-
-
-def render_windows(text: str) -> None:
-    payload = json.loads(text)
-    width = payload["window_seconds"]
-    print(f"latency percentiles per {width}s window (us):")
-    for op, series in sorted(payload["series"].items()):
-        names = sorted(series)
-        windows = {i for name in names for i, _ in series[name]}
-        if not windows:
-            print(f"  {op}: (no samples)")
-            continue
-        header = f"  {op:<8} {'window':>7}"
-        for name in names:
-            header += f" {name:>9}"
-        print(header)
-        values = {
-            name: dict((i, v) for i, v in series[name]) for name in names
-        }
-        for index in sorted(windows):
-            line = f"  {'':<8} {index * width:>7.2f}"
-            for name in names:
-                value = values[name].get(index)
-                line += (
-                    f" {value * 1e6:>9.1f}" if value is not None else f" {'-':>9}"
-                )
-            print(line)
-
-
 _RENDERERS = {
     "health": render_health,
     "ledger": render_ledger,
     "windows": render_windows,
-    "metrics": lambda text: print(text, end="" if text.endswith("\n") else "\n"),
+    "metrics": lambda text: text.rstrip("\n"),
 }
 
 
@@ -137,7 +93,7 @@ async def render_snapshot(client: ClusterClient, sections: List[str]) -> int:
             status = 1
             continue
         try:
-            _RENDERERS[section](text)
+            print(_RENDERERS[section](text))
         except (KeyError, ValueError) as exc:
             print(f"repro-top: cannot render {section}: {exc}", file=sys.stderr)
             status = 1

@@ -102,28 +102,12 @@ class BenchResult:
         return out
 
 
-class DBBench:
-    """Drives micro-benchmarks against one store on one simulated device."""
+class PhaseMeter:
+    """A :class:`BenchResult` is the ``stats()`` delta across one phase.
 
-    def __init__(
-        self,
-        db: KeyValueStore,
-        storage: SimulatedStorage,
-        *,
-        num_keys: int = 20000,
-        value_size: int = 1024,
-        key_width: int = 16,
-        seed: int = 0,
-    ) -> None:
-        self.db = db
-        self.storage = storage
-        self.num_keys = num_keys
-        self.value_size = value_size
-        self.codec = KeyCodec(key_width)
-        self.seed = seed
-        self._value_version = 0
+    Mixin for runners holding ``self.db`` and ``self.storage``.
+    """
 
-    # ------------------------------------------------------------------
     def _snapshot(self):
         stats = self.db.stats()
         return (
@@ -156,6 +140,28 @@ class DBBench:
             result.extra["block_cache_misses"] = misses
             result.extra["block_cache_hit_rate"] = hits / (hits + misses)
         return result
+
+
+class DBBench(PhaseMeter):
+    """Drives micro-benchmarks against one store on one simulated device."""
+
+    def __init__(
+        self,
+        db: KeyValueStore,
+        storage: SimulatedStorage,
+        *,
+        num_keys: int = 20000,
+        value_size: int = 1024,
+        key_width: int = 16,
+        seed: int = 0,
+    ) -> None:
+        self.db = db
+        self.storage = storage
+        self.num_keys = num_keys
+        self.value_size = value_size
+        self.codec = KeyCodec(key_width)
+        self.seed = seed
+        self._value_version = 0
 
     def _value(self, index: int) -> bytes:
         return value_bytes(index + self._value_version * self.num_keys, self.value_size)

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 from repro.engines.base import KeyValueStore
 from repro.sim.storage import SimulatedStorage
-from repro.workloads.db_bench import BenchResult
+from repro.workloads.db_bench import BenchResult, PhaseMeter
 from repro.workloads.distributions import (
     KeyCodec,
     LatestGenerator,
@@ -69,7 +69,7 @@ YCSB_WORKLOADS: Dict[str, YcsbWorkload] = {
 }
 
 
-class YcsbRunner:
+class YcsbRunner(PhaseMeter):
     """Loads and runs YCSB workloads against one store."""
 
     def __init__(
@@ -89,29 +89,6 @@ class YcsbRunner:
         self.seed = seed
         self._inserted = 0
         self._version = 0
-
-    # ------------------------------------------------------------------
-    def _snapshot(self):
-        stats = self.db.stats()
-        return (
-            self.storage.clock.now,
-            stats.device_bytes_written,
-            stats.device_bytes_read,
-            stats.user_bytes_written,
-            stats.stall_seconds,
-        )
-
-    def _result(self, name: str, ops: int, before) -> BenchResult:
-        after = self._snapshot()
-        return BenchResult(
-            name=name,
-            ops=ops,
-            elapsed_seconds=after[0] - before[0],
-            device_bytes_written=after[1] - before[1],
-            device_bytes_read=after[2] - before[2],
-            user_bytes_written=after[3] - before[3],
-            stall_seconds=after[4] - before[4],
-        )
 
     def _value(self, index: int) -> bytes:
         return value_bytes(index + self._version * (self.record_count + 1), self.value_size)

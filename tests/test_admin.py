@@ -134,6 +134,7 @@ class TestServingModeParity:
         async def scrape(server):
             client = await _drive(server)
             out = {s: await client.admin(s) for s in SECTIONS}
+            out["metrics_text()"] = server.metrics_text()
             await client.aclose()
             await server.aclose()
             return out
@@ -144,7 +145,8 @@ class TestServingModeParity:
             cfg = dict(ship_log=False, supervise=False)
             loop_out = await scrape(KVServer(config(**cfg)))
             proc_out = await scrape(ProcessKVServer(config(**cfg)))
-            for section in SECTIONS:
+            for section in loop_out:
                 assert loop_out[section] == proc_out[section], section
+            assert loop_out["metrics_text()"] == loop_out["metrics"]
 
         asyncio.run(main())

@@ -220,8 +220,8 @@ def run_workload(engine: str, scenario: str = "default"):
     assert not stats.degraded
     if scenario == "vlog":
         # The pin is only worth something if GC actually ran.
-        assert stats.extra["vlog_gc_relocated"] > 0
-        assert stats.extra["vlog_segments"] > 1
+        assert db.registry.value("vlog.gc_relocated") > 0
+        assert db.registry.value("vlog.segments") > 1
     if scenario == "fault":
         assert stats.transient_fault_retries >= 7
         kinds = {
