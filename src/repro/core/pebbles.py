@@ -37,6 +37,7 @@ from repro.engines.base import Entry, LSMStoreBase
 from repro.engines.compaction import CompactionContext, CompactionResult
 from repro.engines.options import StoreOptions
 from repro.memtable.memtable import GetResult
+from repro.sim.cpu import CpuCosts
 from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable import merge_entries
 from repro.util.keys import InternalKey, KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
@@ -93,6 +94,9 @@ class _SwitchAccount:
             self.measured += seconds
         else:
             self._target.charge(seconds)
+
+    def charge_cpu(self, cpu: CpuCosts, name: str, amount: float) -> None:
+        self.charge(cpu.charge(name, amount))
 
     def attach(self, target: IoAccount) -> None:
         self._target = target
@@ -313,12 +317,15 @@ class PebblesDBStore(LSMStoreBase):
             probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
             kh = murmur3_64(key)
             get_reader = self._get_reader
+            charge_cpu = account.charge_cpu
+            cpu = self.cpu
+            level_search = cpu.level_binary_search
             probed = 0
             bloom_skipped = 0
             best0: Optional[GetResult] = None
             level_probed = level_skipped = 0
             for meta in self._level0:
-                if not meta.overlaps(key, key):
+                if meta.largest.user_key < key or meta.smallest.user_key > key:
                     continue
                 reader = get_reader(meta.number, account)
                 if not reader.may_contain(key, account, kh):
@@ -348,15 +355,13 @@ class PebblesDBStore(LSMStoreBase):
                 assert guarded is not None
                 if not len(guarded) and not guarded.sentinel.files:
                     continue
-                account.charge(
-                    self.cpu.charge("level_binary_search", self.cpu.level_binary_search)
-                )
+                charge_cpu(cpu, "level_binary_search", level_search)
                 guard = guarded.find_guard(key)
                 best: Optional[GetResult] = None
                 best_seq = -1
                 level_probed = level_skipped = 0
                 for meta in reversed(guard.files):
-                    if not meta.overlaps(key, key):
+                    if meta.largest.user_key < key or meta.smallest.user_key > key:
                         continue
                     reader = get_reader(meta.number, account)
                     if not reader.may_contain(key, account, kh):

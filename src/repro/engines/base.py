@@ -556,11 +556,14 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             self._rate_limit_delay = self.registry.counter(
                 "compaction.rate_limit_delay_seconds"
             )
-        #: Per-level read-path tallies.  The per-probe path does a plain
-        #: list add; the sums fold into ``read.files_probed`` /
-        #: ``read.bloom_skipped`` registry counters when stats are read.
+        #: Read-path tallies: per level, and per table-cache lookup.  The
+        #: per-probe path does a plain add; the sums fold into the
+        #: ``read.files_probed`` / ``read.bloom_skipped`` /
+        #: ``read.table_cache_hits`` / ``read.table_cache_misses``
+        #: registry counters when stats are read.
         self._probe_files = [0] * (self.options.num_levels + 1)
         self._probe_bloom = [0] * (self.options.num_levels + 1)
+        self._table_hits = self._table_misses = 0
         self._wal_sync_counter = self.registry.counter("wal.syncs")
         self._flush_seconds = self.registry.histogram("flush.seconds")
         self._compaction_seconds = self.registry.histogram("compaction.seconds")
@@ -676,7 +679,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         span = trc.span("get") if trc is not None else None
         try:
             acct = self._user_acct
-            acct.charge(self.cpu.charge("memtable_lookup", self.cpu.memtable_lookup))
+            cpu = self.cpu
+            acct.charge_cpu(cpu, "memtable_lookup", cpu.memtable_lookup)
             seq = snapshot.sequence if snapshot is not None else self._last_sequence
             result = self._mem.get(key, seq)
             if result.found:
@@ -686,9 +690,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     return None
                 return self._resolve_value(result.value, result.kind, acct)
             for imm, _ in reversed(self._imm):
-                acct.charge(
-                    self.cpu.charge("memtable_lookup", self.cpu.memtable_lookup)
-                )
+                acct.charge_cpu(cpu, "memtable_lookup", cpu.memtable_lookup)
                 result = imm.get(key, seq)
                 if result.found:
                     if span is not None:
@@ -837,6 +839,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 if n:
                     reg.counter(f"read.{what}", level=level).value += n
                     tallies[level] = 0
+        reg.counter("read.table_cache_hits").value += self._table_hits
+        reg.counter("read.table_cache_misses").value += self._table_misses
+        self._table_hits = self._table_misses = 0
         reg.gauge("store.memory_bytes").set(self.memory_bytes())
         reg.gauge("store.sstables").set(len(self.sstable_file_numbers()))
         for level, size in enumerate(self.level_sizes()):
@@ -1604,7 +1609,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         reader = cache.get(number)
         if reader is not None:
             cache.move_to_end(number)
+            self._table_hits += 1
             return reader
+        self._table_misses += 1
         try:
             reader = SSTableReader.open(
                 self.storage,

@@ -111,12 +111,15 @@ class LeveledLSMStore(LSMStoreBase):
             probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
             kh = murmur3_64(key)
             get_reader = self._get_reader
+            charge_cpu = account.charge_cpu
+            cpu = self.cpu
+            level_search = cpu.level_binary_search
             probed = 0
             bloom_skipped = 0
             best: Optional[GetResult] = None
             level_probed = level_skipped = 0
             for meta in self._levels[0]:
-                if not meta.overlaps(key, key):
+                if meta.largest.user_key < key or meta.smallest.user_key > key:
                     continue
                 reader = get_reader(meta.number, account)
                 if not reader.may_contain(key, account, kh):
@@ -146,9 +149,7 @@ class LeveledLSMStore(LSMStoreBase):
                 files = self._levels[level]
                 if not files:
                     continue
-                account.charge(
-                    self.cpu.charge("level_binary_search", self.cpu.level_binary_search)
-                )
+                charge_cpu(cpu, "level_binary_search", level_search)
                 meta = self._find_file(files, key)
                 if meta is None:
                     continue

@@ -8,6 +8,7 @@ at or after ``(user_key, snapshot_seq)`` answers the lookup.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator, Optional, Tuple
 
 from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE, InternalKey
@@ -47,7 +48,7 @@ class Memtable:
     """Skip-list-backed buffer of recent writes."""
 
     def __init__(self, seed: Optional[int] = None) -> None:
-        self._table = SkipList(seed)
+        self._table = SkipList(seed, order_key=attrgetter("sort_key"))
         self._bytes = 0
         self.max_sequence = 0
 

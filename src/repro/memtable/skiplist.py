@@ -8,23 +8,27 @@ every deeper level (paper section 3.1).
 Keys are arbitrary comparable objects (the store uses
 :class:`repro.util.keys.InternalKey`); duplicate keys are rejected —
 the memtable never produces duplicates because every write carries a fresh
-sequence number.
+sequence number.  An ``order_key`` callable, when given, maps a key to the
+value it is ordered by; it is applied once per key and the result kept in
+the node, so a search compares those values directly (the memtable passes
+``InternalKey.sort_key``: tuple compares in C, no ``__lt__`` frame per step).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 _MAX_HEIGHT = 12
 _BRANCHING = 4
 
 
 class _Node:
-    __slots__ = ("key", "value", "forward")
+    __slots__ = ("key", "order", "value", "forward")
 
-    def __init__(self, key: Any, value: Any, height: int) -> None:
+    def __init__(self, key: Any, order: Any, value: Any, height: int) -> None:
         self.key = key
+        self.order = order
         self.value = value
         self.forward: List[Optional["_Node"]] = [None] * height
 
@@ -32,11 +36,16 @@ class _Node:
 class SkipList:
     """Sorted map with O(log n) expected insert and seek."""
 
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._head = _Node(None, None, _MAX_HEIGHT)
+    def __init__(
+        self,
+        seed: Optional[int] = None,
+        order_key: Optional[Callable[[Any], Any]] = None,
+    ) -> None:
+        self._head = _Node(None, None, None, _MAX_HEIGHT)
         self._height = 1
         self._rng = random.Random(seed)
         self._size = 0
+        self._order_key = order_key
 
     def __len__(self) -> int:
         return self._size
@@ -48,13 +57,17 @@ class SkipList:
             height += 1
         return height
 
+    def _order_of(self, key: Any) -> Any:
+        return key if self._order_key is None else self._order_key(key)
+
     def _find_greater_or_equal(
-        self, key: Any, prev_out: Optional[List[_Node]] = None
+        self, order: Any, prev_out: Optional[List[_Node]] = None
     ) -> Optional[_Node]:
+        """The first node ordered at or after ``order`` (an ``_order_of`` value)."""
         node = self._head
         for level in range(self._height - 1, -1, -1):
             nxt = node.forward[level]
-            while nxt is not None and nxt.key < key:
+            while nxt is not None and nxt.order < order:
                 node = nxt
                 nxt = node.forward[level]
             if prev_out is not None:
@@ -64,14 +77,15 @@ class SkipList:
     # ------------------------------------------------------------------
     def insert(self, key: Any, value: Any) -> None:
         """Insert a new key; raises on duplicates."""
+        order = self._order_of(key)
         prev: List[_Node] = [self._head] * _MAX_HEIGHT
-        found = self._find_greater_or_equal(key, prev)
-        if found is not None and not (key < found.key):
+        found = self._find_greater_or_equal(order, prev)
+        if found is not None and not (order < found.order):
             raise ValueError(f"duplicate skip list key: {key!r}")
         height = self._random_height()
         if height > self._height:
             self._height = height
-        node = _Node(key, value, height)
+        node = _Node(key, order, value, height)
         for level in range(height):
             node.forward[level] = prev[level].forward[level]
             prev[level].forward[level] = node
@@ -79,14 +93,15 @@ class SkipList:
 
     def get(self, key: Any) -> Tuple[bool, Any]:
         """Exact lookup; returns ``(found, value)``."""
-        node = self._find_greater_or_equal(key)
-        if node is not None and not (key < node.key):
+        order = self._order_of(key)
+        node = self._find_greater_or_equal(order)
+        if node is not None and not (order < node.order):
             return True, node.value
         return False, None
 
     def seek(self, key: Any) -> Iterator[Tuple[Any, Any]]:
         """Iterate ``(key, value)`` pairs starting at the first key >= key."""
-        node = self._find_greater_or_equal(key)
+        node = self._find_greater_or_equal(self._order_of(key))
         while node is not None:
             yield node.key, node.value
             node = node.forward[0]

@@ -54,11 +54,19 @@ def summary(stats) -> str:
 
 
 def report(db) -> str:
-    """Shell ``stats`` and the dbbench footer: summary, health, subsystems."""
+    """Shell ``stats`` and the dbbench footer: summary, health, table
+    cache, subsystems."""
     stats = db.stats()
     lines = [summary(stats), f"health={db.get_property('repro.health')}"]
     if stats.degraded:
         lines.append(f"background error: {stats.background_error}")
+    hits = db.registry.value("read.table_cache_hits")
+    misses = db.registry.value("read.table_cache_misses")
+    if hits or misses:
+        lines.append(
+            f"table cache: hits={hits} misses={misses} "
+            f"miss-share={misses / (hits + misses):.3f}"
+        )
     for title, name in (
         ("compaction scheduler", "repro.compaction-scheduler"),
         ("value log", "repro.vlog"),

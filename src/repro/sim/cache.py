@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Set, Tuple
+from typing import Dict, Hashable, Sequence, Set, Tuple
 
 PAGE_SIZE = 4096
 
@@ -104,8 +104,16 @@ class PageCache:
             return (0, 0)
         first = offset // PAGE_SIZE
         last = (offset + length - 1) // PAGE_SIZE
-        npages = last - first + 1
         pages = self._pages
+        if first == last:
+            # One resident page (a footer, a small block): nothing to
+            # insert or evict, whatever ``insert`` says.
+            key = (file_id, first)
+            if key in pages:
+                pages.move_to_end(key)
+                self.stats.hits += 1
+                return (1, 0)
+        npages = last - first + 1
         hits = 0
         max_pages = self.max_pages
         if insert and max_pages > 0:
@@ -134,6 +142,44 @@ class PageCache:
         self.stats.hits += hits
         self.stats.misses += misses
         return (hits, misses)
+
+    # ------------------------------------------------------------------
+    # The same accesses, repeated (SimulatedStorage.charge_reads): a
+    # caller keeps the keys its ranges cover, and while every one is
+    # resident an ``access_range`` per range would only freshen and count
+    # them.
+    # ------------------------------------------------------------------
+    @staticmethod
+    def page_keys(
+        file_id: Hashable, offset: int, length: int
+    ) -> Tuple[Tuple[Hashable, int], ...]:
+        """The keys ``access_range`` touches for this range, in its order."""
+        if length <= 0:
+            return ()
+        first = offset // PAGE_SIZE
+        last = (offset + length - 1) // PAGE_SIZE
+        return tuple((file_id, page) for page in range(first, last + 1))
+
+    def touch_if_resident(
+        self, keys: Sequence[Tuple[Hashable, int]], hits: int
+    ) -> bool:
+        """Account ``hits`` accesses that all hit, their pages last
+        touched in the order of ``keys`` (distinct) — if every key is
+        cached; otherwise change nothing and return False.
+
+        Freshening a page more than once leaves it where the last touch
+        put it, so the order of last touches and the number of hits are
+        all such a run of accesses leaves behind.
+        """
+        pages = self._pages
+        for key in keys:
+            if key not in pages:
+                return False
+        move_to_end = pages.move_to_end
+        for key in keys:
+            move_to_end(key)
+        self.stats.hits += hits
+        return True
 
     def populate_range(self, file_id: Hashable, offset: int, length: int) -> None:
         """Mark freshly written pages as cached (writes land in page cache)."""

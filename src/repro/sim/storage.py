@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.sim.cache import PAGE_SIZE, PageCache
@@ -67,6 +67,25 @@ class IoAccount:
         self.seconds += seconds
         if self._clock is not None:
             self._clock.advance(seconds)
+
+    def charge_cpu(self, cpu: CpuCosts, name: str, amount: float) -> None:
+        """``CpuCosts.charge`` then :meth:`charge`, as one call.
+
+        The read path charges CPU work several times per table it
+        consults, so the three frames of that pair (``SimClock.advance``
+        is the third) are worth folding.  The arithmetic and its order
+        are theirs exactly — the golden pins compare the clock as a float
+        — including the clock's refusal of a negative step.
+        """
+        accounting = cpu.accounting
+        accounting[name] = accounting.get(name, 0.0) + amount
+        seconds = amount / cpu.thread_scale
+        self.seconds += seconds
+        clock = self._clock
+        if clock is not None:
+            if seconds < 0:
+                raise ValueError(f"cannot advance clock by {seconds}")
+            clock._now += seconds
 
     @property
     def is_foreground(self) -> bool:
@@ -113,6 +132,33 @@ class _SimFile:
         #: (the simulation stores logical bytes; transfers and occupancy
         #: are charged at the compressed size).
         self.charge_factor = charge_factor
+
+
+class ReadPlan:
+    """A fixed sequence of reads of one immutable file, planned once.
+
+    Made by :meth:`SimulatedStorage.plan_reads`; charged, as often as the
+    caller likes, by :meth:`SimulatedStorage.charge_reads`.  ``hits`` is
+    how many pages each read covers (reads of no bytes left out) and
+    ``total_hits`` their sum; ``pages`` is the page-cache key of every
+    page covered, once each, in the order of its *last* touch — all the
+    LRU order can show of a walk in which every access hits; ``end`` is
+    the furthest byte any read reaches.
+    """
+
+    __slots__ = ("file_id", "spans", "pages", "hits", "total_hits", "end")
+
+    def __init__(self, file_id: int, spans: Tuple[Tuple[int, int], ...]) -> None:
+        per_read = [
+            PageCache.page_keys(file_id, offset, length) for offset, length in spans
+        ]
+        walk = [key for keys in per_read for key in keys]
+        self.file_id = file_id
+        self.spans = spans
+        self.pages = tuple(reversed(dict.fromkeys(reversed(walk))))
+        self.hits = tuple(len(keys) for keys in per_read if keys)
+        self.total_hits = len(walk)
+        self.end = max((offset + length for offset, length in spans), default=0)
 
 
 class SimulatedStorage:
@@ -323,7 +369,47 @@ class SimulatedStorage:
                 account.charge(self.device.rand_read_time(nbytes))
             self.stats.note_read(account.name, nbytes)
         if hits:
-            account.charge(self.cpu.charge("block_decode", hits * self.cpu.block_decode))
+            account.charge_cpu(self.cpu, "block_decode", hits * self.cpu.block_decode)
+
+    def plan_reads(self, name: str, spans: Sequence[Tuple[int, int]]) -> ReadPlan:
+        """Plan the ``(offset, length)`` reads of ``name`` for :meth:`charge_reads`."""
+        f = self._file(name)
+        spans = tuple(spans)
+        for offset, length in spans:
+            if offset < 0 or length < 0:
+                raise StorageError(f"bad read span: {name}[{offset}:{offset + length}]")
+        return ReadPlan(f.file_id, spans)
+
+    def charge_reads(self, name: str, plan: ReadPlan, account: IoAccount) -> None:
+        """Charge every read of ``plan`` exactly as one :meth:`charge_read`
+        each, in order, would — in one call.
+
+        A reader evicted from an engine's table cache and opened again
+        re-reads the same few tail pages of its file, and they are
+        usually still in the page cache.  When *every* page of the plan
+        is resident no read can miss, insert or evict, so all the
+        separate calls would do is freshen those pages, count them as
+        hits and charge each read's ``block_decode``: that is done here
+        directly, leaving the same page order, counters and floats.
+        Anything else — a page gone, a file replaced or shorter than
+        planned, a fault injector that must see each read at its own
+        operation index — takes the separate calls themselves.
+        """
+        f = self._file(name)
+        if (
+            self.faults is None
+            and f.file_id == plan.file_id
+            and plan.end <= len(f.data)
+            and self.cache.touch_if_resident(plan.pages, plan.total_hits)
+        ):
+            cpu = self.cpu
+            for hits in plan.hits:
+                account.charge_cpu(cpu, "block_decode", hits * cpu.block_decode)
+        else:
+            for offset, length in plan.spans:
+                self._charge_read(
+                    f, offset, length, account, sequential=False, cache_insert=True
+                )
 
     def sync(self, name: str, account: IoAccount) -> None:
         """Make all bytes of ``name`` durable."""

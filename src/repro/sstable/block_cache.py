@@ -107,9 +107,9 @@ class DecodedBlockCache:
 
     Keys are ``(file_id, block_offset)``; ``file_id`` is the engine's
     sstable file number.  Values are :class:`DecodedBlock` instances for
-    data blocks, plus the reader's parsed table metadata (footer + index
-    + bloom) under a sentinel offset — anything with an ``nbytes`` budget
-    charge.  ``drop_file`` (called when a compaction retires an sstable)
+    data blocks, plus each opened table's reader (its parsed footer +
+    index + bloom) under a sentinel offset — anything with an ``nbytes``
+    budget charge.  ``drop_file`` (called when a compaction retires an sstable)
     uses a per-file offset index, so invalidation costs O(blocks of that
     file), not O(everything cached).
     """

@@ -54,7 +54,7 @@ class SSTableBuilder:
 
     # ------------------------------------------------------------------
     def add(self, key: InternalKey, value: bytes) -> None:
-        if self._largest is not None and not (self._largest < key):
+        if self._largest is not None and not (self._largest.sort_key < key.sort_key):
             raise InvalidArgumentError(
                 f"sstable entries out of order: {self._largest!r} then {key!r}"
             )

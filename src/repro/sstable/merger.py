@@ -54,7 +54,7 @@ def merging_iterator(
         return
     step = cpu.iterator_step
     for entry in merged:
-        account.charge(cpu.charge("iterator_step", step))
+        account.charge_cpu(cpu, "iterator_step", step)
         yield entry
 
 

@@ -19,6 +19,7 @@ they bypass page-cache insertion.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from typing import Hashable, Iterator, List, Optional, Tuple
 
@@ -37,48 +38,22 @@ from repro.sstable.format import (
 )
 from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE, InternalKey
 
-#: Sentinel "offset" under which a table's parsed metadata lives in the
+#: Sentinel "offset" under which an opened table's reader lives in the
 #: decoded cache.  Real block offsets are non-negative, so it can't collide.
 _META_OFFSET = -1
 
-#: Rough per-index-entry host overhead when budgeting cached metadata.
+#: Rough per-index-entry host overhead when budgeting a cached reader.
 _INDEX_ENTRY_OVERHEAD = 96
 
 
-class _TableMeta:
-    """Parsed footer + index + bloom of one sstable, decoded-cache resident.
-
-    Lets a table-cache miss reopen a reader without re-running
-    ``decode_index``/``BloomFilter.decode``; the reopen still charges the
-    exact simulated reads ``open`` would issue.
-    """
-
-    __slots__ = (
-        "footer",
-        "index",
-        "index_keys",
-        "index_sks",
-        "bloom",
-        "load_bloom",
-        "nbytes",
-    )
-
-    def __init__(self, footer, index, index_keys, index_sks, bloom, load_bloom) -> None:
-        self.footer = footer
-        self.index = index
-        self.index_keys = index_keys
-        self.index_sks = index_sks
-        self.bloom = bloom
-        self.load_bloom = load_bloom
-        self.nbytes = (
-            footer.index_size
-            + footer.filter_size
-            + _INDEX_ENTRY_OVERHEAD * len(index)
-        )
-
-
 class SSTableReader:
-    """Random and sequential access to one immutable sstable."""
+    """Random and sequential access to one immutable sstable.
+
+    The parsed table — footer, index, bloom — is this object and nothing
+    else: a decoded cache, when attached, retains it (under
+    ``_META_OFFSET``, charged ``nbytes`` against the byte budget), and
+    :meth:`open` hands it back to an engine whose table cache evicted it.
+    """
 
     def __init__(
         self,
@@ -90,28 +65,26 @@ class SSTableReader:
         file_size: int,
         block_cache: Optional[DecodedBlockCache] = None,
         cache_key: Optional[Hashable] = None,
-        index_keys: Optional[List[InternalKey]] = None,
-        index_sks: Optional[List[tuple]] = None,
         zero_copy: bool = True,
+        load_bloom: bool = True,
     ) -> None:
         self._storage = storage
         self.name = name
         self._footer = footer
         self._index = index
-        self._index_keys = (
-            index_keys if index_keys is not None else [entry.last_key for entry in index]
-        )
+        self._index_keys = [entry.last_key for entry in index]
         #: Sort-key tuples of ``_index_keys``: bisecting a tuple list is a
         #: pure C comparison per step (no InternalKey.__lt__ frames).
-        #: Shared through _TableMeta, so reopens don't rebuild it.
-        self._index_sks = (
-            index_sks
-            if index_sks is not None
-            else [key.sort_key for key in self._index_keys]
-        )
+        self._index_sks = [key.sort_key for key in self._index_keys]
         self.bloom = bloom
+        self._load_bloom = load_bloom
         self.file_size = file_size
-        self._block_cache = block_cache
+        #: Weak: the cache retains this reader, and a reader that owned
+        #: the cache back would close a cycle keeping every decoded block
+        #: of a discarded store alive until the cyclic collector runs.
+        self._block_cache = (
+            weakref.ref(block_cache) if block_cache is not None else None
+        )
         #: When set, block decode keeps values as memoryview slices into
         #: the raw block; ``get`` (and the engine scan paths) materialize
         #: bytes only for the value actually returned.
@@ -119,6 +92,21 @@ class SSTableReader:
         #: Decoded-cache namespace for this table (the engine passes its
         #: file number); defaults to the file name for standalone readers.
         self._cache_key: Hashable = cache_key if cache_key is not None else name
+        #: Decoded-cache budget charge of the retained reader.
+        self.nbytes = (
+            footer.index_size
+            + footer.filter_size
+            + _INDEX_ENTRY_OVERHEAD * len(index)
+        )
+        #: The reads :meth:`open` issued — footer, index, filter — which
+        #: reopening the retained reader charges again.
+        spans = [
+            (file_size - FOOTER_SIZE, FOOTER_SIZE),
+            (footer.index_offset, footer.index_size),
+        ]
+        if bloom is not None:
+            spans.append((footer.filter_offset, footer.filter_size))
+        self._open_reads = storage.plan_reads(name, spans)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -135,39 +123,29 @@ class SSTableReader:
     ) -> "SSTableReader":
         """Read footer + index (+ bloom) and return a ready reader.
 
-        When the engine's decoded cache holds this table's parsed
-        metadata (a previous open cached it before the table cache
-        evicted the reader), the reopen skips ``decode_index`` and
-        ``BloomFilter.decode`` — but still charges the identical
-        simulated footer/index/filter reads through ``charge_read``.
+        When the decoded cache still holds the reader an earlier open of
+        this table built (the engine's table cache evicted it since),
+        that reader is the result: nothing is read, checked or parsed
+        again, but the identical simulated footer/index/filter reads are
+        charged, as one ``charge_reads`` call.  It is reused only for the
+        storage, name and options it was built with; anything else, and
+        every open without a cache, reads and verifies the file.
         """
         size = storage.size(name)
         if size < FOOTER_SIZE:
             raise CorruptionError(f"sstable too small: {name}")
         ckey: Hashable = cache_key if cache_key is not None else name
         if block_cache is not None:
-            meta = block_cache.get(ckey, _META_OFFSET)
-            if meta is not None and meta.load_bloom == load_bloom:
-                footer = meta.footer
-                storage.charge_read(name, size - FOOTER_SIZE, FOOTER_SIZE, account)
-                storage.charge_read(name, footer.index_offset, footer.index_size, account)
-                if load_bloom and footer.filter_size:
-                    storage.charge_read(
-                        name, footer.filter_offset, footer.filter_size, account
-                    )
-                return cls(
-                    storage,
-                    name,
-                    footer,
-                    meta.index,
-                    meta.bloom,
-                    size,
-                    block_cache=block_cache,
-                    cache_key=ckey,
-                    index_keys=meta.index_keys,
-                    index_sks=meta.index_sks,
-                    zero_copy=zero_copy,
-                )
+            reader = block_cache.get(ckey, _META_OFFSET)
+            if (
+                reader is not None
+                and reader._storage is storage
+                and reader.name == name
+                and reader._load_bloom == load_bloom
+                and reader._zero_copy == zero_copy
+            ):
+                storage.charge_reads(name, reader._open_reads, account)
+                return reader
         footer = Footer.decode(storage.read(name, size - FOOTER_SIZE, FOOTER_SIZE, account))
         index_raw = storage.read(name, footer.index_offset, footer.index_size, account)
         index = decode_index(index_raw)
@@ -187,20 +165,10 @@ class SSTableReader:
             block_cache=block_cache,
             cache_key=ckey,
             zero_copy=zero_copy,
+            load_bloom=load_bloom,
         )
         if block_cache is not None:
-            block_cache.put(
-                ckey,
-                _META_OFFSET,
-                _TableMeta(
-                    footer,
-                    index,
-                    reader._index_keys,
-                    reader._index_sks,
-                    bloom,
-                    load_bloom,
-                ),
-            )
+            block_cache.put(ckey, _META_OFFSET, reader)
         return reader
 
     # ------------------------------------------------------------------
@@ -241,7 +209,7 @@ class SSTableReader:
         if self.bloom is None:
             return True
         cpu = self._storage.cpu
-        account.charge(cpu.charge("bloom_check", cpu.bloom_check))
+        account.charge_cpu(cpu, "bloom_check", cpu.bloom_check)
         if h is None:
             return self.bloom.may_contain(user_key)
         return self.bloom.may_contain_hash(h)
@@ -262,8 +230,10 @@ class SSTableReader:
         below would charge (same page-cache touches, same device time,
         same IO statistics).
         """
-        cache = self._block_cache
-        if cache is not None and cache_insert:
+        # A bypassing scan (``cache_insert=False``) runs as if uncached.
+        ref = self._block_cache if cache_insert else None
+        cache = ref() if ref is not None else None
+        if cache is not None:
             block = cache.get(self._cache_key, entry.offset)
             if block is not None:
                 self._storage.charge_read(
@@ -278,7 +248,7 @@ class SSTableReader:
             sequential=sequential,
             cache_insert=cache_insert,
         )
-        if cache is not None and cache_insert:
+        if cache is not None:
             try:
                 entries, keys = decode_block_with_keys(raw, self._zero_copy)
             except CorruptionError:
@@ -309,7 +279,7 @@ class SSTableReader:
         per table.
         """
         cpu = self._storage.cpu
-        account.charge(cpu.charge("sstable_search", cpu.sstable_search))
+        account.charge_cpu(cpu, "sstable_search", cpu.sstable_search)
         if probe is None:
             probe = InternalKey(user_key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
         idx = bisect_left(self._index_sks, probe.sort_key)
@@ -346,7 +316,7 @@ class SSTableReader:
     ]:
         """Iterate entries starting at the first internal key >= probe."""
         cpu = self._storage.cpu
-        account.charge(cpu.charge("sstable_search", cpu.sstable_search))
+        account.charge_cpu(cpu, "sstable_search", cpu.sstable_search)
         idx = bisect_left(self._index_sks, probe.sort_key)
         first = True
         for entry in self._index[idx:]:
@@ -374,7 +344,7 @@ class SSTableReader:
         user key > ``max_user_key`` are skipped.
         """
         cpu = self._storage.cpu
-        account.charge(cpu.charge("sstable_search", cpu.sstable_search))
+        account.charge_cpu(cpu, "sstable_search", cpu.sstable_search)
         for idx in range(len(self._index) - 1, -1, -1):
             if (
                 max_user_key is not None

@@ -15,8 +15,14 @@ _MAX_U32 = (1 << 32) - 1
 _MAX_U64 = (1 << 64) - 1
 
 
+#: The one-byte encodings: lengths and small ids, i.e. most varints written.
+_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
+
+
 def encode_varint32(value: int) -> bytes:
     """Encode ``value`` (0 <= value < 2**32) as a varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if not 0 <= value <= _MAX_U32:
         raise ValueError(f"varint32 out of range: {value}")
     return _encode(value)
@@ -24,6 +30,8 @@ def encode_varint32(value: int) -> bytes:
 
 def encode_varint64(value: int) -> bytes:
     """Encode ``value`` (0 <= value < 2**64) as a varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if not 0 <= value <= _MAX_U64:
         raise ValueError(f"varint64 out of range: {value}")
     return _encode(value)

@@ -126,11 +126,12 @@ class TestPageCacheFileIndex:
         assert not cache._file_pages
 
 
-def _warmed_run(engine="pebblesdb", **option_overrides):
+def _warmed_run(engine="pebblesdb", cache_bytes=None, **option_overrides):
     cfg = standard_config(
         num_keys=2500,
         value_size=256,
         seed=11,
+        cache_bytes=cache_bytes,
         option_overrides={engine: option_overrides} if option_overrides else {},
     )
     run = fresh_run(engine, cfg)
@@ -220,24 +221,208 @@ class TestMetricsNeutrality:
         assert hits_off == 0
         assert with_cache == without_cache
 
+    @pytest.mark.parametrize("engine", ["pebblesdb", "leveldb"])
+    def test_identical_when_reopen_pages_get_evicted(self, engine, monkeypatch):
+        """The same invariant under a 24-page page cache: a reopened
+        reader finds its table's tail pages sometimes resident (one fused
+        charge) and sometimes evicted (the separate charges) — and the
+        run without a decoded cache, which always reads, cannot tell."""
+        fused = {True: 0, False: 0}
+        touch = PageCache.touch_if_resident
+
+        def counting(self, keys, hits):
+            hit = touch(self, keys, hits)
+            fused[hit] += 1
+            return hit
+
+        monkeypatch.setattr(PageCache, "touch_if_resident", counting)
+
+        def observe(block_cache_bytes):
+            run = _warmed_run(
+                engine,
+                cache_bytes=24 * PAGE_SIZE,
+                block_cache_bytes=block_cache_bytes,
+                table_cache_size=4,
+            )
+            run.db.compact_all()
+            read = run.bench.read_random(800)
+            seek = run.bench.seek_random(200, nexts=5)
+            run.db.wait_idle()
+            storage = run.env.storage
+            observed = (
+                run.env.clock.now,
+                storage.stats,
+                storage.cache.stats,
+                list(storage.cache._pages),
+                dict(run.env.cpu.accounting),
+                read.elapsed_seconds,
+                read.extra["found_fraction"],
+                seek.elapsed_seconds,
+            )
+            run.db.close()
+            return observed
+
+        with_cache = observe(32 * 1024 * 1024)
+        assert fused[True] > 0 and fused[False] > 0, fused
+        reopens = dict(fused)
+        without_cache = observe(0)
+        assert fused == reopens, "no decoded cache: every open is a cold open"
+        assert with_cache == without_cache
+
+
+def _write_table(storage=None, name="t.sst"):
+    """A 200-key sstable of small blocks in ``storage`` (a fresh one by
+    default); returns the storage and a foreground account."""
+    from repro.sim.storage import SimulatedStorage
+    from repro.sstable import SSTableBuilder
+
+    if storage is None:
+        storage = SimulatedStorage(cache=PageCache(1 << 20))
+    acct = storage.foreground_account()
+    builder = SSTableBuilder(block_size=256)
+    for i in range(200):
+        builder.add(InternalKey(b"key%04d" % i, i + 1, KIND_PUT), b"v" * 20)
+    blob, _, _ = builder.finish()
+    storage.create(name)
+    storage.append(name, blob, acct)
+    storage.sync(name, acct)
+    return storage, acct
+
+
+class TestRetainedReader:
+    """The decoded cache keeps the opened reader itself; ``open`` hands
+    it back — charging what it first read — only to a caller asking for
+    the same table the same way."""
+
+    _table = staticmethod(_write_table)
+
+    def test_reopen_is_the_retained_reader_and_charges_the_same(self):
+        from repro.sstable import SSTableReader
+
+        def charged(block_cache):
+            storage, acct = self._table()
+            readers = [
+                SSTableReader.open(storage, "t.sst", acct, block_cache=block_cache)
+                for _ in range(3)
+            ]
+            state = (
+                storage.clock.now,
+                acct.seconds,
+                storage.stats,
+                storage.cache.stats,
+                list(storage.cache._pages),
+                dict(storage.cpu.accounting),
+            )
+            return readers, state
+
+        cache = DecodedBlockCache(1 << 20)
+        retained, with_cache = charged(cache)
+        fresh, without_cache = charged(None)
+        assert retained[0] is retained[1] is retained[2]
+        assert len({id(reader) for reader in fresh}) == 3
+        assert with_cache == without_cache
+        assert cache.stats.insertions == 1  # one parsed table, kept once
+
+    def test_reused_only_for_same_storage_name_and_options(self):
+        from repro.sstable import SSTableReader
+
+        storage, acct = self._table()
+        self._table(storage, "other.sst")
+        elsewhere, acct2 = self._table()
+        cache = DecodedBlockCache(1 << 20)
+
+        def open_(storage=storage, name="t.sst", acct=acct, **how):
+            return SSTableReader.open(
+                storage, name, acct, block_cache=cache, cache_key=7, **how
+            )
+
+        for how in (
+            {"storage": elsewhere, "acct": acct2},
+            {"name": "other.sst"},
+            {"load_bloom": False},
+            {"zero_copy": False},
+        ):
+            first = open_()
+            assert open_() is first
+            other = open_(**how)
+            assert other is not first
+            assert open_(**how) is other  # the slot now holds that one
+        assert open_(load_bloom=False).bloom is None
+
+    def test_vanished_or_truncated_file_fails_the_reopen(self):
+        from repro.errors import CorruptionError, StorageError
+        from repro.sstable import SSTableReader
+
+        for damage, error, text in (
+            (lambda data: data[:40], CorruptionError, "too small"),
+            (lambda data: data[: len(data) // 2], StorageError, "out of bounds"),
+            (None, StorageError, "no such file"),
+        ):
+            storage, acct = self._table()
+            cache = DecodedBlockCache(1 << 20)
+            SSTableReader.open(storage, "t.sst", acct, block_cache=cache, cache_key=7)
+            if damage is None:
+                storage.delete("t.sst")
+            else:
+                f = storage._files["t.sst"]
+                f.data = damage(f.data)
+            with pytest.raises(error, match=text):
+                SSTableReader.open(
+                    storage, "t.sst", acct, block_cache=cache, cache_key=7
+                )
+
+    def test_retained_reader_does_not_keep_its_cache_alive(self):
+        """The cache owns the reader, never the other way round: a
+        discarded store's decoded blocks must go with its last reference,
+        not wait for the cyclic collector (they are its largest
+        allocation; ``peak_rss_mb`` of back-to-back stores shows it)."""
+        import gc
+        import weakref
+
+        from repro.sstable import SSTableReader
+
+        storage, acct = self._table()
+        cache = DecodedBlockCache(1 << 20)
+        gc.disable()
+        try:
+            reader = SSTableReader.open(storage, "t.sst", acct, block_cache=cache)
+            reader.get(b"key0000", MAX_SEQUENCE, acct)
+            gone = weakref.ref(cache)
+            del cache
+            assert gone() is None
+        finally:
+            gc.enable()
+        # An outliving reader simply reads uncached.
+        assert reader.get(b"key0100", MAX_SEQUENCE, acct).found
+
+    def test_failed_reopen_leaves_nothing_of_the_file_cached(self):
+        from repro.errors import StorageError
+
+        run = _warmed_run(table_cache_size=1)
+        db = run.db
+        acct = run.env.storage.foreground_account()
+        first, second = sorted(db.sstable_file_numbers())[:2]
+        retained = db._get_reader(first, acct)
+        db._get_reader(second, acct)  # evicts ``first`` from the table cache
+        assert db._get_reader(first, acct) is retained
+        db._get_reader(second, acct)
+        f = run.env.storage._files[db._sst_name(first)]
+        f.data = f.data[: len(f.data) // 2]
+        with pytest.raises(StorageError):
+            db._get_reader(first, acct)
+        assert first not in db._block_cache.cached_files()
+        assert first not in db._table_cache
+        run.db.close()
+
 
 class TestEvictionOnError:
     """A decode failure must purge the file from the decoded cache: stale
     host-side entries for a corrupt or replaced file can never be served."""
 
     def _table(self):
-        from repro.sim.storage import SimulatedStorage
-        from repro.sstable import SSTableBuilder, SSTableReader
+        from repro.sstable import SSTableReader
 
-        storage = SimulatedStorage(cache=PageCache(1 << 20))
-        acct = storage.foreground_account()
-        builder = SSTableBuilder(block_size=256)
-        for i in range(200):
-            builder.add(InternalKey(b"key%04d" % i, i + 1, KIND_PUT), b"v" * 20)
-        blob, _, _ = builder.finish()
-        storage.create("t.sst")
-        storage.append("t.sst", blob, acct)
-        storage.sync("t.sst", acct)
+        storage, acct = _write_table()
         cache = DecodedBlockCache(1 << 20)
         reader = SSTableReader.open(
             storage, "t.sst", acct, block_cache=cache, cache_key=7

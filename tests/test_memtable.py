@@ -1,12 +1,15 @@
 """Skip list and memtable semantics."""
 
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memtable import Memtable, SkipList
-from repro.util.keys import KIND_DELETE, KIND_PUT
+from repro.util.keys import KIND_DELETE, KIND_PUT, InternalKey
+
+_sort_key = attrgetter("sort_key")
 
 
 class TestSkipList:
@@ -55,6 +58,31 @@ class TestSkipList:
         assert [k for k, _ in sl] == sorted(values)
         for probe in list(values)[:20]:
             assert sl.get(probe) == (True, str(probe))
+
+    def test_order_key_orders_internal_keys_as_lt_does(self):
+        """With ``order_key=sort_key`` the list compares tuples in C; the
+        order — equal user keys, differing sequence and kind included —
+        must be exactly the one ``InternalKey.__lt__`` gives."""
+        rng = random.Random(5)
+        keys = {
+            (b"k%02d" % rng.randrange(12), rng.randrange(1, 40), rng.randrange(3))
+            for _ in range(600)
+        }
+        ikeys = [InternalKey(*fields) for fields in sorted(keys)]
+        rng.shuffle(ikeys)
+        by_lt, by_order_key = SkipList(seed=3), SkipList(seed=3, order_key=_sort_key)
+        for ikey in ikeys:
+            by_lt.insert(ikey, ikey.sequence)
+            by_order_key.insert(ikey, ikey.sequence)
+        assert list(by_order_key) == list(by_lt) == [(k, k.sequence) for k in sorted(ikeys)]
+        for probe in ikeys[:50]:
+            assert by_order_key.get(probe) == by_lt.get(probe) == (True, probe.sequence)
+            assert next(by_order_key.seek(probe)) == next(by_lt.seek(probe))
+        absent = InternalKey(b"k05", 99, KIND_PUT)  # newer than any version of k05
+        assert by_order_key.get(absent) == (False, None)
+        assert next(by_order_key.seek(absent)) == next(by_lt.seek(absent))
+        with pytest.raises(ValueError):
+            by_order_key.insert(ikeys[0], 0)
 
 
 class TestMemtable:

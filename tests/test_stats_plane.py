@@ -21,6 +21,7 @@ from repro.errors import BackgroundError, StorageError
 from repro.net.client import ClusterClient
 from repro.net.server import KVServer, ServerConfig
 from repro.obs.admin import aggregate_admin
+from repro.obs.render import report
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.tools.dbbench import main as dbbench_main
 from repro.tools.shell import StoreShell
@@ -80,6 +81,24 @@ class TestOneDefinition:
             assert db.get_property(f"repro.{section}") == aggregate_admin(
                 section, [part]
             )
+
+    def test_table_cache_lookups_are_counted_and_reported(self, lsm_engine, env):
+        db = make_store(lsm_engine, env, table_cache_size=2)
+        lookups = []
+        get_reader = db._get_reader
+
+        def counted(number, account):
+            lookups.append(number)
+            return get_reader(number, account)
+
+        db._get_reader = counted
+        mixed_workload(db)
+        value = db.stats_part()["registry"].value
+        hits, misses = value("read.table_cache_hits"), value("read.table_cache_misses")
+        assert hits > 0 and misses > 0
+        assert hits + misses == len(lookups)
+        assert db.stats_part()["registry"].value("read.table_cache_misses") == misses
+        assert f"table cache: hits={hits} misses={misses} miss-share=" in report(db)
 
     def test_embedded_store_has_no_serving_counters(self, env):
         db = make_store("pebblesdb", env)
