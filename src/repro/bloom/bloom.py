@@ -107,6 +107,13 @@ class BloomFilter:
         num_probes = int.from_bytes(data[12:14], "little")
         keys_added = int.from_bytes(data[14:22], "little")
         array = data[22:]
+        # The constructor never produces anything outside these ranges; a
+        # header that claims to is damage (0 bits divides by zero on the
+        # first probe, 0 probes answers "maybe" to everything).
+        if bits < 64 or not 1 <= num_probes <= 30:
+            raise CorruptionError(
+                f"bloom filter geometry out of range: bits={bits} probes={num_probes}"
+            )
         if len(array) != (bits + 7) // 8:
             raise CorruptionError("bloom filter bit array truncated")
         filt: "BloomFilter" = cls.__new__(cls)
@@ -118,8 +125,30 @@ class BloomFilter:
 
     @classmethod
     def for_keys(cls, keys: Iterable[bytes], bits_per_key: int = 10) -> "BloomFilter":
-        """Build a filter sized for ``keys`` (materializes the iterable)."""
+        """Build a filter sized for ``keys`` (materializes the iterable).
+
+        Bit for bit what :meth:`add` per key produces, without its
+        read-modify-write per probe: each probe position sets one flag
+        byte of a scratch array of ASCII ``0``/``1`` digits, and one
+        ``int(..., 2).to_bytes`` packs the digits into the bit array
+        (linear time; power-of-two bases are exempt from the interpreter's
+        ``int_max_str_digits`` limit).
+        """
         key_list = list(keys)
         filt = cls(len(key_list), bits_per_key)
-        filt.add_all(key_list)
+        bits = filt.bits
+        num_probes = filt.num_probes
+        nbytes = len(filt._array)
+        flags = bytearray(b"0") * (nbytes * 8)
+        for h in map(murmur3_64, key_list):
+            h1 = h & 0xFFFFFFFF
+            h2 = (h >> 32) | 1
+            for pos in range(h1, h1 + num_probes * h2, h2):
+                flags[pos % bits] = 0x31
+        # Bit i of the array is byte i >> 3, bit i & 7: the little-endian
+        # integer whose binary digits, most significant first, are the
+        # flags reversed.
+        flags.reverse()
+        filt._array = bytearray(int(flags, 2).to_bytes(nbytes, "little"))
+        filt.keys_added = len(key_list)
         return filt

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from repro.util.murmur import murmur3_32
+from repro.util.murmur import murmur3_64
 from repro.version.files import FileMetadata
 
 
@@ -53,7 +53,10 @@ class GuardPicker:
         By construction a guard at level *i* is a guard at every level
         > *i*, because ``required_bits`` decreases with depth.
         """
-        bits = trailing_set_bits(murmur3_32(key))
+        # The low half of the memoized bloom digest *is* murmur3_32(key):
+        # the hash a put pays here is the one its flush and every later
+        # compaction reuse, and an overwrite hashes nothing.
+        bits = trailing_set_bits(murmur3_64(key) & 0xFFFFFFFF)
         if bits >= self.required_bits(1):
             return 1
         # required_bits is monotonically decreasing: binary search not

@@ -43,7 +43,7 @@ from repro.sstable import (
     merge_entries,
     merging_iterator,
 )
-from repro.sstable.format import ValuePointer
+from repro.sstable.format import Entry, ValuePointer
 from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_VPTR, InternalKey
 from repro.vlog.log import ValueLog
 from repro.version import (
@@ -57,8 +57,6 @@ from repro.version.files import FileMetadata
 from repro.wal import LogReader, LogWriter, decode_batch, encode_batch
 from repro.engines.compaction import CompactionRunner
 from repro.engines.options import StoreOptions
-
-Entry = Tuple[InternalKey, bytes]
 
 #: Retries a background flush/compaction/MANIFEST append attempts after a
 #: transient I/O fault before declaring a sticky background error.
@@ -564,6 +562,11 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._probe_files = [0] * (self.options.num_levels + 1)
         self._probe_bloom = [0] * (self.options.num_levels + 1)
         self._table_hits = self._table_misses = 0
+        #: Build-lane tallies, bumped once per sstable built: entries the
+        #: builder appended as the encoded record they arrived with, and
+        #: entries it framed itself.  Folded into ``build.records_passed``
+        #: / ``build.records_encoded`` when stats are read.
+        self._records_passed = self._records_encoded = 0
         self._wal_sync_counter = self.registry.counter("wal.syncs")
         self._flush_seconds = self.registry.histogram("flush.seconds")
         self._compaction_seconds = self.registry.histogram("compaction.seconds")
@@ -842,6 +845,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         reg.counter("read.table_cache_hits").value += self._table_hits
         reg.counter("read.table_cache_misses").value += self._table_misses
         self._table_hits = self._table_misses = 0
+        reg.counter("build.records_passed").value += self._records_passed
+        reg.counter("build.records_encoded").value += self._records_encoded
+        self._records_passed = self._records_encoded = 0
         reg.gauge("store.memory_bytes").set(self.memory_bytes())
         reg.gauge("store.sstables").set(len(self.sstable_file_numbers()))
         for level, size in enumerate(self.level_sizes()):
@@ -1539,6 +1545,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Write an ordered entry stream as sstables (the one sstable writer).
 
         ``split_bytes`` caps each output file; None writes a single file.
+        An entry is handed to the builder whole: a memtable's ``(key,
+        value)`` is framed there, a compaction's ``(key, value, record)``
+        is appended as the bytes its input block held.
         Consuming ``entries`` may itself allocate file numbers (value-log
         relocation rotates segments off the same counter), so *when* an
         output takes its number is part of the on-storage result: a
@@ -1550,6 +1559,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
         def finish(builder: SSTableBuilder, number: int) -> None:
             blob, props, _ = builder.finish()
+            self._records_passed += builder.records_passed
+            self._records_encoded += props.num_entries - builder.records_passed
             name = self._sst_name(number)
             self.storage.create(name, charge_factor=opts.compression_ratio)
             if opts.compression_ratio < 1.0:
@@ -1572,8 +1583,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
         if split_bytes is None:
             builder = SSTableBuilder(opts.block_bytes, opts.bloom_bits_per_key)
-            for key, value in entries:
-                builder.add(key, value)
+            add = builder.add
+            for entry in entries:
+                add(*entry)
             if builder.num_entries:
                 finish(builder, self._alloc_file_number())
             return metas
@@ -1582,19 +1594,20 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         number = 0
         pending_split = False
         prev_user_key: Optional[bytes] = None
-        for key, value in entries:
+        for entry in entries:
+            user_key = entry[0].user_key
             # Never split between versions of one user key: two files at
             # the same level sharing a user key would break the disjoint
             # level invariant (matters when snapshots preserve versions).
-            if pending_split and key.user_key != prev_user_key:
+            if pending_split and user_key != prev_user_key:
                 finish(builder, number)
                 builder = None
                 pending_split = False
             if builder is None:
                 number = self._alloc_file_number()
                 builder = SSTableBuilder(opts.block_bytes, opts.bloom_bits_per_key)
-            builder.add(key, value)
-            prev_user_key = key.user_key
+            builder.add(*entry)
+            prev_user_key = user_key
             if builder.estimated_size >= split_bytes:
                 pending_split = True
         if builder is not None:

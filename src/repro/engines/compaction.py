@@ -37,12 +37,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from repro.sim.executor import Job
 from repro.sstable import compaction_iterator, merging_iterator
-from repro.util.keys import InternalKey
+from repro.sstable.format import Entry
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.vlog.log import VlogCompactionContext
-
-Entry = Tuple[InternalKey, bytes]
 
 #: Simulated duration of a metadata-only job (a trivial move).
 MOVE_SECONDS = 1.0e-5
@@ -97,7 +95,9 @@ class CompactionContext:
 
         Shadowed versions no snapshot can see are dropped, tombstones too
         when ``drop_tombstones``; surviving pointers into cold value-log
-        segments are relocated.
+        segments are relocated.  The input scans bypass the decoded cache,
+        so an entry arrives with its encoded record and — unless relocation
+        replaces it — leaves as the same tuple for :meth:`write` to append.
         """
         acct = self.account
         get_reader = self._store._get_reader

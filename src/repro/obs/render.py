@@ -55,7 +55,7 @@ def summary(stats) -> str:
 
 def report(db) -> str:
     """Shell ``stats`` and the dbbench footer: summary, health, table
-    cache, subsystems."""
+    cache, build lane, subsystems."""
     stats = db.stats()
     lines = [summary(stats), f"health={db.get_property('repro.health')}"]
     if stats.degraded:
@@ -66,6 +66,13 @@ def report(db) -> str:
         lines.append(
             f"table cache: hits={hits} misses={misses} "
             f"miss-share={misses / (hits + misses):.3f}"
+        )
+    passed = db.registry.value("build.records_passed")
+    encoded = db.registry.value("build.records_encoded")
+    if passed or encoded:
+        lines.append(
+            f"build: records-passed={passed} records-encoded={encoded} "
+            f"passed-share={passed / (passed + encoded):.3f}"
         )
     for title, name in (
         ("compaction scheduler", "repro.compaction-scheduler"),

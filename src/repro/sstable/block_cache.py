@@ -65,7 +65,7 @@ class DecodedBlock:
         """The block's internal keys, extracted once and memoized."""
         keys = self._keys
         if keys is None:
-            keys = self._keys = [key for key, _ in self.entries]
+            keys = self._keys = [entry[0] for entry in self.entries]
         return keys
 
     def bisect(self, probe: InternalKey) -> int:

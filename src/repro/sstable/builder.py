@@ -8,12 +8,14 @@ from typing import Iterable, List, Optional, Tuple
 from repro.bloom import BloomFilter
 from repro.errors import InvalidArgumentError
 from repro.sstable.format import (
+    BLOCK_TRAILER_SIZE,
     DEFAULT_BLOCK_SIZE,
-    BlockBuilder,
+    Entry,
     Footer,
     IndexEntry,
+    block_trailer,
+    encode_entry,
     encode_index,
-    seal_block,
 )
 from repro.util.keys import InternalKey
 
@@ -42,57 +44,79 @@ class SSTableBuilder:
     ) -> None:
         self._block_size = block_size
         self._bloom_bits = bloom_bits_per_key
-        self._block = BlockBuilder()
+        #: Records of the data block being filled.
+        self._buf = bytearray()
         self._blob = bytearray()
         self._index: List[IndexEntry] = []
         self._user_keys: List[bytes] = []
         self._smallest: Optional[InternalKey] = None
         self._largest: Optional[InternalKey] = None
-        self._num_entries = 0
-        self._raw_key_bytes = 0
         self._raw_value_bytes = 0
+        #: Entries appended as the encoded record they arrived with; the
+        #: rest (``num_entries - records_passed``) were framed here.
+        self.records_passed = 0
 
     # ------------------------------------------------------------------
-    def add(self, key: InternalKey, value: bytes) -> None:
-        if self._largest is not None and not (self._largest.sort_key < key.sort_key):
-            raise InvalidArgumentError(
-                f"sstable entries out of order: {self._largest!r} then {key!r}"
-            )
-        if self._smallest is None:
+    def add(
+        self, key: InternalKey, value: bytes, record: Optional[bytes] = None
+    ) -> None:
+        """Append one entry.
+
+        ``record`` is the entry's encoded form as a block decode handed it
+        out (``decode_block(..., records=True)``), i.e. exactly the bytes
+        :func:`encode_entry` would produce for ``key`` and ``value``; it
+        is appended as is.  Without one the entry is framed here.
+        """
+        largest = self._largest
+        if largest is None:
             self._smallest = key
+        elif not (largest.sort_key < key.sort_key):
+            raise InvalidArgumentError(
+                f"sstable entries out of order: {largest!r} then {key!r}"
+            )
         self._largest = key
-        self._block.add(key, value)
+        buf = self._buf
+        if record is None:
+            buf += encode_entry(key, value)
+        else:
+            buf += record
+            self.records_passed += 1
         self._user_keys.append(key.user_key)
-        self._num_entries += 1
-        self._raw_key_bytes += len(key.user_key)
         self._raw_value_bytes += len(value)
-        if self._block.size_bytes >= self._block_size:
+        if len(buf) >= self._block_size:
             self._flush_block()
 
-    def add_all(self, entries: Iterable[Tuple[InternalKey, bytes]]) -> None:
-        for key, value in entries:
-            self.add(key, value)
+    def add_all(self, entries: Iterable[Entry]) -> None:
+        for entry in entries:
+            self.add(*entry)
 
     @property
     def num_entries(self) -> int:
-        return self._num_entries
+        return len(self._user_keys)
 
     @property
     def estimated_size(self) -> int:
-        return len(self._blob) + self._block.size_bytes
+        return len(self._blob) + len(self._buf)
 
     # ------------------------------------------------------------------
     def _flush_block(self) -> None:
-        if self._block.count == 0:
+        buf = self._buf
+        if not buf:
             return
-        data = seal_block(self._block.finish())
-        self._index.append(IndexEntry(self._block.last_key, len(self._blob), len(data)))
-        self._blob += data
-        self._block.reset()
+        blob = self._blob
+        offset = len(blob)
+        blob += buf
+        blob += block_trailer(buf)
+        assert self._largest is not None
+        self._index.append(
+            IndexEntry(self._largest, offset, len(buf) + BLOCK_TRAILER_SIZE)
+        )
+        buf.clear()
 
     def finish(self) -> Tuple[bytes, TableProperties, BloomFilter]:
         """Returns ``(file bytes, properties, bloom filter)``."""
-        if self._num_entries == 0:
+        num_entries = len(self._user_keys)
+        if num_entries == 0:
             raise InvalidArgumentError("cannot build an empty sstable")
         self._flush_block()
         bloom = BloomFilter.for_keys(self._user_keys, self._bloom_bits)
@@ -107,16 +131,16 @@ class SSTableBuilder:
             index_size=len(index_block),
             filter_offset=filter_offset,
             filter_size=len(filter_block),
-            num_entries=self._num_entries,
+            num_entries=num_entries,
         )
         self._blob += footer.encode()
         assert self._smallest is not None and self._largest is not None
         props = TableProperties(
             smallest=self._smallest,
             largest=self._largest,
-            num_entries=self._num_entries,
+            num_entries=num_entries,
             file_size=len(self._blob),
-            raw_key_bytes=self._raw_key_bytes,
+            raw_key_bytes=sum(map(len, self._user_keys)),
             raw_value_bytes=self._raw_value_bytes,
         )
         return bytes(self._blob), props, bloom

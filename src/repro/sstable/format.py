@@ -22,7 +22,7 @@ number and a CRC over the header fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import CorruptionError
 from repro.util.crc import crc32c, mask_crc, unmask_crc
@@ -42,76 +42,78 @@ from repro.util.varint import (
 #: Target uncompressed payload per data block.
 DEFAULT_BLOCK_SIZE = 4096
 
+#: ``(key, value)``, or ``(key, value, record)`` out of a block decoded
+#: with ``records`` (see :func:`decode_block_with_keys`).  Whoever passes
+#: an entry on unchanged passes on the same tuple; whoever changes the
+#: value makes a new ``(key, value)``, so a record never outlives the
+#: value it encodes.
+Entry = Union[Tuple[InternalKey, bytes], Tuple[InternalKey, bytes, memoryview]]
+
 _MAGIC = 0x50454242_4C455342  # "PEBBLESB"
 FOOTER_SIZE = 8 * 5 + 8 + 4  # five u64 fields + magic + masked crc
 
 
-class BlockBuilder:
-    """Accumulates records for one data block."""
+def encode_entry(key: InternalKey, value: bytes) -> bytes:
+    """One data-block record: ``varint32 klen | packed key | varint32 vlen | value``.
 
-    __slots__ = ("_buf", "_count", "_first_key", "_last_key")
+    The only place the record framing is written down.  Both length
+    varints come out in minimal form, which is what lets a block decode
+    hand an unchanged record back to a builder (see
+    :func:`decode_block_with_keys`).
+    """
+    packed = pack_internal_key(key)
+    return b"".join(
+        (encode_varint32(len(packed)), packed, encode_varint32(len(value)), value)
+    )
+
+
+class BlockBuilder:
+    """Accumulates records for one data block (the payload
+    :func:`seal_block` checksums); ``SSTableBuilder`` keeps its own buffer
+    and shares only :func:`encode_entry` with this."""
+
+    __slots__ = ("_buf",)
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        self._count = 0
-        self._first_key: InternalKey = None  # type: ignore[assignment]
-        self._last_key: InternalKey = None  # type: ignore[assignment]
 
     def add(self, key: InternalKey, value: bytes) -> None:
-        packed = pack_internal_key(key)
-        self._buf += encode_varint32(len(packed))
-        self._buf += packed
-        self._buf += encode_varint32(len(value))
-        self._buf += value
-        if self._count == 0:
-            self._first_key = key
-        self._last_key = key
-        self._count += 1
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self._buf)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def last_key(self) -> InternalKey:
-        return self._last_key
+        self._buf += encode_entry(key, value)
 
     def finish(self) -> bytes:
         return bytes(self._buf)
-
-    def reset(self) -> None:
-        self._buf.clear()
-        self._count = 0
-        self._first_key = None  # type: ignore[assignment]
-        self._last_key = None  # type: ignore[assignment]
 
 
 BLOCK_TRAILER_SIZE = 4
 
 
+def block_trailer(payload: bytes) -> bytes:
+    """The masked CRC that follows a data block's payload."""
+    return mask_crc(crc32c(payload)).to_bytes(BLOCK_TRAILER_SIZE, "little")
+
+
 def seal_block(payload: bytes) -> bytes:
     """Append the masked CRC trailer to a data block's payload."""
-    return payload + mask_crc(crc32c(payload)).to_bytes(4, "little")
+    return payload + block_trailer(payload)
 
 
 def decode_block(
-    data: bytes, zero_copy: bool = False
-) -> List[Tuple[InternalKey, bytes]]:
-    """Verify and parse one data block into ``(internal key, value)``s."""
-    return decode_block_with_keys(data, zero_copy)[0]
+    data: bytes, zero_copy: bool = False, records: bool = False
+) -> List[Entry]:
+    """Verify and parse one data block into entries, without a key array."""
+    return decode_block_with_keys(data, zero_copy, records, with_keys=False)[0]
 
 
 def decode_block_with_keys(
-    data: bytes, zero_copy: bool = False
-) -> Tuple[List[Tuple[InternalKey, bytes]], List[InternalKey]]:
+    data: bytes,
+    zero_copy: bool = False,
+    records: bool = False,
+    with_keys: bool = True,
+) -> Tuple[List[Entry], Optional[List[InternalKey]]]:
     """Verify and parse one data block, returning entries and key array.
 
-    The key array (``[key for key, _ in entries]``) is built during the
-    same parse pass; the decoded-block cache stores it alongside the
+    The key array (``[key for key, _ in entries]``, None unless
+    ``with_keys``) is what the decoded-block cache stores alongside the
     entries so point lookups bisect without rebuilding it per probe.
 
     With ``zero_copy`` the values are returned as read-only
@@ -119,10 +121,21 @@ def decode_block_with_keys(
     ``bytes`` copies — callers materialize (``bytes(value)``) only the
     value they actually hand out.  User keys are always materialized:
     they participate in orderings (bisect, merge heaps) that memoryviews
-    do not support against ``bytes``.  Both modes raise identical
-    :class:`CorruptionError`\\ s on damaged input; the varint and
-    internal-key parsing is inlined because this loop dominates the
-    wall-clock cost of an uncached point read.
+    do not support against ``bytes``.
+
+    With ``records`` an entry is ``(key, value, record)`` where ``record``
+    is the memoryview slice of the checksummed payload holding that
+    entry's ``klen | packed key | vlen | value`` — exactly what
+    :func:`encode_entry` would write for it, so a builder may append it
+    instead of framing the entry again.  That holds only when both length
+    varints are in minimal form (the only form this writer emits); an
+    entry framed any other way comes back as a plain ``(key, value)`` and
+    is re-encoded like any entry without a record.
+
+    Every mode raises identical :class:`CorruptionError`\\ s on damaged
+    input; the varint and internal-key parsing is inlined because this
+    loop dominates the wall-clock cost of an uncached point read and of a
+    compaction's input side.
     """
     nbytes = len(data)
     if nbytes < BLOCK_TRAILER_SIZE:
@@ -132,20 +145,29 @@ def decode_block_with_keys(
     payload = view[:end]
     if crc32c(payload) != unmask_crc(int.from_bytes(view[end:], "little")):
         raise CorruptionError("data block checksum mismatch")
-    out: List[Tuple[InternalKey, bytes]] = []
-    keys: List[InternalKey] = []
+    out: List[Entry] = []
     entry_append = out.append
-    key_append = keys.append
     from_bytes = int.from_bytes
     offset = 0
     while offset < end:
-        # Inlined varint32 (klen); lengths are almost always one byte.
+        # Where this entry's record starts; -1 once a length varint turns
+        # out not to be in minimal form.
+        start = offset
+        # Inlined varint32 (klen): one byte, or two in minimal form.  The
+        # byte after ``offset`` always exists: the trailer follows.
         byte = data[offset]
         if byte < 0x80:
             klen = byte
             offset += 1
         else:
-            klen, offset = decode_varint32(data, offset)
+            second = data[offset + 1]
+            if 0 < second < 0x80:
+                klen = (byte & 0x7F) | (second << 7)
+                offset += 2
+            else:
+                klen, offset = decode_varint32(data, offset)
+                if not data[offset - 1]:
+                    start = -1
         key_end = offset + klen
         if key_end > end:
             raise CorruptionError("data block key overruns block")
@@ -158,20 +180,31 @@ def decode_block_with_keys(
             raise CorruptionError(f"bad internal key kind: {kind}")
         key = InternalKey(bytes(view[offset : key_end - 8]), trailer >> 8, kind)
         offset = key_end
+        # Inlined varint32 (vlen); a key ending the payload has none, and
+        # the general decoder says so.
         byte = data[offset] if offset < end else 0x80
         if byte < 0x80:
             vlen = byte
             offset += 1
         else:
-            vlen, offset = decode_varint32(data, offset)
+            second = data[offset + 1] if offset < end else 0
+            if 0 < second < 0x80:
+                vlen = (byte & 0x7F) | (second << 7)
+                offset += 2
+            else:
+                vlen, offset = decode_varint32(data, offset)
+                if not data[offset - 1]:
+                    start = -1
         value_end = offset + vlen
         if value_end > end:
             raise CorruptionError("data block value overruns block")
         value = payload[offset:value_end] if zero_copy else bytes(view[offset:value_end])
-        entry_append((key, value))
-        key_append(key)
+        if records and start >= 0:
+            entry_append((key, value, payload[start:value_end]))
+        else:
+            entry_append((key, value))
         offset = value_end
-    return out, keys
+    return out, [entry[0] for entry in out] if with_keys else None
 
 
 @dataclass(frozen=True)
@@ -233,9 +266,14 @@ def encode_index(entries: List[IndexEntry]) -> bytes:
 def decode_index(data: bytes) -> List[IndexEntry]:
     out: List[IndexEntry] = []
     offset = 0
-    while offset < len(data):
-        klen, offset = decode_varint32(data, offset)
-        if offset + klen > len(data):
+    end = len(data)
+    while offset < end:
+        klen = data[offset]
+        if klen < 0x80:  # the usual one-byte length
+            offset += 1
+        else:
+            klen, offset = decode_varint32(data, offset)
+        if offset + klen > end:
             raise CorruptionError("index entry key overruns block")
         key = unpack_internal_key(data[offset : offset + klen])
         offset += klen

@@ -7,19 +7,22 @@ the heap on ``InternalKey.sort_key`` so comparisons are C tuple compares.
 ``compaction_iterator`` additionally collapses shadowed versions and
 garbage-collects tombstones at the bottom level — the only place a delete
 may be forgotten without resurrecting older versions.
+
+An entry is opaque here beyond ``entry[0]`` (its key): both iterators pass
+a surviving entry on as the tuple object it arrived as, so the encoded
+record a compaction's input scan attached reaches the builder untouched.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.sim.storage import IoAccount
 from repro.sim.cpu import CpuCosts
+from repro.sstable.format import Entry
 from repro.util.keys import KIND_DELETE, InternalKey
-
-Entry = Tuple[InternalKey, bytes]
 
 
 def _entry_sort_key(entry: Entry) -> tuple:
@@ -84,7 +87,8 @@ def compaction_iterator(
     boundaries = sorted(snapshots)
     prev_user_key: Optional[bytes] = None
     prev_kept_seq = 0
-    for key, value in merged:
+    for entry in merged:
+        key = entry[0]
         if key.user_key != prev_user_key:
             prev_user_key = key.user_key
             prev_kept_seq = key.sequence
@@ -95,16 +99,16 @@ def compaction_iterator(
                 # present-time readers.
                 if not boundaries or boundaries[0] >= key.sequence:
                     if on_drop is not None:
-                        on_drop(key, value)
+                        on_drop(key, entry[1])
                     continue
-            yield key, value
+            yield entry
             continue
         # An older version of the same user key: visible to a snapshot?
         if _visible_to_some_snapshot(boundaries, key.sequence, prev_kept_seq):
             prev_kept_seq = key.sequence
-            yield key, value
+            yield entry
         elif on_drop is not None:
-            on_drop(key, value)
+            on_drop(key, entry[1])
 
 
 def _visible_to_some_snapshot(boundaries: Sequence[int], seq: int, newer_seq: int) -> bool:

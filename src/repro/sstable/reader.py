@@ -30,6 +30,7 @@ from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable.block_cache import DecodedBlock, DecodedBlockCache
 from repro.sstable.format import (
     FOOTER_SIZE,
+    Entry,
     Footer,
     IndexEntry,
     decode_block,
@@ -261,8 +262,12 @@ class SSTableReader:
             cache.put(self._cache_key, entry.offset, block)
             return block
         # Not retained: skip the key-array pass (scans never bisect, and
-        # a one-shot probe bisects with ``key=`` instead).
-        return DecodedBlock(decode_block(raw, self._zero_copy), len(raw))
+        # a one-shot probe bisects with ``key=`` instead).  A bypassing
+        # scan feeds a builder, so its entries carry their encoded records;
+        # nothing a user read can reach ever does.
+        return DecodedBlock(
+            decode_block(raw, self._zero_copy, records=not cache_insert), len(raw)
+        )
 
     def get(
         self,
@@ -301,10 +306,16 @@ class SSTableReader:
         return GetResult(False, False, None)
 
     # ------------------------------------------------------------------
-    def iter_all(self, account: IoAccount, *, cache_insert: bool = True) -> Iterator[
-        Tuple[InternalKey, bytes]
-    ]:
-        """Scan every entry in order (compactions use cache_insert=False)."""
+    def iter_all(
+        self, account: IoAccount, *, cache_insert: bool = True
+    ) -> Iterator[Entry]:
+        """Scan every entry in order.
+
+        Compactions pass ``cache_insert=False``: the scan bypasses the
+        decoded cache and yields ``(key, value, record)`` — see
+        :func:`repro.sstable.format.decode_block_with_keys` — for every
+        entry whose framing is the writer's own.
+        """
         for entry in self._index:
             block = self._decoded_block(
                 entry, account, sequential=True, cache_insert=cache_insert

@@ -23,6 +23,8 @@ def encode_varint32(value: int) -> bytes:
     """Encode ``value`` (0 <= value < 2**32) as a varint."""
     if 0 <= value < 0x80:
         return _ONE_BYTE[value]
+    if 0x80 <= value < 0x4000:  # every 1 KiB value length lands here
+        return bytes((value & 0x7F | 0x80, value >> 7))
     if not 0 <= value <= _MAX_U32:
         raise ValueError(f"varint32 out of range: {value}")
     return _encode(value)
@@ -32,6 +34,8 @@ def encode_varint64(value: int) -> bytes:
     """Encode ``value`` (0 <= value < 2**64) as a varint."""
     if 0 <= value < 0x80:
         return _ONE_BYTE[value]
+    if 0x80 <= value < 0x4000:
+        return bytes((value & 0x7F | 0x80, value >> 7))
     if not 0 <= value <= _MAX_U64:
         raise ValueError(f"varint64 out of range: {value}")
     return _encode(value)

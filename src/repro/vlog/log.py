@@ -445,12 +445,17 @@ class VlogCompactionContext:
         The old record's bytes become dead (it now has a fresh copy in
         the active segment), which is what drives a cold segment toward
         fully-dead and retirement.
+
+        An untouched entry goes on as the object it came in as (encoded
+        record and all); a relocated one is a new ``(key, value)``, so
+        the record of the old pointer is dropped with it.
         """
         vlog = self._vlog
         cold = self._cold
-        for key, value in stream:
+        for entry in stream:
+            key = entry[0]
             if key.kind == KIND_VPTR:
-                pointer = ValuePointer.decode(bytes(value))
+                pointer = ValuePointer.decode(bytes(entry[1]))
                 if pointer.segment in cold:
                     _, user_value, _ = vlog.read_record(pointer, self._account)
                     new_pointer = vlog.append(
@@ -462,7 +467,7 @@ class VlogCompactionContext:
                     self.relocated_records += 1
                     yield key, new_pointer.encode()
                     continue
-            yield key, value
+            yield entry
 
     def on_drop(self, key, value) -> None:
         """``compaction_iterator`` drop hook: a dropped pointer's record

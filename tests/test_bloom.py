@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bloom import BloomFilter
 from repro.errors import CorruptionError
+from repro.util.murmur import murmur3_64
 
 
 class TestMembership:
@@ -58,6 +59,74 @@ class TestCodec:
         filt = BloomFilter.for_keys([b"a", b"b"])
         with pytest.raises(CorruptionError):
             BloomFilter.decode(filt.encode()[:-3])
+
+    @staticmethod
+    def _with_header(bits=None, num_probes=None):
+        """A valid 100-key filter block with header fields overwritten
+        (and the bit array resized to match ``bits``)."""
+        data = bytearray(BloomFilter.for_keys([b"k%d" % i for i in range(100)]).encode())
+        if bits is not None:
+            data[4:12] = bits.to_bytes(8, "little")
+            data[22:] = bytes((bits + 7) // 8)
+        if num_probes is not None:
+            data[12:14] = num_probes.to_bytes(2, "little")
+        return bytes(data)
+
+    def test_decode_rejects_zero_bits(self):
+        # Used to decode, then divide by zero on the first probe.
+        with pytest.raises(CorruptionError, match="geometry"):
+            BloomFilter.decode(self._with_header(bits=0))
+        with pytest.raises(CorruptionError, match="geometry"):
+            BloomFilter.decode(self._with_header(bits=63))
+        BloomFilter.decode(self._with_header(bits=64)).may_contain(b"x")
+
+    def test_decode_rejects_zero_probes(self):
+        # Used to decode to a filter answering "maybe" to everything.
+        with pytest.raises(CorruptionError, match="geometry"):
+            BloomFilter.decode(self._with_header(num_probes=0))
+
+    def test_decode_rejects_too_many_probes(self):
+        # Used to decode to a filter spending milliseconds per probe.
+        with pytest.raises(CorruptionError, match="geometry"):
+            BloomFilter.decode(self._with_header(num_probes=60000))
+        with pytest.raises(CorruptionError, match="geometry"):
+            BloomFilter.decode(self._with_header(num_probes=31))
+        assert BloomFilter.decode(self._with_header(num_probes=30)).num_probes == 30
+
+
+class TestPackedBuild:
+    """``for_keys`` packs the bit array in one call; ``add`` is the kept
+    reference it must match bit for bit."""
+
+    @pytest.mark.parametrize("bits_per_key", [1, 10, 16])
+    @pytest.mark.parametrize("num_keys", [0, 1, 7, 85, 1000])
+    def test_for_keys_equals_add_loop(self, num_keys, bits_per_key):
+        keys = [b"user%09d" % (i * 31 % max(1, num_keys - 3)) for i in range(num_keys)]
+        assert num_keys < 7 or len(set(keys)) < len(keys)  # duplicates included
+        reference = BloomFilter(len(keys), bits_per_key)
+        for key in keys:
+            reference.add(key)
+        packed = BloomFilter.for_keys(iter(keys), bits_per_key)
+        assert packed._array == reference._array
+        assert type(packed._array) is bytearray
+        assert (packed.bits, packed.num_probes) == (reference.bits, reference.num_probes)
+        assert packed.keys_added == reference.keys_added == num_keys
+        assert packed.encode() == reference.encode()
+        clone = BloomFilter.decode(packed.encode())
+        probes = [murmur3_64(b"probe%d" % i) for i in range(300)]
+        probes += [murmur3_64(key) for key in keys]
+        assert [clone.may_contain_hash(h) for h in probes] == [
+            reference.may_contain_hash(h) for h in probes
+        ]
+        assert all(clone.may_contain(key) for key in keys)
+
+    def test_spare_bits_of_the_last_byte_stay_zero(self):
+        filt = BloomFilter.for_keys([b"k%d" % i for i in range(7)], bits_per_key=10)
+        assert filt.bits == 70 and len(filt._array) == 9
+        assert filt._array[-1] >> (70 - 64) == 0
+        # A later add still lands on the packed array.
+        filt.add(b"one more")
+        assert filt.may_contain(b"one more") and filt.keys_added == 8
 
 
 class TestSizing:

@@ -64,6 +64,67 @@ class TestBoundaries:
             encode_varint32(2**32)
 
 
+def _reference_encode(value):
+    """Byte-at-a-time varint: what both encoders must equal everywhere."""
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+class TestFastPaths:
+    """The one- and two-byte encoder branches and the block decoder's
+    inlined one- and two-byte lengths, on both sides of each boundary."""
+
+    BOUNDARIES = (0, 1, 126, 127, 128, 129, 255, 256, 16382, 16383, 16384, 16385)
+
+    @pytest.mark.parametrize("encode", [encode_varint32, encode_varint64])
+    def test_boundaries_equal_the_reference(self, encode):
+        for value in self.BOUNDARIES + (2**21 - 1, 2**21, 2**32 - 1):
+            data = encode(value)
+            assert data == _reference_encode(value)
+            assert decode_varint64(data) == (value, len(data))
+        assert [len(encode(v)) for v in (127, 128, 16383, 16384)] == [1, 2, 2, 3]
+
+    @given(st.integers(min_value=0, max_value=2**16))
+    def test_small_values_equal_the_reference(self, value):
+        assert encode_varint32(value) == encode_varint64(value) == _reference_encode(value)
+
+    def test_out_of_range_still_raises_past_the_fast_path(self):
+        for value in (-1, -127, -128, -16384, -(2**40)):
+            with pytest.raises(ValueError):
+                encode_varint32(value)
+            with pytest.raises(ValueError):
+                encode_varint64(value)
+        for value in (2**32, 2**32 + 128, 2**64):
+            with pytest.raises(ValueError):
+                encode_varint32(value)
+        encode_varint64(2**32)
+        with pytest.raises(ValueError):
+            encode_varint64(2**64)
+
+    def test_lengths_round_trip_through_the_inlined_block_decoder(self):
+        from repro.sstable.format import decode_block, encode_entry, seal_block
+        from repro.util.keys import KIND_PUT, InternalKey
+
+        for length in self.BOUNDARIES:
+            # Value lengths hit vlen directly; a user key of ``length - 8``
+            # bytes puts klen on the same boundary.
+            user_key = b"k" * max(1, length - 8)
+            key = InternalKey(user_key, 42, KIND_PUT)
+            value = b"v" * length
+            block = seal_block(encode_entry(key, value) + encode_entry(
+                InternalKey(user_key + b"z", 41, KIND_PUT), b""
+            ))
+            for records in (False, True):
+                first, second = decode_block(block, zero_copy=True, records=records)
+                assert (first[0], bytes(first[1])) == (key, value)
+                assert second[0].user_key == user_key + b"z" and bytes(second[1]) == b""
+                assert len(first) == len(second) == (3 if records else 2)
+
+
 class TestCorruption:
     def test_truncated(self):
         data = encode_varint64(2**40)[:-1]
