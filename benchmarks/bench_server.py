@@ -338,7 +338,7 @@ def _wall_driver_main(port: int, shard: int, indices: List[int], conn) -> None:
 
 
 async def _run_process_wall(workers: int, num_keys: int, reads: int) -> Dict[str, object]:
-    """Fill a process-mode cluster (untimed, via the relay), then measure
+    """Fill a process-mode cluster (untimed, through a ClusterClient), then measure
     wall-clock read throughput with one direct driver process per worker."""
     server = ProcessKVServer(
         ServerConfig(

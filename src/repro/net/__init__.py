@@ -16,7 +16,8 @@ key-value service.  Four layers, bottom to top:
   graceful degraded-mode responses, and a pooling/pipelining client with
   retry/backoff and idempotent (deduplicated) write retries;
 * :mod:`repro.net.mp` — the multiprocessing serving mode: one worker
-  process per shard behind a relaying parent, turning the simulated
+  process per shard, dialled directly by clients that learn the workers'
+  addresses from the parent's HELLO routes, turning the simulated
   shard scaling into wall-clock multi-core scaling.  The parent keeps a
   durable per-shard ship log of acknowledged commits, supervises worker
   death/hangs with auto-restart + replay, and supports graceful shard

@@ -8,15 +8,26 @@ connection), routes every operation through the
 response, and splits scans and write batches into per-shard pieces whose
 results are merged back transparently.
 
+Against a process-mode server the HELLO reply also carries one
+:class:`~repro.net.protocol.Route` per shard.  The client then keeps a
+pool *per shard*, dialled straight to the worker that serves it, and the
+connections to the server it was opened on carry only HELLO and
+``Op.ADMIN``.  It caches no route beyond its open connections: whenever
+a shard's pool slot has no live connection it asks again (one more
+HELLO, ``ClientStats.route_refreshes``) and dials what the answer says.
+
 Failures map onto the PR 2 fault taxonomy one layer up:
 
-* connection loss or a damaged frame → :class:`TransientNetError`; the
-  client reconnects, backs off exponentially, and retries the *same*
+* connection loss, a damaged frame, a refused dial, or a shard whose
+  route says ``restarting``/``handoff`` → :class:`TransientNetError`;
+  the client reconnects, backs off exponentially, and retries the *same*
   request id, which the server deduplicates so retried writes are
   applied exactly once;
 * retries exhausted → :class:`ServerUnavailableError`;
-* a ``DEGRADED`` response → :class:`ShardDegradedError` immediately (the
-  shard is read-only until an operator resumes it; retrying cannot help).
+* a ``DEGRADED`` response or a ``degraded`` route →
+  :class:`ShardDegradedError` immediately (the shard is read-only, or
+  its restart-storm breaker is open, until an operator resumes it;
+  retrying cannot help).
 
 :class:`BlockingClusterClient` wraps the async client (plus an in-process
 loopback server) behind the synchronous :class:`KeyValueStore`-style
@@ -42,6 +53,8 @@ from repro.net.errors import (
 )
 from repro.net.protocol import (
     OP_NAMES,
+    SHARD_ACTIVE,
+    SHARD_DEGRADED,
     FrameDecoder,
     Op,
     Request,
@@ -51,6 +64,7 @@ from repro.net.protocol import (
     encode_frame,
 )
 from repro.net.router import BatchOp, ShardRouter
+from repro.net.transport import StreamEndpoint
 
 #: ``connect(index) -> endpoint`` factory; index counts connections ever
 #: opened (reconnects included), so fault hooks can target specific ones.
@@ -68,6 +82,9 @@ class ClientStats:
     #: OVERLOADED responses honored: admission-control retries where the
     #: backoff was raised to at least the server's retry-after hint.
     overload_backoffs: int = 0
+    #: HELLOs re-sent to learn where a shard is served now — one per
+    #: worker connection dialled or attempted (process serving mode).
+    route_refreshes: int = 0
 
 
 @dataclass
@@ -149,8 +166,27 @@ class Connection:
         self._endpoint.close()
 
 
+async def _dial(host: str, port: int) -> StreamEndpoint:
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+    except (ConnectionError, OSError) as exc:
+        raise TransientNetError(f"connect failed: {exc}") from exc
+    return StreamEndpoint(reader, writer)
+
+
+class _Pool(List[Optional[Connection]]):
+    """A fixed number of connection slots, used round-robin."""
+
+    def __init__(self, size: int) -> None:
+        super().__init__([None] * size)
+        #: Created lazily inside the running loop (Python 3.9's Lock binds
+        #: an event loop at construction time).
+        self.locks: Optional[List[asyncio.Lock]] = None
+        self.next_slot = 0
+
+
 class ClusterClient:
-    """Async client for one serving process.  Build via :meth:`open`."""
+    """Async client for one serving cluster.  Build via :meth:`open`."""
 
     def __init__(
         self,
@@ -164,11 +200,15 @@ class ClusterClient:
         retry_jitter: bool = True,
         sleep: Optional[Callable[[float], Awaitable[None]]] = None,
         endpoint_wrap: Optional[Callable[[object, int], object]] = None,
+        dialled_host: str = "127.0.0.1",
     ) -> None:
         if pool_size < 1:
             raise InvalidArgumentError("pool_size must be >= 1")
         self._connect = connect
         self._pool_size = pool_size
+        #: The host the server was reached on: what a route with an empty
+        #: host (a server bound to a wildcard address) stands for.
+        self._dialled_host = dialled_host
         #: The default attempt cap is sized so the cumulative backoff
         #: (~2s expected with jitter) rides through a supervised worker
         #: restart in the process serving mode, not just a dropped
@@ -185,11 +225,11 @@ class ClusterClient:
         self._retry_jitter = retry_jitter
         self._sleep = sleep if sleep is not None else asyncio.sleep
         self._endpoint_wrap = endpoint_wrap
-        self._pool: List[Optional[Connection]] = [None] * pool_size
-        #: Created lazily inside the running loop (Python 3.9's Lock binds
-        #: an event loop at construction time).
-        self._slot_locks: Optional[List[asyncio.Lock]] = None
-        self._next_slot = 0
+        #: Connections to the server this client was opened on ...
+        self._pool = _Pool(pool_size)
+        #: ... and, when its HELLO publishes routes, to each shard's worker.
+        self._shard_pools: Dict[int, _Pool] = {}
+        self._routed = False
         self._next_request_id = 1
         self.client_id = 0
         self.router: Optional[ShardRouter] = None
@@ -206,7 +246,7 @@ class ClusterClient:
     async def open(cls, connect: ConnectFn, **kwargs) -> "ClusterClient":
         """Connect, HELLO, and learn the shard map."""
         client = cls(connect, **kwargs)
-        await client._connection(0)  # the HELLO fills in router + client_id
+        await client._connection(slot=0)  # the HELLO fills in router + client_id
         return client
 
     @classmethod
@@ -221,58 +261,96 @@ class ClusterClient:
     @classmethod
     async def open_tcp(cls, host: str, port: int, **kwargs) -> "ClusterClient":
         """Client over real asyncio TCP streams."""
-        from repro.net.transport import StreamEndpoint
 
         async def connect(_index: int):
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-            except (ConnectionError, OSError) as exc:
-                raise TransientNetError(f"connect failed: {exc}") from exc
-            return StreamEndpoint(reader, writer)
+            return await _dial(host, port)
 
-        return await cls.open(connect, **kwargs)
+        return await cls.open(connect, dialled_host=host, **kwargs)
 
     # ------------------------------------------------------------------
     # Connection pool
     # ------------------------------------------------------------------
-    async def _connection(self, slot: Optional[int] = None) -> Connection:
+    async def _connection(
+        self, shard: Optional[int] = None, slot: Optional[int] = None
+    ) -> Connection:
+        """A live connection to ``shard``'s worker, or (None) to the
+        server this client was opened on; dialled and introduced with a
+        HELLO when the pool slot has none."""
         if self._closed:
             raise TransientNetError("client is closed")
+        if shard is None:
+            pool = self._pool
+        else:
+            pool = self._shard_pools.get(shard)
+            if pool is None:
+                pool = self._shard_pools[shard] = _Pool(self._pool_size)
         if slot is None:
-            slot = self._next_slot
-            self._next_slot = (self._next_slot + 1) % self._pool_size
-        conn = self._pool[slot]
+            slot = pool.next_slot
+            pool.next_slot = (slot + 1) % self._pool_size
+        conn = pool[slot]
         if conn is not None and conn.is_alive:
             return conn
-        if self._slot_locks is None:
-            self._slot_locks = [asyncio.Lock() for _ in range(self._pool_size)]
-        async with self._slot_locks[slot]:
+        if pool.locks is None:
+            pool.locks = [asyncio.Lock() for _ in range(self._pool_size)]
+        async with pool.locks[slot]:
             # Another caller may have reconnected this slot while we
             # waited for the lock; only one connection per slot at a time.
-            conn = self._pool[slot]
+            conn = pool[slot]
             if conn is not None and conn.is_alive:
                 return conn
-            endpoint = await self._connect(self.stats.connections_opened)
+            index = self.stats.connections_opened
+            if shard is None:
+                endpoint = await self._connect(index)
+            else:
+                endpoint = await self._dial_worker(shard)
             if self._endpoint_wrap is not None:
-                endpoint = self._endpoint_wrap(
-                    endpoint, self.stats.connections_opened
-                )
+                endpoint = self._endpoint_wrap(endpoint, index)
             self.stats.connections_opened += 1
             conn = Connection(endpoint)
-            self._pool[slot] = conn
-            hello = Request(
-                op=Op.HELLO, request_id=self._alloc_id(), client_id=self.client_id
-            )
+            pool[slot] = conn
             try:
-                response = await conn.call(hello)
+                response = await conn.call(self._hello())
             except NetError:
-                self._pool[slot] = None
+                pool[slot] = None
                 await conn.close()
                 raise
-            self.client_id = response.client_id
-            if self.router is None:
-                self.router = ShardRouter(response.boundaries)
+            if shard is None:
+                self.client_id = response.client_id
+                self._routed = bool(response.routes)
+                if self.router is None:
+                    self.router = ShardRouter(response.boundaries)
             return conn
+
+    def _hello(self) -> Request:
+        return Request(
+            op=Op.HELLO, request_id=self._alloc_id(), client_id=self.client_id
+        )
+
+    async def _dial_worker(self, shard: int):
+        """Ask the server where ``shard`` is served *now*, and dial it.
+
+        No route is remembered: a worker's address is only good for the
+        connection dialled with it, and only the parent knows when a
+        replacement has finished replaying the ship log.
+        """
+        self.stats.route_refreshes += 1
+        front = await self._connection()
+        routes = (await front.call(self._hello())).routes
+        if not 0 <= shard < len(routes):
+            raise RemoteError(
+                f"BAD_SHARD: no shard {shard} (have {len(routes)})", Status.BAD_SHARD
+            )
+        state, host, port = routes[shard]
+        if state == SHARD_DEGRADED:
+            # The restart-storm breaker is sticky: not worth a retry.
+            raise ShardDegradedError(
+                f"shard degraded: shard {shard} breaker open after repeated "
+                "worker crashes; resume_shard() to re-enable",
+                Status.DEGRADED,
+            )
+        if state != SHARD_ACTIVE:
+            raise TransientNetError(f"shard {shard} is {state}")
+        return await _dial(host or self._dialled_host, port)
 
     def _alloc_id(self) -> int:
         request_id = self._next_request_id
@@ -370,22 +448,19 @@ class ClusterClient:
         attempt = 0
         spent = 0.0
         while True:
+            # A routed cluster serves a shard's ops at its worker; ADMIN
+            # is cluster-wide and stays with the server that aggregates.
+            shard = request.shard if self._routed and request.op != Op.ADMIN else None
             try:
-                conn = await self._connection()
+                conn = await self._connection(shard)
                 response = await conn.call(request)
             except (TransientNetError, FrameError) as exc:
+                # Includes a worker that is down or being replaced (a
+                # dropped or refused connection, a ``restarting`` or
+                # ``handoff`` route): the supervisor restores it from the
+                # ship log, so back off and ask for the route again.
                 spent = await self._retry_backoff(
                     request, span, attempt, spent, type(exc).__name__
-                )
-                attempt += 1
-                continue
-            if response.status == Status.UNAVAILABLE:
-                # The shard's worker process is down.  Transient: the
-                # supervisor restarts it (replaying the ship log), so
-                # retry like a dropped connection rather than failing
-                # the call outright.
-                spent = await self._retry_backoff(
-                    request, span, attempt, spent, "UNAVAILABLE"
                 )
                 attempt += 1
                 continue
@@ -599,10 +674,12 @@ class ClusterClient:
 
     async def aclose(self) -> None:
         self._closed = True
-        for conn in self._pool:
-            if conn is not None:
-                await conn.close()
-        self._pool = [None] * self._pool_size
+        for pool in (self._pool, *self._shard_pools.values()):
+            for conn in pool:
+                if conn is not None:
+                    await conn.close()
+        self._pool = _Pool(self._pool_size)
+        self._shard_pools = {}
 
 
 # ----------------------------------------------------------------------

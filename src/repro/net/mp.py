@@ -13,10 +13,10 @@ throughput never becomes wall-clock throughput.  This module runs the
   produces byte-identical shard state in both serving modes.
 * The **parent** (:class:`ProcessKVServer`) supervises the workers over
   ``multiprocessing`` control pipes (startup handshake, digests,
-  simulated clocks, shutdown) and relays client connections: for every
-  client connection it lazily opens one TCP connection per shard to the
-  workers, introduces the client with a reserved-id HELLO, and forwards
-  frames verbatim in both directions.
+  simulated clocks, shutdown) and is *not* on the data path: its HELLO
+  reply carries one :class:`~repro.net.protocol.Route` per shard, the
+  client dials the workers itself, and the parent's own connections
+  answer only HELLO and ``Op.ADMIN``.
 
 Worker state is **externalized by log shipping**: before a group commit
 is acknowledged, the worker writes a :func:`~repro.net.protocol
@@ -43,7 +43,13 @@ On top of the log sit three recovery mechanisms:
 * **handoff_shard** — graceful rolling restart: drain the worker's
   queued commits, shut it down (its final ship records land first),
   replay into a fresh worker, and re-route.  Clients observe only
-  transient ``UNAVAILABLE`` retries, never data loss.
+  transient retries, never data loss.
+
+All three replace a worker through one routine, and a replacement's
+address is published in the routes only after its replay returned: no
+client can reach a worker that has not caught up with the ship log, and
+a write the old worker acknowledged while draining or dying was shipped
+before it was acknowledged, so it is in that log.
 
 A full-log replay re-issues the exact ``write_batch`` sequence the
 original worker executed, so the restored engine state is byte-identical
@@ -70,47 +76,40 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import repro
 from repro.errors import InvalidArgumentError, ReproError
-from repro.net.errors import FrameError, TransientNetError
-from repro.net.protocol import (
+from repro.net.errors import TransientNetError
+from repro.net.protocol import (  # noqa: F401  (shard states re-exported)
+    SHARD_ACTIVE,
+    SHARD_DEGRADED,
+    SHARD_HANDOFF,
+    SHARD_RESTARTING,
     SHIP_SNAPSHOT,
-    FrameDecoder,
     Op,
     Request,
     Response,
+    Route,
     Status,
-    decode_payload,
     decode_ship_record,
-    decode_varint64,
-    encode_frame,
     encode_ship_commit,
     encode_ship_snapshot,
 )
-from repro.net.server import KVServer, ServerConfig
-from repro.net.transport import LoopbackEndpoint, StreamEndpoint, loopback_pair
+from repro.net.server import (
+    ClientLink,
+    FrameServer,
+    KVServer,
+    ServerConfig,
+    server_error,
+    text_response,
+)
 from repro.obs.admin import aggregate_admin
 from repro.obs.ledger import IoLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.sim.storage import IoAccount
 from repro.wal.log import LogReader, LogWriter
-
-#: Request id the relay reserves for its worker-side HELLO; client ids
-#: start at 1 (``ClusterClient._next_request_id``), so it cannot collide.
-RELAY_HELLO_ID = 0
-
-#: Shard serving states, parent-side.  ``active`` serves normally (a dead
-#: worker still answers UNAVAILABLE until the supervisor notices);
-#: ``restarting``/``handoff`` answer UNAVAILABLE — transient, clients
-#: retry through them; ``degraded`` is the sticky restart-storm breaker —
-#: clients get DEGRADED (not retried) until ``resume_shard``.
-SHARD_ACTIVE = "active"
-SHARD_RESTARTING = "restarting"
-SHARD_HANDOFF = "handoff"
-SHARD_DEGRADED = "degraded"
 
 #: Exit code a seeded kill-point uses, so a chaos-killed worker is
 #: distinguishable from a real fault in test diagnostics.
@@ -193,11 +192,12 @@ def _shard_worker_main(conn, ship_conn, config: ServerConfig, shard_id: int) -> 
 
 
 async def _shard_worker(conn, ship_conn, config: ServerConfig, shard_id: int) -> None:
-    server = KVServer(config, shard_ids=[shard_id])
+    # The parent is the cluster's only minter of client ids.
+    server = KVServer(config, shard_ids=[shard_id], mints_client_ids=False)
     shipper = _CommitShipper(ship_conn, server.shards[0], config)
     if config.ship_log:
         server.shards[0].on_commit = shipper.on_commit
-    await server.serve_tcp("127.0.0.1", 0)
+    await server.serve_tcp()
     loop = asyncio.get_running_loop()
     conn.send(("ready", server.tcp_address[1]))
     try:
@@ -320,9 +320,9 @@ class _WorkerHandle:
 
 
 # ----------------------------------------------------------------------
-# Parent: supervisor + relay
+# Parent: supervisor + routes
 # ----------------------------------------------------------------------
-class ProcessKVServer:
+class ProcessKVServer(FrameServer):
     """KVServer-shaped frontend over one worker process per shard.
 
     Duck-types the :class:`~repro.net.server.KVServer` surface the
@@ -333,8 +333,11 @@ class ProcessKVServer:
 
     Introspection calls are control-pipe round-trips to the workers;
     they are synchronous and intended for test/benchmark checkpoints,
-    not the data path.  The data path is the relay: frames go to the
-    worker that owns the shard, responses stream straight back.
+    not the data path.  The data path does not touch this process at
+    all: a client learns each shard's worker address from the routes in
+    the HELLO reply and talks to the workers directly; a connection to
+    the parent answers HELLO (the routes, a minted client id) and
+    ``Op.ADMIN``, and any shard-routed frame with ``BAD_REQUEST``.
 
     Durability plumbing: every worker ships acknowledged commits over a
     dedicated pipe; a per-worker drainer thread appends them to the
@@ -345,19 +348,8 @@ class ProcessKVServer:
     """
 
     def __init__(self, config: Optional[ServerConfig] = None, **overrides) -> None:
-        if config is None:
-            config = ServerConfig(**overrides)
-        elif overrides:
-            raise InvalidArgumentError("pass either a config or overrides, not both")
-        self.config = config
-        self.router = config.make_router()
-        if self.router.num_shards != config.shards:
-            raise InvalidArgumentError(
-                f"{config.shards} shards need {config.shards - 1} boundaries, "
-                f"got {self.router.num_shards - 1}"
-            )
-        #: Frames from clients that failed CRC/format checks at the relay.
-        self.protocol_errors = 0
+        super().__init__(config, overrides)
+        config = self.config
         #: Parent-side observability (supervisor/ship/replay/handoff).
         self.registry = MetricsRegistry()
         #: (shard_id, time.monotonic()) per completed restart — the
@@ -382,17 +374,15 @@ class ProcessKVServer:
         self._log_writers: Dict[int, LogWriter] = {}
         self._kill_plans: Dict[int, Tuple[int, str]] = {}
         self._shard_states: List[str] = [SHARD_ACTIVE] * config.shards
-        self._shard_locks = [threading.Lock() for _ in range(config.shards)]
+        # Re-entrant: handoff_shard checks the state under the lock it
+        # then replaces the worker under.
+        self._shard_locks = [threading.RLock() for _ in range(config.shards)]
         self._consecutive_failures = [0] * config.shards
         self._last_restart = [0.0] * config.shards
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: List[_WorkerHandle] = [
             self._spawn_worker(i) for i in range(config.shards)
         ]
-        self._next_anonymous_client = 1
-        self._connection_tasks: "Set[asyncio.Task]" = set()
-        self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._closed = False
         self._supervisor: Optional[threading.Thread] = None
         if config.supervise:
             self._supervisor = threading.Thread(
@@ -648,6 +638,41 @@ class ProcessKVServer:
         )
         self.recorder.dump(f"worker-restart:shard{shard_id}")
 
+    def _replace_worker(
+        self, shard_id: int, state: str, *, drain: bool, replay: bool = True
+    ) -> None:
+        """The one way a worker is replaced: [drain →] stop → respawn →
+        replay → publish.
+
+        While it runs the shard's route says ``state`` and carries no
+        address.  The replacement's address is published — and the state
+        flipped back to ``active`` — only after its replay returned, so
+        no client can reach a worker that has not caught up with the
+        ship log.  On failure the shard keeps its previous state (and
+        its old, dead worker's address, which refuses every dial) for
+        the supervisor or the operator to try again.
+        """
+        with self._shard_locks[shard_id]:
+            previous = self._shard_states[shard_id]
+            self._shard_states[shard_id] = state
+            try:
+                old = self._workers[shard_id]
+                if drain and old.alive:
+                    try:
+                        old.call("wait_idle", timeout=30.0)  # queued commits
+                    except TransientNetError:
+                        pass  # died mid-drain; the ship log still has it all
+                old.shutdown(timeout=5.0)
+                old.drained.wait(timeout=10.0)
+                handle = self._spawn_worker(shard_id)
+                if replay and self.config.ship_log:
+                    self._replay_into(shard_id, handle)
+            except BaseException:
+                self._shard_states[shard_id] = previous
+                raise
+            self._workers[shard_id] = handle
+            self._shard_states[shard_id] = SHARD_ACTIVE
+
     def restart_shard(self, shard_id: int, *, replay: bool = True) -> None:
         """Replace a (dead or live) worker and restore the shard's state.
 
@@ -656,25 +681,10 @@ class ProcessKVServer:
         write — and the dedup table that keeps retries exactly-once —
         survives the old process.  ``replay=False`` restores the PR 6
         start-empty behaviour for tests that want a genuinely fresh
-        shard.
+        shard.  A failure leaves the shard as it was: the breaker counts
+        the miss and the supervisor (or the operator) tries again.
         """
-        with self._shard_locks[shard_id]:
-            previous = self._shard_states[shard_id]
-            self._shard_states[shard_id] = SHARD_RESTARTING
-            try:
-                old = self._workers[shard_id]
-                old.shutdown(timeout=2.0)
-                old.drained.wait(timeout=10.0)
-                handle = self._spawn_worker(shard_id)
-                if replay and self.config.ship_log:
-                    self._replay_into(shard_id, handle)
-                self._workers[shard_id] = handle
-                self._shard_states[shard_id] = SHARD_ACTIVE
-            except BaseException:
-                # Leave the previous state so the supervisor (or the
-                # operator) can try again; the breaker counts the miss.
-                self._shard_states[shard_id] = previous
-                raise
+        self._replace_worker(shard_id, SHARD_RESTARTING, drain=False, replay=replay)
         self.registry.counter("supervisor.restarts", shard=shard_id).inc()
         self.restart_events.append((shard_id, time.monotonic()))
 
@@ -690,10 +700,10 @@ class ProcessKVServer:
         Queued group commits finish (their ship records land before the
         worker acknowledges the drain), the worker shuts down cleanly,
         a fresh worker replays the durable log, and the route flips to
-        it.  In between, the shard answers ``UNAVAILABLE`` — a transient
-        status clients retry through — so the rolling restart loses no
-        acknowledged write and surfaces no permanent error.  Returns the
-        handoff duration in seconds.
+        it.  In between, the shard's route says ``handoff`` — a
+        transient state clients back off and retry through — so the
+        rolling restart loses no acknowledged write and surfaces no
+        permanent error.  Returns the handoff duration in seconds.
         """
         start = time.monotonic()
         with self._shard_locks[shard_id]:
@@ -702,23 +712,8 @@ class ProcessKVServer:
                 raise InvalidArgumentError(
                     f"cannot hand off shard {shard_id} while {state}"
                 )
-            self._shard_states[shard_id] = SHARD_HANDOFF
-            try:
-                old = self._workers[shard_id]
-                if old.alive:
-                    try:
-                        old.call("wait_idle", timeout=30.0)  # drain commits
-                    except TransientNetError:
-                        pass  # died mid-drain; the ship log still has it all
-                old.shutdown(timeout=5.0)
-                old.drained.wait(timeout=10.0)
-                handle = self._spawn_worker(shard_id)  # transfer
-                if self.config.ship_log:
-                    self._replay_into(shard_id, handle)
-                self._workers[shard_id] = handle  # re-route
-                self._consecutive_failures[shard_id] = 0
-            finally:
-                self._shard_states[shard_id] = SHARD_ACTIVE
+            self._replace_worker(shard_id, SHARD_HANDOFF, drain=True)
+            self._consecutive_failures[shard_id] = 0
         duration = time.monotonic() - start
         self.registry.counter("handoff.count", shard=shard_id).inc()
         self.registry.gauge("handoff.last_seconds", shard=shard_id).set(
@@ -727,52 +722,51 @@ class ProcessKVServer:
         return duration
 
     # ------------------------------------------------------------------
-    # Connection plumbing (mirrors KVServer)
+    # What a connection to the parent answers: routes and the admin plane
     # ------------------------------------------------------------------
-    def connect_loopback(self) -> LoopbackEndpoint:
-        """A client endpoint relayed in-process to the shard workers."""
-        client_side, server_side = loopback_pair()
-        task = asyncio.ensure_future(self.handle_connection(server_side))
-        self._connection_tasks.add(task)
-        task.add_done_callback(self._connection_tasks.discard)
-        return client_side
+    def _routes(self) -> List[Route]:
+        """One route per shard; an address only while the shard is active.
 
-    async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        async def on_client(reader, writer):
-            task = asyncio.current_task()
-            if task is not None:
-                self._connection_tasks.add(task)
-                task.add_done_callback(self._connection_tasks.discard)
+        ``_replace_worker`` stores the replacement's handle before it
+        flips the state, so an ``active`` read here pairs with a worker
+        that has replayed (or with the old one, whose port refuses).
+        """
+        host = self.config.host
+        if host in ("", "0.0.0.0", "::"):
+            host = ""  # wildcard: the client substitutes the host it dialled
+        return [
+            Route(state, host, self._workers[shard].port)
+            if state == SHARD_ACTIVE
+            else Route(state)
+            for shard, state in enumerate(self._shard_states)
+        ]
+
+    def _serve(self, link: ClientLink, request: Request) -> None:
+        if request.op != Op.ADMIN:
+            link.send(
+                Response(
+                    request_id=request.request_id,
+                    status=Status.BAD_REQUEST,
+                    message="shard ops are served by the shard's worker: "
+                    "dial the route in the HELLO reply",
+                )
+            )
+            return
+
+        def answer(done: "asyncio.Future") -> None:
             try:
-                await self.handle_connection(StreamEndpoint(reader, writer))
-            except asyncio.CancelledError:
-                pass
+                response = text_response(request.request_id, done.result())
+            except Exception as exc:  # one failed scrape must not wedge EOF
+                response = server_error(request.request_id, exc)
+            link.send(response)
+            link.unpark()
 
-        self._tcp_server = await asyncio.start_server(on_client, host, port)
-        return self._tcp_server
-
-    @property
-    def tcp_address(self) -> Tuple[str, int]:
-        assert self._tcp_server is not None, "serve_tcp was not called"
-        sock = self._tcp_server.sockets[0]
-        address = sock.getsockname()
-        return address[0], address[1]
-
-    async def handle_connection(self, endpoint) -> None:
-        """Relay one client connection to the shard workers."""
-        relay = _ConnectionRelay(self, endpoint)
-        try:
-            await relay.run()
-        finally:
-            await relay.aclose()
-            endpoint.close()
-
-    def _assign_client_id(self, requested: int) -> int:
-        if requested != 0:
-            return requested
-        client_id = self._next_anonymous_client
-        self._next_anonymous_client += 1
-        return client_id
+        # Admin aggregates over every worker; control-pipe round-trips
+        # block, so they run off the event loop and the request is parked.
+        link.parked += 1
+        asyncio.get_running_loop().run_in_executor(
+            None, self.admin_text, request.name
+        ).add_done_callback(answer)
 
     # ------------------------------------------------------------------
     # Introspection (control-pipe round-trips)
@@ -853,13 +847,7 @@ class ProcessKVServer:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._supervisor.join, 15.0
             )
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+        await self._close_connections()
         loop = asyncio.get_running_loop()
         for worker in self._workers:
             await loop.run_in_executor(None, worker.shutdown)
@@ -875,218 +863,13 @@ class ProcessKVServer:
             worker.shutdown()
 
 
-class _ConnectionRelay:
-    """Relays one client connection: frames out to workers, back in.
-
-    One worker TCP connection is opened lazily per shard *per client
-    connection* — request ids are only unique within a client, so
-    multiplexing different clients onto one worker connection would
-    collide them.  The relay introduces the client to each worker with
-    a HELLO carrying the reserved :data:`RELAY_HELLO_ID`; the pump task
-    filters that response out of the backward stream and forwards every
-    other frame verbatim (no re-encode, no second CRC check — the frame
-    was already verified at the relay's decoder).
-    """
-
-    def __init__(self, server: ProcessKVServer, endpoint) -> None:
-        self._server = server
-        self._endpoint = endpoint
-        self._client_id = 0
-        self._worker_endpoints: Dict[int, StreamEndpoint] = {}
-        self._pumps: Dict[int, asyncio.Task] = {}
-        #: Request ids forwarded to each shard and not yet answered; on a
-        #: worker drop each one gets an UNAVAILABLE response instead of
-        #: hanging the client's pipelined future forever.
-        self._pending: Dict[int, Set[int]] = {}
-
-    async def run(self) -> None:
-        decoder = FrameDecoder()
-        while True:
-            chunk = await self._endpoint.read(65536)
-            if not chunk:
-                break
-            try:
-                decoder.feed(chunk)
-                while True:
-                    payload = decoder.next_frame()
-                    if payload is None:
-                        break
-                    await self._relay_frame(payload)
-            except FrameError:
-                self._server.protocol_errors += 1
-                break
-
-    async def _relay_frame(self, payload: bytes) -> None:
-        message = decode_payload(payload)
-        if not isinstance(message, Request):
-            raise FrameError("client sent a response payload")
-        if message.op == Op.HELLO:
-            self._client_id = self._server._assign_client_id(message.client_id)
-            router = self._server.router
-            self._send(
-                Response(
-                    request_id=message.request_id,
-                    status=Status.OK,
-                    client_id=self._client_id,
-                    shard_count=router.num_shards,
-                    boundaries=list(router.boundaries),
-                )
-            )
-            return
-        if message.op == Op.ADMIN:
-            # Admin is cluster-wide, never shard-routed: the parent
-            # aggregates over every worker (control-pipe round-trips
-            # block, so run them off the event loop).
-            loop = asyncio.get_running_loop()
-            text = await loop.run_in_executor(
-                None, self._server.admin_text, message.name
-            )
-            self._send(
-                Response(
-                    request_id=message.request_id,
-                    status=Status.OK,
-                    found=text is not None,
-                    value=(text or "").encode("utf-8"),
-                )
-            )
-            return
-        shard = message.shard
-        if not 0 <= shard < self._server.config.shards:
-            self._send(
-                Response(
-                    request_id=message.request_id,
-                    status=Status.BAD_SHARD,
-                    message=f"no shard {shard} "
-                    f"(have {self._server.config.shards})",
-                )
-            )
-            return
-        state = self._server.shard_state(shard)
-        if state == SHARD_DEGRADED:
-            # Restart-storm breaker: sticky, not worth retrying — the
-            # client maps this onto ShardDegradedError immediately.
-            self._send(
-                Response(
-                    request_id=message.request_id,
-                    status=Status.DEGRADED,
-                    message=(
-                        f"shard {shard} breaker open after repeated worker "
-                        "crashes; resume_shard() to re-enable"
-                    ),
-                )
-            )
-            return
-        if state != SHARD_ACTIVE:
-            # Restarting or handing off: transient, clients retry through.
-            self._send(self._unavailable(message.request_id, shard))
-            return
-        worker_endpoint = self._worker_endpoints.get(shard)
-        if worker_endpoint is None:
-            worker_endpoint = await self._open_worker(shard)
-            if worker_endpoint is None:
-                self._send(self._unavailable(message.request_id, shard))
-                return
-        self._pending.setdefault(shard, set()).add(message.request_id)
-        try:
-            worker_endpoint.write(encode_frame(payload))
-            await worker_endpoint.drain()
-        except TransientNetError:
-            # The pump task notices the drop and fails the pending set
-            # (including this id) with UNAVAILABLE.
-            pass
-
-    async def _open_worker(self, shard: int) -> Optional[StreamEndpoint]:
-        if not self._server.worker_alive(shard):
-            return None
-        port = self._server._workers[shard].port
-        try:
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        except (ConnectionError, OSError):
-            return None
-        worker_endpoint = StreamEndpoint(reader, writer)
-        hello = Request(
-            op=Op.HELLO, request_id=RELAY_HELLO_ID, client_id=self._client_id
-        )
-        try:
-            worker_endpoint.write(encode_frame(hello.encode()))
-            await worker_endpoint.drain()
-        except TransientNetError:
-            worker_endpoint.close()
-            return None
-        self._worker_endpoints[shard] = worker_endpoint
-        self._pumps[shard] = asyncio.ensure_future(
-            self._pump(shard, worker_endpoint)
-        )
-        return worker_endpoint
-
-    async def _pump(self, shard: int, worker_endpoint: StreamEndpoint) -> None:
-        """Forward worker → client frames, filtering the relay HELLO."""
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await worker_endpoint.read(65536)
-                if not chunk:
-                    break
-                decoder.feed(chunk)
-                while True:
-                    payload = decoder.next_frame()
-                    if payload is None:
-                        break
-                    request_id, _ = decode_varint64(payload, 1)
-                    if payload[0] == Op.RESPONSE and request_id == RELAY_HELLO_ID:
-                        continue  # the relay's own HELLO answer
-                    pending = self._pending.get(shard)
-                    if pending is not None:
-                        pending.discard(request_id)
-                    try:
-                        self._endpoint.write(encode_frame(payload))
-                        await self._endpoint.drain()
-                    except TransientNetError:
-                        return  # client gone; run() will wind down
-        except (FrameError, TransientNetError, OSError):
-            pass  # treated as a worker drop below
-        finally:
-            self._worker_endpoints.pop(shard, None)
-            worker_endpoint.close()
-            self._fail_pending(shard)
-
-    def _fail_pending(self, shard: int) -> None:
-        pending = self._pending.pop(shard, None)
-        if not pending:
-            return
-        for request_id in sorted(pending):
-            try:
-                self._send(self._unavailable(request_id, shard))
-            except TransientNetError:  # pragma: no cover - client gone too
-                break
-
-    def _unavailable(self, request_id: int, shard: int) -> Response:
-        return Response(
-            request_id=request_id,
-            status=Status.UNAVAILABLE,
-            message=f"shard {shard} worker is not running",
-        )
-
-    def _send(self, response: Response) -> None:
-        self._endpoint.write(encode_frame(response.encode()))
-
-    async def aclose(self) -> None:
-        for task in list(self._pumps.values()):
-            task.cancel()
-        if self._pumps:
-            await asyncio.gather(*self._pumps.values(), return_exceptions=True)
-        self._pumps.clear()
-        for worker_endpoint in list(self._worker_endpoints.values()):
-            worker_endpoint.close()
-        self._worker_endpoints.clear()
-
-
 def make_server(config: Optional[ServerConfig] = None, *, serving_mode: str = "loopback", **overrides):
     """Build the server for a serving mode: KVServer or ProcessKVServer.
 
     ``"loopback"`` is the deterministic single-process asyncio server;
-    ``"process"`` spawns one worker process per shard and relays.  Both
-    accept the same config/overrides and serve the same protocol.
+    ``"process"`` spawns one worker process per shard and routes clients
+    to them.  Both accept the same config/overrides and serve the same
+    protocol.
     """
     if serving_mode == "loopback":
         return KVServer(config, **overrides)

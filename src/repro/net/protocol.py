@@ -38,16 +38,20 @@ shard's sticky :class:`repro.errors.BackgroundError` onto the wire (reads
 keep working, writes are rejected until the shard is resumed);
 ``BAD_REQUEST``/``BAD_SHARD``/``UNSUPPORTED``/``SERVER_ERROR`` are
 client- or server-side failures that retrying will not fix;
-``UNAVAILABLE`` means the shard's backing worker process is down — a
-*transient* condition (clients retry it like a dropped connection, and a
-process-mode supervisor may restart the worker in between).
+``OVERLOADED`` is admission control shedding a write (retried after the
+hint it carries).
+
+A process-mode parent's HELLO reply also carries one :class:`Route` per
+shard — the shard's serving state and, only while it is ``active``, the
+address of the worker that serves it.  Clients dial that address; a
+reply without routes means "every shard is served on this connection".
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from repro.net.errors import FrameError
 from repro.util.crc import crc32c, mask_crc, unmask_crc
@@ -133,9 +137,6 @@ class Status:
     BAD_SHARD = 4
     UNSUPPORTED = 5
     SERVER_ERROR = 6
-    #: The shard's worker process is down (process serving mode); the
-    #: condition is transient and clients retry it.
-    UNAVAILABLE = 7
     #: Admission control shed this write: the shard's in-flight write
     #: debt hit its cap.  Carries a retry-after hint; clients back off at
     #: least that long (inside the normal retry budget) and retry.
@@ -149,9 +150,31 @@ class Status:
         4: "BAD_SHARD",
         5: "UNSUPPORTED",
         6: "SERVER_ERROR",
-        7: "UNAVAILABLE",
         8: "OVERLOADED",
     }
+
+
+#: Shard serving states a process-mode parent publishes.  ``active``
+#: serves (a dead worker's address refuses the dial until the supervisor
+#: replaces it); ``restarting``/``handoff`` are transient — clients back
+#: off and ask again; ``degraded`` is the sticky restart-storm breaker —
+#: clients raise at once, until ``resume_shard``.
+SHARD_ACTIVE = "active"
+SHARD_RESTARTING = "restarting"
+SHARD_HANDOFF = "handoff"
+SHARD_DEGRADED = "degraded"
+
+
+class Route(NamedTuple):
+    """Where one shard is served: its state and, when active, an address.
+
+    An empty ``host`` on an active route means "the host you dialled me
+    on" (the server is bound to a wildcard address).
+    """
+
+    state: str
+    host: str = ""
+    port: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -331,6 +354,9 @@ class Response:
     client_id: int = 0
     shard_count: int = 0
     boundaries: List[bytes] = field(default_factory=list)
+    #: HELLO from a process-mode parent: one route per shard (on the wire
+    #: only when non-empty, so every other reply keeps its bytes).
+    routes: List[Route] = field(default_factory=list)
     #: OVERLOADED: server's suggested minimum backoff before retrying,
     #: in seconds (microsecond wire granularity).
     retry_after: float = 0.0
@@ -357,6 +383,12 @@ class Response:
         buf += encode_varint32(len(self.boundaries))
         for boundary in self.boundaries:
             _put_bytes(buf, boundary)
+        if self.routes:
+            buf += encode_varint32(len(self.routes))
+            for state, host, port in self.routes:
+                _put_bytes(buf, state.encode("utf-8"))
+                _put_bytes(buf, host.encode("utf-8"))
+                buf += encode_varint32(port)
         return bytes(buf)
 
 
@@ -566,4 +598,13 @@ def _decode_response(data: bytes, request_id: int, offset: int) -> Response:
     for _ in range(count):
         boundary, offset = _get_bytes(data, offset)
         resp.boundaries.append(boundary)
+    if offset < len(data):
+        count, offset = decode_varint32(data, offset)
+        for _ in range(count):
+            state, offset = _get_bytes(data, offset)
+            host, offset = _get_bytes(data, offset)
+            port, offset = decode_varint32(data, offset)
+            resp.routes.append(
+                Route(state.decode("utf-8"), host.decode("utf-8"), port)
+            )
     return resp

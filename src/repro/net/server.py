@@ -13,8 +13,9 @@ this layer:
 
 * **Group commit** — concurrent writes to one shard coalesce into a
   single engine ``write_batch`` with one WAL sync (the classic group
-  commit).  A per-shard drainer task grabs everything queued since it
-  last ran; under the deterministic loopback transport the coalescing
+  commit).  The first write queued schedules one ``loop.call_soon``
+  drain, which commits everything that joined the queue in that loop
+  iteration; under the deterministic loopback transport the coalescing
   pattern is identical on every same-seed run.
 * **Graceful degradation** — when a shard's background-error state
   machine trips (PR 2), writes answer ``DEGRADED`` with the error text
@@ -26,6 +27,10 @@ the connection's ``client_id`` (from HELLO) and a client-chosen
 ``request_id``; a shard remembers recently applied ids per client and
 answers a retried duplicate with ``applied=False`` instead of applying
 it twice.
+
+A connection is **one task**: its reader loop answers every request that
+never awaits right where it decoded it, and parks a write on the shard's
+queue with a callback the drain answers through — no task per request.
 """
 
 from __future__ import annotations
@@ -33,30 +38,28 @@ from __future__ import annotations
 import asyncio
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import repro
 from repro.engines.registry import create_store
-from repro.errors import (
-    BackgroundError,
-    InvalidArgumentError,
-    ReproError,
-    StoreClosedError,
-)
+from repro.errors import BackgroundError, InvalidArgumentError, ReproError
 from repro.net.errors import FrameError
 from repro.obs.admin import ADMIN_SECTIONS, aggregate_admin  # noqa: F401  (re-exported)
 from repro.net.protocol import (
     OP_NAMES,
     WRITE_OPS,
+    FrameDecoder,
     Op,
     Request,
     Response,
+    Route,
     Status,
     decode_payload,
     encode_frame,
 )
 from repro.net.router import ShardRouter
 from repro.net.transport import LoopbackEndpoint, StreamEndpoint, loopback_pair
+from repro.util.keys import KIND_DELETE, KIND_PUT
 
 
 @dataclass
@@ -65,6 +68,11 @@ class ServerConfig:
 
     engine: str = "pebblesdb"
     shards: int = 1
+    #: Address the listeners bind: ``serve_tcp``'s default and, in the
+    #: process serving mode, every worker's.  Clients dial the workers,
+    #: so they must be reachable wherever the parent is; a wildcard makes
+    #: the HELLO routes leave the host for the client to fill in.
+    host: str = "127.0.0.1"
     #: Router boundaries (``shards - 1`` keys); None derives uniform
     #: boundaries for ``uniform_keys`` db_bench-style ``user...`` keys.
     boundaries: Optional[List[bytes]] = None
@@ -197,6 +205,11 @@ class _DedupTable:
         }
 
 
+#: How a parked write is answered: True/False = applied/duplicate, or
+#: the exception its group commit raised.
+WriteAnswer = Callable[[Union[bool, Exception]], None]
+
+
 class Shard:
     """One engine instance plus its serving state."""
 
@@ -223,9 +236,8 @@ class Shard:
         self._snapshots: Dict[int, object] = {}
         self._next_snapshot_token = 1
         self._dedup = _DedupTable(config.dedup_window)
-        # Group-commit queue: (ops, client_id, request_id, future, trace_ctx).
-        self._write_queue: List[Tuple[list, int, int, asyncio.Future, object]] = []
-        self._writer_task: Optional[asyncio.Task] = None
+        # Group-commit queue: (ops, client_id, request_id, answer, trace_ctx).
+        self._write_queue: List[Tuple[list, int, int, WriteAnswer, object]] = []
 
     @property
     def write_debt(self) -> int:
@@ -235,44 +247,44 @@ class Shard:
     # ------------------------------------------------------------------
     # Write path (group commit)
     # ------------------------------------------------------------------
-    async def submit_write(
-        self, ops: list, client_id: int, request_id: int, trace_ctx=None
-    ) -> bool:
-        """Queue a write for the next group commit; True once applied.
+    def queue_write(
+        self,
+        ops: list,
+        client_id: int,
+        request_id: int,
+        answer: "WriteAnswer",
+        trace_ctx=None,
+    ) -> None:
+        """Park a write for the next group commit.
 
-        Returns False when the write was recognised as a retried
-        duplicate and skipped.  Raises what the engine raised when the
-        commit failed (every queued write in the failed batch raises).
-        ``trace_ctx`` is the server span of the request; the engine-side
-        write span of a group commit adopts the first queued context.
+        ``answer`` is called exactly once, after the commit was applied
+        *and shipped*: with True (applied), False (a retried duplicate,
+        skipped) or the exception the commit raised (every write of a
+        failed batch gets it).  The first write of a batch schedules one
+        ``call_soon`` drain, so every connection whose bytes are readable
+        in this loop iteration joins the batch before it is cut — that is
+        what makes commits *group* commits; with ``group_commit`` off
+        the queue is cut at one.  ``trace_ctx`` is the server span of the
+        request; the engine-side write span of a group commit adopts the
+        first queued context.
         """
+        self._write_queue.append((ops, client_id, request_id, answer, trace_ctx))
         if not self.config.group_commit:
-            return self._apply_writes([(ops, client_id, request_id, None, trace_ctx)])[0]
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._write_queue.append((ops, client_id, request_id, future, trace_ctx))
-        if self._writer_task is None or self._writer_task.done():
-            self._writer_task = asyncio.ensure_future(self._drain_writes())
-        return await future
+            self._drain()
+        elif len(self._write_queue) == 1:  # else a drain is already scheduled
+            asyncio.get_running_loop().call_soon(self._drain)
 
-    async def _drain_writes(self) -> None:
-        # Yield once so every writer that is already runnable gets to
-        # enqueue before the batch is cut — this is what makes commits
-        # *group* commits under concurrency.
-        await asyncio.sleep(0)
-        while self._write_queue:
-            batch = self._write_queue
-            self._write_queue = []
-            try:
-                applied = self._apply_writes(batch)
-            except ReproError as exc:
-                for _, _, _, future, _ in batch:
-                    if future is not None and not future.done():
-                        future.set_exception(exc)
-            else:
-                for (_, _, _, future, _), was_applied in zip(batch, applied):
-                    if future is not None and not future.done():
-                        future.set_result(was_applied)
-            await asyncio.sleep(0)
+    def _drain(self) -> None:
+        """Commit everything queued, then answer it."""
+        batch, self._write_queue = self._write_queue, []
+        try:
+            outcomes: list = self._apply_writes(batch)
+        except Exception as exc:
+            # Raised before any dedup id was recorded: the whole batch
+            # fails and stays retryable.
+            outcomes = [exc] * len(batch)
+        for (_, _, _, answer, _), outcome in zip(batch, outcomes):
+            answer(outcome)
 
     def _apply_writes(self, batch: list) -> List[bool]:
         """One group commit: dedup, combine, write, record.
@@ -308,9 +320,9 @@ class Shard:
         for client_id, request_id in fresh:
             self._dedup.record(client_id, request_id)
         if fresh and self.on_commit is not None:
-            # Ship the acknowledged commit before any future resolves:
-            # once the record is externalized, a crash between here and
-            # the client's response cannot lose the write.
+            # Ship the commit before any write of it is answered: once
+            # the record is externalized, a crash between here and the
+            # client's response cannot lose the write.
             self.on_commit(combined, fresh)
         return applied_flags
 
@@ -403,26 +415,72 @@ class Shard:
             pass
 
 
-class KVServer:
-    """Hosts the shards and speaks the wire protocol.
+def text_response(request_id: int, text: Optional[str]) -> Response:
+    """A textual answer (property, metrics, admin section); None = absent."""
+    return Response(
+        request_id=request_id,
+        found=text is not None,
+        value=(text or "").encode("utf-8"),
+    )
 
-    ``shard_ids`` restricts the server to a subset of the cluster's
-    shards while keeping their *global* identity — shard ``i`` keeps its
-    ``shardN/`` storage prefix and ``seed + i`` engine seed, so a
-    process-mode worker hosting one shard produces byte-identical state
-    to the same shard inside a full loopback server.  The HELLO response
-    still publishes the full cluster map (router boundaries are a
-    cluster property); requests for shards this server does not host
-    answer ``BAD_SHARD``.
+
+def server_error(request_id: int, exc: Exception) -> Response:
+    """The answer to an exception nothing expected: the op failed, the
+    connection lives."""
+    return Response(
+        request_id=request_id,
+        status=Status.SERVER_ERROR,
+        message=f"{type(exc).__name__}: {exc}",
+    )
+
+
+class ClientLink:
+    """One client connection's serving state (as long-lived as its task)."""
+
+    __slots__ = ("endpoint", "client_id", "parked", "_idle")
+
+    def __init__(self, endpoint) -> None:
+        self.endpoint = endpoint
+        self.client_id = 0
+        #: Requests taken off this connection and not yet answered (writes
+        #: queued for group commit); EOF waits for them before closing.
+        self.parked = 0
+        self._idle: Optional[asyncio.Future] = None
+
+    def send(self, response: Response) -> None:
+        try:
+            self.endpoint.write(encode_frame(response.encode()))
+        except ReproError:
+            pass  # connection already gone; the client will retry
+
+    def unpark(self) -> None:
+        self.parked -= 1
+        if not self.parked and self._idle is not None:
+            self._idle.set_result(None)
+
+    async def wait_unparked(self) -> None:
+        if self.parked:
+            self._idle = asyncio.get_running_loop().create_future()
+            await self._idle
+
+
+class FrameServer:
+    """What both serving frontends share: the router derived from the
+    config, the loopback and TCP listeners, and the connection loop.
+
+    A subclass answers requests in :meth:`_serve` (synchronously — a
+    request that cannot be answered yet is *parked* on its connection
+    and answered later through a callback) and may publish
+    :meth:`_routes` in its HELLO reply.
     """
 
-    def __init__(
-        self,
-        config: Optional[ServerConfig] = None,
-        *,
-        shard_ids: Optional[List[int]] = None,
-        **overrides,
-    ) -> None:
+    #: Whether an anonymous HELLO (``client_id == 0``) is given a fresh
+    #: id.  Exactly one process of a cluster may mint — two counters
+    #: would hand two clients the same id, and the dedup table would
+    #: drop the second one's writes as retries of the first's.
+    mints_client_ids = True
+
+    def __init__(self, config: Optional["ServerConfig"], overrides: dict) -> None:
         if config is None:
             config = ServerConfig(**overrides)
         elif overrides:
@@ -434,17 +492,9 @@ class KVServer:
                 f"{config.shards} shards need {config.shards - 1} boundaries, "
                 f"got {self.router.num_shards - 1}"
             )
-        if shard_ids is None:
-            shard_ids = list(range(config.shards))
-        elif any(not 0 <= i < config.shards for i in shard_ids):
-            raise InvalidArgumentError(
-                f"shard_ids {shard_ids} out of range for {config.shards} shards"
-            )
-        self.shards = [Shard(i, config) for i in shard_ids]
-        self._shard_map = {shard.index: shard for shard in self.shards}
         #: Frames that failed CRC/format checks (the CI smoke asserts 0).
         self.protocol_errors = 0
-        self._next_anonymous_client = 1
+        self._next_client_id = 1
         self._connection_tasks: "Set[asyncio.Task]" = set()
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._closed = False
@@ -460,8 +510,9 @@ class KVServer:
         task.add_done_callback(self._connection_tasks.discard)
         return client_side
 
-    async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        """Start the TCP listener; returns the asyncio server object."""
+    async def serve_tcp(self, host: Optional[str] = None, port: int = 0):
+        """Start the TCP listener (on ``config.host`` unless told
+        otherwise); returns the asyncio server object."""
 
         async def on_client(reader, writer):
             task = asyncio.current_task()
@@ -476,7 +527,9 @@ class KVServer:
                 # stream machinery's done-callback.
                 pass
 
-        self._tcp_server = await asyncio.start_server(on_client, host, port)
+        self._tcp_server = await asyncio.start_server(
+            on_client, host if host is not None else self.config.host, port
+        )
         return self._tcp_server
 
     @property
@@ -486,13 +539,26 @@ class KVServer:
         address = sock.getsockname()
         return address[0], address[1]
 
-    async def handle_connection(self, endpoint) -> None:
-        """Read frames, dispatch requests, write responses until EOF."""
-        from repro.net.protocol import FrameDecoder
+    async def _close_connections(self) -> None:
+        if self._tcp_server is not None:
+            self._tcp_server.close()
+            await self._tcp_server.wait_closed()
+        for task in list(self._connection_tasks):
+            task.cancel()
+        if self._connection_tasks:
+            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
 
+    async def handle_connection(self, endpoint) -> None:
+        """Serve one connection, in this one task, until EOF.
+
+        Each request is answered (or parked) by :meth:`_serve` right
+        where it was decoded, so pipelined requests are answered as they
+        complete: a GET behind an unacknowledged PUT may be answered
+        first, and read the old value.  A peer that half-closes still
+        gets every parked answer before this side closes.
+        """
+        link = ClientLink(endpoint)
         decoder = FrameDecoder()
-        client_id = 0
-        inflight: "Set[asyncio.Task]" = set()
         try:
             while True:
                 chunk = await endpoint.read(65536)
@@ -504,61 +570,85 @@ class KVServer:
                         payload = decoder.next_frame()
                         if payload is None:
                             break
-                        message = decode_payload(payload)
-                        if not isinstance(message, Request):
+                        request = decode_payload(payload)
+                        if not isinstance(request, Request):
                             raise FrameError("client sent a response payload")
-                        if message.op == Op.HELLO:
-                            client_id = self._handle_hello(message, endpoint)
-                            continue
-                        task = asyncio.ensure_future(
-                            self._serve_request(message, client_id, endpoint)
-                        )
-                        inflight.add(task)
-                        task.add_done_callback(inflight.discard)
+                        try:
+                            if request.op == Op.HELLO:
+                                link.send(self._hello(link, request))
+                            else:
+                                self._serve(link, request)
+                        except Exception as exc:  # one op never kills the connection
+                            link.send(server_error(request.request_id, exc))
                 except FrameError:
                     # The stream cannot be resynced after a bad frame;
                     # drop the connection and let the client retry.
                     self.protocol_errors += 1
                     break
+            await link.wait_unparked()
         finally:
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
             endpoint.close()
 
-    def _handle_hello(self, request: Request, endpoint) -> int:
+    def _hello(self, link: ClientLink, request: Request) -> Response:
         client_id = request.client_id
-        if client_id == 0:
-            client_id = self._next_anonymous_client
-            self._next_anonymous_client += 1
-        response = Response(
+        if client_id == 0 and self.mints_client_ids:
+            client_id = self._next_client_id
+            self._next_client_id += 1
+        link.client_id = client_id
+        return Response(
             request_id=request.request_id,
-            status=Status.OK,
             client_id=client_id,
             shard_count=self.router.num_shards,
             boundaries=list(self.router.boundaries),
+            routes=self._routes(),
         )
-        self._send(endpoint, response)
-        return client_id
 
-    async def _serve_request(self, request: Request, client_id: int, endpoint) -> None:
-        try:
-            response = await self._dispatch(request, client_id)
-        except Exception as exc:  # never kill the connection on one op
-            response = Response(
-                request_id=request.request_id,
-                status=Status.SERVER_ERROR,
-                message=f"{type(exc).__name__}: {exc}",
+    def _routes(self) -> List[Route]:
+        """No routes: every shard is served on the connection that asked."""
+        return []
+
+    def _serve(self, link: ClientLink, request: Request) -> None:
+        raise NotImplementedError
+
+
+class KVServer(FrameServer):
+    """Hosts the shards and speaks the wire protocol.
+
+    ``shard_ids`` restricts the server to a subset of the cluster's
+    shards while keeping their *global* identity — shard ``i`` keeps its
+    ``shardN/`` storage prefix and ``seed + i`` engine seed, so a
+    process-mode worker hosting one shard produces byte-identical state
+    to the same shard inside a full loopback server.  The HELLO response
+    still publishes the full cluster map (router boundaries are a
+    cluster property); requests for shards this server does not host
+    answer ``BAD_SHARD``.  ``mints_client_ids=False`` is for a server
+    started under a parent that does the minting (a process-mode worker):
+    an anonymous client then stays id 0 — opted out of dedup — instead
+    of being handed an id the parent also gave to someone else.
+    """
+
+    def __init__(
+        self,
+        config: Optional[ServerConfig] = None,
+        *,
+        shard_ids: Optional[List[int]] = None,
+        mints_client_ids: bool = True,
+        **overrides,
+    ) -> None:
+        super().__init__(config, overrides)
+        config = self.config
+        if shard_ids is None:
+            shard_ids = list(range(config.shards))
+        elif any(not 0 <= i < config.shards for i in shard_ids):
+            raise InvalidArgumentError(
+                f"shard_ids {shard_ids} out of range for {config.shards} shards"
             )
-        self._send(endpoint, response)
-
-    def _send(self, endpoint, response: Response) -> None:
-        try:
-            endpoint.write(encode_frame(response.encode()))
-        except ReproError:
-            pass  # connection already gone; the client will retry
+        self.mints_client_ids = mints_client_ids
+        self.shards = [Shard(i, config) for i in shard_ids]
+        self._shard_map = {shard.index: shard for shard in self.shards}
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Serving one request
     # ------------------------------------------------------------------
     @staticmethod
     def _parse_trace(trace: str):
@@ -568,126 +658,121 @@ class KVServer:
         trace_id, _, span_id = trace.partition("/")
         return (trace_id, span_id) if span_id else None
 
-    async def _dispatch(self, request: Request, client_id: int) -> Response:
+    def _serve(self, link: ClientLink, request: Request) -> None:
+        """Answer ``request`` now, or park it if it is an admitted write."""
+        rid = request.request_id
         if request.op == Op.ADMIN:
             # Admin is server-wide, never shard-routed: aggregate over
             # every hosted shard regardless of the request's shard field.
-            text = self.admin_text(request.name)
-            return Response(
-                request_id=request.request_id,
-                found=text is not None,
-                value=(text or "").encode("utf-8"),
-            )
+            link.send(text_response(rid, self.admin_text(request.name)))
+            return
         shard = self._shard_map.get(request.shard)
         if shard is None:
-            return Response(
-                request_id=request.request_id,
-                status=Status.BAD_SHARD,
-                message=(
-                    f"no shard {request.shard} "
-                    f"(hosting {sorted(self._shard_map)})"
-                ),
+            link.send(
+                Response(
+                    request_id=rid,
+                    status=Status.BAD_SHARD,
+                    message=(
+                        f"no shard {request.shard} "
+                        f"(hosting {sorted(self._shard_map)})"
+                    ),
+                )
             )
+            return
         trc = shard.tracer
-        if trc is None:
-            return await self._dispatch_op(shard, request, client_id, None)
-        span = trc.start_span(
-            f"server.{OP_NAMES.get(request.op, str(request.op))}",
-            kind="server",
-            parent=self._parse_trace(request.trace),
-            shard=shard.index,
-        )
+        span = None
+        if trc is not None:
+            span = trc.start_span(
+                f"server.{OP_NAMES.get(request.op, str(request.op))}",
+                kind="server",
+                parent=self._parse_trace(request.trace),
+                shard=shard.index,
+            )
         try:
             if request.op in WRITE_OPS:
-                # The write path parks on the group-commit queue; the
-                # engine-side span adopts the context inside the commit
-                # instead of here (adopting across awaits would let
-                # concurrent requests cross their contexts).
-                response = await self._dispatch_op(
-                    shard, request, client_id, span.context
-                )
+                # A parked write's engine span adopts the context inside
+                # the group commit, not here: other requests are served
+                # before it commits, and must not inherit it.
+                response = self._admit_write(link, shard, request, span)
+                if response is None:
+                    return
+            elif span is None:
+                response = self._read(shard, request)
             else:
                 with trc.adopt(span.context):
-                    response = await self._dispatch_op(
-                        shard, request, client_id, span.context
-                    )
-            span.set(status=Status.NAMES.get(response.status, str(response.status)))
-            return response
-        finally:
-            span.end()
+                    response = self._read(shard, request)
+        except Exception as exc:  # never kill the connection on one op
+            response = self._error_response(shard, rid, exc)
+        self._answer(link, span, response)
 
-    async def _dispatch_op(
-        self, shard: Shard, request: Request, client_id: int, trace_ctx
-    ) -> Response:
+    @staticmethod
+    def _answer(link: ClientLink, span, response: Response) -> None:
+        if span is not None:
+            span.set(status=Status.NAMES.get(response.status, str(response.status)))
+            span.end()
+        link.send(response)
+
+    @staticmethod
+    def _error_response(shard: Shard, rid: int, exc: Exception) -> Response:
+        if isinstance(exc, BackgroundError):
+            shard.stats.degraded_rejects += 1
+            return Response(request_id=rid, status=Status.DEGRADED, message=str(exc))
+        if not isinstance(exc, ReproError):
+            return server_error(rid, exc)
+        shard.stats.errors += 1
+        status = (
+            Status.BAD_REQUEST
+            if isinstance(exc, InvalidArgumentError)
+            else Status.SERVER_ERROR
+        )
+        return Response(request_id=rid, status=status, message=str(exc))
+
+    def _read(self, shard: Shard, request: Request) -> Response:
+        """Every shard op that never awaits (all but the writes)."""
         op = request.op
         rid = request.request_id
-        try:
-            if op == Op.GET:
-                shard.stats.gets += 1
-                snapshot = shard.snapshot_for(request.snapshot)
-                if snapshot is not None:
-                    value = shard.db.get(request.key, snapshot=snapshot)
-                else:
-                    value = shard.db.get(request.key)
-                return Response(
-                    request_id=rid,
-                    found=value is not None,
-                    value=value if value is not None else b"",
-                )
-            if op in (Op.PUT, Op.DELETE, Op.BATCH):
-                return await self._dispatch_write(shard, request, client_id, trace_ctx)
-            if op == Op.SCAN:
-                shard.stats.scans += 1
-                pairs = self._scan(shard, request)
-                return Response(request_id=rid, pairs=pairs)
-            if op == Op.SNAPSHOT:
-                try:
-                    token = shard.create_snapshot()
-                except NotImplementedError as exc:
-                    return Response(
-                        request_id=rid, status=Status.UNSUPPORTED, message=str(exc)
-                    )
-                return Response(request_id=rid, snapshot=token)
-            if op == Op.RELEASE:
-                shard.release_snapshot(request.snapshot or 0)
-                return Response(request_id=rid)
-            if op == Op.PROPERTY:
-                shard.stats.properties += 1
-                text = shard.db.get_property(request.name)
-                return Response(
-                    request_id=rid,
-                    found=text is not None,
-                    value=(text or "").encode("utf-8"),
-                )
-            if op == Op.METRICS:
-                shard.stats.metrics += 1
-                text = shard.db.get_property("repro.metrics")
-                return Response(
-                    request_id=rid,
-                    found=text is not None,
-                    value=(text or "").encode("utf-8"),
-                )
+        if op == Op.GET:
+            shard.stats.gets += 1
+            snapshot = shard.snapshot_for(request.snapshot)
+            if snapshot is not None:
+                value = shard.db.get(request.key, snapshot=snapshot)
+            else:
+                value = shard.db.get(request.key)
             return Response(
                 request_id=rid,
-                status=Status.BAD_REQUEST,
-                message=f"unhandled op {op}",
+                found=value is not None,
+                value=value if value is not None else b"",
             )
-        except InvalidArgumentError as exc:
-            shard.stats.errors += 1
-            return Response(
-                request_id=rid, status=Status.BAD_REQUEST, message=str(exc)
-            )
-        except (StoreClosedError, ReproError) as exc:
-            shard.stats.errors += 1
-            return Response(
-                request_id=rid, status=Status.SERVER_ERROR, message=str(exc)
-            )
+        if op == Op.SCAN:
+            shard.stats.scans += 1
+            return Response(request_id=rid, pairs=self._scan(shard, request))
+        if op == Op.SNAPSHOT:
+            try:
+                token = shard.create_snapshot()
+            except NotImplementedError as exc:
+                return Response(
+                    request_id=rid, status=Status.UNSUPPORTED, message=str(exc)
+                )
+            return Response(request_id=rid, snapshot=token)
+        if op == Op.RELEASE:
+            shard.release_snapshot(request.snapshot or 0)
+            return Response(request_id=rid)
+        if op == Op.PROPERTY:
+            shard.stats.properties += 1
+            return text_response(rid, shard.db.get_property(request.name))
+        if op == Op.METRICS:
+            shard.stats.metrics += 1
+            return text_response(rid, shard.db.get_property("repro.metrics"))
+        return Response(
+            request_id=rid, status=Status.BAD_REQUEST, message=f"unhandled op {op}"
+        )
 
-    async def _dispatch_write(
-        self, shard: Shard, request: Request, client_id: int, trace_ctx=None
-    ) -> Response:
-        from repro.util.keys import KIND_DELETE, KIND_PUT
-
+    def _admit_write(
+        self, link: ClientLink, shard: Shard, request: Request, span
+    ) -> Optional[Response]:
+        """Park a write on its shard's group-commit queue (returns None;
+        the drain answers it), or refuse it here with a response."""
+        rid = request.request_id
         if request.op == Op.PUT:
             shard.stats.puts += 1
             ops = [(KIND_PUT, request.key, request.value)]
@@ -700,7 +785,7 @@ class KVServer:
         if shard.db.is_degraded:
             shard.stats.degraded_rejects += 1
             return Response(
-                request_id=request.request_id,
+                request_id=rid,
                 status=Status.DEGRADED,
                 message=shard.db.get_property("repro.background-error") or "degraded",
             )
@@ -727,24 +812,26 @@ class KVServer:
                 )
                 recorder.dump("overloaded")
             return Response(
-                request_id=request.request_id,
+                request_id=rid,
                 status=Status.OVERLOADED,
                 message=f"shard {shard.index} write queue full "
                 f"({shard.write_debt}/{cap})",
                 retry_after=hint,
             )
-        try:
-            applied = await shard.submit_write(
-                ops, client_id, request.request_id, trace_ctx
-            )
-        except BackgroundError as exc:
-            shard.stats.degraded_rejects += 1
-            return Response(
-                request_id=request.request_id,
-                status=Status.DEGRADED,
-                message=str(exc),
-            )
-        return Response(request_id=request.request_id, applied=applied)
+
+        def answer(outcome: Union[bool, Exception]) -> None:
+            if isinstance(outcome, Exception):
+                response = self._error_response(shard, rid, outcome)
+            else:
+                response = Response(request_id=rid, applied=outcome)
+            self._answer(link, span, response)
+            link.unpark()
+
+        link.parked += 1
+        shard.queue_write(
+            ops, link.client_id, rid, answer, span.context if span else None
+        )
+        return None
 
     def _scan(self, shard: Shard, request: Request) -> List[Tuple[bytes, bytes]]:
         snapshot = shard.snapshot_for(request.snapshot)
@@ -827,21 +914,15 @@ class KVServer:
     async def wait_idle(self) -> None:
         """Let in-flight group commits and engine background work finish."""
         for shard in self.shards:
-            if shard._writer_task is not None and not shard._writer_task.done():
-                await shard._writer_task
+            while shard.write_debt:  # a queued write has a drain scheduled
+                await asyncio.sleep(0)
             shard.db.wait_idle()
 
     async def aclose(self) -> None:
         if self._closed:
             return
         self._closed = True
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+        await self._close_connections()
         await self.wait_idle()
         for shard in self.shards:
             shard.close()

@@ -6,13 +6,18 @@ instances and speaks the :mod:`repro.net.protocol` wire format::
     python -m repro.tools.server --engine pebblesdb --shards 4 --port 7380
 
 ``--serving-mode process`` spawns one worker *process* per shard (spawn
-start method) behind a relaying frontend, so shard work runs on separate
-cores instead of one GIL-bound event loop::
+start method), so shard work runs on separate cores instead of one
+GIL-bound event loop.  The process listening on ``--port`` is then off
+the data path: its HELLO reply tells each client which port every
+shard's worker listens on (all bound to ``--host``), the client dials
+the workers itself, and the parent keeps supervision, the durable ship
+log and the ``Op.ADMIN`` plane::
 
     python -m repro.tools.server --shards 4 --serving-mode process
 
 Clients connect with :meth:`repro.net.ClusterClient.open_tcp` (or the
-``repro-netbench`` CLI) and learn the shard map from the HELLO response.
+``repro-netbench`` CLI) and learn the shard map — and, in process mode,
+the routes — from the HELLO response.
 Boundaries default to uniform quantiles over db_bench-style ``user...``
 keys; pass explicit ``--boundary`` keys (repeatable) for other key
 spaces.
@@ -36,7 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--engine", default="pebblesdb", choices=ENGINES)
     parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--host",
+        default="127.0.0.1",
+        help="address every listener binds (process mode: the workers too, "
+        "since clients dial them directly)",
+    )
     parser.add_argument("--port", type=int, default=7380, help="0 picks a free port")
     parser.add_argument(
         "--boundary",
@@ -73,24 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(true multi-core)",
     )
     parser.add_argument(
-        "--no-ship-log",
-        action="store_true",
-        help="process mode: disable log shipping (worker crashes lose "
-        "acknowledged writes, as in the pre-durability serving mode)",
-    )
-    parser.add_argument(
         "--snapshot-interval",
         type=int,
         default=0,
         help="process mode: ship a compact snapshot every N commits so "
         "the parent can truncate the ship log (0 = full log; replay "
         "from a full log is byte-identical, from a snapshot logical)",
-    )
-    parser.add_argument(
-        "--no-supervise",
-        action="store_true",
-        help="process mode: disable the heartbeat supervisor "
-        "(no automatic restart of dead or hung shard workers)",
     )
     return parser
 
@@ -102,15 +100,14 @@ def config_from_args(args) -> ServerConfig:
     return ServerConfig(
         engine=args.engine,
         shards=args.shards,
+        host=args.host,
         boundaries=boundaries,
         uniform_keys=args.uniform_keys,
         seed=args.seed,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
         group_commit=not args.no_group_commit,
         sync_commits=not args.async_commits,
-        ship_log=not args.no_ship_log,
         snapshot_interval=args.snapshot_interval,
-        supervise=not args.no_supervise,
     )
 
 
@@ -118,7 +115,7 @@ async def _serve(args) -> int:
     from repro.net.mp import make_server
 
     server = make_server(config_from_args(args), serving_mode=args.serving_mode)
-    tcp = await server.serve_tcp(args.host, args.port)
+    tcp = await server.serve_tcp(port=args.port)
     host, port = server.tcp_address
     bounds = ", ".join(b.decode("utf-8", "replace") for b in server.router.boundaries)
     print(

@@ -1,5 +1,5 @@
 """Process serving mode: digest parity with loopback, worker crash and
-restart, shard-subset servers, and the UNAVAILABLE retry mapping.
+restart, shard-subset servers, and the routes clients dial workers by.
 
 The differential tests drive operations *sequentially*, so every write
 is its own group commit in both serving modes and the WAL byte streams
@@ -11,14 +11,24 @@ cannot spawn processes skips rather than fails.
 import asyncio
 import multiprocessing
 import os
+import threading
 
 import pytest
 
 from repro.net.client import ClusterClient
-from repro.net.errors import ServerUnavailableError
-from repro.net.mp import ProcessKVServer, make_server
-from repro.net.protocol import Op, Request, Status
+from repro.net.errors import ServerUnavailableError, ShardDegradedError
+from repro.net.mp import SHARD_ACTIVE, SHARD_DEGRADED, ProcessKVServer, make_server
+from repro.net.protocol import (
+    FrameDecoder,
+    Op,
+    Request,
+    Route,
+    Status,
+    decode_payload,
+    encode_frame,
+)
 from repro.net.server import KVServer, ServerConfig
+from repro.net.transport import StreamEndpoint
 from repro.workloads.distributions import KeyCodec, value_bytes
 
 CODEC = KeyCodec(16)
@@ -206,6 +216,224 @@ class TestWorkerCrash:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+# ----------------------------------------------------------------------
+# Routes: clients dial the workers, the parent only says where they are
+# ----------------------------------------------------------------------
+async def raw_call(endpoint, request):
+    """One request/response on a bare endpoint (no ClusterClient)."""
+    endpoint.write(encode_frame(request.encode()))
+    decoder = FrameDecoder()
+    while True:
+        payload = decoder.next_frame()
+        if payload is not None:
+            return decode_payload(payload), payload
+        chunk = await endpoint.read(65536)
+        assert chunk, "peer closed before answering"
+        decoder.feed(chunk)
+
+
+def keys_on(server, shard, count=1):
+    found = [i for i in range(400) if server.router.shard_for(K(i)) == shard]
+    return found[:count]
+
+
+class TestRoutes:
+    #: The HELLO reply of ``KVServer(config(shards=2))`` to request id 1,
+    #: as the commit before routes existed framed it.
+    LOOPBACK_HELLO = (
+        "1b00000092c91c0e800100020000000102011075736572303030303030303030323030"
+    )
+
+    def test_loopback_hello_bytes_unchanged_and_parent_publishes_routes(self):
+        async def main():
+            hello = Request(op=Op.HELLO, request_id=1)
+            loop_server = KVServer(config(shards=2))
+            reply, payload = await raw_call(loop_server.connect_loopback(), hello)
+            assert encode_frame(payload).hex() == self.LOOPBACK_HELLO
+            assert reply.routes == []  # "served on this connection"
+            await loop_server.aclose()
+
+            server = ProcessKVServer(config(shards=2, supervise=False))
+            reply, _ = await raw_call(server.connect_loopback(), hello)
+            assert reply.routes == [
+                Route(SHARD_ACTIVE, "127.0.0.1", port) for port in server.worker_ports
+            ]
+            # A worker answers like a loopback server: no routes, and it
+            # never mints — only the parent hands out client ids.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.worker_ports[0]
+            )
+            worker_reply, _ = await raw_call(StreamEndpoint(reader, writer), hello)
+            assert worker_reply.routes == [] and worker_reply.client_id == 0
+            assert reply.client_id == 1
+            writer.close()
+            await server.aclose()
+
+        run(main())
+
+    def test_same_client_follows_a_replaced_worker(self):
+        async def main():
+            server = ProcessKVServer(config(shards=2, supervise=False))
+            client = await ClusterClient.open_loopback(
+                server, max_retries=40, backoff_base=0.01, backoff_max=0.25
+            )
+            shard = 0
+            key = K(keys_on(server, shard)[0])
+            assert await client.put(key, b"before-crash")
+            refreshes = client.stats.route_refreshes
+            worker = server._workers[shard]
+            worker.process.kill()
+            worker.process.join(10)
+            # The get meets a dead connection, then a refused dial, and
+            # keeps asking the parent until the replacement is published.
+            pending = asyncio.ensure_future(client.get(key))
+            await asyncio.to_thread(server.restart_shard, shard)
+            assert await pending == b"before-crash"
+            assert client.stats.retries > 0
+            assert client.stats.route_refreshes > refreshes
+            assert await client.put(key, b"after-restart")
+            await client.aclose()
+            await server.aclose()
+
+        run(main())
+
+    def test_no_address_published_before_replay_returned(self):
+        async def main():
+            server = ProcessKVServer(config(shards=2, supervise=False))
+            client = await ClusterClient.open_loopback(server)
+            shard = 1
+            assert await client.put(K(keys_on(server, shard)[0]), b"in-the-log")
+            replaying, release = threading.Event(), threading.Event()
+            replay_into = server._replay_into
+
+            def held_replay(shard_id, handle):
+                replaying.set()
+                assert release.wait(30)
+                replay_into(shard_id, handle)
+
+            server._replay_into = held_replay
+            restart = asyncio.ensure_future(
+                asyncio.to_thread(server.restart_shard, shard)
+            )
+            assert await asyncio.to_thread(replaying.wait, 30)
+            # The replacement process is up and listening, but has not
+            # replayed the ship log: its address must not be out yet.
+            hello = Request(op=Op.HELLO, request_id=1)
+            reply, _ = await raw_call(server.connect_loopback(), hello)
+            assert reply.routes[shard] == Route("restarting")
+            assert reply.routes[0].state == SHARD_ACTIVE and reply.routes[0].port
+            release.set()
+            await restart
+            reply, _ = await raw_call(server.connect_loopback(), hello)
+            assert reply.routes[shard] == Route(
+                SHARD_ACTIVE, "127.0.0.1", server.worker_ports[shard]
+            )
+            assert await client.get(K(keys_on(server, shard)[0])) == b"in-the-log"
+            await client.aclose()
+            await server.aclose()
+
+        run(main())
+
+    def test_degraded_route_raises_without_retry_or_dial(self):
+        async def main():
+            server = ProcessKVServer(config(shards=2, supervise=False))
+            client = await ClusterClient.open_loopback(server, pool_size=1)
+            server._shard_states[0] = SHARD_DEGRADED
+            before = (client.stats.retries, client.stats.connections_opened)
+            with pytest.raises(ShardDegradedError):
+                await client.get(K(keys_on(server, 0)[0]))
+            assert (client.stats.retries, client.stats.connections_opened) == before
+            # The other shard is unaffected.
+            other = K(keys_on(server, 1)[0])
+            assert await client.put(other, b"v")
+            server._shard_states[0] = SHARD_ACTIVE
+            await client.aclose()
+            await server.aclose()
+
+        run(main())
+
+    def test_parent_refuses_shard_ops_and_stays_usable(self):
+        async def main():
+            server = ProcessKVServer(config(shards=2, supervise=False))
+            endpoint = server.connect_loopback()
+            put = Request(op=Op.PUT, request_id=5, shard=0, key=K(1), value=b"v")
+            reply, _ = await raw_call(endpoint, put)
+            assert reply.request_id == 5 and reply.status == Status.BAD_REQUEST
+            reply, _ = await raw_call(endpoint, Request(op=Op.HELLO, request_id=6))
+            assert reply.status == Status.OK and len(reply.routes) == 2
+            assert server.protocol_errors == 0
+            assert server.total_ops()["puts"] == 0  # nothing was relayed
+            endpoint.close()
+            await server.aclose()
+
+        run(main())
+
+    def test_clean_run_opens_one_pool_per_shard_touched(self):
+        async def main():
+            server = ProcessKVServer(config(shards=3, supervise=False))
+            pool_size = 2
+            client = await ClusterClient.open_loopback(server, pool_size=pool_size)
+            touched = (0, 2)
+            for shard in touched:
+                for i in keys_on(server, shard, 4):
+                    assert await client.put(K(i), V(i))
+                    assert await client.get(K(i)) == V(i)
+            stats = client.stats
+            assert stats.connections_opened == pool_size + pool_size * len(touched)
+            assert stats.route_refreshes == pool_size * len(touched)
+            assert stats.retries == 0
+            await client.aclose()
+            await server.aclose()
+
+        run(main())
+
+
+# ----------------------------------------------------------------------
+# Client ids: one minter per cluster
+# ----------------------------------------------------------------------
+class TestClientIds:
+    def test_worker_does_not_mint_an_id_the_parent_gave_out(self):
+        """A worker that minted from its own counter told an anonymous
+        socket it was client 1 — the id the parent had given a
+        ClusterClient — and the dedup table then dropped its first write
+        as a retry of that client's."""
+
+        async def main():
+            server = ProcessKVServer(config(shards=2, supervise=False))
+            client = await ClusterClient.open_loopback(server)
+            assert client.client_id == 1
+            index = keys_on(server, 0)[0]
+            assert await client.put(K(index), b"first")  # request id 2 or so
+            taken = client._next_request_id - 1
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.worker_ports[0]
+            )
+            endpoint = StreamEndpoint(reader, writer)
+            hello, _ = await raw_call(endpoint, Request(op=Op.HELLO, request_id=1))
+            assert hello.client_id == 0  # anonymous stays anonymous
+            other = K(keys_on(server, 0, 2)[1])
+            for request_id in range(2, taken + 1):
+                # Every request id client 1 has used so far, re-used by
+                # the anonymous socket: each must still apply.
+                reply, _ = await raw_call(
+                    endpoint,
+                    Request(
+                        op=Op.PUT,
+                        request_id=request_id,
+                        shard=0,
+                        key=other,
+                        value=b"second-%d" % request_id,
+                    ),
+                )
+                assert reply.status == Status.OK and reply.applied
+            assert await client.get(other) == b"second-%d" % taken
+            writer.close()
+            await client.aclose()
+            await server.aclose()
+
+        run(main())
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.net.protocol import (
     Op,
     Request,
     Response,
+    Route,
     Status,
     decode_payload,
     encode_frame,
@@ -116,6 +117,17 @@ RESPONSES = [
     Response(request_id=8, status=Status.BAD_SHARD, message="no shard 9"),
     Response(request_id=9, status=Status.UNSUPPORTED, message="no snapshots"),
     Response(request_id=10, status=Status.SERVER_ERROR, message="boom"),
+    Response(  # a process-mode parent's HELLO reply: one route per shard
+        request_id=11,
+        client_id=3,
+        shard_count=3,
+        boundaries=[b"g", b"p"],
+        routes=[
+            Route("active", "10.0.0.7", 40001),
+            Route("active", "", 40002),  # wildcard bind: host left to the client
+            Route("restarting"),
+        ],
+    ),
 ]
 
 

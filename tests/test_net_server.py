@@ -480,3 +480,200 @@ class TestBlockingClient:
             assert scans.ops == 60
         finally:
             db.close()
+
+
+# ----------------------------------------------------------------------
+# The connection loop: one task per connection, one call_soon per commit
+# ----------------------------------------------------------------------
+def send(endpoint, requests):
+    from repro.net.protocol import encode_frame
+
+    for request in requests:
+        endpoint.write(encode_frame(request.encode()))
+
+
+async def receive(endpoint, count):
+    """Read until ``count`` responses arrived (or the peer closed);
+    responses in arrival order."""
+    from repro.net.protocol import FrameDecoder, decode_payload
+
+    decoder = FrameDecoder()
+    responses = []
+    while len(responses) < count:
+        chunk = await endpoint.read(65536)
+        if not chunk:
+            break
+        decoder.feed(chunk)
+        while True:
+            payload = decoder.next_frame()
+            if payload is None:
+                break
+            responses.append(decode_payload(payload))
+    return responses
+
+
+async def exchange(endpoint, requests):
+    send(endpoint, requests)
+    return await receive(endpoint, len(requests))
+
+
+class TestConnectionLoop:
+    @staticmethod
+    def _puts(ids, shard=0):
+        from repro.net.protocol import Op, Request
+
+        return [
+            Request(op=Op.PUT, request_id=i, shard=shard, key=K(i), value=V(i))
+            for i in ids
+        ]
+
+    def test_two_connections_coalesce_deterministically(self):
+        async def main():
+            server = make_server(shards=1)
+            client = await ClusterClient.open_loopback(server, pool_size=2)
+            await asyncio.gather(*(client.put(K(i), V(i)) for i in range(64)))
+            await server.wait_idle()
+            stats = server.shards[0].stats
+            assert client.stats.connections_opened == 2
+            assert stats.coalesced_writes == 64
+            assert stats.group_commits < 64
+            result = stats.group_commits, server.state_digests()
+            await client.aclose()
+            await server.aclose()
+            return result
+
+        assert run(main()) == run(main())
+
+    def test_half_closed_connection_gets_every_parked_answer(self):
+        from repro.net.protocol import Op, Request, Status
+
+        async def main():
+            server = make_server(shards=1)
+            endpoint = server.connect_loopback()
+            await exchange(endpoint, [Request(op=Op.HELLO, request_id=1)])
+            send(endpoint, self._puts(range(2, 22)))
+            endpoint._tx.feed_eof()  # half-close: we still read
+            responses = await receive(endpoint, 20)
+            assert sorted(r.request_id for r in responses) == list(range(2, 22))
+            assert all(r.status == Status.OK and r.applied for r in responses)
+            assert await endpoint.read() == b""  # then the server closed
+            assert server.shards[0].stats.coalesced_writes == 20
+            for i in range(2, 22):
+                assert server.shards[0].db.get(K(i)) == V(i)
+            await server.aclose()
+
+        run(main())
+
+    def test_engine_exception_answers_server_error_and_connection_lives(self):
+        from repro.net.protocol import Op, Request, Status
+
+        async def main():
+            server = make_server(shards=1)
+            db = server.shards[0].db
+            db.put(K(1), b"v")
+            real_get, calls = db.get, []
+
+            def flaky_get(key, **kwargs):
+                calls.append(key)
+                if len(calls) == 1:
+                    raise RuntimeError("boom")
+                return real_get(key, **kwargs)
+
+            db.get = flaky_get
+            endpoint = server.connect_loopback()
+            get = lambda rid: Request(op=Op.GET, request_id=rid, key=K(1))
+            first, second = await exchange(endpoint, [get(1), get(2)])
+            assert first.status == Status.SERVER_ERROR
+            assert "RuntimeError: boom" in first.message
+            assert second.status == Status.OK and second.value == b"v"
+            endpoint.close()
+            await server.aclose()
+
+        run(main())
+
+    def test_failed_group_commit_fails_the_batch_and_stays_retryable(self):
+        from repro.net.protocol import Op, Request, Status
+
+        async def main():
+            server = make_server(shards=1)
+            shard = server.shards[0]
+            endpoint = server.connect_loopback()
+            (hello,) = await exchange(endpoint, [Request(op=Op.HELLO, request_id=1)])
+            assert hello.client_id == 1  # a real id: dedup is on
+            shard.env.storage.set_fault_injector(
+                FaultInjector(
+                    FaultPlan.fail_nth(0, op="append", name_pattern="*.log", times=1)
+                )
+            )
+            puts = self._puts(range(2, 6))
+            failed = await exchange(endpoint, puts)
+            assert [r.status for r in failed] == [Status.SERVER_ERROR] * 4
+            assert shard.stats.group_commits == 0 and shard.stats.errors == 4
+            assert not any(shard._dedup.seen(1, r.request_id) for r in puts)
+            # The same ids again: one commit applies them all, once ...
+            retried = await exchange(endpoint, puts)
+            assert all(r.status == Status.OK and r.applied for r in retried)
+            assert shard.stats.group_commits == 1
+            assert shard.stats.coalesced_writes == 4
+            # ... and a third send is recognised as a duplicate.
+            again = await exchange(endpoint, puts)
+            assert all(r.status == Status.OK and not r.applied for r in again)
+            assert shard.stats.duplicate_writes == 4
+            assert shard.stats.group_commits == 1
+            endpoint.close()
+            await server.aclose()
+
+        run(main())
+
+    def test_no_task_per_request(self):
+        from repro.net.protocol import Op, Request
+
+        async def main():
+            server = make_server(shards=1)
+            db = server.shards[0].db
+            endpoint = server.connect_loopback()
+            await exchange(endpoint, [Request(op=Op.HELLO, request_id=1)])
+            idle = len(asyncio.all_tasks())  # this test + the connection
+            real_get, seen = db.get, []
+
+            def counting_get(key, **kwargs):
+                seen.append(len(asyncio.all_tasks()))
+                return real_get(key, **kwargs)
+
+            db.get = counting_get
+            gets = [Request(op=Op.GET, request_id=i, key=K(i)) for i in range(2, 102)]
+            assert len(await exchange(endpoint, gets)) == 100
+            assert len(seen) == 100 and max(seen) == idle
+            endpoint.close()
+            await server.aclose()
+
+        run(main())
+
+    def test_traced_put_and_get_span_tree(self):
+        import io
+
+        from repro.obs.trace import TraceSink, read_trace, verify_nesting
+
+        buffer = io.StringIO()
+        client = BlockingClusterClient(make_server(shards=2))
+        client.enable_tracing(TraceSink(buffer))
+        client.put(K(1), b"v")
+        client.get(K(1))
+        client.close()
+        spans = read_trace(io.StringIO(buffer.getvalue()))
+        verify_nesting(spans)
+        names = {span["span"]: span["name"] for span in spans}
+        tree = sorted(
+            (span["trace"], span["name"], span["kind"], names.get(span.get("parent")))
+            for span in spans
+        )
+        put, get = sorted({span["trace"] for span in spans})
+        # As recorded when a request was still a task of its own.
+        assert tree == [
+            (put, "client.put", "client", None),
+            (put, "server.put", "server", "client.put"),
+            (put, "write", "internal", "server.put"),
+            (get, "client.get", "client", None),
+            (get, "get", "internal", "server.get"),
+            (get, "server.get", "server", "client.get"),
+        ]
