@@ -1582,7 +1582,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             )
 
         if split_bytes is None:
-            builder = SSTableBuilder(opts.block_bytes, opts.bloom_bits_per_key)
+            builder = SSTableBuilder()
             add = builder.add
             for entry in entries:
                 add(*entry)
@@ -1605,7 +1605,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 pending_split = False
             if builder is None:
                 number = self._alloc_file_number()
-                builder = SSTableBuilder(opts.block_bytes, opts.bloom_bits_per_key)
+                builder = SSTableBuilder()
             builder.add(*entry)
             prev_user_key = user_key
             if builder.estimated_size >= split_bytes:

@@ -354,7 +354,7 @@ class LeveledLSMStore(LSMStoreBase):
         files = [f for f in self._levels[level] if f.number not in self._busy]
         if not files:
             return None
-        count = 1 if opts.compaction_policy == "round_robin" else opts.compaction_max_input_files
+        count = opts.compaction_max_input_files
         if opts.compaction_policy == "min_overlap":
             inputs = self._min_overlap_window(level, files, count)
         else:

@@ -4,8 +4,9 @@ The paper compares four stores.  Three of them (LevelDB, HyperLevelDB,
 RocksDB) share the leveled-LSM design and differ in configuration and
 compaction policy, so we model them as presets of one engine:
 
-* **leveldb** — 4 MB memtable (scaled), one background worker, lazy
-  round-robin compaction that moves one file at a time.  Lowest write
+* **leveldb** — 4 MB memtable (scaled), one immutable memtable, one
+  background worker taking "wide" passes of up to four files from a
+  per-level cursor, started at 75% of a level's target size.  Lowest write
   amplification of the LSM trio (Figure 1.1) but the most write stalls.
 * **hyperleveldb** — LevelDB sizes, two background workers, and
   HyperLevelDB's wider compactions (several files per pass) which finish a
@@ -58,7 +59,8 @@ class StoreOptions:
 
     # --- compaction policy -----------------------------------------------
     background_workers: int = 2
-    #: "round_robin" (LevelDB), "wide" (HyperLevelDB: several files/pass).
+    #: "wide" (LevelDB, RocksDB: the next files past a per-level cursor),
+    #: "min_overlap" (HyperLevelDB: the window overlapping the least below).
     compaction_policy: str = "wide"
     #: How many input files a "wide" compaction takes per pass.
     compaction_max_input_files: int = 4
@@ -118,8 +120,6 @@ class StoreOptions:
     vlog_gc_dead_ratio: float = 0.5
 
     # --- read path ---------------------------------------------------------
-    block_bytes: int = 4 * KiB
-    bloom_bits_per_key: int = 10
     #: Open sstable readers kept cached.  The paper's stores cache 1000
     #: sstable index blocks; scaled by the same ~1/16 factor as file
     #: counts, so a store with many small sstables thrashes this cache
@@ -191,7 +191,7 @@ class StoreOptions:
             raise ValueError("block_cache_bytes must be >= 0")
         if self.top_level_bits < 1 or self.bit_decrement < 0:
             raise ValueError("bad guard probability parameters")
-        if self.compaction_policy not in ("round_robin", "wide", "min_overlap"):
+        if self.compaction_policy not in ("wide", "min_overlap"):
             raise ValueError(f"unknown compaction policy: {self.compaction_policy!r}")
         if self.compaction_scheduler not in ("guard", "level"):
             raise ValueError(

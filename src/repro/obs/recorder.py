@@ -1,7 +1,7 @@
 """Always-on flight recorder: a bounded ring of recent spans/events.
 
-Full JSONL tracing costs ~1.66x (BENCH_obs.json) and nobody has it on
-when a store actually degrades.  The flight recorder is the cheap
+Full JSONL tracing is real host work on every operation and nobody has
+it on when a store actually degrades.  The flight recorder is the cheap
 always-on alternative, controlled by the ``trace_sample`` store knob:
 
 * ``"off"`` — recorder disabled; nothing is captured or dumped.

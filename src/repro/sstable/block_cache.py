@@ -32,12 +32,6 @@ Entry = Tuple[InternalKey, bytes]
 #: slot) used when charging a parsed block against the byte budget.
 _ENTRY_OVERHEAD = 64
 
-try:  # Python >= 3.10
-    bisect_left([], 0, key=lambda item: item)
-    _HAVE_BISECT_KEY = True
-except TypeError:  # pragma: no cover - depends on interpreter version
-    _HAVE_BISECT_KEY = False
-
 
 def _entry_key(entry: Entry) -> InternalKey:
     return entry[0]
@@ -75,16 +69,14 @@ class DecodedBlock:
         every comparison is a C tuple compare, no ``InternalKey.__lt__``
         frames.  A block that is not retained — cache disabled or a
         bypassing scan — bisects with ``key=`` instead of materializing
-        throwaway arrays, where the interpreter supports it.
+        throwaway arrays.
         """
         if self._keys is not None:
             sks = self._sks
             if sks is None:
                 sks = self._sks = [key.sort_key for key in self._keys]
             return bisect_left(sks, probe.sort_key)
-        if _HAVE_BISECT_KEY:
-            return bisect_left(self.entries, probe, key=_entry_key)
-        return bisect_left(self.keys, probe)
+        return bisect_left(self.entries, probe, key=_entry_key)
 
 
 @dataclass

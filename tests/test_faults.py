@@ -841,3 +841,84 @@ class TestChaosNeverWrong:
             return outcomes, stats.faults_injected, stats.ops_seen, env.clock.now
 
         assert run() == run()
+
+
+# ======================================================================
+# k-sweep: the same fault at the k-th matching storage operation
+# ======================================================================
+#: test id -> (op, file pattern, kind, torn fraction)
+SWEEP_CONFIGS = {
+    "transient-sstable-append": ("append", "db/*.sst", "transient", None),
+    "persistent-sstable-append": ("append", "db/*.sst", "persistent", None),
+    "transient-wal-sync": ("sync", "db/*.log", "transient", None),
+    "torn-wal-append": ("append", "db/*.log", "transient", 0.5),
+    "persistent-manifest-append": ("append", "db/MANIFEST-*", "persistent", None),
+    "transient-any-read": ("read", "db/*", "transient", None),
+}
+SWEEP_KS = [0, 1, 3, 10]
+
+
+def _sweep_episode(op, pattern, kind, torn, k):
+    """One fault episode, asserting as it goes; returns what a repeat must match."""
+    env = repro.Environment(cache_bytes=1 << 20)
+    db = make_store("pebblesdb", env, sync_writes=True)
+    plan = FaultPlan.fail_nth(
+        k, op=op, name_pattern=pattern, kind=kind, torn_fraction=torn
+    )
+    _attach(env, plan)
+    model = {}
+    outcomes = []
+    for i in range(700):
+        key, value = b"key%04d" % (i % 300), b"val%06d" % i
+        try:
+            db.put(key, value)
+            model[key] = value
+            outcomes.append(1)
+        except ReproError:
+            outcomes.append(0)
+    try:
+        db.flush_memtable()
+        db.wait_idle()
+    except ReproError:
+        pass
+
+    # Healthy, or degraded with the cause surfaced.
+    health = db.get_property("repro.health").split()[0]
+    assert health in ("ok", "degraded")
+    if health == "degraded":
+        assert db.get_property("repro.background-error")
+
+    # A read under the fault raises or is exactly right.
+    for key, value in model.items():
+        try:
+            got = db.get(key)
+        except ReproError:
+            continue
+        assert got == value
+
+    # With the cause gone, resume restores writes and every acknowledged key.
+    faults_injected = env.storage.faults.stats.faults_injected
+    _detach(env)
+    assert db.resume() is True
+    db.put(b"post-resume", b"ok")
+    model[b"post-resume"] = b"ok"
+    for key, value in model.items():
+        assert db.get(key) == value
+
+    # sync_writes: a crash recovers exactly the acknowledged state.
+    sim_clock = env.clock.now
+    env.storage.crash()
+    db2 = make_store("pebblesdb", env, sync_writes=True)
+    assert dict(db2.scan()) == model
+    db2.check_invariants()
+    return health, outcomes, faults_injected, sim_clock
+
+
+class TestFaultPointSweep:
+    @pytest.mark.parametrize("k", SWEEP_KS)
+    @pytest.mark.parametrize(
+        "op,pattern,kind,torn", SWEEP_CONFIGS.values(), ids=list(SWEEP_CONFIGS)
+    )
+    def test_every_fault_point_recovers_or_degrades(self, op, pattern, kind, torn, k):
+        first = _sweep_episode(op, pattern, kind, torn, k)
+        assert _sweep_episode(op, pattern, kind, torn, k) == first

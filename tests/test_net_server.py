@@ -8,6 +8,7 @@ same seed, same workload, byte-identical shard states.
 
 import asyncio
 import dataclasses
+import random
 
 import pytest
 
@@ -206,6 +207,46 @@ class TestGroupCommit:
             await server.aclose()
 
         run(main())
+
+
+# ----------------------------------------------------------------------
+# Shard scaling
+# ----------------------------------------------------------------------
+class TestShardScaling:
+    @staticmethod
+    async def _read_rate(shards, num_keys=1200, concurrency=16):
+        """Fill, then readrandom at a fixed client concurrency; returns
+        (aggregate simulated reads/s, client retries, protocol errors).
+        Each shard owns its device and clock, so the slowest shard paces
+        the cluster: the rate is ``ops / max-over-shards(clock delta)``."""
+        server = make_server(shards=shards, num_keys=num_keys)
+        client = await ClusterClient.open_loopback(server, pool_size=2)
+        for start in range(0, num_keys, concurrency):
+            chunk = range(start, start + concurrency)
+            await asyncio.gather(*(client.put(K(i), V(i, 256)) for i in chunk))
+        await server.wait_idle()
+        rng = random.Random(11)
+        indices = [rng.randrange(num_keys) for _ in range(num_keys)]
+        before = server.shard_sim_times()
+        for start in range(0, num_keys, concurrency):
+            chunk = indices[start : start + concurrency]
+            values = await asyncio.gather(*(client.get(K(i)) for i in chunk))
+            assert values == [V(i, 256) for i in chunk]
+        elapsed = max(
+            after - was for after, was in zip(server.shard_sim_times(), before)
+        )
+        result = num_keys / elapsed, client.stats.retries, server.protocol_errors
+        await client.aclose()
+        await server.aclose()
+        return result
+
+    def test_four_shards_read_faster_than_one(self):
+        """>= 1.5x the 1-shard aggregate simulated readrandom rate at 4
+        shards (measured 4.68x), clean: no retry, no protocol error."""
+        one_rate, *one_errors = run(self._read_rate(1))
+        four_rate, *four_errors = run(self._read_rate(4))
+        assert four_rate >= 1.5 * one_rate
+        assert one_errors == four_errors == [0, 0]
 
 
 # ----------------------------------------------------------------------
