@@ -102,6 +102,48 @@ def test_long_differential_run_with_compaction(seed):
     b.check_invariants()
 
 
+def test_level0_search_is_the_same_search():
+    """On a store that is all Level 0, what the engines do differently
+    (guards, leveled files) has not started: the same gets must probe and
+    bloom-skip the same number of tables in both, and agree on results."""
+    never = dict(
+        level0_compaction_trigger=64,
+        level0_slowdown_trigger=64,
+        level0_stop_trigger=64,
+    )
+    stores = [
+        make_store(engine, repro.Environment(cache_bytes=1 << 20), **never)
+        for engine in ("leveldb", "pebblesdb")
+    ]
+    rng = random.Random(3)
+    keyspace = [b"key%05d" % i for i in range(400)]
+    for step in range(1500):
+        key = rng.choice(keyspace)
+        for db in stores:
+            if step % 9 == 8:
+                db.delete(key)
+            else:
+                db.put(key, b"v%06d" % step)
+    for db in stores:
+        db.flush_memtable()
+        counts = db.files_per_level()
+        assert counts[0] >= 4 and sum(counts[1:]) == 0
+    probes = [rng.choice(keyspace) + rng.choice([b"", b"", b"~"]) for _ in range(500)]
+    results, tallies = [], []
+    for db in stores:
+        results.append([db.get(key) for key in probes])
+        reg = db.stats_part()["registry"]
+        tallies.append(
+            (
+                reg.value("read.files_probed", level=0),
+                reg.value("read.bloom_skipped", level=0),
+            )
+        )
+    assert results[0] == results[1]
+    assert tallies[0] == tallies[1]
+    assert min(tallies[0]) > 0
+
+
 @pytest.mark.parametrize("seed", [5, 31])
 def test_guard_parallel_vs_level_serial(seed):
     """The two schedulers differ only in *when* compactions run: the

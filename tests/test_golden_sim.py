@@ -21,7 +21,13 @@ The scenarios cover what the default-options run cannot see:
 * ``snapshot`` — a snapshot held across compactions (shadowed versions
   survive the collapse);
 * ``fault`` — transient ``append:*.sst`` faults: retried attempts burn
-  file numbers and delete their partial output.
+  file numbers and delete their partial output;
+* ``gets`` — the point-read path, which the others barely touch (30 gets
+  in ``snapshot``): in place of the seeks, every 50th key is deleted and
+  2,000 seeded gets follow, 10 % of them for absent keys and every tenth
+  through a snapshot taken after the fill.  Each result is checked
+  against a model; the clock pins what the table search charged
+  (recorded from the commit before the engines' two searches became one).
 
 ``python tests/test_golden_sim.py`` prints the current values.
 """
@@ -49,6 +55,7 @@ SCENARIOS = {
     },
     "snapshot": {},
     "fault": {},
+    "gets": {},
 }
 
 #: (scenario, engine) -> (storage digest, MANIFEST sha256, env.clock.now)
@@ -153,6 +160,26 @@ GOLDEN = {
         "3822817482cfd0afdd6d593580d725e33502d494ff9c9dadb04302fce2555829",
         0.14247020148247888,
     ),
+    ("gets", "leveldb"): (
+        "a73d11cda84dcc92bd7f0bbacb4a8f379a3ca2ed6757d600451bd25683aaea6c",
+        "805f9a1f3197eb4818e4b8b428d4c7848d5437b2bb67961714e662b6a7c2e160",
+        0.16156309572414476,
+    ),
+    ("gets", "hyperleveldb"): (
+        "150408b0a3a8860d68abce3dc27ce2b66fc2f07e6b389e854ce14337b1f0a83f",
+        "9e090450a546600f9ffe3fb3f2585b3af03e7a362e9b64ed4f901ee44ab42670",
+        0.13051669049407688,
+    ),
+    ("gets", "rocksdb"): (
+        "66000a6875aba282e98c32274b8dfd8aea1a67cf5306b6be65488196ca7511be",
+        "cfbfc7fbd8d23bb9107f87d2a90259a729d96a9f068f3aeaeaa9a5c59e0b8043",
+        0.15299481883339153,
+    ),
+    ("gets", "pebblesdb"): (
+        "188261ab4e11c2b7653a34b412c55cc0643005ac3d8cbbc455455f3cbef200d8",
+        "6fb9cf14be05a77f7b70ae26090273b204de8fa1f64f991972699c830d86c07c",
+        0.14156288828987262,
+    ),
 }
 
 
@@ -174,8 +201,30 @@ def _fault_plan() -> FaultPlan:
     )
 
 
+def _run_gets(db, rng, keys, first, latest, snap) -> int:
+    """Delete every 50th key, then 2,000 gets, each checked against the
+    model: ``latest`` now, ``first`` (the fill) through ``snap``."""
+    for key in keys[::50]:
+        db.delete(key)
+        del latest[key]
+    seen = 0
+    for i in range(2000):
+        key = rng.choice(keys)
+        if rng.random() < 0.1:
+            key += b"~"  # absent, but inside the key range of its tables
+        if i % 10 == 9:
+            got, want = db.get(key, snapshot=snap), first.get(key)
+        else:
+            got, want = db.get(key), latest.get(key)
+        assert got == want, (i, key)
+        seen += len(key) + len(got or b"")
+    db.release_snapshot(snap)
+    return seen
+
+
 def run_workload(engine: str, scenario: str = "default"):
-    """Seeded fill -> overwrite -> 300 x (seek + 20 nexts) -> reverse seeks."""
+    """Seeded fill -> overwrite -> 300 x (seek + 20 nexts) -> reverse seeks
+    (``gets``: fill -> overwrite -> deletes -> 2,000 gets)."""
     env = repro.Environment(cache_bytes=1 << 20)
     db = make_store(engine, env, **SCENARIOS[scenario])
     if scenario == "fault":
@@ -184,14 +233,22 @@ def run_workload(engine: str, scenario: str = "default"):
     keys = [b"key%06d" % i for i in range(3000)]
     order = list(keys)
     rng.shuffle(order)
+    first = {}
     for i, key in enumerate(order):
         db.put(key, _value(scenario, b"v", i))
-    snap = db.get_snapshot() if scenario == "snapshot" else None
+        first[key] = _value(scenario, b"v", i)
+    snap = db.get_snapshot() if scenario in ("snapshot", "gets") else None
+    latest = dict(first)
     for i in range(1500):
-        db.put(rng.choice(keys), _value(scenario, b"w", i))
+        key = rng.choice(keys)
+        db.put(key, _value(scenario, b"w", i))
+        latest[key] = _value(scenario, b"w", i)
     db.wait_idle()
     seen = 0
-    for i in range(300):
+    if scenario == "gets":
+        seen = _run_gets(db, rng, keys, first, latest, snap)
+        snap = None
+    for i in range(0 if scenario == "gets" else 300):
         with db.seek(rng.choice(keys)) as it:
             for _ in range(20):
                 if not it.valid:
@@ -202,7 +259,7 @@ def run_workload(engine: str, scenario: str = "default"):
             # A write between scans resets the consecutive-seek run and
             # lets background work apply, as in YCSB-E.
             db.put(b"new%06d" % i, b"n" * 200)
-    for _ in range(10):
+    for _ in range(0 if scenario == "gets" else 10):
         with db.seek_reverse(rng.choice(keys)) as it:
             for _ in range(50):
                 if not it.valid:
