@@ -41,7 +41,6 @@ from repro.sim.cpu import CpuCosts
 from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable import merge_entries
 from repro.util.keys import InternalKey, KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
-from repro.util.murmur import murmur3_64
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_KEY, GUARD_NONE, GUARD_SENTINEL
@@ -152,12 +151,12 @@ class PebblesDBStore(LSMStoreBase):
         seed: int = 0,
     ) -> None:
         opts = options if options is not None else StoreOptions.pebblesdb()
-        self._level0: List[FileMetadata] = []
-        self._guarded: List[Optional[GuardedLevel]] = [None]
-        for level in range(1, opts.num_levels):
-            self._guarded.append(
-                GuardedLevel(level, overfull_files=max(2, opts.max_sstables_per_guard))
-            )
+        #: One guarded level per level.  Level 0 never gains a guard, so
+        #: all of it sits in its sentinel, in flush order.
+        self._guarded: List[GuardedLevel] = [
+            GuardedLevel(level, overfull_files=max(2, opts.max_sstables_per_guard))
+            for level in range(opts.num_levels)
+        ]
         self._uncommitted: List[Set[bytes]] = [set() for _ in range(opts.num_levels)]
         #: Guard keys removed from the uncommitted set at job submission
         #: but not yet applied to the level (the job is in flight).
@@ -201,62 +200,44 @@ class PebblesDBStore(LSMStoreBase):
         self.guards_selected += 1
         for lvl in range(level, self.options.num_levels):
             guarded = self._guarded[lvl]
-            assert guarded is not None
             if not guarded.has_guard(key):
                 self._uncommitted[lvl].add(key)
 
     # ==================================================================
     # State installation
     # ==================================================================
+    @property
+    def _level0(self) -> Tuple[FileMetadata, ...]:
+        """Level 0 newest first: the order its tables are searched, and
+        listed in a compaction's inputs (so in the MANIFEST)."""
+        return self._guarded[0].sentinel.files[::-1]
+
     def _install_flush(self, metas: List[FileMetadata], edit: VersionEdit) -> None:
         for meta in metas:
-            self._level0.insert(0, meta)
+            self._guarded[0].attach(meta)
             edit.add_file(0, meta, GUARD_NONE)
 
     def _level0_file_count(self) -> int:
-        return len(self._level0)
+        return self._guarded[0].num_files
 
     def level_sizes(self) -> List[int]:
-        sizes = [sum(f.file_size for f in self._level0)]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            sizes.append(guarded.size_bytes)
-        return sizes
-
-    def sstable_file_numbers(self) -> List[int]:
-        numbers = [f.number for f in self._level0]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            numbers.extend(f.number for f in guarded.all_files())
-        return numbers
-
-    def sstable_sizes(self) -> List[int]:
-        sizes = [f.file_size for f in self._level0]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            sizes.extend(f.file_size for f in guarded.all_files())
-        return sizes
+        return [guarded.size_bytes for guarded in self._guarded]
 
     def files_per_level(self) -> List[int]:
-        counts = [len(self._level0)]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            counts.append(guarded.num_files)
-        return counts
+        return [guarded.num_files for guarded in self._guarded]
 
     def live_files(self) -> List[FileMetadata]:
         files = list(self._level0)
         for guarded in self._guarded[1:]:
-            assert guarded is not None
             files.extend(guarded.all_files())
         return files
 
-    def compact_range(self, lo: bytes, hi: bytes) -> None:
+    def compact_range(self, lo: Optional[bytes], hi: Optional[bytes]) -> None:
         """Compact every guard whose data overlaps ``[lo, hi]`` downward.
 
-        The FLSM equivalent of LevelDB's CompactRange: Level 0 drains
-        first (its files may span any range), then overlapping guards are
-        compacted level by level.
+        The FLSM equivalent of LevelDB's CompactRange (a None bound is
+        open): Level 0 drains first (its files may span any range), then
+        overlapping guards are compacted level by level.
         """
         self.flush_memtable()
         self.executor.wait_all()
@@ -267,7 +248,6 @@ class PebblesDBStore(LSMStoreBase):
                 self.executor.wait_all()
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             for guard in list(guarded.guards()):
                 if not guard.files or self._guard_busy(guard):
                     continue
@@ -290,114 +270,30 @@ class PebblesDBStore(LSMStoreBase):
 
     def guard_counts(self) -> List[int]:
         """Committed guards per level (diagnostics, Figure 3.1/5.4)."""
-        return [0] + [len(g) for g in self._guarded[1:] if g is not None]
+        return [len(guarded) for guarded in self._guarded]
 
     def empty_guard_counts(self) -> List[int]:
-        counts = [0]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            counts.append(guarded.empty_guards)
-        return counts
+        return [guarded.empty_guards for guarded in self._guarded]
 
     # ==================================================================
     # Reads (paper sections 3.4 and 4.3)
     # ==================================================================
     def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount) -> GetResult:
-        # One body for both the traced and untraced paths (an extra call
-        # per get is measurable); the try/finally is free when nothing
-        # raises.
-        trc = self.tracer
-        span = trc.span("table.search") if trc is not None else None
-        try:
-            # Level 0 first; files may overlap arbitrarily, newest
-            # sequence wins.  One interned probe key serves every table
-            # probed for this lookup (readers would otherwise rebuild it,
-            # and its sort tuple, per file), and one murmur
-            # digest serves every bloom filter screened.
-            probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
-            kh = murmur3_64(key)
-            get_reader = self._get_reader
-            charge_cpu = account.charge_cpu
-            cpu = self.cpu
-            level_search = cpu.level_binary_search
-            probed = 0
-            bloom_skipped = 0
-            best0: Optional[GetResult] = None
-            level_probed = level_skipped = 0
-            for meta in self._level0:
-                if meta.largest.user_key < key or meta.smallest.user_key > key:
-                    continue
-                reader = get_reader(meta.number, account)
-                if not reader.may_contain(key, account, kh):
-                    level_skipped += 1
-                    continue
-                level_probed += 1
-                result = reader.get(key, snapshot, account, probe)
-                if result.found and (best0 is None or result.sequence > best0.sequence):
-                    best0 = result
-            if level_skipped:
-                self._probe_bloom[0] += level_skipped
-                bloom_skipped += level_skipped
-            if level_probed:
-                self._probe_files[0] += level_probed
-                probed += level_probed
-            if best0 is not None:
-                if span is not None:
-                    span.set(
-                        level=0,
-                        files_probed=probed,
-                        bloom_skipped=bloom_skipped,
-                        found=True,
-                    )
-                return best0
-            # Guarded levels: one guard per level, every sstable in the guard.
-            for level, guarded in enumerate(self._guarded[1:], start=1):
-                assert guarded is not None
-                if not len(guarded) and not guarded.sentinel.files:
-                    continue
-                charge_cpu(cpu, "level_binary_search", level_search)
-                guard = guarded.find_guard(key)
-                best: Optional[GetResult] = None
-                best_seq = -1
-                level_probed = level_skipped = 0
-                for meta in reversed(guard.files):
-                    if meta.largest.user_key < key or meta.smallest.user_key > key:
-                        continue
-                    reader = get_reader(meta.number, account)
-                    if not reader.may_contain(key, account, kh):
-                        level_skipped += 1
-                        continue
-                    level_probed += 1
-                    result = reader.get(key, snapshot, account, probe)
-                    if result.found and result.sequence > best_seq:
-                        best, best_seq = result, result.sequence
-                if level_skipped:
-                    self._probe_bloom[level] += level_skipped
-                    bloom_skipped += level_skipped
-                if level_probed:
-                    self._probe_files[level] += level_probed
-                    probed += level_probed
-                if best is not None:
-                    if span is not None:
-                        span.set(
-                            level=level,
-                            guard=_key_label(guard.key),
-                            guard_files=len(guard.files),
-                            files_probed=probed,
-                            bloom_skipped=bloom_skipped,
-                            found=True,
-                        )
-                    return best
-            if span is not None:
-                span.set(files_probed=probed, bloom_skipped=bloom_skipped, found=False)
-            return GetResult(False, False, None)
-        except BaseException as exc:
-            if span is not None:
-                span.attrs.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            if span is not None:
-                span.end()
+        return super()._get_from_tables(key, snapshot, account)
+
+    def _level_candidates(self, level: int, key: bytes):
+        # One guard per level, every sstable in the guard (Level 0: all of
+        # it); a level with guards is bisected even when they are empty.
+        guarded = self._guarded[level]
+        if not len(guarded) and not guarded.sentinel.files:
+            return None
+        return reversed(guarded.find_guard(key).files)
+
+    def _search_span_attrs(self, level: int, key: bytes) -> Dict[str, object]:
+        if level == 0:  # its one "guard" would say nothing about the key
+            return {}
+        guard = self._guarded[level].find_guard(key)
+        return {"guard": _key_label(guard.key), "guard_files": len(guard.files)}
 
     # ------------------------------------------------------------------
     def _table_iterators(
@@ -407,7 +303,7 @@ class PebblesDBStore(LSMStoreBase):
         probe = InternalKey(start_key, MAX_SEQUENCE, KIND_SEEK)
         iters: List[Iterator[Entry]] = []
         positioned_tables = 0
-        for meta in list(self._level0):
+        for meta in self._level0:
             if meta.largest.user_key < start_key:
                 continue
             iters.append(self._file_iter(meta, probe, account))
@@ -415,7 +311,6 @@ class PebblesDBStore(LSMStoreBase):
         parallel_level = self._parallel_seek_level()
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             if guarded.size_bytes == 0:
                 continue
             parallel = (
@@ -504,13 +399,12 @@ class PebblesDBStore(LSMStoreBase):
     ) -> List[Iterator[Entry]]:
         bound = start
         iters: List[Iterator[Entry]] = []
-        for meta in list(self._level0):
+        for meta in self._level0:
             if bound is not None and meta.smallest.user_key > bound:
                 continue
             iters.append(self._file_iter_reverse(meta, bound, account))
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             if guarded.size_bytes == 0:
                 continue
             iters.append(
@@ -537,13 +431,6 @@ class PebblesDBStore(LSMStoreBase):
             ]
             yield from merge_entries(file_iters, reverse=True)
 
-    def _last_populated_level(self) -> int:
-        for level in range(self.options.num_levels - 1, 0, -1):
-            guarded = self._guarded[level]
-            if guarded is not None and guarded.size_bytes > 0:
-                return level
-        return 0
-
     def _parallel_seek_level(self) -> int:
         """The level parallel seeks apply to (paper section 4.2).
 
@@ -556,7 +443,6 @@ class PebblesDBStore(LSMStoreBase):
         best_level, best_bytes = 0, 0
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             if guarded.size_bytes >= best_bytes and guarded.size_bytes > 0:
                 best_level, best_bytes = level, guarded.size_bytes
         return best_level
@@ -584,16 +470,11 @@ class PebblesDBStore(LSMStoreBase):
         super()._schedule_compactions()
 
     def _pick_and_submit(self) -> bool:
-        opts = self.options
         self._l0_conflict_blocked = False
         if not self._has_parallel_slot():
             # Every slot is busy; note when a due Level-0 compaction is
             # the work being held back (stall attribution).
-            if (
-                len(self._level0) >= opts.level0_compaction_trigger
-                and not any(f.number in self._busy for f in self._level0)
-            ):
-                self._l0_conflict_blocked = True
+            self._l0_conflict_blocked = self._level0_due()
             return False
         candidates = self._collect_candidates()
         if not candidates:
@@ -620,10 +501,7 @@ class PebblesDBStore(LSMStoreBase):
         opts = self.options
         candidates: List[Tuple[str, int, Optional[Guard], str]] = []
         # Priority 1: Level 0 file count.
-        if (
-            len(self._level0) >= opts.level0_compaction_trigger
-            and not any(f.number in self._busy for f in self._level0)
-        ):
+        if self._level0_due():
             if self._claims_available(self._level0_claims()):
                 candidates.append(("level0", 0, None, "level0"))
             else:
@@ -633,7 +511,6 @@ class PebblesDBStore(LSMStoreBase):
         seen: Set[Tuple[int, Optional[bytes]]] = set()
         for level in range(1, opts.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             for guard in guarded.overfull_guards():
                 if not self._guard_busy(guard):
                     if self._claims_available(self._guard_claims(level, guard)):
@@ -645,7 +522,7 @@ class PebblesDBStore(LSMStoreBase):
         sizes = self.level_sizes()
         for level in range(1, opts.num_levels - 1):
             effective = sizes[level] - self._inflight_outflow.get(level, 0)
-            if effective >= opts.level_target_bytes(level) * opts.compaction_eagerness:
+            if effective >= opts.level_target_bytes(level):
                 guard = self._largest_idle_guard(level)
                 if guard is not None and (level, guard.key) not in seen:
                     candidates.append(("guard", level, guard, "size"))
@@ -695,6 +572,14 @@ class PebblesDBStore(LSMStoreBase):
 
     def _guard_busy(self, guard: Guard) -> bool:
         return any(f.number in self._busy for f in guard.files)
+
+    def _level0_due(self) -> bool:
+        """Level 0 is at its file-count trigger and nothing is compacting it."""
+        level0 = self._guarded[0].sentinel
+        return (
+            level0.num_files >= self.options.level0_compaction_trigger
+            and not self._guard_busy(level0)
+        )
 
     # ------------------------------------------------------------------
     # Conflict map: per-(level, key-range) claims held by in-flight jobs
@@ -786,14 +671,12 @@ class PebblesDBStore(LSMStoreBase):
                 return [(level, None, None)]
             return [(level, None, None), (level + 1, None, None)]
         guarded = self._guarded[level]
-        assert guarded is not None
         lo, hi = guarded.guard_range(guard)
         claims = [(level, lo, hi)]
         if level == last:
             # Rewrite-in-place touches only the guard itself.
             return claims
         target_guarded = self._guarded[level + 1]
-        assert target_guarded is not None
         if lo is None:
             lo_t: Optional[bytes] = None
         else:
@@ -809,7 +692,6 @@ class PebblesDBStore(LSMStoreBase):
 
     def _largest_idle_guard(self, level: int) -> Optional[Guard]:
         guarded = self._guarded[level]
-        assert guarded is not None
         candidates = []
         blocked = 0
         for g in guarded.guards():
@@ -836,10 +718,7 @@ class PebblesDBStore(LSMStoreBase):
             if (level, key) in seen:
                 continue
             seen.add((level, key))
-            guarded = self._guarded[level]
-            if guarded is None:
-                continue
-            guard = guarded.find_guard(key if key is not None else b"")
+            guard = self._guarded[level].find_guard(key if key is not None else b"")
             if (
                 guard.num_files > 1
                 and not self._guard_busy(guard)
@@ -856,7 +735,6 @@ class PebblesDBStore(LSMStoreBase):
                     continue
                 if sizes[level] >= AGGRESSIVE_COMPACTION_RATIO * sizes[level + 1]:
                     guarded = self._guarded[level]
-                    assert guarded is not None
                     for guard in list(guarded.non_empty_guards()):
                         if (
                             not self._guard_busy(guard)
@@ -896,7 +774,6 @@ class PebblesDBStore(LSMStoreBase):
         lo = hi = None
         if guard is not None:
             guarded = self._guarded[level]
-            assert guarded is not None
             lo, hi = guarded.guard_range(guard)
         new_keys, straddlers = self._commit_target_guards(target, lo, hi)
 
@@ -929,14 +806,12 @@ class PebblesDBStore(LSMStoreBase):
     def _install_compaction(self, result: CompactionResult) -> None:
         for level, key in result.new_guards:
             guarded = self._guarded[level]
-            assert guarded is not None
             guarded.add_guard(key)
             self._committing.discard((level, key))
         for _, meta in result.consumed:
             self._detach_file(meta)
         for level, meta, _, _ in result.outputs:
             guarded = self._guarded[level]
-            assert guarded is not None
             guarded.attach(meta)
         self._release_claims(result.claim)
 
@@ -969,7 +844,6 @@ class PebblesDBStore(LSMStoreBase):
         if not keys:
             return ([], [])
         guarded = self._guarded[target]
-        assert guarded is not None
         straddlers: List[FileMetadata] = []
         for key in keys:
             guard = guarded.find_guard(key)
@@ -991,7 +865,6 @@ class PebblesDBStore(LSMStoreBase):
         self, last: int, lo: Optional[bytes], hi: Optional[bytes], input_bytes: int
     ) -> int:
         guarded = self._guarded[last]
-        assert guarded is not None
         opts = self.options
         total = 0
         for guard in guarded.guards():
@@ -1031,7 +904,6 @@ class PebblesDBStore(LSMStoreBase):
         stream = _Peekable(ctx.merge(inputs, drop_tombstones=False))
         is_bottom = self._is_bottom_level(target)
         guarded = self._guarded[target]
-        assert guarded is not None
         committed = set(guarded.guard_keys)
         boundaries = sorted(committed | set(new_keys))
         outputs: List[Tuple[int, FileMetadata, int, bytes]] = []
@@ -1106,7 +978,6 @@ class PebblesDBStore(LSMStoreBase):
         """Merge a guard's sstables into one table at the same level."""
         merged = ctx.merge(inputs, drop_tombstones=self._is_bottom_level(level))
         guarded = self._guarded[level]
-        assert guarded is not None
         outputs = [
             _placed(level, guarded.find_guard(meta.smallest.user_key).key, meta)
             for meta in ctx.write(merged)
@@ -1117,17 +988,12 @@ class PebblesDBStore(LSMStoreBase):
         """No live data strictly below ``level`` (tombstones can be GC'd)."""
         for lvl in range(level + 1, self.options.num_levels):
             guarded = self._guarded[lvl]
-            assert guarded is not None
             if guarded.size_bytes > 0:
                 return False
         return True
 
     def _detach_file(self, meta: FileMetadata) -> None:
-        if meta in self._level0:
-            self._level0.remove(meta)
-            return
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
+        for guarded in self._guarded:
             if guarded.detach(meta.number):
                 return
 
@@ -1147,7 +1013,6 @@ class PebblesDBStore(LSMStoreBase):
         for key in sorted(keys):
             for level in range(1, self.options.num_levels):
                 guarded = self._guarded[level]
-                assert guarded is not None
                 if not guarded.has_guard(key):
                     continue
                 guarded.remove_guard(key)  # the left neighbour absorbs its files
@@ -1168,30 +1033,6 @@ class PebblesDBStore(LSMStoreBase):
     # The paper lists both as future work; they are implemented here as
     # explicit maintenance operations.
     # ==================================================================
-    def force_full_compaction(self) -> None:
-        """Push every byte to the deepest populated position.
-
-        The equivalent of LevelDB's ``CompactRange``: flush, drain Level
-        0, then compact every non-empty guard level by level; bottom-level
-        rewrites garbage-collect tombstones, so a fully deleted range
-        leaves only empty guards behind.
-        """
-        self.flush_memtable()
-        self.executor.wait_all()
-        if self._level0:
-            self._schedule_compactions()
-            self.executor.wait_all()
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            assert guarded is not None
-            for guard in list(guarded.guards()):
-                if guard.files and not self._guard_busy(guard):
-                    if self._claims_available(self._guard_claims(level, guard)):
-                        if not self._run_compaction(level, guard):
-                            return
-                        self.executor.wait_all()
-            self.executor.wait_all()
-
     def rebalance_guards(self, max_guard_bytes: Optional[int] = None) -> int:
         """Split skewed guards by inserting synthetic guard keys.
 
@@ -1207,7 +1048,6 @@ class PebblesDBStore(LSMStoreBase):
         added = 0
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             level_bytes = guarded.size_bytes
             if not level_bytes:
                 continue
@@ -1225,7 +1065,6 @@ class PebblesDBStore(LSMStoreBase):
                     continue
                 for lvl in range(level, self.options.num_levels):
                     lvl_guarded = self._guarded[lvl]
-                    assert lvl_guarded is not None
                     if not lvl_guarded.has_guard(midpoint):
                         self._uncommitted[lvl].add(midpoint)
                 added += 1
@@ -1261,7 +1100,6 @@ class PebblesDBStore(LSMStoreBase):
         occupied: Set[bytes] = set()
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             all_keys.update(guarded.guard_keys)
             occupied.update(
                 g.key for g in guarded.guards() if g.key is not None and g.files
@@ -1277,28 +1115,19 @@ class PebblesDBStore(LSMStoreBase):
     def _recover_file(
         self, level: int, meta: FileMetadata, marker: int, guard_key: bytes
     ) -> None:
-        if level == 0:
-            self._level0.insert(0, meta)
-            return
-        guarded = self._guarded[level]
-        assert guarded is not None
-        guarded.attach(meta)
+        self._guarded[level].attach(meta)
 
     def _recover_drop_file(self, level: int, number: int) -> None:
-        self._level0 = [f for f in self._level0 if f.number != number]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
+        for guarded in self._guarded:
             guarded.detach(number)
 
     def _recover_guard(self, level: int, key: bytes) -> None:
         guarded = self._guarded[level]
-        assert guarded is not None
         guarded.add_guard(key)
         self._uncommitted[level].discard(key)
 
     def _recover_guard_deletion(self, level: int, key: bytes) -> None:
         guarded = self._guarded[level]
-        assert guarded is not None
         if guarded.has_guard(key):
             guarded.remove_guard(key)
 
@@ -1313,11 +1142,9 @@ class PebblesDBStore(LSMStoreBase):
         """
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             for key in guarded.guard_keys:
                 for deeper in range(level + 1, self.options.num_levels):
                     deeper_guarded = self._guarded[deeper]
-                    assert deeper_guarded is not None
                     if not deeper_guarded.has_guard(key):
                         self._uncommitted[deeper].add(key)
 
@@ -1334,7 +1161,6 @@ class PebblesDBStore(LSMStoreBase):
         ]
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
-            assert guarded is not None
             if guarded.size_bytes == 0 and not len(guarded):
                 continue
             parts = []
@@ -1349,25 +1175,16 @@ class PebblesDBStore(LSMStoreBase):
         return "\n".join(lines)
 
     def check_invariants(self) -> None:
-        numbers = self.sstable_file_numbers()
-        assert len(numbers) == len(set(numbers)), "duplicate file numbers"
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            assert guarded is not None
+        assert not len(self._guarded[0]), "Level 0 has guards"
+        for level, guarded in enumerate(self._guarded):
             guarded.check_invariants()
             # Skip-list property: a committed guard at level i must be
             # present (committed or pending) at every deeper level.
             for key in guarded.guard_keys:
                 for deeper in range(level + 1, self.options.num_levels):
-                    deeper_guarded = self._guarded[deeper]
-                    assert deeper_guarded is not None
                     assert (
-                        deeper_guarded.has_guard(key)
+                        self._guarded[deeper].has_guard(key)
                         or key in self._uncommitted[deeper]
                         or (deeper, key) in self._committing
                     ), f"guard {key!r} at level {level} missing from level {deeper}"
-        for number in numbers:
-            if number not in self._busy:
-                assert self.storage.exists(self._sst_name(number)), (
-                    f"live sstable missing on storage: {number}"
-                )
+        super().check_invariants()

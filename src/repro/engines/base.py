@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.admin import aggregate_admin, compact_json
 from repro.obs.ledger import IoLedger
@@ -33,6 +33,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.memtable import Memtable
+from repro.memtable.memtable import GetResult
 from repro.sim.executor import BackgroundExecutor, Job
 from repro.sim.ratelimit import TokenBucket
 from repro.sim.storage import IoAccount, SimulatedStorage
@@ -44,7 +45,8 @@ from repro.sstable import (
     merging_iterator,
 )
 from repro.sstable.format import Entry, ValuePointer
-from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_VPTR, InternalKey
+from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_SEEK, KIND_VPTR, MAX_SEQUENCE, InternalKey
+from repro.util.murmur import murmur3_64
 from repro.vlog.log import ValueLog
 from repro.version import (
     ManifestReader,
@@ -610,8 +612,14 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Files currently in Level 0 (write stall input)."""
 
     @abstractmethod
-    def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount):
-        """Search persistent state; returns a memtable-style GetResult."""
+    def _level_candidates(self, level: int, key: bytes) -> Optional[Iterable[FileMetadata]]:
+        """The files of ``level`` that may hold ``key``, newest first: all
+        an engine tells the point-read path.  None means the level is
+        empty — the search moves on and charges nothing."""
+
+    def _search_span_attrs(self, level: int, key: bytes) -> Dict[str, object]:
+        """Engine attributes of a ``table.search`` span that found ``key`` at ``level``."""
+        return {}
 
     @abstractmethod
     def _table_iterators(
@@ -638,16 +646,31 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Bytes per level (diagnostics and aggressive compaction)."""
 
     @abstractmethod
-    def sstable_file_numbers(self) -> List[int]:
-        """Numbers of every live sstable."""
-
-    def live_files(self) -> List[FileMetadata]:
-        """Metadata of every live sstable (for size estimation)."""
-        raise NotImplementedError
+    def files_per_level(self) -> List[int]:
+        """Live sstable count per level."""
 
     @abstractmethod
+    def live_files(self) -> List[FileMetadata]:
+        """Metadata of every live sstable, Level 0 (newest first) onward."""
+
+    def sstable_file_numbers(self) -> List[int]:
+        """Numbers of every live sstable."""
+        return [f.number for f in self.live_files()]
+
+    def sstable_sizes(self) -> List[int]:
+        """Sizes of all live sstables (Table 5.1 input)."""
+        return [f.file_size for f in self.live_files()]
+
     def check_invariants(self) -> None:
-        """Raise AssertionError if internal invariants are violated."""
+        """Raise AssertionError if internal invariants are violated: an
+        engine's layout rules, then a number and a file for every sstable."""
+        numbers = self.sstable_file_numbers()
+        assert len(numbers) == len(set(numbers)), "duplicate file numbers"
+        for number in numbers:
+            if number not in self._busy:
+                assert self.storage.exists(self._sst_name(number)), (
+                    f"live sstable missing on storage: {number}"
+                )
 
     # ==================================================================
     # Public operations
@@ -971,10 +994,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """
         self._dispatch_policy = policy
 
-    def files_per_level(self) -> List[int]:
-        """Live sstable count per level (default: derived from sizes)."""
-        raise NotImplementedError
-
     # ==================================================================
     # Write path
     # ==================================================================
@@ -1115,7 +1134,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 cause = (
                     "l0_stop_conflict" if self._l0_conflict_blocked else "l0_stop"
                 )
-                self._stall_until(self._next_pending_job(), cause=cause)
+                self._stall_until(self.executor.peek_next(), cause=cause)
                 if self._l0_conflict_blocked:
                     # The L0 compaction that would relieve this stall was
                     # rejected by the conflict map; charge the wait to it.
@@ -1184,9 +1203,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         before = self.clock.now
         self.executor.wait_for(job)
         self._attribute_stall(cause, before, self.clock.now)
-
-    def _next_pending_job(self) -> Optional[Job]:
-        return self.executor.peek_next()
 
     def _rotate_memtable(self) -> None:
         self._imm.append((self._mem, self._wal_number))
@@ -1702,6 +1718,80 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     # ------------------------------------------------------------------
     # Read helpers
     # ------------------------------------------------------------------
+    def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount) -> GetResult:
+        """Search persistent state, Level 0 downward; the first level
+        holding a visible version of ``key`` answers."""
+        # One body for both the traced and untraced paths (an extra call
+        # per get is measurable); the try/finally is free when nothing
+        # raises.
+        trc = self.tracer
+        span = trc.span("table.search") if trc is not None else None
+        try:
+            # One interned probe key serves every table probed for this
+            # lookup (readers would otherwise rebuild it, and its sort
+            # tuple, per file), and one murmur digest serves every bloom
+            # filter screened.
+            probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
+            kh = murmur3_64(key)
+            candidates = self._level_candidates
+            get_reader = self._get_reader
+            charge_cpu = account.charge_cpu
+            cpu = self.cpu
+            level_search = cpu.level_binary_search
+            probed = bloom_skipped = 0
+            for level in range(self.options.num_levels):
+                files = candidates(level, key)
+                if files is None:
+                    continue
+                if level:
+                    # Below Level 0 the candidates were found by bisecting
+                    # the level's file or guard boundaries.
+                    charge_cpu(cpu, "level_binary_search", level_search)
+                # Candidates may overlap arbitrarily (Level 0; the files
+                # of one guard; anything RepairDB placed), so every one
+                # the filters let through is read and the newest version,
+                # decided by sequence number, wins.
+                best: Optional[GetResult] = None
+                best_seq = -1
+                level_probed = level_skipped = 0
+                for meta in files:
+                    if meta.largest.user_key < key or meta.smallest.user_key > key:
+                        continue
+                    reader = get_reader(meta.number, account)
+                    if not reader.may_contain(key, account, kh):
+                        level_skipped += 1
+                        continue
+                    level_probed += 1
+                    result = reader.get(key, snapshot, account, probe)
+                    if result.found and result.sequence > best_seq:
+                        best, best_seq = result, result.sequence
+                if level_skipped:
+                    self._probe_bloom[level] += level_skipped
+                    bloom_skipped += level_skipped
+                if level_probed:
+                    self._probe_files[level] += level_probed
+                    probed += level_probed
+                if best is not None:
+                    if span is not None:
+                        span.set(
+                            level=level,
+                            **self._search_span_attrs(level, key),
+                            files_probed=probed,
+                            bloom_skipped=bloom_skipped,
+                            found=True,
+                        )
+                    return best
+            if span is not None:
+                span.set(files_probed=probed, bloom_skipped=bloom_skipped, found=False)
+            return GetResult(False, False, None)
+        except BaseException as exc:
+            if span is not None:
+                span.attrs.setdefault("error", type(exc).__name__)
+            raise
+        finally:
+            if span is not None:
+                span.end()
+
     def _resolve_value(self, value, kind: int, account: IoAccount) -> bytes:
         """Materialize one result value, chasing a value-log pointer."""
         if kind == KIND_VPTR:
@@ -1709,6 +1799,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             return self._vlog.read_value(
                 ValuePointer.decode(bytes(value)), account
             )
+        # bytes() materializes zero-copy (memoryview) sstable values; a
+        # no-op for memtable values (bytes already).
         return bytes(value)
 
     def _visible_entries(
@@ -1717,7 +1809,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Newest visible version of each user key from ``start`` onward."""
         acct = self._user_acct
         snapshot = snap.sequence if snap is not None else self._last_sequence
-        vlog = self._vlog
         pin = self._pin_reads()
         try:
             iters: List[Iterator[Entry]] = [self._mem.seek(start)]
@@ -1733,14 +1824,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 prev = key.user_key
                 if key.kind == KIND_DELETE:
                     continue
-                if key.kind == KIND_VPTR:
-                    yield key.user_key, vlog.read_value(
-                        ValuePointer.decode(bytes(value)), acct
-                    )
-                    continue
-                # bytes() materializes zero-copy (memoryview) sstable
-                # values; a no-op for memtable values (bytes already).
-                yield key.user_key, bytes(value)
+                yield key.user_key, self._resolve_value(value, key.kind, acct)
         finally:
             self._unpin_reads(pin)
 
@@ -1755,7 +1839,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """
         acct = self._user_acct
         snapshot = snap.sequence if snap is not None else self._last_sequence
-        vlog = self._vlog
         pin = self._pin_reads()
         try:
             iters: List[Iterator[Entry]] = [self._mem.reverse_iter(start)]
@@ -1766,14 +1849,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             candidate: Optional[Entry] = None
 
             def emit(entry: Optional[Entry]):
-                if entry is not None and entry[0].kind != KIND_DELETE:
-                    if entry[0].kind == KIND_VPTR:
-                        return entry[0].user_key, vlog.read_value(
-                            ValuePointer.decode(bytes(entry[1])), acct
-                        )
-                    # bytes() materializes zero-copy sstable memoryviews.
-                    return entry[0].user_key, bytes(entry[1])
-                return None
+                if entry is None or entry[0].kind == KIND_DELETE:
+                    return None
+                return entry[0].user_key, self._resolve_value(entry[1], entry[0].kind, acct)
 
             for key, value in merged:
                 acct.charge(self.cpu.charge("iterator_step", self.cpu.iterator_step))
@@ -1784,10 +1862,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     if out is not None:
                         yield out
                     current_key = key.user_key
-                    candidate = (key, value)
-                else:
-                    # Ascending sequence within the key: later entry is newer.
-                    candidate = (key, value)
+                # Ascending sequence within the key: a later entry is newer.
+                candidate = (key, value)
             out = emit(candidate)
             if out is not None:
                 yield out

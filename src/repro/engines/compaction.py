@@ -14,6 +14,10 @@ and lives here.  An engine supplies three things:
 * **install** — ``_install_compaction(result)``: detach the consumed files
   from, and attach the outputs to, its own layout.
 
+Its ``compact_range(lo, hi)`` is the same pick made by hand: it walks its
+layout and hands what overlaps to ``_run_compaction``;
+``force_full_compaction()`` is that over everything.
+
 The runner owns the rest: fault-protected submission, the ledger account,
 the value-log GC context and its abandon / commit / retire, the merge
 stream, the CPU charge, the version edit, job cost, rate-limit
@@ -150,6 +154,11 @@ class CompactionRunner:
         """Swap ``result``'s files in the engine's layout; release claims."""
         raise NotImplementedError
 
+    def compact_range(self, lo: Optional[bytes], hi: Optional[bytes]) -> None:
+        """LevelDB's CompactRange: compact the data overlapping ``[lo, hi]``
+        downward, level by level (a None bound is open)."""
+        raise NotImplementedError
+
     def _compaction_span(
         self, result: CompactionResult, job: Job
     ) -> Tuple[str, Dict[str, object]]:
@@ -177,6 +186,12 @@ class CompactionRunner:
         for _ in range(max(2 * self.options.num_levels, self.executor.workers)):
             if not self._pick_and_submit():
                 break
+
+    def force_full_compaction(self) -> None:
+        """``compact_range`` over everything.  Bottom-level rewrites drop
+        tombstones, so a fully deleted store keeps no sstable (FLSM: only
+        empty guards)."""
+        self.compact_range(None, None)
 
     def _note_compaction_inflight(self, delta: int) -> None:
         """Track in-flight compaction jobs and their concurrency peak."""

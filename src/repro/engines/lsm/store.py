@@ -6,8 +6,9 @@ level.  The price is the write amplification the paper attacks: compacting
 a file into level *i+1* rewrites every overlapping file there.
 
 Presets (see :mod:`repro.engines.options`) differentiate LevelDB,
-HyperLevelDB, and RocksDB by memtable size, Level-0 limits, worker count,
-and how many files one compaction pass takes.  LevelDB's trivial-move
+HyperLevelDB, and RocksDB by Level-0 limits and worker count, and — the
+``_POLICIES`` table below — by which files one compaction pass takes, how
+many, and how early a level starts.  LevelDB's trivial-move
 optimization is implemented: a file that overlaps nothing in the next
 level moves by metadata edit alone, which is why sequential insertion is
 nearly free for LSM but not for FLSM (paper section 4.5).
@@ -16,17 +17,74 @@ nearly free for LSM but not for FLSM (paper section 4.5).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.engines.base import Entry, LSMStoreBase
 from repro.engines.compaction import CompactionContext, CompactionResult
-from repro.memtable.memtable import GetResult
 from repro.sim.storage import IoAccount
-from repro.util.keys import InternalKey, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
-from repro.util.murmur import murmur3_64
+from repro.util.keys import InternalKey, KIND_SEEK, MAX_SEQUENCE
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_NONE
+
+
+class _Policy(NamedTuple):
+    """How a preset compacts a level that is over its size target."""
+
+    #: ``pick(store, level, idle_files, count)``: the window of inputs.
+    pick: Callable[..., List[FileMetadata]]
+    #: Input files one pass takes from the level.
+    max_input_files: int
+    #: Fraction of a level's size target at which compacting it starts.
+    start_at: float
+    #: Move files that overlap nothing below by metadata edit alone.
+    trivial_move: bool
+
+
+def _from_cursor(
+    store: "LeveledLSMStore", level: int, files: List[FileMetadata], count: int
+) -> List[FileMetadata]:
+    """LevelDB's choice: the next files past the level's cursor (where its
+    previous compaction ended), wrapping to the start."""
+    pointer = store._compact_pointer.get(level, b"")
+    start = next(
+        (i for i, meta in enumerate(files) if meta.largest.user_key > pointer), 0
+    )
+    return files[start : start + count]
+
+
+def _min_overlap_window(
+    store: "LeveledLSMStore", level: int, files: List[FileMetadata], count: int
+) -> List[FileMetadata]:
+    """HyperLevelDB's choice: the contiguous window of files whose
+    next-level overlap is smallest relative to its size, minimizing the
+    rewrite IO of the pass."""
+    best: List[FileMetadata] = files[:count]
+    best_score = float("inf")
+    for start in range(len(files)):
+        window = files[start : start + count]
+        input_bytes = sum(f.file_size for f in window)
+        if input_bytes == 0:
+            continue
+        overlap = sum(f.file_size for f in store._overlapping(level + 1, window))
+        score = overlap / input_bytes
+        if score < best_score:
+            best_score = score
+            best = window
+    return best
+
+
+#: ``options.preset`` -> policy; the presets' other differences (memtable
+#: count, workers, Level-0 limits) are plain ``StoreOptions`` fields.
+#: LevelDB starts a level early; RocksDB takes narrower passes and never
+#: moves trivially — its default compaction rewrites in far more
+#: situations, a large part of its higher amplification.
+_POLICIES = {
+    "leveldb": _Policy(_from_cursor, 4, 0.75, True),
+    "hyperleveldb": _Policy(_min_overlap_window, 4, 1.0, True),
+    "rocksdb": _Policy(_from_cursor, 3, 1.0, False),
+}
+_DEFAULT_POLICY = _Policy(_from_cursor, 4, 1.0, True)
 
 
 class LeveledLSMStore(LSMStoreBase):
@@ -59,22 +117,15 @@ class LeveledLSMStore(LSMStoreBase):
     def level_sizes(self) -> List[int]:
         return [sum(f.file_size for f in level) for level in self._levels]
 
-    def sstable_file_numbers(self) -> List[int]:
-        return [f.number for level in self._levels for f in level]
-
-    def sstable_sizes(self) -> List[int]:
-        """Sizes of all live sstables (Table 5.1 input)."""
-        return [f.file_size for level in self._levels for f in level]
-
     def files_per_level(self) -> List[int]:
         return [len(level) for level in self._levels]
 
     def live_files(self) -> List[FileMetadata]:
         return [f for level in self._levels for f in level]
 
-    def compact_range(self, lo: bytes, hi: bytes) -> None:
+    def compact_range(self, lo: Optional[bytes], hi: Optional[bytes]) -> None:
         """Compact all data overlapping ``[lo, hi]`` to the deepest level
-        holding it (LevelDB's CompactRange restricted to a key range)."""
+        holding it (LevelDB's CompactRange; a None bound is open)."""
         self.flush_memtable()
         self.executor.wait_all()
         for level in range(0, len(self._levels) - 1):
@@ -96,105 +147,16 @@ class LeveledLSMStore(LSMStoreBase):
     # ==================================================================
     # Reads
     # ==================================================================
-    def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount) -> GetResult:
-        # One body for both the traced and untraced paths (an extra call
-        # per get is measurable); the try/finally is free when nothing
-        # raises.
-        trc = self.tracer
-        span = trc.span("table.search") if trc is not None else None
-        try:
-            # Level 0: files may overlap arbitrarily (e.g. after RepairDB
-            # placed everything there), so the newest matching version
-            # across all candidates wins, decided by sequence number.
-            # One interned probe key serves every table probed below, and
-            # one murmur digest serves every bloom filter screened.
-            probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
-            kh = murmur3_64(key)
-            get_reader = self._get_reader
-            charge_cpu = account.charge_cpu
-            cpu = self.cpu
-            level_search = cpu.level_binary_search
-            probed = 0
-            bloom_skipped = 0
-            best: Optional[GetResult] = None
-            level_probed = level_skipped = 0
-            for meta in self._levels[0]:
-                if meta.largest.user_key < key or meta.smallest.user_key > key:
-                    continue
-                reader = get_reader(meta.number, account)
-                if not reader.may_contain(key, account, kh):
-                    level_skipped += 1
-                    continue
-                level_probed += 1
-                result = reader.get(key, snapshot, account, probe)
-                if result.found and (best is None or result.sequence > best.sequence):
-                    best = result
-            if level_skipped:
-                self._probe_bloom[0] += level_skipped
-                bloom_skipped += level_skipped
-            if level_probed:
-                self._probe_files[0] += level_probed
-                probed += level_probed
-            if best is not None:
-                if span is not None:
-                    span.set(
-                        level=0,
-                        files_probed=probed,
-                        bloom_skipped=bloom_skipped,
-                        found=True,
-                    )
-                return best
-            # Deeper levels: at most one candidate file each.
-            for level in range(1, len(self._levels)):
-                files = self._levels[level]
-                if not files:
-                    continue
-                charge_cpu(cpu, "level_binary_search", level_search)
-                meta = self._find_file(files, key)
-                if meta is None:
-                    continue
-                reader = get_reader(meta.number, account)
-                if not reader.may_contain(key, account, kh):
-                    self._probe_bloom[level] += 1
-                    bloom_skipped += 1
-                    continue
-                self._probe_files[level] += 1
-                probed += 1
-                result = reader.get(key, snapshot, account, probe)
-                if result.found:
-                    if span is not None:
-                        span.set(
-                            level=level,
-                            files_probed=probed,
-                            bloom_skipped=bloom_skipped,
-                            found=True,
-                        )
-                    return result
-            if span is not None:
-                span.set(files_probed=probed, bloom_skipped=bloom_skipped, found=False)
-            return GetResult(False, False, None)
-        except BaseException as exc:
-            if span is not None:
-                span.attrs.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            if span is not None:
-                span.end()
-
-    @staticmethod
-    def _find_file(files: List[FileMetadata], key: bytes) -> Optional[FileMetadata]:
-        """The single file in a disjoint level that may contain ``key``."""
-        lo, hi = 0, len(files)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if files[mid].largest.user_key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(files):
+    def _level_candidates(self, level: int, key: bytes):
+        files = self._levels[level]
+        if not files:
             return None
-        meta = files[lo]
-        return meta if meta.smallest.user_key <= key else None
+        if level == 0:
+            return files
+        # Deeper levels are disjoint: the first file ending at or after
+        # ``key`` is the single one that may contain it.
+        idx = self._file_index_for(files, key)
+        return files[idx : idx + 1]
 
     def _table_iterators(
         self, start: Optional[bytes], account: IoAccount
@@ -309,6 +271,10 @@ class LeveledLSMStore(LSMStoreBase):
     def _restore_scheduling_state(self, snapshot) -> None:
         self._compact_pointer, self._seek_overflow = snapshot
 
+    @property
+    def _policy(self) -> _Policy:
+        return _POLICIES.get(self.options.preset, _DEFAULT_POLICY)
+
     def _pick_compaction(
         self,
     ) -> Optional[Tuple[int, List[FileMetadata], List[FileMetadata]]]:
@@ -323,7 +289,7 @@ class LeveledLSMStore(LSMStoreBase):
             self._l0_conflict_blocked = True
             self._stats.compaction_conflicts += 1
         # Priority 2: level size vs target.
-        best_level, best_score = -1, opts.compaction_eagerness
+        best_level, best_score = -1, self._policy.start_at
         sizes = self.level_sizes()
         for level in range(1, len(self._levels) - 1):
             if not self._levels[level]:
@@ -350,49 +316,15 @@ class LeveledLSMStore(LSMStoreBase):
     def _pick_level_inputs(
         self, level: int
     ) -> Optional[Tuple[int, List[FileMetadata], List[FileMetadata]]]:
-        opts = self.options
         files = [f for f in self._levels[level] if f.number not in self._busy]
         if not files:
             return None
-        count = opts.compaction_max_input_files
-        if opts.compaction_policy == "min_overlap":
-            inputs = self._min_overlap_window(level, files, count)
-        else:
-            pointer = self._compact_pointer.get(level, b"")
-            start = 0
-            for i, meta in enumerate(files):
-                if meta.largest.user_key > pointer:
-                    start = i
-                    break
-            inputs = files[start : start + count]
-            if not inputs:
-                inputs = files[:count]
+        policy = self._policy
+        inputs = policy.pick(self, level, files, policy.max_input_files)
         next_inputs = self._overlapping(level + 1, inputs)
         if any(f.number in self._busy for f in next_inputs):
             return None
         return (level, inputs, next_inputs)
-
-    def _min_overlap_window(
-        self, level: int, files: List[FileMetadata], count: int
-    ) -> List[FileMetadata]:
-        """HyperLevelDB's compaction choice: the contiguous window of
-        files whose next-level overlap is smallest relative to its size,
-        minimizing the rewrite IO of the pass."""
-        best: List[FileMetadata] = files[:count]
-        best_score = float("inf")
-        for start in range(len(files)):
-            window = files[start : start + count]
-            input_bytes = sum(f.file_size for f in window)
-            if input_bytes == 0:
-                continue
-            overlap = sum(
-                f.file_size for f in self._overlapping(level + 1, window)
-            )
-            score = overlap / input_bytes
-            if score < best_score:
-                best_score = score
-                best = window
-        return best
 
     def _overlapping(self, level: int, inputs: List[FileMetadata]) -> List[FileMetadata]:
         if level >= len(self._levels):
@@ -413,7 +345,7 @@ class LeveledLSMStore(LSMStoreBase):
         # a metadata-only edit, no IO.  This is LevelDB's fast path that
         # makes sequential insertion so cheap (paper section 4.5).
         if (
-            opts.allow_trivial_move
+            self._policy.trivial_move
             and not next_inputs
             and self._mutually_disjoint(inputs)
         ):
@@ -463,26 +395,6 @@ class LeveledLSMStore(LSMStoreBase):
                 return level
         return None
 
-    def force_full_compaction(self) -> None:
-        """LevelDB's ``CompactRange``: merge every level into the next
-        until all data sits at the deepest populated level and tombstones
-        are garbage collected."""
-        self.flush_memtable()
-        self.executor.wait_all()
-        for level in range(0, len(self._levels) - 1):
-            while self._levels[level]:
-                inputs = [
-                    f for f in self._levels[level] if f.number not in self._busy
-                ]
-                if not inputs:
-                    break
-                next_inputs = self._overlapping(level + 1, inputs)
-                if any(f.number in self._busy for f in next_inputs):
-                    break
-                if not self._run_compaction(level, (inputs, next_inputs)):
-                    return
-                self.executor.wait_all()
-
     # ==================================================================
     # Recovery plumbing
     # ==================================================================
@@ -524,10 +436,4 @@ class LeveledLSMStore(LSMStoreBase):
                 assert a.largest.user_key < b.smallest.user_key, (
                     f"level {level} files overlap: {a.largest!r} vs {b.smallest!r}"
                 )
-        numbers = self.sstable_file_numbers()
-        assert len(numbers) == len(set(numbers)), "duplicate file numbers"
-        for number in numbers:
-            if number not in self._busy:
-                assert self.storage.exists(self._sst_name(number)), (
-                    f"live sstable missing on storage: {number}"
-                )
+        super().check_invariants()

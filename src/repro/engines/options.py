@@ -2,19 +2,21 @@
 
 The paper compares four stores.  Three of them (LevelDB, HyperLevelDB,
 RocksDB) share the leveled-LSM design and differ in configuration and
-compaction policy, so we model them as presets of one engine:
+compaction policy, so we model them as presets of one engine.  All four
+use the same 64 KiB (scaled) memtable.  The fields below hold the rest of
+a preset's configuration; how it picks the inputs of a level compaction
+is the leveled engine's policy table (``repro.engines.lsm.store``, keyed
+by ``preset``):
 
-* **leveldb** — 4 MB memtable (scaled), one immutable memtable, one
-  background worker taking "wide" passes of up to four files from a
-  per-level cursor, started at 75% of a level's target size.  Lowest write
-  amplification of the LSM trio (Figure 1.1) but the most write stalls.
-* **hyperleveldb** — LevelDB sizes, two background workers, and
-  HyperLevelDB's wider compactions (several files per pass) which finish a
-  backlog faster at the cost of extra rewrites; the paper's baseline.
-* **rocksdb** — 16x larger memtable, relaxed Level-0 limits (20/24), four
-  background workers, and an eager policy that starts compacting a level at
-  85% of its target size — more total IO, matching its 42x amplification
-  in Figure 1.1.
+* **leveldb** — one immutable memtable, one background worker; passes of
+  up to four files from a per-level cursor, started at 75% of a level's
+  target size; trivial moves.
+* **hyperleveldb** — two immutable memtables, two workers; the four-file
+  window overlapping the least below, started at the target size;
+  trivial moves.  The paper's baseline.
+* **rocksdb** — two immutable memtables, one worker, relaxed Level-0
+  limits (20/24); three-file passes from the cursor at the target size,
+  no trivial moves — the most rewrite IO of the group (Figure 1.1).
 * **pebblesdb** — HyperLevelDB sizes plus the FLSM options (guard
   probability bits, ``max_sstables_per_guard``) and the section 4
   optimizations, each independently switchable for the ablation benchmark.
@@ -59,17 +61,6 @@ class StoreOptions:
 
     # --- compaction policy -----------------------------------------------
     background_workers: int = 2
-    #: "wide" (LevelDB, RocksDB: the next files past a per-level cursor),
-    #: "min_overlap" (HyperLevelDB: the window overlapping the least below).
-    compaction_policy: str = "wide"
-    #: How many input files a "wide" compaction takes per pass.
-    compaction_max_input_files: int = 4
-    #: Start compacting a level at this fraction of its target size.
-    compaction_eagerness: float = 1.0
-    #: Move non-overlapping files to the next level by metadata edit only
-    #: (LevelDB's optimization).  RocksDB's default compaction rewrites in
-    #: far more situations, a large part of its higher amplification.
-    allow_trivial_move: bool = True
     #: Extra write delay while Level 0 is in the slowdown band (LevelDB
     #: sleeps 1 ms; scaled with everything else).
     slowdown_delay: float = 0.25e-3
@@ -191,8 +182,6 @@ class StoreOptions:
             raise ValueError("block_cache_bytes must be >= 0")
         if self.top_level_bits < 1 or self.bit_decrement < 0:
             raise ValueError("bad guard probability parameters")
-        if self.compaction_policy not in ("wide", "min_overlap"):
-            raise ValueError(f"unknown compaction policy: {self.compaction_policy!r}")
         if self.compaction_scheduler not in ("guard", "level"):
             raise ValueError(
                 f"unknown compaction scheduler: {self.compaction_scheduler!r}"
@@ -248,9 +237,6 @@ class StoreOptions:
             memtable_bytes=64 * KiB,
             max_immutable_memtables=1,
             background_workers=1,
-            compaction_policy="wide",
-            compaction_max_input_files=4,
-            compaction_eagerness=0.75,
             level0_slowdown_trigger=8,
             level0_stop_trigger=12,
         )
@@ -265,9 +251,6 @@ class StoreOptions:
             memtable_bytes=64 * KiB,
             max_immutable_memtables=2,
             background_workers=2,
-            compaction_policy="min_overlap",
-            compaction_max_input_files=4,
-            compaction_eagerness=1.0,
             level0_slowdown_trigger=8,
             level0_stop_trigger=12,
         )
@@ -283,10 +266,6 @@ class StoreOptions:
             memtable_bytes=64 * KiB,
             max_immutable_memtables=2,
             background_workers=1,
-            compaction_policy="wide",
-            compaction_max_input_files=3,
-            compaction_eagerness=1.0,
-            allow_trivial_move=False,
             level0_slowdown_trigger=20,
             level0_stop_trigger=24,
         )

@@ -168,7 +168,19 @@ class TestOptionValidation:
             ("compression_ratio", 0.0),
             ("compression_ratio", 1.5),
             ("top_level_bits", 0),
-            ("compaction_policy", "universal"),
         ]:
             with pytest.raises(ValueError):
                 dataclasses.replace(base, **{field: value})
+
+    def test_knob_budget(self):
+        import dataclasses
+
+        from repro.net.server import ServerConfig
+
+        assert (
+            len(dataclasses.fields(StoreOptions)),
+            len(dataclasses.fields(ServerConfig)),
+        ) == (34, 23), (
+            "a new knob needs two callers that exist today and need different "
+            "values (ROADMAP aim 2); a removed one lowers this number"
+        )

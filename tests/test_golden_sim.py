@@ -222,6 +222,30 @@ def _run_gets(db, rng, keys, first, latest, snap) -> int:
     return seen
 
 
+def _run_seeks(db, rng, keys) -> int:
+    """300 x (seek + 20 nexts), a put every 20th, then 10 reverse seeks."""
+    seen = 0
+    for i in range(300):
+        with db.seek(rng.choice(keys)) as it:
+            for _ in range(20):
+                if not it.valid:
+                    break
+                seen += len(it.key()) + len(it.value())
+                it.next()
+        if i % 20 == 19:
+            # A write between scans resets the consecutive-seek run and
+            # lets background work apply, as in YCSB-E.
+            db.put(b"new%06d" % i, b"n" * 200)
+    for _ in range(10):
+        with db.seek_reverse(rng.choice(keys)) as it:
+            for _ in range(50):
+                if not it.valid:
+                    break
+                seen += len(it.key()) + len(it.value())
+                it.next()
+    return seen
+
+
 def run_workload(engine: str, scenario: str = "default"):
     """Seeded fill -> overwrite -> 300 x (seek + 20 nexts) -> reverse seeks
     (``gets``: fill -> overwrite -> deletes -> 2,000 gets)."""
@@ -233,39 +257,20 @@ def run_workload(engine: str, scenario: str = "default"):
     keys = [b"key%06d" % i for i in range(3000)]
     order = list(keys)
     rng.shuffle(order)
-    first = {}
-    for i, key in enumerate(order):
-        db.put(key, _value(scenario, b"v", i))
-        first[key] = _value(scenario, b"v", i)
+    first = {key: _value(scenario, b"v", i) for i, key in enumerate(order)}
+    for key in order:
+        db.put(key, first[key])
     snap = db.get_snapshot() if scenario in ("snapshot", "gets") else None
     latest = dict(first)
     for i in range(1500):
         key = rng.choice(keys)
-        db.put(key, _value(scenario, b"w", i))
         latest[key] = _value(scenario, b"w", i)
+        db.put(key, latest[key])
     db.wait_idle()
-    seen = 0
     if scenario == "gets":
-        seen = _run_gets(db, rng, keys, first, latest, snap)
-        snap = None
-    for i in range(0 if scenario == "gets" else 300):
-        with db.seek(rng.choice(keys)) as it:
-            for _ in range(20):
-                if not it.valid:
-                    break
-                seen += len(it.key()) + len(it.value())
-                it.next()
-        if i % 20 == 19:
-            # A write between scans resets the consecutive-seek run and
-            # lets background work apply, as in YCSB-E.
-            db.put(b"new%06d" % i, b"n" * 200)
-    for _ in range(0 if scenario == "gets" else 10):
-        with db.seek_reverse(rng.choice(keys)) as it:
-            for _ in range(50):
-                if not it.valid:
-                    break
-                seen += len(it.key()) + len(it.value())
-                it.next()
+        seen, snap = _run_gets(db, rng, keys, first, latest, snap), None
+    else:
+        seen = _run_seeks(db, rng, keys)
     if snap is not None:
         # Every key still reads its first-fill value through the snapshot.
         for i in range(0, len(order), 100):

@@ -98,3 +98,22 @@ class TestCompactRange:
         # bulk of the region must be untouched.
         survivors = set(files_z_before) & set(files_z_after)
         assert len(survivors) >= len(files_z_before) // 2
+
+
+class TestForceFullCompaction:
+    def test_fully_deleted_store_compacts_to_nothing(self, lsm_engine, env):
+        """Level 0 drains even below its trigger: three flushed files of
+        puts and their tombstones leave no sstable behind."""
+        db = make_store(lsm_engine, env)
+        keys = [b"key%04d" % i for i in range(60)]
+        for key in keys:
+            db.put(key, b"v" * 64)
+        db.flush_memtable()
+        for key in keys:
+            db.delete(key)
+        db.flush_memtable()
+        assert 0 < db.files_per_level()[0] < db.options.level0_compaction_trigger
+        db.force_full_compaction()
+        assert sum(db.files_per_level()) == 0
+        assert list(db.scan()) == []
+        db.check_invariants()
