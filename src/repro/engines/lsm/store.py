@@ -137,6 +137,15 @@ class LeveledLSMStore(LSMStoreBase):
                 ]
                 if not inputs:
                     break
+                if level == 0:
+                    # Level-0 files overlap each other: one may only sink
+                    # together with every Level-0 file its range touches,
+                    # or an older version left behind would shadow it
+                    # (LevelDB's GetOverlappingInputs widens the same way).
+                    while len(wider := self._overlapping(0, inputs)) > len(inputs):
+                        inputs = wider
+                    if any(f.number in self._busy for f in inputs):
+                        break
                 next_inputs = self._overlapping(level + 1, inputs)
                 if any(f.number in self._busy for f in next_inputs):
                     break
