@@ -559,10 +559,13 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         #: Read-path tallies: per level, and per table-cache lookup.  The
         #: per-probe path does a plain add; the sums fold into the
         #: ``read.files_probed`` / ``read.bloom_skipped`` /
-        #: ``read.table_cache_hits`` / ``read.table_cache_misses``
-        #: registry counters when stats are read.
+        #: ``read.seq_skipped`` / ``read.table_cache_hits`` /
+        #: ``read.table_cache_misses`` registry counters when stats are
+        #: read.  Per level, the three probe tallies sum to the candidate
+        #: files whose key range covered the key.
         self._probe_files = [0] * (self.options.num_levels + 1)
         self._probe_bloom = [0] * (self.options.num_levels + 1)
+        self._probe_seq = [0] * (self.options.num_levels + 1)
         self._table_hits = self._table_misses = 0
         #: Build-lane tallies, bumped once per sstable built: entries the
         #: builder appended as the encoded record they arrived with, and
@@ -663,14 +666,24 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
     def check_invariants(self) -> None:
         """Raise AssertionError if internal invariants are violated: an
-        engine's layout rules, then a number and a file for every sstable."""
-        numbers = self.sstable_file_numbers()
-        assert len(numbers) == len(set(numbers)), "duplicate file numbers"
-        for number in numbers:
-            if number not in self._busy:
-                assert self.storage.exists(self._sst_name(number)), (
-                    f"live sstable missing on storage: {number}"
+        engine's layout rules, then for every sstable a number, a file, a
+        sequence bound no lower than its boundary keys and a resident
+        filter (if any) built over as many keys as the file holds."""
+        files = self.live_files()
+        assert len(files) == len({f.number for f in files}), "duplicate file numbers"
+        for f in files:
+            if f.number not in self._busy:
+                assert self.storage.exists(self._sst_name(f.number)), (
+                    f"live sstable missing on storage: {f.number}"
                 )
+            assert (
+                max(f.smallest.sequence, f.largest.sequence)
+                <= f.largest_seq
+                <= self._last_sequence
+            ), f"sstable {f.number}: sequence bound {f.largest_seq} out of range"
+            assert f.bloom is None or f.bloom.keys_added == f.num_entries, (
+                f"sstable {f.number}: resident filter is not this file's"
+            )
 
     # ==================================================================
     # Public operations
@@ -860,6 +873,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         for what, tallies in (
             ("files_probed", self._probe_files),
             ("bloom_skipped", self._probe_bloom),
+            ("seq_skipped", self._probe_seq),
         ):
             for level, n in enumerate(tallies):
                 if n:
@@ -911,9 +925,13 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         return counter
 
     def memory_bytes(self) -> int:
-        """Resident memory: memtables plus cached table indexes/filters."""
+        """Resident memory: memtables, the filter of every live file, and
+        the indexes of the readers in the table cache."""
         mem = self._mem.approximate_bytes
         mem += sum(imm.approximate_bytes for imm, _ in self._imm)
+        mem += sum(
+            f.bloom.size_bytes for f in self.live_files() if f.bloom is not None
+        )
         mem += sum(r.memory_bytes for r in self._table_cache.values())
         return mem
 
@@ -1499,7 +1517,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         acct = self.storage.foreground_account(self.prefix + "recover")
         try:
             for number in self.sstable_file_numbers():
-                # Opening checks footer magic and index/filter checksums.
+                # Opening checks the footer magic and parses the index.
                 self._get_reader(number, acct)
             if self._pending_manifest_edits or self._manifest_suspect:
                 self._rotate_manifest(acct)
@@ -1574,7 +1592,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         metas: List[FileMetadata] = []
 
         def finish(builder: SSTableBuilder, number: int) -> None:
-            blob, props, _ = builder.finish()
+            blob, props, bloom = builder.finish()
             self._records_passed += builder.records_passed
             self._records_encoded += props.num_entries - builder.records_passed
             name = self._sst_name(number)
@@ -1594,6 +1612,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     largest=props.largest,
                     file_size=props.file_size,
                     num_entries=props.num_entries,
+                    largest_seq=props.largest_seq,
+                    bloom=bloom if opts.enable_sstable_bloom else None,
                 )
             )
 
@@ -1646,7 +1666,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 self.storage,
                 self._sst_name(number),
                 account,
-                load_bloom=self.options.enable_sstable_bloom,
+                load_bloom=False,  # filters live with the file metadata
                 block_cache=self._block_cache,
                 cache_key=number,
             )
@@ -1738,7 +1758,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             charge_cpu = account.charge_cpu
             cpu = self.cpu
             level_search = cpu.level_binary_search
-            probed = bloom_skipped = 0
+            bloom_check = cpu.bloom_check
+            use_bloom = self.options.enable_sstable_bloom
+            probed = bloom_skipped = seq_skipped = 0
             for level in range(self.options.num_levels):
                 files = candidates(level, key)
                 if files is None:
@@ -1747,27 +1769,46 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     # Below Level 0 the candidates were found by bisecting
                     # the level's file or guard boundaries.
                     charge_cpu(cpu, "level_binary_search", level_search)
-                # Candidates may overlap arbitrarily (Level 0; the files
-                # of one guard; anything RepairDB placed), so every one
-                # the filters let through is read and the newest version,
-                # decided by sequence number, wins.
+                # Candidates may overlap arbitrarily, and their order is
+                # not version order (a guard re-homes old files after new
+                # ones; RepairDB places anything), so the newest version
+                # wins by sequence number.  A file is read only if it may
+                # hold something newer than the best so far and its filter
+                # — resident, consulted before any table is opened — says
+                # the key may be there.
                 best: Optional[GetResult] = None
                 best_seq = -1
-                level_probed = level_skipped = 0
+                level_probed = level_bloom = level_seq = 0
                 for meta in files:
                     if meta.largest.user_key < key or meta.smallest.user_key > key:
                         continue
-                    reader = get_reader(meta.number, account)
-                    if not reader.may_contain(key, account, kh):
-                        level_skipped += 1
+                    if meta.largest_seq <= best_seq:
+                        level_seq += 1
                         continue
+                    bloom = meta.bloom
+                    if bloom is None and use_bloom:
+                        # Recovered from the MANIFEST: fetched by the first
+                        # get to consult the file, resident from then on.
+                        bloom = meta.bloom = get_reader(
+                            meta.number, account
+                        ).read_filter(account)
+                    if bloom is not None:
+                        charge_cpu(cpu, "bloom_check", bloom_check)
+                        if not bloom.may_contain_hash(kh):
+                            level_bloom += 1
+                            continue
                     level_probed += 1
-                    result = reader.get(key, snapshot, account, probe)
+                    result = get_reader(meta.number, account).get(
+                        key, snapshot, account, probe
+                    )
                     if result.found and result.sequence > best_seq:
                         best, best_seq = result, result.sequence
-                if level_skipped:
-                    self._probe_bloom[level] += level_skipped
-                    bloom_skipped += level_skipped
+                if level_seq:
+                    self._probe_seq[level] += level_seq
+                    seq_skipped += level_seq
+                if level_bloom:
+                    self._probe_bloom[level] += level_bloom
+                    bloom_skipped += level_bloom
                 if level_probed:
                     self._probe_files[level] += level_probed
                     probed += level_probed
@@ -1778,11 +1819,17 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                             **self._search_span_attrs(level, key),
                             files_probed=probed,
                             bloom_skipped=bloom_skipped,
+                            seq_skipped=seq_skipped,
                             found=True,
                         )
                     return best
             if span is not None:
-                span.set(files_probed=probed, bloom_skipped=bloom_skipped, found=False)
+                span.set(
+                    files_probed=probed,
+                    bloom_skipped=bloom_skipped,
+                    seq_skipped=seq_skipped,
+                    found=False,
+                )
             return GetResult(False, False, None)
         except BaseException as exc:
             if span is not None:

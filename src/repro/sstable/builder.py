@@ -30,6 +30,8 @@ class TableProperties:
     file_size: int
     raw_key_bytes: int
     raw_value_bytes: int
+    #: Highest sequence number of any entry.
+    largest_seq: int
 
 
 class SSTableBuilder:
@@ -52,6 +54,7 @@ class SSTableBuilder:
         self._smallest: Optional[InternalKey] = None
         self._largest: Optional[InternalKey] = None
         self._raw_value_bytes = 0
+        self._largest_seq = 0
         #: Entries appended as the encoded record they arrived with; the
         #: rest (``num_entries - records_passed``) were framed here.
         self.records_passed = 0
@@ -75,6 +78,8 @@ class SSTableBuilder:
                 f"sstable entries out of order: {largest!r} then {key!r}"
             )
         self._largest = key
+        if key.sequence > self._largest_seq:
+            self._largest_seq = key.sequence
         buf = self._buf
         if record is None:
             buf += encode_entry(key, value)
@@ -142,5 +147,6 @@ class SSTableBuilder:
             file_size=len(self._blob),
             raw_key_bytes=sum(map(len, self._user_keys)),
             raw_value_bytes=self._raw_value_bytes,
+            largest_seq=self._largest_seq,
         )
         return bytes(self._blob), props, bloom

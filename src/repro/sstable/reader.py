@@ -1,11 +1,15 @@
 """Reads sstables back, paying simulated device time per block touched.
 
-Opening a reader loads the footer, index block, and bloom filter (this is
-the "index block caching" the paper discusses for Table 5.1 / Workload C:
-engines keep a bounded table cache of open readers, so stores with many
-small sstables miss that cache more often).  ``get`` consults the bloom
-filter first — the PebblesDB optimization of section 4.1 — and reads at
-most one data block on a negative filter answer avoided.
+Opening a reader loads the footer and the index block (this is the "index
+block caching" the paper discusses for Table 5.1 / Workload C: engines
+keep a bounded table cache of open readers, so stores with many small
+sstables miss that cache more often).  A standalone reader (the tools,
+``load_bloom=True``) also loads the table's bloom filter and screens with
+:meth:`SSTableReader.may_contain`.  An engine does not: the filter is
+resident with the file's metadata (paper section 4.1), consulted before a
+reader is even looked up, so its readers open with ``load_bloom=False``
+and a recovered file's filter is fetched once with
+:meth:`SSTableReader.read_filter`.
 
 All data-block access funnels through :meth:`SSTableReader._decoded_block`,
 which consults the engine's host-side :class:`DecodedBlockCache` when one
@@ -45,6 +49,16 @@ _META_OFFSET = -1
 
 #: Rough per-index-entry host overhead when budgeting a cached reader.
 _INDEX_ENTRY_OVERHEAD = 96
+
+
+def _read_filter(
+    storage: SimulatedStorage, name: str, footer: Footer, account: IoAccount
+) -> Optional[BloomFilter]:
+    if not footer.filter_size:
+        return None
+    return BloomFilter.decode(
+        storage.read(name, footer.filter_offset, footer.filter_size, account)
+    )
 
 
 class SSTableReader:
@@ -96,11 +110,12 @@ class SSTableReader:
         #: Decoded-cache budget charge of the retained reader.
         self.nbytes = (
             footer.index_size
-            + footer.filter_size
+            + (footer.filter_size if bloom is not None else 0)
             + _INDEX_ENTRY_OVERHEAD * len(index)
         )
-        #: The reads :meth:`open` issued — footer, index, filter — which
-        #: reopening the retained reader charges again.
+        #: The reads :meth:`open` issued — footer, index, and the filter
+        #: if it loaded one — which reopening the retained reader charges
+        #: again.
         spans = [
             (file_size - FOOTER_SIZE, FOOTER_SIZE),
             (footer.index_offset, footer.index_size),
@@ -150,12 +165,7 @@ class SSTableReader:
         footer = Footer.decode(storage.read(name, size - FOOTER_SIZE, FOOTER_SIZE, account))
         index_raw = storage.read(name, footer.index_offset, footer.index_size, account)
         index = decode_index(index_raw)
-        bloom = None
-        if load_bloom and footer.filter_size:
-            filter_raw = storage.read(
-                name, footer.filter_offset, footer.filter_size, account
-            )
-            bloom = BloomFilter.decode(filter_raw)
+        bloom = _read_filter(storage, name, footer, account) if load_bloom else None
         reader = cls(
             storage,
             name,
@@ -186,9 +196,20 @@ class SSTableReader:
         """The last internal key of each data block, in file order."""
         return self._index_keys
 
+    def read_filter(self, account: IoAccount) -> Optional[BloomFilter]:
+        """Read and decode the table's filter block (None: it has none).
+
+        For an owner that keeps filters outside its readers and has lost
+        this one — an engine after recovery; the reader itself keeps
+        nothing of it.
+        """
+        return _read_filter(self._storage, self.name, self._footer, account)
+
     @property
     def memory_bytes(self) -> int:
-        """Resident footprint: parsed index + bloom (Table 5.4 input).
+        """Resident footprint: parsed index, plus the bloom filter if this
+        reader loaded one (Table 5.4 input; an engine counts its filters
+        with the files, not here).
 
         Deliberately excludes any decoded-block cache share: that cache is
         host-side memoization invisible to the simulated memory accounting.

@@ -19,7 +19,7 @@ normal compaction, exactly as a fresh store would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import ReproError
 from repro.memtable import Memtable
@@ -51,7 +51,7 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
     acct = storage.foreground_account(prefix + "repair")
     report = RepairReport()
 
-    tables: List[Tuple[int, FileMetadata, int]] = []  # (number, meta, max_seq)
+    tables: List[FileMetadata] = []
     max_number = 0
 
     # Value-log segments are data files too: they are kept as-is (the
@@ -104,8 +104,9 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
             largest=last_key,
             file_size=reader.file_size,
             num_entries=entries,
+            largest_seq=max_seq,
         )
-        tables.append((number, meta, max_seq))
+        tables.append(meta)
         report.tables_recovered += 1
         report.last_sequence = max(report.last_sequence, max_seq)
 
@@ -156,9 +157,10 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
                 largest=props.largest,
                 file_size=props.file_size,
                 num_entries=props.num_entries,
+                largest_seq=props.largest_seq,
             )
-            tables.append((number, meta, mem.max_sequence))
-            report.last_sequence = max(report.last_sequence, mem.max_sequence)
+            tables.append(meta)
+            report.last_sequence = max(report.last_sequence, props.largest_seq)
             report.entries_from_logs += recovered
             report.logs_converted += 1
         storage.delete(name)
@@ -179,7 +181,7 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
     )
     # Level-0 recovery inserts each file at the front, so appending in
     # ascending max-sequence order leaves the newest data searched first.
-    for _, meta, _ in sorted(tables, key=lambda t: t[2]):
+    for meta in sorted(tables, key=lambda m: m.largest_seq):
         edit.add_file(0, meta, GUARD_NONE)
     writer.append(edit, acct)
     set_current(storage, manifest_name, acct, prefix)

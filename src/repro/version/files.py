@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.bloom import BloomFilter
 from repro.errors import CorruptionError
-from repro.util.keys import InternalKey, pack_internal_key, unpack_internal_key
+from repro.util.keys import MAX_SEQUENCE, InternalKey, pack_internal_key, unpack_internal_key
 from repro.util.varint import decode_varint32, decode_varint64, encode_varint32, encode_varint64
 
 
@@ -19,6 +20,17 @@ class FileMetadata:
     file's guard/level is requested when it reaches zero (paper section
     4.2).  It is derived from file size (one seek "charge" per 16 KiB) and
     is not persisted — recovery recomputes it.
+
+    ``largest_seq`` is the highest sequence number of any entry in the
+    file (persisted).  A point read that already holds a version at least
+    that new skips the file: whatever it holds for the key is older.  The
+    default, for metadata built without it, bounds nothing.
+
+    ``bloom`` is the file's filter (paper section 4.1: kept in memory for
+    every sstable, so a filter's "no" costs no table open).  The engine
+    sets it from the builder when it writes the file; after recovery the
+    first get to consult the file reads it from the filter block.  It is
+    not part of the file's identity: not compared, not persisted here.
     """
 
     number: int
@@ -27,6 +39,8 @@ class FileMetadata:
     file_size: int
     num_entries: int
     allowed_seeks: int = field(default=0)
+    largest_seq: int = MAX_SEQUENCE
+    bloom: Optional[BloomFilter] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.allowed_seeks == 0:
@@ -59,6 +73,7 @@ class FileMetadata:
             + largest
             + encode_varint64(self.file_size)
             + encode_varint64(self.num_entries)
+            + encode_varint64(self.largest_seq)
         )
 
     @classmethod
@@ -76,7 +91,9 @@ class FileMetadata:
         offset += llen
         file_size, offset = decode_varint64(data, offset)
         num_entries, offset = decode_varint64(data, offset)
-        return cls(number, smallest, largest, file_size, num_entries), offset
+        largest_seq, offset = decode_varint64(data, offset)
+        meta = cls(number, smallest, largest, file_size, num_entries, largest_seq=largest_seq)
+        return meta, offset
 
 
 def sstable_name(number: int) -> str:

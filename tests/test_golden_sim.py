@@ -29,6 +29,14 @@ The scenarios cover what the default-options run cannot see:
   against a model; the clock pins what the table search charged
   (recorded from the commit before the engines' two searches became one).
 
+All 24 pins were re-recorded when reads became the paper's (ISSUE 23), a
+change that meant to move them: every digest and MANIFEST hash because a
+``NEW_FILE`` record now carries the file's ``largest_seq``; every clock
+because a table open reads — and a table-cache miss re-charges — footer
+and index, the filter being resident with the file (compactions and
+iterators open tables too); ``gets`` and ``snapshot`` also because a get
+skips the files its filters and sequence bounds rule out unopened.
+
 ``python tests/test_golden_sim.py`` prints the current values.
 """
 
@@ -61,124 +69,124 @@ SCENARIOS = {
 #: (scenario, engine) -> (storage digest, MANIFEST sha256, env.clock.now)
 GOLDEN = {
     ("default", "leveldb"): (
-        "31e0e9863d310428d49e939808b847b0e97f229fc1934d2c37551925be270fb2",
-        "4bf144b50ec1678dc848725012dd4ac553a0707d3f2d862637a6f4c7bb89c76b",
-        0.10389186806876957,
+        "375e822d739792705bbf30ff91ca52fc7f54061dc76e8497c289a48583dea63c",
+        "ced5198c8556626a1ab7dcfa34e69e61dfaf1d2dde76551d16861d99794c564e",
+        0.10243542634632317,
     ),
     ("default", "hyperleveldb"): (
-        "20e66984a86deae01782c836fd795ad4fd2cf99751297e006d4ee02ad3d86b7b",
-        "88303e7acd9f657a03c53df93a6a2a045985d4a501944bd661d9a4c16e4352c8",
-        0.06906792602198981,
+        "8fa547e790b633100477343729857aee193b4098693a8ffd646de7ace05e639a",
+        "80ced43042d4035f4eeeb8145ff185a894d8f15c2b301c28b76e1e405a045bc8",
+        0.07435968959213893,
     ),
     ("default", "rocksdb"): (
-        "7c760d69194257a6db969968d21645ad6af6e0624957e7ed9091e37e9526672c",
-        "1ebe12e43169f57b55538fa7c5de95750aafc347f391ba8924b01b2a328e3fa3",
-        0.09969962106864877,
+        "924754450322711d039c38b1f3f3d2e32747c03b1ed2a59473e26f79a1105df6",
+        "7e58614b3e271e2d1031256911988cacc47bfc85432d71f3168f431fa0596a94",
+        0.09835352731864855,
     ),
     ("default", "pebblesdb"): (
-        "42e355e73d8466ac7ff67ae4d13e003ae1ce5fcfd456fbd74bfe20b96a83f45f",
-        "d32835b4a2e14a4bb1549613bee467f7ff5dcc671966bb512a45280f14d46593",
-        0.13147020148247546,
+        "a720071ce8f28439370bf50234aca960aa01bf06b26da477d3bf316c8d73cb0f",
+        "33f9f037f6a9a01594c44388fce88c9a2539a10eaeb4ae372c4ef3da038b2e1e",
+        0.14678421417490398,
     ),
     ("workers4", "leveldb"): (
-        "3a2f9ef121b5c1a5eaedb1e76759198844024f95cd6d54f75d9548b6648126ee",
-        "e2333c7cb70071e4576cc8fbc4c7f737427a227afe287279a5f1a2a1f8ed77d0",
-        0.06531074209068063,
+        "98f08979a4b7bc14c8204cc45aa4b21fd1d232e27c463d6ae7a9faf505356d62",
+        "6d9616cf8aa36d9bab58de31b2993ffd98f662a8c7554590ea0200f173db5480",
+        0.06692671481373094,
     ),
     ("workers4", "hyperleveldb"): (
-        "201cda4b963d402193fc86027e4b46efef7eeb5186e9570299ae15a2be40596f",
-        "c7298b00fbe76441d160170c1861179ba152e9defc95ee025e753161f8da06b6",
-        0.06559174798650942,
+        "9bf87d1b38f2065513185de187ee4d58de03598e826cf31443497dd1fbdcc428",
+        "46e4ee9eef1e4fd648ad6898c9a2afa0e1da780cdd67ad1189d424d8794ad79e",
+        0.06584432575512908,
     ),
     ("workers4", "rocksdb"): (
-        "0ea638548d9296bc2baa799a1d5a6309e66d604df5b78199273fe19a3f6e3495",
-        "63a3ec783a39080c18fe9f9f67c5c244a2fce2f32f55369768460e0450739689",
-        0.05974456672277484,
+        "fb41df6eda677427514df340e8bffc3009418c7ca86778904e401a2629d263f8",
+        "6e35dbb5dc03bfac9d33b80b215a0cb241b54ed8b7a612e0a9c7905ec7501123",
+        0.06717576039750095,
     ),
     ("workers4", "pebblesdb"): (
-        "99f0b9443b97337048cf0c55f45c88ed852e70f1cf53e9f5851cc95c9c722085",
-        "3360c39008d020c6c217d589698fc8d82a8f2e2e1cc47c3ea0668cd15977bbdc",
-        0.16995414174432147,
+        "dcc03c9a1796ac32b4eb0cb4cb0895b9277dccd84f1bc96fa680a4a3e3942343",
+        "8b85df7a9ee886050d21b49619dca74f5361242338aa7b3f8b52e41af2cdc8ae",
+        0.17632772197707045,
     ),
     ("vlog", "leveldb"): (
-        "6a15cdd73c822affe0a76ffc501876a902fa928caf6c62e255139820d2edb5bd",
-        "2db5ffd4a1e1bca7323884a7018b9b23a0a3731136ba05a715df79ff2cb237ca",
-        0.09057539229583164,
+        "4d113b046bfd8b5dfb77dca9e3cac4d84aaad4475bd762672380404b7e34f34d",
+        "d2c5b341189e4e371df36fbf0833db6eb5c304351fb818e73a93d6ef1ecfa8eb",
+        0.09181116948902814,
     ),
     ("vlog", "hyperleveldb"): (
-        "dabbd9a92ad8c1c63a948cfa2ef62658fe47d96d3a6cdb843c0b1a1370143d17",
-        "defacae412e526c467d8213c51add99317f5678e6ed583056f65494cd65713fd",
-        0.0835435026979175,
+        "b9b80d3647e727b8f1d50e523aad40f61566b16a6b61e02c4592952bec3dc0b3",
+        "059aad885737f22d336459a5c33a8167c9e96fe04a7e6de60d3923c838ef8c4f",
+        0.08350945289492537,
     ),
     ("vlog", "rocksdb"): (
-        "ef4f5ccf64bd71e5ba11b93a138f44924cb18cac6c66e34f4a882080218796bf",
-        "ea8f9b9c1af27e4f83d226e728a42fa7ac7fd7986b66b9b2d586e88be6aa26a4",
-        0.08855036446193484,
+        "4d49f96461a3769873abbe7e4d9bdf9b87bff7cffe8ad8dc0250b9b5621e4f5c",
+        "b67e8bd4e16ad37223c895742022ce215f2884a9062b55b67d10342b33eb9e88",
+        0.08849031465894276,
     ),
     ("vlog", "pebblesdb"): (
-        "5520d985e5ac1f85fc739a092cc48e2ec99477855482a8dd50e387f20cda1eee",
-        "19afbbcfcde4de8b3d5a1a2268e23c1967f135df9715cdd6982def4e8fb99306",
-        0.22964231482647277,
+        "6eb82440d70a82a3d5359926dc798cd5ec0ffe4df231e636944f4ffb8be31cf6",
+        "7149fd6b8af287f51fcdb2e06b8bbd54d9b74555b4f7a50a926837f2c0caf061",
+        0.22734025707737968,
     ),
     ("snapshot", "leveldb"): (
-        "95dd65007b94ae470b859c1f72f0befcc92b82a5c0956eb08dd9715236003090",
-        "805f9a1f3197eb4818e4b8b428d4c7848d5437b2bb67961714e662b6a7c2e160",
-        0.12071600873682967,
+        "dcd3f56f8b218c4bdc561ef1f81bf67ff4a085e2b0d64e8ffd64a6f824f15723",
+        "24f50a2a59d6b2694d12c79857ef3c0d2e15f247b20c4195c5323575e907a235",
+        0.11923092071786089,
     ),
     ("snapshot", "hyperleveldb"): (
-        "63ec9afcf697186eeea3856e86e95665f916a720a8f99c10789131ec6ead2eaf",
-        "9e090450a546600f9ffe3fb3f2585b3af03e7a362e9b64ed4f901ee44ab42670",
-        0.08786479309013084,
+        "bd42e00f5eaee038803823c96fecd187e55c28f275ce276763c97322c929999e",
+        "06205aabe160d11c5a47a6639e43ba7e1377f25927803664f8191a14928ceaef",
+        0.08996783107875038,
     ),
     ("snapshot", "rocksdb"): (
-        "66643284f73b052576c6b342e0d26af628f92fb40d92645259518b894e9f3308",
-        "cfbfc7fbd8d23bb9107f87d2a90259a729d96a9f068f3aeaeaa9a5c59e0b8043",
-        0.1117706089294312,
+        "c0fbe5dc64ccb1995be9f9fae6a3fb26e538a962e20e7fd0682c7cb25a35075f",
+        "bcc3b93c7afbc4228dad9ce7e5b25670dd4161f09f5958ec65457ab95d8080f6",
+        0.11025160892943092,
     ),
     ("snapshot", "pebblesdb"): (
-        "c9766a5e3f0011ae573af7d748a3a18e03f72f152e64d7b49cd7bc626aeafda1",
-        "e10056faf19f8951634ad15e4ac7d322639d5f829eb9976ef3fcfc07f34e139a",
-        0.14933524921925842,
+        "89a756ba41723bbc7a673157aad828ba1323462911c0e2a7c806a9beb688706c",
+        "dae9c7c64abf78de1523116df0ac25bbdba7451fb98927a3df0f830fdaac2b5e",
+        0.1596383451112532,
     ),
     ("fault", "leveldb"): (
-        "d11c96bd597ccc2a02ebfcbb5e65d44a97ae11bd1f06f371bbc8d0f90f785a19",
-        "ed55a56e39a62d559d3d578c418b09208aed3db303d044ed19f9947eddff9563",
-        0.11479047611540694,
+        "4bec84b1e72a4cc0ff9ab717f914b5afdc25bcd8c8ad45e7c654e0c74641a941",
+        "29fcb048c387645d565ecd3005ad5492d0a3161b3bbe1717ff76052d9f3f1d11",
+        0.11335596362490091,
     ),
     ("fault", "hyperleveldb"): (
-        "fa60655e933cd753d24d23d309fa336e9cf4184495dc159e0b29dacae2687650",
-        "90fd640456393b819be47df15b796cb9f10a7b2f09047c0c3fdd5ebdcd5545db",
-        0.0817970818627158,
+        "b6a2ce88f617e55edc2ad45f15eeba6729c73056528771665813942686f3c3ac",
+        "36ec0c2ba26b410f8a615e6606dacda8159590679d68278ab78d995bc23f83d4",
+        0.08492571072064374,
     ),
     ("fault", "rocksdb"): (
-        "56d57f6502700c79727f5dd91c027e4a5d1874d8075b4045f5b1e9bf0c953762",
-        "a8b2553ac390ab836dea6a1bbf192a4f82e38f6e05545bff53b568deae97ce96",
-        0.11060817696532278,
+        "13025328a618e0de7b6ff80fe15c36be2a7d274a45f70534b30d4a9894b461ed",
+        "7a268e62be4cffa506041d3cf4771bc1e4269565f2767f683e760547b4307069",
+        0.10928496029729956,
     ),
     ("fault", "pebblesdb"): (
-        "140cf989c397e6e94856369020474896216ec99e52cb78ab5df568b83f0437ff",
-        "3822817482cfd0afdd6d593580d725e33502d494ff9c9dadb04302fce2555829",
-        0.14247020148247888,
+        "8986f3d8f90362908d96b881b18b703b3859061255cf178ec39f860e5b46a6a9",
+        "6a3264549aae2dc638968bf6eca5eebdf13c95ea6593bc1be93d6bf01d5f8f50",
+        0.1577842141749074,
     ),
     ("gets", "leveldb"): (
-        "a73d11cda84dcc92bd7f0bbacb4a8f379a3ca2ed6757d600451bd25683aaea6c",
-        "805f9a1f3197eb4818e4b8b428d4c7848d5437b2bb67961714e662b6a7c2e160",
-        0.16156309572414476,
+        "b43c40a46f2ac8732f2fd832082874b1bb25b1fcba11be875a2a05a822d19c58",
+        "24f50a2a59d6b2694d12c79857ef3c0d2e15f247b20c4195c5323575e907a235",
+        0.15754014103850553,
     ),
     ("gets", "hyperleveldb"): (
-        "150408b0a3a8860d68abce3dc27ce2b66fc2f07e6b389e854ce14337b1f0a83f",
-        "9e090450a546600f9ffe3fb3f2585b3af03e7a362e9b64ed4f901ee44ab42670",
-        0.13051669049407688,
+        "66146eb5daecb1ddd248bf04f92d25bffc15e8c1cb0d2d1c9357ec11bdffef22",
+        "06205aabe160d11c5a47a6639e43ba7e1377f25927803664f8191a14928ceaef",
+        0.12957811806603284,
     ),
     ("gets", "rocksdb"): (
-        "66000a6875aba282e98c32274b8dfd8aea1a67cf5306b6be65488196ca7511be",
-        "cfbfc7fbd8d23bb9107f87d2a90259a729d96a9f068f3aeaeaa9a5c59e0b8043",
-        0.15299481883339153,
+        "7e299adff9912a7870cdd136fcdb3540f60bd94528beb21e3eb056dd69161d19",
+        "bcc3b93c7afbc4228dad9ce7e5b25670dd4161f09f5958ec65457ab95d8080f6",
+        0.1490452542500537,
     ),
     ("gets", "pebblesdb"): (
-        "188261ab4e11c2b7653a34b412c55cc0643005ac3d8cbbc455455f3cbef200d8",
-        "6fb9cf14be05a77f7b70ae26090273b204de8fa1f64f991972699c830d86c07c",
-        0.14156288828987262,
+        "e602c28d96c194b625517ff0ecba924260ddb708494a640ff0fd45ed499947a2",
+        "a3b161868dd6a6decc9fc077423a386d5384dabcf4a9ee7dd2f1461e98d7fbfe",
+        0.12115622376518882,
     ),
 }
 

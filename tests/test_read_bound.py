@@ -17,8 +17,9 @@ The reference here is a plain dict per snapshot, not a second search
 path in the engine: random puts, deletes and overwrites of a 40-key
 space, flushes, range compactions, snapshots taken and held at random
 points; after every step every key is read at the head and through every
-held snapshot.  The second half of a run writes keys the first half never
-did, so new guards split files that already exist.
+held snapshot, and every live file's ``largest_seq`` is recomputed by
+scanning the file.  The second half of a run writes keys the first half
+never did, so new guards split files that already exist.
 
 Random workloads reach a misordered guard rarely (the run above needs
 2,854 steps), so a second test builds them outright: versions dealt into
@@ -34,6 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.engines.base import Snapshot
+from repro.sstable import SSTableReader
 from repro.util.keys import KIND_DELETE, KIND_PUT, InternalKey
 from tests.conftest import LSM_ENGINES, make_store
 
@@ -57,6 +59,16 @@ _steps = st.lists(
     min_size=8,
     max_size=32,
 )
+
+
+def _check_bounds(db, env) -> None:
+    """``largest_seq`` of every live file, against a scan of the file."""
+    acct = env.storage.foreground_account("test")
+    for meta in db.live_files():
+        reader = SSTableReader.open(env.storage, db._sst_name(meta.number), acct)
+        assert meta.largest_seq == max(
+            key.sequence for key, _ in reader.iter_all(acct)
+        ), meta.number
 
 
 def _check_reads(db, model, held) -> None:
@@ -102,8 +114,11 @@ def test_every_read_matches_a_dict_per_snapshot(engine, workers, steps):
         elif what == "release" and arg < len(held):
             db.release_snapshot(held.pop(arg)[0])
         _check_reads(db, model, held)
+        if what in ("flush", "compact"):
+            _check_bounds(db, env)
     db.wait_idle()
     _check_reads(db, model, held)
+    _check_bounds(db, env)
     db.check_invariants()
     for snap, _ in held:
         db.release_snapshot(snap)
@@ -154,6 +169,7 @@ def test_any_file_order_answers_with_the_newest_visible_version(engine, versions
         else:
             db._levels[0].append(meta)
     db._last_sequence = len(versions)
+    _check_bounds(db, env)
     for snapshot in range(len(versions) + 1):
         model = {
             key: None if delete else b"v%d" % seq
