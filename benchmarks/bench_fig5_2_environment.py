@@ -36,8 +36,9 @@ def _micro(run, reads=2500, seeks=1200):
         "write": writes.kops,
         "read": r.kops,
         "seek": s.kops,
-        # Table-cache misses per get: each re-charges the table's footer,
-        # index and filter reads on the simulated clock.
+        # Table-cache misses per get: each re-charges the table's footer
+        # and index reads on the simulated clock (filters are resident
+        # with the file metadata, so a filter's "no" opens nothing).
         "reopens_per_get": reopens / reads,
     }
 
@@ -89,6 +90,12 @@ def test_aged_filesystem_and_store(benchmark):
         ],
     )
     assert p["write"] > h["write"]
+    # What the figure is about: on an aged store PebblesDB's reads keep up
+    # with HyperLevelDB's (paper 1.08x), because a get opens only the
+    # sstables its resident filters and sequence bounds leave — this ratio
+    # sat at 0.46x while a filter's "no" still cost a table open.
+    assert p["read"] / h["read"] >= 0.9
+    assert p["reopens_per_get"] < 1.0
 
 
 def test_low_memory(benchmark):

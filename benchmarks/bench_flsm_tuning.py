@@ -66,10 +66,12 @@ def test_max_sstables_per_guard_tradeoff(benchmark):
         ],
     )
     assert amps[1] == max(amps.values()), "cap=1 must write the most IO"
-    # Caps 4 and 8 saturate the benefit at this scale; both must sit well
-    # below cap=1 and the trend must be downward.
+    # Caps 4 and 8 must both sit well below cap=1 and the trend must not
+    # turn upward.  How much cap=8 still saves over cap=4 is not asserted:
+    # it depends on which compactions the timing happens to batch (0.0 to
+    # 0.9 across seeds 33-38, before and after ISSUE 23).
     assert amps[8] < 0.8 * amps[1] and amps[4] < 0.8 * amps[1]
-    assert abs(amps[8] - amps[4]) < 0.5
+    assert amps[8] < amps[4] + 0.5
 
 
 def test_guard_probability_estimation(benchmark):

@@ -1758,8 +1758,12 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             charge_cpu = account.charge_cpu
             cpu = self.cpu
             level_search = cpu.level_binary_search
-            bloom_check = cpu.bloom_check
             use_bloom = self.options.enable_sstable_bloom
+            # The one filter test, applied to whatever holds the filter —
+            # here the file's metadata.  Looked up per search: the pinned
+            # benchmark's tracer patches it on the class and counts it
+            # against files_probed + bloom_skipped.
+            screen = SSTableReader.may_contain
             probed = bloom_skipped = seq_skipped = 0
             for level in range(self.options.num_levels):
                 files = candidates(level, key)
@@ -1785,18 +1789,15 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     if meta.largest_seq <= best_seq:
                         level_seq += 1
                         continue
-                    bloom = meta.bloom
-                    if bloom is None and use_bloom:
+                    if meta.bloom is None and use_bloom:
                         # Recovered from the MANIFEST: fetched by the first
                         # get to consult the file, resident from then on.
-                        bloom = meta.bloom = get_reader(
-                            meta.number, account
-                        ).read_filter(account)
-                    if bloom is not None:
-                        charge_cpu(cpu, "bloom_check", bloom_check)
-                        if not bloom.may_contain_hash(kh):
-                            level_bloom += 1
-                            continue
+                        meta.bloom = get_reader(meta.number, account).read_filter(
+                            account
+                        )
+                    if not screen(meta, key, account, kh, cpu):
+                        level_bloom += 1
+                        continue
                     level_probed += 1
                     result = get_reader(meta.number, account).get(
                         key, snapshot, account, probe

@@ -55,7 +55,7 @@ def summary(stats) -> str:
 
 def report(db) -> str:
     """Shell ``stats`` and the dbbench footer: summary, health, table
-    cache, build lane, subsystems."""
+    cache, table search, build lane, subsystems."""
     stats = db.stats()
     lines = [summary(stats), f"health={db.get_property('repro.health')}"]
     if stats.degraded:
@@ -66,6 +66,15 @@ def report(db) -> str:
         lines.append(
             f"table cache: hits={hits} misses={misses} "
             f"miss-share={misses / (hits + misses):.3f}"
+        )
+    probed, bloom, seq = (
+        sum(m.value for m in db.registry if m.name == f"read.{what}")
+        for what in ("files_probed", "bloom_skipped", "seq_skipped")
+    )
+    if probed or bloom or seq:
+        lines.append(
+            f"table search: files-probed={probed} bloom-skipped={bloom} "
+            f"seq-skipped={seq}"
         )
     passed = db.registry.value("build.records_passed")
     encoded = db.registry.value("build.records_encoded")

@@ -5,11 +5,11 @@ block caching" the paper discusses for Table 5.1 / Workload C: engines
 keep a bounded table cache of open readers, so stores with many small
 sstables miss that cache more often).  A standalone reader (the tools,
 ``load_bloom=True``) also loads the table's bloom filter and screens with
-:meth:`SSTableReader.may_contain`.  An engine does not: the filter is
-resident with the file's metadata (paper section 4.1), consulted before a
-reader is even looked up, so its readers open with ``load_bloom=False``
-and a recovered file's filter is fetched once with
-:meth:`SSTableReader.read_filter`.
+:meth:`SSTableReader.may_contain`.  An engine's readers do not
+(``load_bloom=False``): its filters are resident with the file metadata
+(paper section 4.1) and consulted — by that same function, applied to the
+metadata — before a reader is even looked up; a recovered file's filter
+is fetched once with :meth:`SSTableReader.read_filter`.
 
 All data-block access funnels through :meth:`SSTableReader._decoded_block`,
 which consults the engine's host-side :class:`DecodedBlockCache` when one
@@ -30,6 +30,7 @@ from typing import Hashable, Iterator, List, Optional, Tuple
 from repro.bloom import BloomFilter
 from repro.errors import CorruptionError
 from repro.memtable.memtable import GetResult
+from repro.sim.cpu import CpuCosts
 from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable.block_cache import DecodedBlock, DecodedBlockCache
 from repro.sstable.format import (
@@ -219,7 +220,11 @@ class SSTableReader:
         return index_bytes + bloom_bytes
 
     def may_contain(
-        self, user_key: bytes, account: IoAccount, h: Optional[int] = None
+        self,
+        user_key: bytes,
+        account: IoAccount,
+        h: Optional[int] = None,
+        cpu: Optional[CpuCosts] = None,
     ) -> bool:
         """Bloom-filter test; True when no filter is loaded.
 
@@ -227,14 +232,22 @@ class SSTableReader:
         the engine get path hashes the key once and shares the digest
         across every table it screens (the simulated ``bloom_check``
         charge is per probe, exactly as before).
+
+        This is the one filter test and the one ``bloom_check`` charge in
+        the tree.  An engine, whose filters are resident with the file
+        metadata, applies it as ``SSTableReader.may_contain(meta, ...)``:
+        ``self`` need only hold the table's filter as ``bloom``, and
+        ``cpu`` is the cost model when ``self`` is not a reader.
         """
-        if self.bloom is None:
+        bloom = self.bloom
+        if bloom is None:
             return True
-        cpu = self._storage.cpu
+        if cpu is None:
+            cpu = self._storage.cpu
         account.charge_cpu(cpu, "bloom_check", cpu.bloom_check)
         if h is None:
-            return self.bloom.may_contain(user_key)
-        return self.bloom.may_contain_hash(h)
+            return bloom.may_contain(user_key)
+        return bloom.may_contain_hash(h)
 
     # ------------------------------------------------------------------
     def _decoded_block(

@@ -52,7 +52,9 @@ def dump_sstable(
             if reader.bloom is not None
             else "(none)"
         ),
-        f"  resident     : {reader.memory_bytes} bytes (index + filter)",
+        f"  resident     : {reader.memory_bytes} bytes (index + filter: on open "
+        "here; in an engine the filter is resident with the file's metadata "
+        "and a reader holds the index only)",
     ]
     if records:
         lines.append("  records:")
@@ -92,7 +94,8 @@ def dump_manifest(storage: SimulatedStorage, name: str) -> str:
                 f"    + L{level} file {meta.number} "
                 f"[{_fmt_key(meta.smallest.user_key)}.."
                 f"{_fmt_key(meta.largest.user_key)}] "
-                f"{meta.file_size}B/{meta.num_entries}e{guard}"
+                f"{meta.file_size}B/{meta.num_entries}e "
+                f"largest_seq={meta.largest_seq}{guard}"
             )
         for level, number in edit.deleted_files:
             lines.append(f"    - L{level} file {number}")

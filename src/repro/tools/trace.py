@@ -225,27 +225,18 @@ def report_reads(spans: List[Dict[str, object]]) -> None:
         for source in sorted(sources):
             print(f"  source {source:<10} {sources[source]:>7}")
     if searches:
-        probed: Dict[object, int] = {}
-        skipped: Dict[object, int] = {}
+        names = ("files_probed", "bloom_skipped", "seq_skipped")
+        tallies: Dict[object, List[int]] = {}
         for span in searches:
-            level = _attr(span, "level")
-            probed[level] = probed.get(level, 0) + int(
-                _attr(span, "files_probed", 0) or 0
-            )
-            skipped[level] = skipped.get(level, 0) + int(
-                _attr(span, "bloom_skipped", 0) or 0
-            )
+            row = tallies.setdefault(_attr(span, "level"), [0] * len(names))
+            for i, name in enumerate(names):
+                row[i] += int(_attr(span, name, 0) or 0)
         print(f"table searches: {len(searches)} (grouped by found-at level)")
-        print(f"{'level':>7} {'files-probed':>13} {'bloom-skipped':>14}")
-        levels = sorted(
-            set(probed) | set(skipped), key=lambda x: (x is None, str(x))
-        )
-        for level in levels:
+        print(f"{'level':>7} {'files-probed':>13} {'bloom-skipped':>14} {'seq-skipped':>12}")
+        for level in sorted(tallies, key=lambda x: (x is None, str(x))):
             label = "(miss)" if level is None else str(level)
-            print(
-                f"{label:>7} {probed.get(level, 0):>13} "
-                f"{skipped.get(level, 0):>14}"
-            )
+            probed, bloom, seq = tallies[level]
+            print(f"{label:>7} {probed:>13} {bloom:>14} {seq:>12}")
 
 
 def report_dump(spans: List[Dict[str, object]], limit: int) -> None:

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro.engines.options import StoreOptions
+from repro.sstable import SSTableReader
 
 #: Engines implementing the full LSM/FLSM machinery (WAL, recovery, ...).
 LSM_ENGINES = ["leveldb", "hyperleveldb", "rocksdb", "pebblesdb"]
@@ -49,3 +50,13 @@ def make_store(engine: str, env: repro.Environment, **option_overrides):
     if engine in LSM_ENGINES:
         options = tiny_options(engine, **option_overrides)
     return repro.open_store(engine, env.storage, options=options, prefix="db/")
+
+
+def check_sequence_bounds(db, env: repro.Environment) -> None:
+    """``largest_seq`` of every live file, against a scan of the file."""
+    acct = env.storage.foreground_account("test")
+    for meta in db.live_files():
+        reader = SSTableReader.open(env.storage, db._sst_name(meta.number), acct)
+        assert meta.largest_seq == max(
+            key.sequence for key, _ in reader.iter_all(acct)
+        ), meta.number

@@ -19,6 +19,7 @@ from repro.errors import ReproError, TransientIOError
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.tools.backup import create_backup, restore_backup
 from repro.tools.repair import repair_store
+from tests.conftest import check_sequence_bounds
 
 
 def _tiny(preset, **kw):
@@ -196,3 +197,35 @@ class TestRepairFaultedStore:
         assert dict(db2.scan()) == model
         db2.check_invariants()
         db2.close()
+
+    def test_sequence_bounds_survive_backup_restore_and_repair(self):
+        """``largest_seq`` round-trips through a MANIFEST (backup ->
+        restore) and RepairDB recomputes it exactly — a repaired store
+        whose files came back unbounded would probe every candidate."""
+        env = repro.Environment(cache_bytes=1 << 20)
+        db = _open(env)
+        _fill(db, 900, b"x", {})
+        db.wait_idle()
+        bounds = {f.number: f.largest_seq for f in db.live_files()}
+        check_sequence_bounds(db, env)
+        create_backup(env.storage, "db/", "backup/")
+        db.close()
+
+        restore_backup(env.storage, "backup/", "restored/")
+        options = _tiny("pebblesdb")
+        db2 = repro.open_store("pebblesdb", env.storage, options=options, prefix="restored/")
+        # (plus the table recovery made of the backed-up write-ahead log)
+        assert bounds.items() <= {f.number: f.largest_seq for f in db2.live_files()}.items()
+        check_sequence_bounds(db2, env)
+        db2.close()
+
+        for name in list(env.storage.list_files("restored/")):
+            base = name[len("restored/"):]
+            if base == "CURRENT" or base.startswith("MANIFEST-"):
+                env.storage.delete(name)
+        repair_store(env.storage, "restored/")
+        db3 = repro.open_store("pebblesdb", env.storage, options=options, prefix="restored/")
+        assert len(db3.live_files()) >= len(bounds)
+        check_sequence_bounds(db3, env)
+        db3.check_invariants()
+        db3.close()

@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.errors import CorruptionError
+from repro.sstable import SSTableReader
 from tests.conftest import make_store
 
 
@@ -60,6 +61,35 @@ class TestSstableCorruption:
         with pytest.raises(CorruptionError):
             for key, value in db.scan():
                 assert key in model  # anything yielded must still be valid
+
+    def test_damaged_filter_block_fails_the_gets_that_need_it(self, env):
+        """A reopened store fetches a file's filter the first time a get
+        consults the file.  A block that does not decode is corruption:
+        the get raises and adopts nothing, so the next one raises too
+        (as a table open that failed on the block used to); a scan never
+        reads the block; with the bytes back, the same store answers."""
+        db, model = _loaded(env)
+        db.close()
+        db = make_store("pebblesdb", env, sync_writes=True)
+        acct = env.storage.foreground_account()
+        saved = {}
+        for meta in db.live_files():
+            name = db._sst_name(meta.number)
+            offset = SSTableReader.open(env.storage, name, acct)._footer.filter_offset
+            saved[name] = (offset, env.storage.read(name, offset, 4, acct))
+            env.storage.write_at(name, offset, b"junk", acct)
+        key = next(iter(model))
+        for _ in range(2):
+            with pytest.raises(CorruptionError, match="bloom filter"):
+                db.get(key)
+        assert all(meta.bloom is None for meta in db.live_files())
+        assert dict(db.scan()) == model
+        for name, (offset, magic) in saved.items():
+            env.storage.write_at(name, offset, magic, acct)
+        assert all(db.get(k) == v for k, v in model.items())
+        assert any(meta.bloom is not None for meta in db.live_files())
+        db.check_invariants()
+        db.close()
 
     def test_random_flips_never_return_wrong_values(self, env):
         """Fuzz: any single flipped byte either leaves reads correct

@@ -30,12 +30,30 @@ The scenarios cover what the default-options run cannot see:
   (recorded from the commit before the engines' two searches became one).
 
 All 24 pins were re-recorded when reads became the paper's (ISSUE 23), a
-change that meant to move them: every digest and MANIFEST hash because a
-``NEW_FILE`` record now carries the file's ``largest_seq``; every clock
-because a table open reads — and a table-cache miss re-charges — footer
-and index, the filter being resident with the file (compactions and
-iterators open tables too); ``gets`` and ``snapshot`` also because a get
-skips the files its filters and sequence bounds rule out unopened.
+change that meant to move them.  Each edit alone, against the pins before
+it (CHANGES.md has the table of all 24 clocks):
+
+* resident filters and the sequence-bounded skip move seven pins, clock
+  only and only down — ``gets`` (``pebblesdb`` -16.9 %, the rest -1.2 to
+  -1.5 %) and three of ``snapshot`` (its 30 gets) — and leave the other
+  17 identical to the last digit;
+* ``largest_seq`` in the ``NEW_FILE`` record (one varint) moves every
+  digest and MANIFEST hash;
+* the two-span open — a table open reads, and a table-cache miss
+  re-charges, footer and index, not the filter — is paid by compactions
+  and iterators too.  With the layout unchanged it lowers a clock by 1.2
+  to 1.5 % (``leveldb`` and ``rocksdb`` under ``default``, ``snapshot``,
+  ``fault``).  But a store that picks its next compaction by what has
+  finished (``hyperleveldb``, ``pebblesdb``, anything under ``workers4``)
+  takes another trajectory from the first shifted instant, so those
+  clocks land anywhere within about +-10 %: ``default``/``pebblesdb`` is
+  +11.6 % at this seed and 0.91x to 1.17x over forty others.  Not all of
+  that is scatter: over those forty seeds the ``pebblesdb`` fill ends
+  4.6 % sooner, having run 6.7 % more and smaller compactions (write
+  bytes -1.4 %), leaves 5.5 % more sstables (415 against 393), and the
+  300 seeks that follow cost 5.8 % more — +2.3 % on the whole clock, 28
+  seeds of 40 up.  Cheaper compaction buys FLSM more fragments; nothing
+  was charged to a seek that was not charged before.
 
 ``python tests/test_golden_sim.py`` prints the current values.
 """

@@ -34,6 +34,18 @@ class TestFileMetadata:
         assert (decoded.number, decoded.file_size, decoded.num_entries) == (7, 100, 10)
         assert decoded.smallest == m.smallest and decoded.largest == m.largest
 
+    def test_sequence_bound_is_persisted_and_the_filter_is_not(self):
+        from repro.bloom import BloomFilter
+        from repro.util.keys import MAX_SEQUENCE
+
+        assert meta(7).largest_seq == MAX_SEQUENCE  # built without one: unbounded
+        m = meta(7)
+        m.largest_seq, m.bloom = 41, BloomFilter.for_keys([b"a"] * 10)
+        decoded, offset = FileMetadata.decode(m.encode(), 0)
+        assert offset == len(m.encode())
+        assert decoded.largest_seq == 41 and decoded.bloom is None
+        assert decoded == m  # the filter is not part of a file's identity
+
     def test_overlaps(self):
         m = meta(1, b"c", b"f")
         assert m.overlaps(b"a", b"c")

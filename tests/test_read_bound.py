@@ -30,14 +30,15 @@ possible snapshot.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.engines.base import Snapshot
-from repro.sstable import SSTableReader
 from repro.util.keys import KIND_DELETE, KIND_PUT, InternalKey
-from tests.conftest import LSM_ENGINES, make_store
+from tests.conftest import LSM_ENGINES, check_sequence_bounds, make_store
 
 KEYS = [b"rb%02d" % i for i in range(40)]
 
@@ -59,16 +60,6 @@ _steps = st.lists(
     min_size=8,
     max_size=32,
 )
-
-
-def _check_bounds(db, env) -> None:
-    """``largest_seq`` of every live file, against a scan of the file."""
-    acct = env.storage.foreground_account("test")
-    for meta in db.live_files():
-        reader = SSTableReader.open(env.storage, db._sst_name(meta.number), acct)
-        assert meta.largest_seq == max(
-            key.sequence for key, _ in reader.iter_all(acct)
-        ), meta.number
 
 
 def _check_reads(db, model, held) -> None:
@@ -115,10 +106,10 @@ def test_every_read_matches_a_dict_per_snapshot(engine, workers, steps):
             db.release_snapshot(held.pop(arg)[0])
         _check_reads(db, model, held)
         if what in ("flush", "compact"):
-            _check_bounds(db, env)
+            check_sequence_bounds(db, env)
     db.wait_idle()
     _check_reads(db, model, held)
-    _check_bounds(db, env)
+    check_sequence_bounds(db, env)
     db.check_invariants()
     for snap, _ in held:
         db.release_snapshot(snap)
@@ -138,6 +129,47 @@ def test_range_compaction_sinks_no_file_beneath_an_older_overlapping_one(engine)
     db.compact_range(b"rb20", b"rb39")
     assert db.get(b"rb00") is None
     db.check_invariants()
+
+
+@pytest.mark.parametrize("engine", LSM_ENGINES)
+def test_a_reopened_store_searches_as_it_did_before_the_close(engine):
+    """Bounds come back from the MANIFEST; a filter comes back the first
+    time a get consults its file and is resident from then on."""
+    env = repro.Environment(cache_bytes=1 << 20)
+    keys = [b"key%05d" % i for i in range(700)]
+    rng = random.Random(23)
+
+    def tallies(db):
+        gets = [db.get(rng.choice(keys) + rng.choice([b"", b"~"])) for _ in range(2000)]
+        total = lambda what: sum(  # noqa: E731
+            m.value for m in db.stats_part()["registry"] if m.name == f"read.{what}"
+        )
+        return gets, [total(w) for w in ("files_probed", "bloom_skipped", "seq_skipped")]
+
+    db = make_store(engine, env)
+    for round_ in range(3):
+        for key in rng.sample(keys, 500):
+            db.put(key, b"%d-" % round_ + key * 8)
+    db.flush_memtable()
+    db.wait_idle()
+    bounds = {f.number: f.largest_seq for f in db.live_files()}
+    filters = sum(f.bloom.size_bytes for f in db.live_files())
+    state = rng.getstate()
+    answers, counts = tallies(db)
+    db.close()
+
+    db = make_store(engine, env)
+    assert {f.number: f.largest_seq for f in db.live_files()} == bounds
+    assert all(f.bloom is None for f in db.live_files())
+    cold = db.memory_bytes()
+    for again in (1, 2):  # the first pass fetches the filters, the second has them
+        rng.setstate(state)
+        assert tallies(db) == (answers, [again * n for n in counts])
+    consulted = [f for f in db.live_files() if f.bloom is not None]
+    assert consulted and sum(f.bloom.size_bytes for f in consulted) <= filters
+    assert db.memory_bytes() >= cold + sum(f.bloom.size_bytes for f in consulted)
+    db.check_invariants()
+    db.close()
 
 
 @pytest.mark.parametrize("engine", ["pebblesdb", "leveldb"])
@@ -169,7 +201,7 @@ def test_any_file_order_answers_with_the_newest_visible_version(engine, versions
         else:
             db._levels[0].append(meta)
     db._last_sequence = len(versions)
-    _check_bounds(db, env)
+    check_sequence_bounds(db, env)
     for snapshot in range(len(versions) + 1):
         model = {
             key: None if delete else b"v%d" % seq

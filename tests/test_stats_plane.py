@@ -100,6 +100,41 @@ class TestOneDefinition:
         assert db.stats_part()["registry"].value("read.table_cache_misses") == misses
         assert f"table cache: hits={hits} misses={misses} miss-share=" in report(db)
 
+    def test_every_candidate_file_is_probed_or_skipped_for_a_stated_reason(
+        self, lsm_engine, env
+    ):
+        """Per level: files whose range covers the key = probed +
+        skipped by the filter + skipped by the sequence bound."""
+        db = make_store(lsm_engine, env)
+        considered = {}
+        candidates = db._level_candidates
+
+        def counted(level, key):
+            files = candidates(level, key)
+            if files is not None:
+                files = list(files)
+                considered[level] = considered.get(level, 0) + sum(
+                    f.smallest.user_key <= key <= f.largest.user_key for f in files
+                )
+            return files
+
+        db._level_candidates = counted
+        for round_ in range(3):  # overwrites: several versions per key
+            mixed_workload(db, 300)
+        for i in range(300):
+            db.get(b"key%05d" % i)
+        value = db.stats_part()["registry"].value
+        assert sum(considered.values()) > 0
+        for level, files in considered.items():
+            reasons = [
+                value(f"read.{what}", level=level)
+                for what in ("files_probed", "bloom_skipped", "seq_skipped")
+            ]
+            assert sum(reasons) == files, (level, reasons)
+        seq_skipped = sum(value("read.seq_skipped", level=level) for level in considered)
+        assert seq_skipped > 0
+        assert f" seq-skipped={seq_skipped}" in report(db)
+
     def test_embedded_store_has_no_serving_counters(self, env):
         db = make_store("pebblesdb", env)
         mixed_workload(db, 100)

@@ -288,6 +288,19 @@ class TestDumpTools:
         if sum(db.guard_counts()):
             assert "guard" in text
 
+    def test_dump_shows_sequence_bounds_and_where_the_filter_lives(self):
+        from repro.tools.dump import dump_manifest, dump_sstable
+
+        env, db = self._store()
+        meta = db.live_files()[0]
+        manifest = [n for n in env.storage.list_files("db/") if "MANIFEST" in n][0]
+        lines = dump_manifest(env.storage, manifest).splitlines()
+        assert any(
+            f"file {meta.number} " in line and f"largest_seq={meta.largest_seq}" in line
+            for line in lines
+        )
+        assert "filter: on open" in dump_sstable(env.storage, db._sst_name(meta.number))
+
     def test_dump_wal(self):
         from repro.tools.dump import dump_wal
 
