@@ -26,11 +26,9 @@ from repro.version.files import FileMetadata
 
 def trailing_set_bits(value: int) -> int:
     """Number of consecutive set least-significant bits of ``value``."""
-    count = 0
-    while value & 1:
-        count += 1
-        value >>= 1
-    return count
+    # ``value + 1`` carries through the run of ones and sets the bit above
+    # it; ``& ~value`` leaves that bit alone, and its index is the count.
+    return (~value & (value + 1)).bit_length() - 1
 
 
 class GuardPicker:
@@ -42,6 +40,16 @@ class GuardPicker:
         self.top_level_bits = top_level_bits
         self.bit_decrement = bit_decrement
         self.num_levels = num_levels
+        #: The rule of :meth:`guard_level` as a table: the shallowest level
+        #: a 32-bit hash with ``i`` set low bits guards.  ``required_bits``
+        #: falls with depth, so the first level it admits is the answer.
+        self._level_of_bits: List[Optional[int]] = [
+            next(
+                (lvl for lvl in range(1, num_levels) if bits >= self.required_bits(lvl)),
+                None,
+            )
+            for bits in range(33)
+        ]
 
     def required_bits(self, level: int) -> int:
         """Set LSBs required to guard ``level`` (levels are 1-based)."""
@@ -56,15 +64,7 @@ class GuardPicker:
         # The low half of the memoized bloom digest *is* murmur3_32(key):
         # the hash a put pays here is the one its flush and every later
         # compaction reuse, and an overwrite hashes nothing.
-        bits = trailing_set_bits(murmur3_64(key) & 0xFFFFFFFF)
-        if bits >= self.required_bits(1):
-            return 1
-        # required_bits is monotonically decreasing: binary search not
-        # needed, the level count is small.
-        for level in range(2, self.num_levels):
-            if bits >= self.required_bits(level):
-                return level
-        return None
+        return self._level_of_bits[trailing_set_bits(murmur3_64(key) & 0xFFFFFFFF)]
 
 
 class Guard:

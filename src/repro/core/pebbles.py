@@ -104,40 +104,33 @@ class _SwitchAccount:
 class _Peekable:
     """Iterator wrapper with one-entry lookahead (partitioning helper)."""
 
-    __slots__ = ("_it", "_head", "_has")
+    __slots__ = ("_it", "_head")
 
     def __init__(self, it: Iterator[Entry]) -> None:
         self._it = it
-        self._head: Optional[Entry] = None
-        self._has = False
-        self._advance()
-
-    def _advance(self) -> None:
-        try:
-            self._head = next(self._it)
-            self._has = True
-        except StopIteration:
-            self._head = None
-            self._has = False
+        self._head: Optional[Entry] = next(it, None)
 
     @property
     def has_next(self) -> bool:
-        return self._has
+        return self._head is not None
 
     def peek(self) -> Entry:
         assert self._head is not None
         return self._head
 
-    def take(self) -> Entry:
-        entry = self._head
-        assert entry is not None
-        self._advance()
-        return entry
-
     def take_until(self, hi: Optional[bytes]) -> Iterator[Entry]:
-        """Yield entries with user_key < hi (all remaining if hi is None)."""
-        while self._has and (hi is None or self._head[0].user_key < hi):  # type: ignore[index]
-            yield self.take()
+        """Yield entries with user_key < hi (all remaining if hi is None).
+
+        The lookahead is refilled *before* an entry is handed out: the
+        merge reads its inputs one entry ahead of the table being built,
+        and that interleaving is what the page cache sees.
+        """
+        it = self._it
+        entry = self._head
+        while entry is not None and (hi is None or entry[0].user_key < hi):
+            self._head = next(it, None)
+            yield entry
+            entry = self._head
 
 
 class PebblesDBStore(LSMStoreBase):
@@ -193,7 +186,7 @@ class PebblesDBStore(LSMStoreBase):
     # ==================================================================
     def _on_insert_key(self, key: bytes) -> None:
         self._consecutive_seeks = 0
-        self._user_acct.charge(self.cpu.charge("guard_hash", 0.3e-6))
+        self._user_acct.charge_cpu(self.cpu, "guard_hash", 0.3e-6)
         level = self._picker.guard_level(key)
         if level is None:
             return

@@ -430,6 +430,15 @@ def _validate_key(key: bytes) -> None:
         raise InvalidArgumentError(f"keys must be non-empty bytes, got {key!r}")
 
 
+def checked_bytes(data, *, key: bool = False) -> bytes:
+    """``data`` as the ``bytes`` a write stores.  The type is checked before
+    it is coerced (``bytes(5)`` is five zero bytes); a key is not empty."""
+    if not isinstance(data, (bytes, bytearray, memoryview)) or (key and not len(data)):
+        what = "keys must be non-empty bytes" if key else "values must be bytes"
+        raise InvalidArgumentError(f"{what}, got {data!r}")
+    return bytes(data)
+
+
 class LSMStoreBase(CompactionRunner, KeyValueStore):
     """Common write path, stalls, table cache, and recovery."""
 
@@ -530,6 +539,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self.registry = MetricsRegistry()
         self._stats = StatsCounters(self.registry)
         self._op_puts = self._stats.bind("puts")
+        self._user_bytes = self._stats.bind("user_bytes_written")
         self._op_gets = self._stats.bind("gets")
         self._op_deletes = self._stats.bind("deletes")
         self._op_seeks = self._stats.bind("seeks")
@@ -601,6 +611,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             "get": WindowedHistogram(window_seconds=0.5),
             "write": WindowedHistogram(window_seconds=0.5),
         }
+        self._write_window = self.op_windows["write"]
         self._open_or_recover()
 
     # ==================================================================
@@ -689,18 +700,28 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     # Public operations
     # ==================================================================
     def put(self, key: bytes, value: bytes) -> None:
-        self._write([(KIND_PUT, bytes(key), bytes(value))])
+        if type(key) is not bytes or not key:
+            key = checked_bytes(key, key=True)
+        if type(value) is not bytes:
+            value = checked_bytes(value)
+        self._write([(KIND_PUT, key, value)])
         self._op_puts.value += 1
 
     def delete(self, key: bytes) -> None:
-        self._write([(KIND_DELETE, bytes(key), b"")])
+        if type(key) is not bytes or not key:
+            key = checked_bytes(key, key=True)
+        self._write([(KIND_DELETE, key, b"")])
         self._op_deletes.value += 1
 
     def write_batch(
         self, ops: List[Tuple[int, bytes, bytes]], sync: bool = False
     ) -> None:
-        self._write([(kind, bytes(k), bytes(v)) for kind, k, v in ops], sync=sync)
-        for kind, _, _ in ops:
+        checked = [
+            (kind, checked_bytes(key, key=True), checked_bytes(value))
+            for kind, key, value in ops
+        ]
+        self._write(checked, sync=sync)
+        for kind, _, _ in checked:
             if kind == KIND_PUT:
                 self._op_puts.value += 1
             else:
@@ -1016,11 +1037,14 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     # Write path
     # ==================================================================
     def _write(self, ops: List[Tuple[int, bytes, bytes]], sync: bool = False) -> None:
-        self._check_open()
+        """Apply ``ops`` (keys and values already ``bytes``, keys non-empty)."""
+        if self._closed:
+            raise StoreClosedError("store is closed")
         if not ops:
             return
         trc = self.tracer
-        t0 = self.clock.now
+        clock = self.clock
+        t0 = clock.now
         try:
             if trc is None:
                 self._write_impl(ops, sync)
@@ -1028,21 +1052,30 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             with trc.span("write", ops=len(ops)) as span:
                 self._write_impl(ops, sync, span)
         finally:
-            self.op_windows["write"].record(t0, self.clock.now - t0)
+            self._write_window.record(t0, clock.now - t0)
 
     def _write_impl(
         self, ops: List[Tuple[int, bytes, bytes]], sync: bool, span=None
     ) -> None:
-        for _, key, _ in ops:
-            _validate_key(key)
-        self.executor.drain()
-        self._raise_if_degraded()
-        self._make_room()
-        # Stall waits run background apply callbacks, which may have just
-        # moved the store into degraded mode.
-        self._raise_if_degraded()
-        seq = self._last_sequence + 1
+        """The one write path (WAL, then memtable): straight down for the
+        common write, each rare case — due job, stall, vlog, sync — a branch."""
         opts = self.options
+        cpu = self.cpu
+        pending = self.executor.pending
+        if pending and pending[0].completion <= self.clock.now:
+            self.executor.drain()
+        if self._background_error is not None:
+            raise self._background_error
+        if (  # the two marks short of which ``_make_room`` has nothing to do
+            len(self._imm) > opts.max_immutable_memtables
+            or self._level0_file_count() >= opts.level0_slowdown_trigger
+        ):
+            self._make_room()
+            # Stall waits run background apply callbacks, which may have
+            # just moved the store into degraded mode.
+            self._raise_if_degraded()
+        seq = self._last_sequence + 1
+        sync = sync or opts.sync_writes
         # Key–value separation happens *before* the WAL append (BVLSM):
         # large values go to the value log now and the WAL record carries
         # only the pointer, so the value travels through exactly one
@@ -1065,7 +1098,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                             )
                             pointers.append(pointer)
                             tree_ops[i] = (KIND_VPTR, key, pointer.encode())
-                    if opts.sync_writes or sync:
+                    if sync:
                         vlog.sync(self._vlog_acct)
                 except StorageError:
                     # A torn value-log record, or complete records whose
@@ -1079,19 +1112,17 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     vlog.abandon_tail(pointers)
                     raise
         payload = encode_batch(seq, tree_ops)
-        assert self._wal is not None
-        size_before = self.storage.size(self._wal.name)
+        wal = self._wal
+        assert wal is not None
         try:
-            self._wal.append(
-                payload, self._wal_acct, sync=opts.sync_writes or sync
-            )
+            wal.append(payload, self._wal_acct, sync=sync)
         except StorageError:
             # The failed append may have left a torn record; a later
             # record appended after it would be unreachable at replay
             # (the reader stops at the first bad record), so no
             # acknowledged write may ever land in this file again.
             # The memtable was not touched: the write fails cleanly.
-            if self.storage.size(self._wal.name) != size_before:
+            if self.storage.size(wal.name) != wal.size:
                 # Bytes landed despite the failure — a torn record, or
                 # a *complete* record whose sync failed.  A complete
                 # record replays at recovery, so burn its sequence
@@ -1105,29 +1136,27 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 vlog.abandon_tail(pointers)
             self._switch_wal_file()
             raise
-        self._wal_acct.charge(
-            self.cpu.charge("wal_record", self.cpu.wal_record * len(ops))
-        )
-        if opts.sync_writes or sync:
+        self._wal_acct.charge_cpu(cpu, "wal_record", cpu.wal_record * len(ops))
+        if sync:
             self._wal_sync_counter.value += 1
             if span is not None:
                 span.set(wal_sync=True)
+        mem = self._mem
+        charge_cpu = self._user_acct.charge_cpu
         bytes_written = 0
         for i, (kind, key, value) in enumerate(tree_ops):
-            self._mem.add(seq + i, kind, key, value)
-            self._user_acct.charge(
-                self.cpu.charge("memtable_insert", self.cpu.memtable_insert)
-            )
+            mem.add(seq + i, kind, key, value)
+            charge_cpu(cpu, "memtable_insert", cpu.memtable_insert)
             # User bytes count the *original* value size: write
             # amplification must keep its meaning when the memtable holds
             # a 20-byte pointer in place of a 64 KiB value.
             bytes_written += len(key) + len(ops[i][2])
             self._on_insert_key(key)
-        self._stats.user_bytes_written += bytes_written
+        self._user_bytes.value += bytes_written
         if span is not None:
             span.set(bytes=bytes_written)
         self._last_sequence = seq + len(ops) - 1
-        if self._mem.approximate_bytes >= opts.memtable_bytes:
+        if mem.approximate_bytes >= opts.memtable_bytes:
             self._rotate_memtable()
 
     def _make_room(self) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.engines.base import DBIterator, KeyValueStore, StatsCounters
+from repro.engines.base import DBIterator, KeyValueStore, StatsCounters, checked_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.engines.btree.bptree import PAGE_SIZE, BPlusTree
 from repro.errors import (
@@ -200,7 +200,7 @@ class BPlusTreeStore(KeyValueStore):
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
         self._validate(key)
-        key, value = bytes(key), bytes(value)
+        key, value = bytes(key), checked_bytes(value)
         self._journal_append(encode_batch(0, [(KIND_PUT, key, value)]))
         path = self._tree.put(key, value)
         self._read_pages(path[:-1])  # interior pages consulted on the way down

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.engines.base import DBIterator, KeyValueStore, StatsCounters
+from repro.engines.base import DBIterator, KeyValueStore, StatsCounters, checked_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.engines.btree.bptree import PAGE_SIZE, BPlusTree
 from repro.errors import InvalidArgumentError, StoreClosedError
@@ -75,7 +75,7 @@ class WiredTigerStore(KeyValueStore):
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
         self._validate(key)
-        key, value = bytes(key), bytes(value)
+        key, value = bytes(key), checked_bytes(value)
         self.executor.drain()
         self._journal.append(encode_batch(0, [(KIND_PUT, key, value)]), self._acct)
         path = self._tree.put(key, value)

@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 _MAX_HEIGHT = 12
 _BRANCHING = 4
+_BRANCH_BITS = _BRANCHING.bit_length()
 
 
 class _Node:
@@ -52,17 +53,23 @@ class SkipList:
 
     # ------------------------------------------------------------------
     def _random_height(self) -> int:
+        # ``randrange(_BRANCHING)`` as it draws — that many bits, again while
+        # they make ``_BRANCHING`` or more — so the same stream and heights.
+        bits = self._rng.getrandbits
         height = 1
-        while height < _MAX_HEIGHT and self._rng.randrange(_BRANCHING) == 0:
+        while height < _MAX_HEIGHT:
+            draw = bits(_BRANCH_BITS)
+            while draw >= _BRANCHING:
+                draw = bits(_BRANCH_BITS)
+            if draw:
+                break
             height += 1
         return height
 
     def _order_of(self, key: Any) -> Any:
         return key if self._order_key is None else self._order_key(key)
 
-    def _find_greater_or_equal(
-        self, order: Any, prev_out: Optional[List[_Node]] = None
-    ) -> Optional[_Node]:
+    def _find_greater_or_equal(self, order: Any) -> Optional[_Node]:
         """The first node ordered at or after ``order`` (an ``_order_of`` value)."""
         node = self._head
         for level in range(self._height - 1, -1, -1):
@@ -70,25 +77,33 @@ class SkipList:
             while nxt is not None and nxt.order < order:
                 node = nxt
                 nxt = node.forward[level]
-            if prev_out is not None:
-                prev_out[level] = node
         return node.forward[0]
 
     # ------------------------------------------------------------------
     def insert(self, key: Any, value: Any) -> None:
         """Insert a new key; raises on duplicates."""
-        order = self._order_of(key)
+        # ``_order_of`` and the search (predecessors kept) in line: every put.
+        order_key = self._order_key
+        order = key if order_key is None else order_key(key)
         prev: List[_Node] = [self._head] * _MAX_HEIGHT
-        found = self._find_greater_or_equal(order, prev)
+        node = self._head
+        for level in range(self._height - 1, -1, -1):
+            found = node.forward[level]
+            while found is not None and found.order < order:
+                node = found
+                found = node.forward[level]
+            prev[level] = node
         if found is not None and not (order < found.order):
             raise ValueError(f"duplicate skip list key: {key!r}")
         height = self._random_height()
         if height > self._height:
             self._height = height
         node = _Node(key, order, value, height)
+        forward = node.forward
         for level in range(height):
-            node.forward[level] = prev[level].forward[level]
-            prev[level].forward[level] = node
+            behind = prev[level].forward
+            forward[level] = behind[level]
+            behind[level] = node
         self._size += 1
 
     def get(self, key: Any) -> Tuple[bool, Any]:

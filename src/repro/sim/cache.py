@@ -183,12 +183,15 @@ class PageCache:
 
     def populate_range(self, file_id: Hashable, offset: int, length: int) -> None:
         """Mark freshly written pages as cached (writes land in page cache)."""
-        if length <= 0 or self.max_pages == 0:
+        max_pages = self.max_pages
+        if length <= 0 or max_pages == 0:
             return
         first = offset // PAGE_SIZE
         last = (offset + length - 1) // PAGE_SIZE
         pages = self._pages
-        resident = self._file_pages.setdefault(file_id, set())
+        resident = self._file_pages.get(file_id)
+        if resident is None:  # not ``setdefault``: no set built per WAL record
+            resident = self._file_pages[file_id] = set()
         for page in range(first, last + 1):
             key = (file_id, page)
             if key in pages:
@@ -196,7 +199,7 @@ class PageCache:
             else:
                 pages[key] = None
                 resident.add(page)
-        if len(pages) > self.max_pages:
+        if len(pages) > max_pages:
             self._evict_over_budget()
             if not self._file_pages.get(file_id):
                 self._file_pages.pop(file_id, None)

@@ -80,7 +80,10 @@ class BackgroundExecutor:
             raise ValueError("need at least one worker")
         self.clock = clock
         self._worker_free = [0.0] * workers
-        self._pending: List[Job] = []
+        #: The ready queue, a heap on ``(completion, seq)``; only the executor
+        #: changes it.  Public so a per-operation caller can see without a
+        #: call that nothing is due (``pending[0].completion > now``).
+        self.pending: List[Job] = []
         self._seq = 0
         self.jobs_run = 0
         self.busy_seconds = 0.0
@@ -119,7 +122,7 @@ class BackgroundExecutor:
         self._worker_free[idx] = completion
         self._seq += 1
         job = Job(kind, cost, start, completion, apply, self._seq, submitted=self.clock.now)
-        heapq.heappush(self._pending, job)
+        heapq.heappush(self.pending, job)
         self.jobs_run += 1
         self.busy_seconds += cost
         return job
@@ -129,8 +132,8 @@ class BackgroundExecutor:
         if now is None:
             now = self.clock.now
         applied = 0
-        while self._pending and self._pending[0].completion <= now:
-            job = heapq.heappop(self._pending)
+        while self.pending and self.pending[0].completion <= now:
+            job = heapq.heappop(self.pending)
             self._run(job)
             applied += 1
         return applied
@@ -142,8 +145,8 @@ class BackgroundExecutor:
 
     def wait_all(self) -> None:
         """Advance the clock until every submitted job has applied."""
-        while self._pending:
-            job = heapq.heappop(self._pending)
+        while self.pending:
+            job = heapq.heappop(self.pending)
             self.clock.advance_to(job.completion)
             self._run(job)
 
@@ -155,11 +158,11 @@ class BackgroundExecutor:
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
     def peek_next(self) -> Optional[Job]:
         """The pending job that will complete soonest, if any."""
-        return self._pending[0] if self._pending else None
+        return self.pending[0] if self.pending else None
 
     # ------------------------------------------------------------------
     def _run(self, job: Job) -> None:

@@ -32,21 +32,22 @@ _LAST = 4
 Op = Tuple[int, bytes, bytes]
 
 
+#: ``kind(1)`` of every op kind a batch may carry, ready to join.
+_KIND_BYTE = {kind: bytes((kind,)) for kind in (KIND_PUT, KIND_DELETE, KIND_VPTR)}
+
+
 def encode_batch(sequence: int, ops: List[Op]) -> bytes:
     """Serialize a write batch starting at ``sequence``."""
-    buf = bytearray()
-    buf += sequence.to_bytes(8, "little")
-    buf += len(ops).to_bytes(4, "little")
+    # Joined once: no buffer grows under (then copies) a put's 1 KiB value.
+    parts = [sequence.to_bytes(8, "little"), len(ops).to_bytes(4, "little")]
     for kind, key, value in ops:
-        if kind not in (KIND_PUT, KIND_DELETE, KIND_VPTR):
+        tag = _KIND_BYTE.get(kind)
+        if tag is None:
             raise ValueError(f"bad op kind: {kind}")
-        buf.append(kind)
-        buf += encode_varint32(len(key))
-        buf += key
+        parts += (tag, encode_varint32(len(key)), key)
         if kind != KIND_DELETE:
-            buf += encode_varint32(len(value))
-            buf += value
-    return bytes(buf)
+            parts += (encode_varint32(len(value)), value)
+    return b"".join(parts)
 
 
 def decode_batch(data: bytes) -> Tuple[int, List[Op]]:
@@ -80,6 +81,20 @@ def decode_batch(data: bytes) -> Tuple[int, List[Op]]:
     return sequence, ops
 
 
+#: Per record type, its byte and that byte's CRC for a fragment's to chain
+#: off (no ``type + fragment`` copy to checksum).
+_TAG = {t: (bytes((t,)), crc32c(bytes((t,)))) for t in (_FULL, _FIRST, _MIDDLE, _LAST)}
+
+
+def _frame(rec_type: int, fragment: bytes) -> bytes:
+    """One physical record: ``masked_crc(4) | length(2) | type(1) | fragment``."""
+    tag, tag_crc = _TAG[rec_type]
+    crc = mask_crc(crc32c(fragment, tag_crc))
+    return b"".join(
+        (crc.to_bytes(4, "little"), len(fragment).to_bytes(2, "little"), tag, fragment)
+    )
+
+
 class LogWriter:
     """Appends framed records to a log file."""
 
@@ -88,7 +103,10 @@ class LogWriter:
         self.name = name
         if not storage.exists(name):
             storage.create(name)
-        self._block_offset = storage.size(name) % BLOCK_SIZE
+        #: The file's length after the last append that returned: a longer
+        #: file holds bytes of a failed one (torn, or whole but not synced).
+        self.size = storage.size(name)
+        self._block_offset = self.size % BLOCK_SIZE
 
     def append(self, payload: bytes, account: IoAccount, *, sync: bool = False) -> None:
         """Write one logical record (fragmenting across blocks as needed).
@@ -98,40 +116,31 @@ class LogWriter:
         the file consistent with what actually landed and a retried append
         frames its record correctly.
         """
-        out = bytearray()
-        remaining = payload
-        first = True
-        block_offset = self._block_offset
-        while True:
-            leftover = BLOCK_SIZE - block_offset
-            if leftover < _HEADER_SIZE:
-                out += b"\x00" * leftover
-                block_offset = 0
-                leftover = BLOCK_SIZE
-            avail = leftover - _HEADER_SIZE
-            fragment = remaining[:avail]
-            remaining = remaining[avail:]
-            if first and not remaining:
-                rec_type = _FULL
-            elif first:
-                rec_type = _FIRST
-            elif remaining:
-                rec_type = _MIDDLE
-            else:
-                rec_type = _LAST
-            crc = mask_crc(crc32c(bytes([rec_type]) + fragment))
-            out += crc.to_bytes(4, "little")
-            out += len(fragment).to_bytes(2, "little")
-            out.append(rec_type)
-            out += fragment
-            block_offset += _HEADER_SIZE + len(fragment)
-            first = False
-            if not remaining:
-                break
-        self._storage.append(self.name, bytes(out), account)
-        self._block_offset = block_offset
+        end = self._block_offset + _HEADER_SIZE + len(payload)
+        if end <= BLOCK_SIZE:  # fits what is left of the block: one fragment
+            out = _frame(_FULL, payload)
+        else:
+            parts, end, first = [], self._block_offset, True
+            while first or payload:
+                leftover = BLOCK_SIZE - end
+                if leftover < _HEADER_SIZE:  # no room for a header: pad the tail
+                    parts.append(b"\x00" * leftover)
+                    end, leftover = 0, BLOCK_SIZE
+                avail = leftover - _HEADER_SIZE
+                fragment, payload = payload[:avail], payload[avail:]
+                if first:
+                    rec_type = _FIRST if payload else _FULL
+                else:
+                    rec_type = _MIDDLE if payload else _LAST
+                parts.append(_frame(rec_type, fragment))
+                end += _HEADER_SIZE + len(fragment)
+                first = False
+            out = b"".join(parts)
+        self._storage.append(self.name, out, account)
+        self._block_offset = end
         if sync:
             self._storage.sync(self.name, account)
+        self.size += len(out)
 
     def sync(self, account: IoAccount) -> None:
         self._storage.sync(self.name, account)

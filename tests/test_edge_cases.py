@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.errors import InvalidArgumentError
+from repro.util.keys import KIND_PUT
 from tests.conftest import ALL_ENGINES, LSM_ENGINES, make_store
 
 
@@ -20,6 +21,41 @@ class TestInputValidation:
             db.put(b"", b"v")
         with pytest.raises(InvalidArgumentError):
             db.get(b"")
+
+    @pytest.mark.parametrize("bad", [5, "k", None, 1.5, [b"k"]], ids=repr)
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_non_bytes_key_rejected_not_coerced(self, engine, bad, env):
+        # ``bytes(5)`` is five zero bytes: a type must be checked before
+        # it is coerced, or ``put(5, ...)`` stores a key nobody wrote.
+        db = make_store(engine, env)
+        with pytest.raises(InvalidArgumentError):
+            db.put(bad, b"v")
+        with pytest.raises(InvalidArgumentError):
+            db.delete(bad)
+        with pytest.raises(InvalidArgumentError):
+            db.write_batch([(KIND_PUT, b"ok", b"v"), (KIND_PUT, bad, b"v")])
+        with pytest.raises(InvalidArgumentError):
+            db.get(bad)
+        if engine in LSM_ENGINES:  # where a batch is atomic, it was refused whole
+            assert db.get(b"ok") is None
+
+    @pytest.mark.parametrize("bad", [3, "v", None, 1.5], ids=repr)
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_non_bytes_value_rejected_not_coerced(self, engine, bad, env):
+        db = make_store(engine, env)
+        with pytest.raises(InvalidArgumentError):
+            db.put(b"k", bad)
+        with pytest.raises(InvalidArgumentError):
+            db.write_batch([(KIND_PUT, b"ok", b"v"), (KIND_PUT, b"k", bad)])
+        assert db.get(b"k") is None
+        if engine in LSM_ENGINES:
+            assert db.get(b"ok") is None
+
+    @pytest.mark.parametrize("engine", LSM_ENGINES)
+    def test_memoryview_inputs_coerced(self, engine, env):
+        db = make_store(engine, env)
+        db.write_batch([(KIND_PUT, memoryview(b"kv"), memoryview(b"value"))])
+        assert db.get(b"kv") == b"value"
 
     def test_empty_value_allowed(self, env):
         db = make_store("pebblesdb", env)
