@@ -5,9 +5,9 @@ key-value service.  Four layers, bottom to top:
 
 * :mod:`repro.net.protocol` — length-prefixed, CRC-guarded binary frames
   carrying get/put/delete/write-batch/scan/snapshot/property requests;
-* :mod:`repro.net.transport` — duck-typed byte endpoints: a deterministic
-  in-memory loopback pair (tests, benchmarks) and an asyncio TCP wrapper
-  (the ``repro-server`` CLI), plus deterministic connection-fault
+* :mod:`repro.net.transport` — the connection object both ends are built
+  on (an asyncio protocol over TCP, pumped over a deterministic in-memory
+  loopback pair), byte endpoints, and deterministic connection-fault
   injection in the spirit of :mod:`repro.sim.faults`;
 * :mod:`repro.net.router` — boundary-key range partitioning across
   shards (FLSM guards, one level up), splitting scans and batches;

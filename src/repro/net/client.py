@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import InvalidArgumentError
 from repro.net.errors import (
@@ -55,20 +55,18 @@ from repro.net.protocol import (
     OP_NAMES,
     SHARD_ACTIVE,
     SHARD_DEGRADED,
-    FrameDecoder,
     Op,
     Request,
     Response,
     Status,
-    decode_payload,
     encode_frame,
 )
 from repro.net.router import BatchOp, ShardRouter
-from repro.net.transport import StreamEndpoint
+from repro.net.transport import FrameConnection
 
-#: ``connect(index) -> endpoint`` factory; index counts connections ever
+#: ``connect(index) -> Connection`` factory; index counts connections ever
 #: opened (reconnects included), so fault hooks can target specific ones.
-ConnectFn = Callable[[int], Awaitable[object]]
+ConnectFn = Callable[[int], Awaitable["Connection"]]
 
 
 @dataclass
@@ -97,44 +95,45 @@ class ClusterSnapshot:
         return self.tokens[shard]
 
 
-class Connection:
-    """One pipelined connection: a writer side plus a response reader task."""
+class Connection(FrameConnection):
+    """One pipelined connection: each response resolves its caller's
+    future in the callback that delivered its bytes."""
 
-    def __init__(self, endpoint) -> None:
-        self._endpoint = endpoint
+    def __init__(self) -> None:
+        super().__init__()
+        self._loop = asyncio.get_running_loop()
         self._pending: Dict[int, asyncio.Future] = {}
         self._dead = False
-        self._reader = asyncio.ensure_future(self._read_loop())
+        #: Set from pause_writing to resume_writing: calls wait on it first.
+        self._writable: Optional[asyncio.Future] = None
 
     @property
     def is_alive(self) -> bool:
         return not self._dead
 
-    async def _read_loop(self) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await self._endpoint.read(65536)
-                if not chunk:
-                    raise TransientNetError("connection closed by peer")
-                decoder.feed(chunk)
-                while True:
-                    payload = decoder.next_frame()
-                    if payload is None:
-                        break
-                    response = decode_payload(payload)
-                    if not isinstance(response, Response):
-                        raise FrameError("server sent a request payload")
-                    future = self._pending.pop(response.request_id, None)
-                    if future is not None and not future.done():
-                        future.set_result(response)
-        except asyncio.CancelledError:
-            self._fail(TransientNetError("connection closed"))
-            raise
-        except NetError as exc:
-            self._fail(exc)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._fail(TransientNetError(f"reader failed: {exc}"))
+    def message_received(self, response: Union[Request, Response]) -> None:
+        if not isinstance(response, Response):
+            raise FrameError("server sent a request payload")
+        future = self._pending.pop(response.request_id, None)
+        if future is not None and not future.done():
+            future.set_result(response)
+
+    def frame_error(self, exc: FrameError) -> None:
+        self._fail(exc)
+
+    def eof_received(self) -> None:
+        self._fail(TransientNetError("connection closed by peer"))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail(TransientNetError(f"connection lost: {exc or 'closed'}"))
+
+    def pause_writing(self) -> None:
+        self._writable = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        writable, self._writable = self._writable, None
+        if writable is not None and not writable.done():
+            writable.set_result(None)
 
     def _fail(self, exc: NetError) -> None:
         """Kill the connection; every in-flight call fails (and retries)."""
@@ -143,35 +142,45 @@ class Connection:
         for future in pending.values():
             if not future.done():
                 future.set_exception(exc)
-        self._endpoint.close()
+        self.resume_writing()  # a waiting caller then finds its failed future
+        self.endpoint.close()
 
-    async def call(self, request: Request) -> Response:
-        """Send one request and await its matched response (pipelined)."""
+    def call(self, request: Request) -> Awaitable[Response]:
+        """Send one request; the result awaits its matched response (pipelined),
+        after the transport resumes writing if it asked writers to pause."""
         if self._dead:
             raise TransientNetError("connection is dead")
-        future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future()
         self._pending[request.request_id] = future
         try:
-            self._endpoint.write(encode_frame(request.encode()))
-            await self._endpoint.drain()
+            self.endpoint.write(encode_frame(request.encode()))
         except NetError as exc:
             self._pending.pop(request.request_id, None)
             self._fail(exc)
             raise TransientNetError(f"send failed: {exc}") from exc
+        if self._writable is None:
+            return future
+        return self._drain_then(self._writable, future)
+
+    @staticmethod
+    async def _drain_then(writable: asyncio.Future, future: asyncio.Future) -> Response:
+        await asyncio.shield(writable)  # shared by every waiting caller
         return await future
 
     async def close(self) -> None:
-        self._reader.cancel()
-        await asyncio.gather(self._reader, return_exceptions=True)
-        self._endpoint.close()
+        self._fail(TransientNetError("connection closed"))
+        if self.pump is not None:
+            await asyncio.gather(self.pump, return_exceptions=True)
 
 
-async def _dial(host: str, port: int) -> StreamEndpoint:
+async def _dial(host: str, port: int) -> Connection:
     try:
-        reader, writer = await asyncio.open_connection(host, port)
+        _, conn = await asyncio.get_running_loop().create_connection(
+            Connection, host, port
+        )
     except (ConnectionError, OSError) as exc:
         raise TransientNetError(f"connect failed: {exc}") from exc
-    return StreamEndpoint(reader, writer)
+    return conn
 
 
 class _Pool(List[Optional[Connection]]):
@@ -179,10 +188,14 @@ class _Pool(List[Optional[Connection]]):
 
     def __init__(self, size: int) -> None:
         super().__init__([None] * size)
-        #: Created lazily inside the running loop (Python 3.9's Lock binds
-        #: an event loop at construction time).
-        self.locks: Optional[List[asyncio.Lock]] = None
+        self.locks = [asyncio.Lock() for _ in range(size)]
         self.next_slot = 0
+
+    def take(self) -> int:
+        """The slot the next call uses (round-robin)."""
+        slot = self.next_slot
+        self.next_slot = (slot + 1) % len(self)
+        return slot
 
 
 class ClusterClient:
@@ -254,13 +267,13 @@ class ClusterClient:
         """Client served in-process over deterministic loopback pipes."""
 
         async def connect(_index: int):
-            return server.connect_loopback()
+            return Connection().attach(server.connect_loopback())
 
         return await cls.open(connect, **kwargs)
 
     @classmethod
     async def open_tcp(cls, host: str, port: int, **kwargs) -> "ClusterClient":
-        """Client over real asyncio TCP streams."""
+        """Client over real TCP connections."""
 
         async def connect(_index: int):
             return await _dial(host, port)
@@ -270,28 +283,30 @@ class ClusterClient:
     # ------------------------------------------------------------------
     # Connection pool
     # ------------------------------------------------------------------
+    def _pool_for(self, shard: Optional[int]) -> _Pool:
+        """The connections to ``shard``'s worker, or (None) to the server
+        this client was opened on."""
+        if self._closed:
+            raise TransientNetError("client is closed")
+        if shard is None:
+            return self._pool
+        pool = self._shard_pools.get(shard)
+        if pool is None:
+            pool = self._shard_pools[shard] = _Pool(self._pool_size)
+        return pool
+
     async def _connection(
         self, shard: Optional[int] = None, slot: Optional[int] = None
     ) -> Connection:
         """A live connection to ``shard``'s worker, or (None) to the
         server this client was opened on; dialled and introduced with a
         HELLO when the pool slot has none."""
-        if self._closed:
-            raise TransientNetError("client is closed")
-        if shard is None:
-            pool = self._pool
-        else:
-            pool = self._shard_pools.get(shard)
-            if pool is None:
-                pool = self._shard_pools[shard] = _Pool(self._pool_size)
+        pool = self._pool_for(shard)
         if slot is None:
-            slot = pool.next_slot
-            pool.next_slot = (slot + 1) % self._pool_size
+            slot = pool.take()
         conn = pool[slot]
         if conn is not None and conn.is_alive:
             return conn
-        if pool.locks is None:
-            pool.locks = [asyncio.Lock() for _ in range(self._pool_size)]
         async with pool.locks[slot]:
             # Another caller may have reconnected this slot while we
             # waited for the lock; only one connection per slot at a time.
@@ -300,13 +315,12 @@ class ClusterClient:
                 return conn
             index = self.stats.connections_opened
             if shard is None:
-                endpoint = await self._connect(index)
+                conn = await self._connect(index)
             else:
-                endpoint = await self._dial_worker(shard)
+                conn = await self._dial_worker(shard)
             if self._endpoint_wrap is not None:
-                endpoint = self._endpoint_wrap(endpoint, index)
+                conn.endpoint = self._endpoint_wrap(conn.endpoint, index)
             self.stats.connections_opened += 1
-            conn = Connection(endpoint)
             pool[slot] = conn
             try:
                 response = await conn.call(self._hello())
@@ -326,7 +340,7 @@ class ClusterClient:
             op=Op.HELLO, request_id=self._alloc_id(), client_id=self.client_id
         )
 
-    async def _dial_worker(self, shard: int):
+    async def _dial_worker(self, shard: int) -> Connection:
         """Ask the server where ``shard`` is served *now*, and dial it.
 
         No route is remembered: a worker's address is only good for the
@@ -369,7 +383,7 @@ class ClusterClient:
         self.tracer = Tracer(sink, clock=clock, component=component, seed=seed)
         return self.tracer
 
-    async def _call(self, request: Request) -> Response:
+    def _call(self, request: Request) -> Awaitable[Response]:
         """Issue ``request``, reconnecting and retrying transient failures.
 
         The same request id is re-sent on every attempt: reads are
@@ -377,10 +391,12 @@ class ClusterClient:
         request whose response was lost is never applied twice.
         """
         self.stats.requests += 1
-        trc = self.tracer
-        if trc is None:
-            return await self._call_with_retry(request, None)
-        span = trc.start_span(
+        if self.tracer is None:
+            return self._call_with_retry(request, None)
+        return self._traced_call(request)
+
+    async def _traced_call(self, request: Request) -> Response:
+        span = self.tracer.start_span(
             f"client.{OP_NAMES.get(request.op, str(request.op))}",
             kind="client",
             shard=request.shard,
@@ -452,7 +468,13 @@ class ClusterClient:
             # is cluster-wide and stays with the server that aggregates.
             shard = request.shard if self._routed and request.op != Op.ADMIN else None
             try:
-                conn = await self._connection(shard)
+                # ``_connection`` in line while the slot is live: no
+                # coroutine on an op's path that cannot suspend.
+                pool = self._pool_for(shard)
+                slot = pool.take()
+                conn = pool[slot]
+                if conn is None or not conn.is_alive:
+                    conn = await self._connection(shard, slot)
                 response = await conn.call(request)
             except (TransientNetError, FrameError) as exc:
                 # Includes a worker that is down or being replaced (a
@@ -707,13 +729,20 @@ class _ClientIterator:
     def valid(self) -> bool:
         return self._index < len(self._page)
 
+    def _entry(self) -> Tuple[bytes, bytes]:
+        if not self.valid:
+            raise InvalidArgumentError("iterator exhausted")
+        return self._page[self._index]
+
     def key(self) -> bytes:
-        return self._page[self._index][0]
+        return self._entry()[0]
 
     def value(self) -> bytes:
-        return self._page[self._index][1]
+        return self._entry()[1]
 
     def next(self) -> bool:
+        if not self.valid:
+            return False
         last_key = self.key()
         self._index += 1
         if self._index >= len(self._page) and not self._exhausted:

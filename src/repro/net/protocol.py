@@ -53,6 +53,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple, Union
 
+from repro.errors import CorruptionError
 from repro.net.errors import FrameError
 from repro.util.crc import crc32c, mask_crc, unmask_crc
 from repro.util.varint import (
@@ -194,36 +195,43 @@ class FrameDecoder:
     one payload at a time (None while incomplete).  Raises
     :class:`FrameError` on an oversized length or a CRC mismatch, after
     which the decoder refuses further use — the stream cannot be resynced.
+    Frames are read at an advancing offset; what they used is dropped once
+    per :meth:`feed`, not once per frame.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        self._pos = 0
         self._poisoned = False
 
     def feed(self, data: bytes) -> None:
         if self._poisoned:
             raise FrameError("decoder poisoned by an earlier framing error")
+        if self._pos:
+            del self._buf[: self._pos]
+            self._pos = 0
         self._buf += data
 
     @property
     def buffered_bytes(self) -> int:
-        return len(self._buf)
+        return len(self._buf) - self._pos
 
     def next_frame(self) -> Optional[bytes]:
         """One complete payload, or None until more bytes arrive."""
         if self._poisoned:
             raise FrameError("decoder poisoned by an earlier framing error")
-        if len(self._buf) < _HEADER.size:
+        buf, start = self._buf, self._pos + _HEADER.size
+        if len(buf) < start:
             return None
-        length, masked = _HEADER.unpack_from(self._buf)
+        length, masked = _HEADER.unpack_from(buf, self._pos)
         if length > MAX_FRAME_BYTES:
             self._poisoned = True
             raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-        end = _HEADER.size + length
-        if len(self._buf) < end:
+        end = start + length
+        if len(buf) < end:
             return None
-        payload = bytes(self._buf[_HEADER.size : end])
-        del self._buf[:end]
+        payload = bytes(buf[start:end])
+        self._pos = end
         if crc32c(payload) != unmask_crc(masked):
             self._poisoned = True
             raise FrameError("frame CRC mismatch")
@@ -255,8 +263,17 @@ BatchOp = Tuple[int, bytes, bytes]
 _FLAG_SNAPSHOT = 0x01
 _FLAG_HAS_HI = 0x02
 
+_GET, _PUT, _RESPONSE = (bytes((op,)) for op in (Op.GET, Op.PUT, Op.RESPONSE))
+#: Statuses whose reply has a body (the others carry a message).
+_SUCCESS = (Status.OK, Status.NOT_FOUND)
+#: ``[status][flags]``: the status byte and the found/applied flags byte.
+_HEADS = [[bytes((status, flags)) for flags in range(4)] for status in _SUCCESS]
+#: A body's fields after the value when all are empty: no pairs, snapshot,
+#: client id, shard count, boundaries (no routes add no bytes).
+_ZERO_TAIL = bytes(5)
 
-@dataclass
+
+@dataclass(slots=True)
 class Request:
     """One decoded request; unused fields stay at their defaults."""
 
@@ -277,11 +294,25 @@ class Request:
     trace: str = ""
 
     def encode(self) -> bytes:
-        """Serialize to a frame payload (without the frame header)."""
-        buf = bytearray([self.op])
+        """Serialize to a frame payload (without the frame header).  A GET
+        without snapshot or trace and a PUT without trace are one join of
+        exactly :meth:`_encode_general`'s bytes."""
+        op, key = self.op, self.key
+        if self.trace or not (op == Op.PUT or op == Op.GET and self.snapshot is None):
+            return self._encode_general()
+        rid, shard = encode_varint64(self.request_id), encode_varint32(self.shard)
+        body = (encode_varint32(len(key)), key)
+        if op == Op.GET:
+            return b"".join((_GET, rid, shard, b"\x00", *body))
+        value = self.value
+        return b"".join((_PUT, rid, shard, *body, encode_varint32(len(value)), value))
+
+    def _encode_general(self) -> bytes:
+        """Every op with every optional field (the reference encoding)."""
+        op = self.op
+        buf = bytearray([op])
         buf += encode_varint64(self.request_id)
         buf += encode_varint32(self.shard)
-        op = self.op
         if op == Op.HELLO:
             buf += encode_varint64(self.client_id)
         elif op == Op.GET:
@@ -331,7 +362,7 @@ class Request:
         return bytes(buf)
 
 
-@dataclass
+@dataclass(slots=True)
 class Response:
     """One decoded response; body fields depend on the request's op."""
 
@@ -362,10 +393,26 @@ class Response:
     retry_after: float = 0.0
 
     def encode(self) -> bytes:
+        """Serialize to a frame payload.  An OK/NOT_FOUND reply with only a
+        value and flags (a GET's answer, a write's acknowledgement) is one
+        join of exactly :meth:`_encode_general`'s bytes."""
+        status = self.status
+        if status not in _SUCCESS or (
+            self.pairs or self.snapshot or self.client_id or self.shard_count
+            or self.boundaries or self.routes
+        ):
+            return self._encode_general()
+        flags = (1 if self.found else 0) | (2 if self.applied else 0)
+        rid, value = encode_varint64(self.request_id), self.value
+        head = (_RESPONSE, rid, _HEADS[status][flags], encode_varint32(len(value)))
+        return b"".join((*head, value, _ZERO_TAIL))
+
+    def _encode_general(self) -> bytes:
+        """Every status with every field (the reference encoding)."""
         buf = bytearray([Op.RESPONSE])
         buf += encode_varint64(self.request_id)
         buf.append(self.status)
-        if self.status not in (Status.OK, Status.NOT_FOUND):
+        if self.status not in _SUCCESS:
             _put_bytes(buf, self.message.encode("utf-8"))
             if self.status == Status.OVERLOADED:
                 buf += encode_varint64(int(round(self.retry_after * 1e6)))
@@ -509,7 +556,41 @@ def decode_ship_record(data: bytes) -> ShipRecord:
 
 
 def decode_payload(payload: bytes) -> Union[Request, Response]:
-    """Parse one frame payload into a :class:`Request` or :class:`Response`."""
+    """Parse one frame payload into a :class:`Request` or :class:`Response`.
+
+    The shapes the encoders join in one go are parsed in line when the
+    payload ends exactly where the shape does; anything else — a trace, a
+    snapshot, a longer reply, damage — is :func:`_decode_general`'s.
+    """
+    try:
+        op = payload[0]
+        rid, offset = decode_varint64(payload, 1)
+        end = len(payload)
+        if op == Op.RESPONSE:
+            status, flags = payload[offset], payload[offset + 1]
+            length, at = decode_varint32(payload, offset + 2)
+            if status in _SUCCESS and payload[at + length :] == _ZERO_TAIL:
+                found, applied = bool(flags & 1), bool(flags & 2)
+                return Response(rid, status, payload[at : at + length], found, applied)
+        elif op == Op.GET:
+            shard, offset = decode_varint32(payload, offset)
+            length, key_at = decode_varint32(payload, offset + 1)
+            if payload[offset] == 0 and key_at + length == end:
+                return Request(op, rid, shard, payload[key_at:])
+        elif op == Op.PUT:
+            shard, offset = decode_varint32(payload, offset)
+            klen, key_at = decode_varint32(payload, offset)
+            vlen, value_at = decode_varint32(payload, key_at + klen)
+            if value_at + vlen == end:
+                key = payload[key_at : key_at + klen]
+                return Request(op, rid, shard, key, payload[value_at:])
+    except (IndexError, CorruptionError):
+        pass  # damaged: the general decoder says how
+    return _decode_general(payload)
+
+
+def _decode_general(payload: bytes) -> Union[Request, Response]:
+    """Every op and status with every optional field (the reference decoding)."""
     if not payload:
         raise FrameError("empty payload")
     op = payload[0]
@@ -574,7 +655,7 @@ def _decode_response(data: bytes, request_id: int, offset: int) -> Response:
     status = data[offset]
     offset += 1
     resp = Response(request_id=request_id, status=status)
-    if status not in (Status.OK, Status.NOT_FOUND):
+    if status not in _SUCCESS:
         message, offset = _get_bytes(data, offset)
         resp.message = message.decode("utf-8", errors="replace")
         if status == Status.OVERLOADED:

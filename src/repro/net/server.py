@@ -28,9 +28,11 @@ the connection's ``client_id`` (from HELLO) and a client-chosen
 answers a retried duplicate with ``applied=False`` instead of applying
 it twice.
 
-A connection is **one task**: its reader loop answers every request that
-never awaits right where it decoded it, and parks a write on the shard's
-queue with a callback the drain answers through — no task per request.
+A connection is **one protocol object** (:class:`ClientLink`): asyncio
+hands it each TCP chunk (a pump task does, for a loopback endpoint), and
+it answers every request that never awaits right where it decoded it and
+parks a write on the shard's queue with a callback the drain answers
+through — no task per request, and none per TCP connection.
 """
 
 from __future__ import annotations
@@ -48,17 +50,15 @@ from repro.obs.admin import ADMIN_SECTIONS, aggregate_admin  # noqa: F401  (re-e
 from repro.net.protocol import (
     OP_NAMES,
     WRITE_OPS,
-    FrameDecoder,
     Op,
     Request,
     Response,
     Route,
     Status,
-    decode_payload,
     encode_frame,
 )
 from repro.net.router import ShardRouter
-from repro.net.transport import LoopbackEndpoint, StreamEndpoint, loopback_pair
+from repro.net.transport import FrameConnection, LoopbackEndpoint, loopback_pair
 from repro.util.keys import KIND_DELETE, KIND_PUT
 
 
@@ -434,18 +434,55 @@ def server_error(request_id: int, exc: Exception) -> Response:
     )
 
 
-class ClientLink:
-    """One client connection's serving state (as long-lived as its task)."""
+class ClientLink(FrameConnection):
+    """One client connection as the server sees it.  After EOF or a
+    damaged frame it takes no request, and closes once every parked one
+    is answered: a peer that half-closes still gets them all."""
 
-    __slots__ = ("endpoint", "client_id", "parked", "_idle")
-
-    def __init__(self, endpoint) -> None:
-        self.endpoint = endpoint
+    def __init__(self, server: "FrameServer") -> None:
+        super().__init__()
+        self.server = server
         self.client_id = 0
         #: Requests taken off this connection and not yet answered (writes
         #: queued for group commit); EOF waits for them before closing.
         self.parked = 0
-        self._idle: Optional[asyncio.Future] = None
+        self._eof = False
+        server._links.add(self)
+
+    def message_received(self, request: Union[Request, Response]) -> None:
+        if self._eof:
+            return
+        if not isinstance(request, Request):
+            raise FrameError("client sent a response payload")
+        try:
+            if request.op == Op.HELLO:
+                self.send(self.server._hello(self, request))
+            else:
+                self.server._serve(self, request)
+        except Exception as exc:  # one op never kills the connection
+            self.send(server_error(request.request_id, exc))
+
+    def frame_error(self, exc: FrameError) -> None:
+        # The stream cannot be resynced after a bad frame; take nothing
+        # more and let the client reconnect and retry.
+        if not self._eof:
+            self.server.protocol_errors += 1
+            self.eof_received()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if not self.parked:
+            self.close()
+        return True  # keep a half-closed socket open for the parked answers
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._eof = True
+        self.server._links.discard(self)
+        if self.endpoint is not None:
+            self.endpoint.close()
 
     def send(self, response: Response) -> None:
         try:
@@ -455,18 +492,13 @@ class ClientLink:
 
     def unpark(self) -> None:
         self.parked -= 1
-        if not self.parked and self._idle is not None:
-            self._idle.set_result(None)
-
-    async def wait_unparked(self) -> None:
-        if self.parked:
-            self._idle = asyncio.get_running_loop().create_future()
-            await self._idle
+        if self._eof and not self.parked:
+            self.close()
 
 
 class FrameServer:
     """What both serving frontends share: the router derived from the
-    config, the loopback and TCP listeners, and the connection loop.
+    config, the loopback and TCP listeners, and their connections.
 
     A subclass answers requests in :meth:`_serve` (synchronously — a
     request that cannot be answered yet is *parked* on its connection
@@ -495,7 +527,8 @@ class FrameServer:
         #: Frames that failed CRC/format checks (the CI smoke asserts 0).
         self.protocol_errors = 0
         self._next_client_id = 1
-        self._connection_tasks: "Set[asyncio.Task]" = set()
+        #: Open connections, so a shutdown can close them.
+        self._links: Set[ClientLink] = set()
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._closed = False
 
@@ -505,30 +538,15 @@ class FrameServer:
     def connect_loopback(self) -> LoopbackEndpoint:
         """A new client endpoint served in-process (deterministic path)."""
         client_side, server_side = loopback_pair()
-        task = asyncio.ensure_future(self.handle_connection(server_side))
-        self._connection_tasks.add(task)
-        task.add_done_callback(self._connection_tasks.discard)
+        ClientLink(self).attach(server_side)
         return client_side
 
     async def serve_tcp(self, host: Optional[str] = None, port: int = 0):
         """Start the TCP listener (on ``config.host`` unless told
         otherwise); returns the asyncio server object."""
-
-        async def on_client(reader, writer):
-            task = asyncio.current_task()
-            if task is not None:
-                self._connection_tasks.add(task)
-                task.add_done_callback(self._connection_tasks.discard)
-            try:
-                await self.handle_connection(StreamEndpoint(reader, writer))
-            except asyncio.CancelledError:
-                # Server shutdown cancels connection handlers; finish
-                # quietly instead of surfacing the cancellation to the
-                # stream machinery's done-callback.
-                pass
-
-        self._tcp_server = await asyncio.start_server(
-            on_client, host if host is not None else self.config.host, port
+        host = host if host is not None else self.config.host
+        self._tcp_server = await asyncio.get_running_loop().create_server(
+            lambda: ClientLink(self), host, port
         )
         return self._tcp_server
 
@@ -540,54 +558,17 @@ class FrameServer:
         return address[0], address[1]
 
     async def _close_connections(self) -> None:
+        """Stop listening and drop every connection (parked answers are
+        lost; their clients retry)."""
         if self._tcp_server is not None:
             self._tcp_server.close()
+        links = list(self._links)
+        for link in links:
+            link.close()
+        if self._tcp_server is not None:
             await self._tcp_server.wait_closed()
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
-
-    async def handle_connection(self, endpoint) -> None:
-        """Serve one connection, in this one task, until EOF.
-
-        Each request is answered (or parked) by :meth:`_serve` right
-        where it was decoded, so pipelined requests are answered as they
-        complete: a GET behind an unacknowledged PUT may be answered
-        first, and read the old value.  A peer that half-closes still
-        gets every parked answer before this side closes.
-        """
-        link = ClientLink(endpoint)
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await endpoint.read(65536)
-                if not chunk:
-                    break
-                try:
-                    decoder.feed(chunk)
-                    while True:
-                        payload = decoder.next_frame()
-                        if payload is None:
-                            break
-                        request = decode_payload(payload)
-                        if not isinstance(request, Request):
-                            raise FrameError("client sent a response payload")
-                        try:
-                            if request.op == Op.HELLO:
-                                link.send(self._hello(link, request))
-                            else:
-                                self._serve(link, request)
-                        except Exception as exc:  # one op never kills the connection
-                            link.send(server_error(request.request_id, exc))
-                except FrameError:
-                    # The stream cannot be resynced after a bad frame;
-                    # drop the connection and let the client retry.
-                    self.protocol_errors += 1
-                    break
-            await link.wait_unparked()
-        finally:
-            endpoint.close()
+        pumps = [link.pump for link in links if link.pump is not None]
+        await asyncio.gather(*pumps, return_exceptions=True)
 
     def _hello(self, link: ClientLink, request: Request) -> Response:
         client_id = request.client_id

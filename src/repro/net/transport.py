@@ -1,11 +1,15 @@
-"""Byte transports: deterministic loopback pipes and an asyncio TCP shim.
+"""Byte transports (deterministic loopback pipes, TCP) and the connection
+object both serving ends are built on.
 
-Everything above this module talks to a duck-typed *endpoint*::
+Everything above this module writes to a duck-typed *endpoint*::
 
     await endpoint.read(n)   # up to n bytes; b"" once the peer closed
     endpoint.write(data)     # buffer outgoing bytes (one frame per call)
-    await endpoint.drain()   # backpressure point
     endpoint.close()         # drop the connection
+
+:class:`FrameConnection` is one side of a framed connection: asyncio
+calls it as the protocol of a TCP transport, a pump task as the reader of
+an in-memory endpoint.
 
 :func:`loopback_pair` builds two in-memory endpoints joined back to back.
 They use only asyncio futures on one event loop — no sockets, no timers —
@@ -14,8 +18,9 @@ the same seed and the same call sequence schedule the same task
 interleaving every run, which is what lets the net tests assert
 byte-identical shard states.
 
-:class:`StreamEndpoint` adapts an asyncio ``(StreamReader, StreamWriter)``
-pair to the same interface for the real TCP path.
+:class:`StreamEndpoint` is the TCP endpoint: the write side of a
+connection's transport, or an asyncio ``(StreamReader, StreamWriter)``
+pair for a bare socket.
 
 :class:`FaultyEndpoint` + :class:`ConnectionFaultPlan` inject the network
 analogues of the PR 2 storage faults, deterministically by frame count:
@@ -31,7 +36,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
 
-from repro.net.errors import TransientNetError
+from repro.net.errors import FrameError, TransientNetError
+from repro.net.protocol import FrameDecoder, decode_payload
 
 
 class _PipeBuffer:
@@ -88,11 +94,6 @@ class LoopbackEndpoint:
             raise TransientNetError("connection is closed")
         self._tx.feed(data)
 
-    async def drain(self) -> None:
-        # In-memory pipes have unbounded buffers; yield once so readers
-        # scheduled by the write run before the writer continues.
-        await asyncio.sleep(0)
-
     def close(self) -> None:
         if not self._closed:
             self._closed = True
@@ -102,9 +103,6 @@ class LoopbackEndpoint:
     @property
     def is_closed(self) -> bool:
         return self._closed
-
-    async def wait_closed(self) -> None:
-        return None
 
 
 def loopback_pair() -> Tuple[LoopbackEndpoint, LoopbackEndpoint]:
@@ -118,10 +116,14 @@ def loopback_pair() -> Tuple[LoopbackEndpoint, LoopbackEndpoint]:
 
 
 class StreamEndpoint:
-    """Adapts an asyncio StreamReader/StreamWriter pair (the TCP path)."""
+    """The TCP endpoint: ``writer`` is a :class:`FrameConnection`'s
+    transport (``reader`` None: asyncio hands the bytes to the connection)
+    or the StreamWriter of a stream pair, which :meth:`read` serves."""
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: Optional[asyncio.StreamReader],
+        writer: asyncio.StreamWriter | asyncio.WriteTransport,
     ) -> None:
         self._reader = reader
         self._writer = writer
@@ -138,12 +140,6 @@ class StreamEndpoint:
         except (ConnectionError, OSError) as exc:
             raise TransientNetError(f"write failed: {exc}") from exc
 
-    async def drain(self) -> None:
-        try:
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            raise TransientNetError(f"drain failed: {exc}") from exc
-
     def close(self) -> None:
         try:
             self._writer.close()
@@ -154,11 +150,52 @@ class StreamEndpoint:
     def is_closed(self) -> bool:
         return self._writer.is_closing()
 
-    async def wait_closed(self) -> None:
+
+class FrameConnection(asyncio.Protocol):
+    """One side of a framed connection, whichever transport carries it:
+    asyncio calls it over TCP, a pump task (:meth:`attach`) for an in-memory
+    endpoint.  A chunk is decoded in the callback that delivered it; the
+    subclass gets each message (``message_received``) or the damage
+    (``frame_error``) there, and writes through ``self.endpoint``."""
+
+    endpoint = None
+    #: The task feeding an in-memory endpoint (None over TCP).
+    pump: Optional[asyncio.Task] = None
+
+    def __init__(self) -> None:
+        self._decoder = FrameDecoder()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.endpoint = StreamEndpoint(None, transport)
+
+    def attach(self, endpoint) -> "FrameConnection":
+        """Serve an in-memory endpoint (a pump task reads it)."""
+        self.endpoint = endpoint
+        self.pump = asyncio.ensure_future(self._pump())
+        return self
+
+    async def _pump(self) -> None:
+        # Read ``self.endpoint`` afresh: a client may wrap it before the first read.
         try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - defensive
-            pass
+            while True:
+                chunk = await self.endpoint.read(65536)
+                if not chunk or self.endpoint.is_closed:
+                    break
+                self.data_received(chunk)
+        finally:
+            self.eof_received()
+
+    def data_received(self, data: bytes) -> None:
+        decoder = self._decoder
+        try:
+            decoder.feed(data)
+            while True:
+                payload = decoder.next_frame()
+                if payload is None:
+                    return
+                self.message_received(decode_payload(payload))
+        except FrameError as exc:
+            self.frame_error(exc)
 
 
 # ----------------------------------------------------------------------
@@ -214,17 +251,9 @@ class FaultyEndpoint:
             return b""
         return await self._inner.read(n)
 
-    async def drain(self) -> None:
-        if self._cut:
-            raise TransientNetError("connection reset (injected)")
-        await self._inner.drain()
-
     def close(self) -> None:
         self._inner.close()
 
     @property
     def is_closed(self) -> bool:
         return self._cut or self._inner.is_closed
-
-    async def wait_closed(self) -> None:
-        await self._inner.wait_closed()

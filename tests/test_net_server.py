@@ -718,3 +718,52 @@ class TestConnectionLoop:
             (get, "get", "internal", "server.get"),
             (get, "server.get", "server", "client.get"),
         ]
+
+
+# ----------------------------------------------------------------------
+# The blocking client's iterator behaves like an engine's DBIterator
+# ----------------------------------------------------------------------
+class TestClientIterator:
+    @staticmethod
+    def _walk(store, start, steps):
+        """Every call an iterator answers, in order: ``valid``, ``key()``,
+        ``value()`` (or the exception they raise) and ``next()``, for
+        ``steps`` steps from ``seek(start)`` — past the end included."""
+        calls = []
+        with store.seek(start) as it:
+            for _ in range(steps):
+                calls.append(("valid", it.valid))
+                for name in ("key", "value"):
+                    try:
+                        calls.append((name, getattr(it, name)()))
+                    except Exception as exc:
+                        calls.append((name, type(exc).__name__))
+                calls.append(("next", it.next()))
+        return calls
+
+    def test_seeks_and_nexts_agree_with_an_engine_call_by_call(self):
+        import repro
+        from repro.engines.registry import create_store
+
+        env = repro.Environment(cache_bytes=1 << 20)
+        engine = create_store("pebblesdb", env.storage, prefix="db/", seed=7)
+        cluster = BlockingClusterClient(make_server(shards=2, num_keys=400))
+        empty = BlockingClusterClient(make_server(shards=2, num_keys=400))
+        try:
+            assert self._walk(empty, K(0), 3) == self._walk(engine, K(0), 3)
+            for i in range(0, 400, 2):  # both shards, more than two pages
+                engine.put(K(i), V(i))
+                cluster.put(K(i), V(i))
+            assert cluster.client.router.shard_for(K(100)) == 0
+            assert cluster.client.router.shard_for(K(398)) == 1
+            for start, steps in (
+                (K(100), 160),  # crosses the 128-pair page and the shard boundary
+                (K(0), 203),  # every key, then exhausted
+                (K(397), 4),  # the last key, then past the end
+                (K(400), 3),  # a seek past the last key
+            ):
+                assert self._walk(cluster, start, steps) == self._walk(engine, start, steps)
+        finally:
+            cluster.close()
+            empty.close()
+            engine.close()
