@@ -135,21 +135,10 @@ class LeveledLSMStore(LSMStoreBase):
                     for f in self._levels[level]
                     if f.overlaps(lo, hi) and f.number not in self._busy
                 ]
-                if not inputs:
+                pick = self._with_overlaps(level, inputs) if inputs else None
+                if pick is None:
                     break
-                if level == 0:
-                    # Level-0 files overlap each other: one may only sink
-                    # together with every Level-0 file its range touches,
-                    # or an older version left behind would shadow it
-                    # (LevelDB's GetOverlappingInputs widens the same way).
-                    while len(wider := self._overlapping(0, inputs)) > len(inputs):
-                        inputs = wider
-                    if any(f.number in self._busy for f in inputs):
-                        break
-                next_inputs = self._overlapping(level + 1, inputs)
-                if any(f.number in self._busy for f in next_inputs):
-                    break
-                if not self._run_compaction(level, (inputs, next_inputs)):
+                if not self._run_compaction(level, pick):
                     return
                 self.executor.wait_all()
 
@@ -313,13 +302,11 @@ class LeveledLSMStore(LSMStoreBase):
         # Priority 3: seek-triggered compaction.
         while self._seek_overflow:
             level, meta = self._seek_overflow.pop(0)
-            if meta.number in self._busy or self._level_of(meta.number) != level:
+            if self._level_of(meta.number) != level or level >= len(self._levels) - 1:
                 continue
-            if level >= len(self._levels) - 1:
-                continue
-            next_inputs = self._overlapping(level + 1, [meta])
-            if all(f.number not in self._busy for f in next_inputs):
-                return (level, [meta], next_inputs)
+            pick = self._with_overlaps(level, [meta])
+            if pick is not None:
+                return (level, *pick)
         return None
 
     def _pick_level_inputs(
@@ -334,6 +321,25 @@ class LeveledLSMStore(LSMStoreBase):
         if any(f.number in self._busy for f in next_inputs):
             return None
         return (level, inputs, next_inputs)
+
+    def _with_overlaps(
+        self, level: int, inputs: List[FileMetadata]
+    ) -> Optional[Tuple[List[FileMetadata], List[FileMetadata]]]:
+        """``(inputs, next_inputs)`` for compacting ``inputs`` out of
+        ``level``, or None when a file on either side is busy.
+
+        Level-0 files overlap each other: one may only sink together with
+        every Level-0 file its range touches, or an older version left
+        behind would shadow it (LevelDB's GetOverlappingInputs widens the
+        same way).
+        """
+        if level == 0:
+            while len(wider := self._overlapping(0, inputs)) > len(inputs):
+                inputs = wider
+        next_inputs = self._overlapping(level + 1, inputs)
+        if any(f.number in self._busy for f in inputs + next_inputs):
+            return None
+        return inputs, next_inputs
 
     def _overlapping(self, level: int, inputs: List[FileMetadata]) -> List[FileMetadata]:
         if level >= len(self._levels):
