@@ -27,7 +27,11 @@ The scenarios cover what the default-options run cannot see:
   2,000 seeded gets follow, 10 % of them for absent keys and every tenth
   through a snapshot taken after the fill.  Each result is checked
   against a model; the clock pins what the table search charged
-  (recorded from the commit before the engines' two searches became one).
+  (recorded from the commit before the engines' two searches became one);
+* ``seekflush`` — the seek phase's puts are 2,000 B, so it flushes and
+  each flush lets the picker act on the files the seeks exhausted: the
+  only scenario where a leveled store's seek trigger fires (recorded from
+  the commit before the compaction pickers became one).
 
 All 24 pins were re-recorded when reads became the paper's (ISSUE 23), a
 change that meant to move them.  Each edit alone, against the pins before
@@ -82,6 +86,7 @@ SCENARIOS = {
     "snapshot": {},
     "fault": {},
     "gets": {},
+    "seekflush": {},
 }
 
 #: (scenario, engine) -> (storage digest, MANIFEST sha256, env.clock.now)
@@ -206,6 +211,26 @@ GOLDEN = {
         "a3b161868dd6a6decc9fc077423a386d5384dabcf4a9ee7dd2f1461e98d7fbfe",
         0.12115622376518882,
     ),
+    ("seekflush", "leveldb"): (
+        "ec9507af015207058190f6d9bb20497865bea71cf0e876a4dff436a88b4ee8fc",
+        "96ce80a18d305ccd00874972cf9cc0d2b6e1e2e11e229565d3c61f2e0dc5246b",
+        0.10403162312773725,
+    ),
+    ("seekflush", "hyperleveldb"): (
+        "18cb9fbae899926beeb03d4d584e30a0e7f2be9369d25fd0f48dbaae9226b4d9",
+        "e790cc0283eb6a3baf10f9239f10899a2de58bb54ba220dbf5531e9ce2bc8043",
+        0.07928835304021953,
+    ),
+    ("seekflush", "rocksdb"): (
+        "a8d931b002d777fb86db918fd43e8e63f2904ae31bae5a93b516c6b995474cb9",
+        "1e4246b2adb0c1718e76f7757d3fac62104d525b749a093a3972d72d799832db",
+        0.09859190326672802,
+    ),
+    ("seekflush", "pebblesdb"): (
+        "7f62ac296880d51867d695cff30a63bca2d495054a2273909a4d411c86d67b7a",
+        "1b4f69d0f937d4ce9b1cad7a08ab82dcd32deb9cab6358b1f522910cc8cc99a7",
+        0.15103179637298478,
+    ),
 }
 
 
@@ -248,7 +273,7 @@ def _run_gets(db, rng, keys, first, latest, snap) -> int:
     return seen
 
 
-def _run_seeks(db, rng, keys) -> int:
+def _run_seeks(db, rng, keys, put_bytes: int) -> int:
     """300 x (seek + 20 nexts), a put every 20th, then 10 reverse seeks."""
     seen = 0
     for i in range(300):
@@ -261,7 +286,7 @@ def _run_seeks(db, rng, keys) -> int:
         if i % 20 == 19:
             # A write between scans resets the consecutive-seek run and
             # lets background work apply, as in YCSB-E.
-            db.put(b"new%06d" % i, b"n" * 200)
+            db.put(b"new%06d" % i, b"n" * put_bytes)
     for _ in range(10):
         with db.seek_reverse(rng.choice(keys)) as it:
             for _ in range(50):
@@ -296,7 +321,7 @@ def run_workload(engine: str, scenario: str = "default"):
     if scenario == "gets":
         seen, snap = _run_gets(db, rng, keys, first, latest, snap), None
     else:
-        seen = _run_seeks(db, rng, keys)
+        seen = _run_seeks(db, rng, keys, 2000 if scenario == "seekflush" else 200)
     if snap is not None:
         # Every key still reads its first-fill value through the snapshot.
         for i in range(0, len(order), 100):
