@@ -161,6 +161,8 @@ class PebblesDBStore(LSMStoreBase):
         self._consecutive_seeks = 0
         self._seek_compaction_due = False
         self._touched_guards: List[Tuple[int, Optional[bytes]]] = []
+        #: The touched guards this scheduling pass's seek tier took.
+        self._seek_taken: Optional[List[Tuple[int, Guard]]] = None
         self.guards_selected = 0
         # Conflict map for in-flight compactions.  Each job holds one
         # claim per level it touches, a half-open key range ``(level, lo,
@@ -460,92 +462,98 @@ class PebblesDBStore(LSMStoreBase):
         # Guard deletions are metadata-only; they go first.
         if self._pending_guard_deletions and self._background_error is None:
             self._apply_guard_deletions()
+        self._seek_taken = None
         super()._schedule_compactions()
 
-    def _pick_and_submit(self) -> bool:
-        self._l0_conflict_blocked = False
-        if not self._has_parallel_slot():
-            # Every slot is busy; note when a due Level-0 compaction is
-            # the work being held back (stall attribution).
-            self._l0_conflict_blocked = self._level0_due()
-            return False
-        candidates = self._collect_candidates()
-        if not candidates:
-            # Priority 4: seek-triggered work.
-            if self._seek_compaction_due:
-                self._seek_compaction_due = False
-                return self._submit_seek_compactions(self.level_sizes())
-            return False
-        idx = 0
-        if self._dispatch_policy is not None:
-            idx = self._dispatch_policy(candidates) % len(candidates)
-        _kind, level, guard, _reason = candidates[idx]
-        return self._run_compaction(level, guard)
+    #: Level 0, over-full guards and level sizes first; the seek triggers
+    #: only when none of those has runnable work.
+    COMPACTION_TRIGGERS = (
+        ("level0", "overfull", "size"),
+        ("seek_guard", "seek_aggressive"),
+    )
 
-    def _collect_candidates(self) -> List[Tuple[str, int, Optional[Guard], str]]:
-        """Runnable compaction candidates, in deterministic priority order.
-
-        Each entry is ``(kind, level, guard, reason)``.  A candidate is
-        listed only when its conflict-map claims are free, so whichever
-        one the dispatch policy picks can be submitted immediately; work
-        that is due but claim-blocked bumps ``compaction_conflicts`` and
-        is re-picked once the blocking job applies.
-        """
-        opts = self.options
-        candidates: List[Tuple[str, int, Optional[Guard], str]] = []
-        # Priority 1: Level 0 file count.
+    def _trigger_level0(self):
+        """All of Level 0, at its file-count trigger."""
         if self._level0_due():
             if self._claims_available(self._level0_claims()):
-                candidates.append(("level0", 0, None, "level0"))
+                yield 0, None
             else:
                 self._l0_conflict_blocked = True
                 self._stats.compaction_conflicts += 1
-        # Priority 2: over-full guards (max_sstables_per_guard, section 3.5).
-        seen: Set[Tuple[int, Optional[bytes]]] = set()
-        for level in range(1, opts.num_levels):
+
+    def _trigger_overfull(self):
+        """Guards holding ``max_sstables_per_guard`` files (section 3.5)."""
+        for level in range(1, self.options.num_levels):
+            for guard in self._guarded[level].overfull_guards():
+                if self._guard_busy(guard):
+                    continue
+                if not self._claims_available(self._guard_claims(level, guard)):
+                    self._stats.compaction_conflicts += 1
+                elif not self._starves_level0(level, guard):
+                    yield level, guard
+
+    def _trigger_size(self):
+        """The largest idle guard of each level over its size target, net
+        of in-flight outflow (an over-full one is the trigger above's)."""
+        opts, sizes = self.options, self.level_sizes()
+        for level in range(1, opts.num_levels - 1):
+            outflow = self._inflight_outflow.get(level, 0)
+            if sizes[level] - outflow < opts.level_target_bytes(level):
+                continue
             guarded = self._guarded[level]
-            for guard in guarded.overfull_guards():
-                if not self._guard_busy(guard):
-                    if self._claims_available(self._guard_claims(level, guard)):
-                        candidates.append(("guard", level, guard, "overfull"))
-                        seen.add((level, guard.key))
-                    else:
-                        self._stats.compaction_conflicts += 1
-        # Priority 3: level size targets, net of in-flight outflow.
+            idle = [g for g in guarded.guards() if g.files and not self._guard_busy(g)]
+            free = [g for g in idle if self._guard_idle(level, g)]
+            if not free:
+                if idle:
+                    self._stats.compaction_conflicts += 1
+                continue
+            guard = max(free, key=lambda g: g.size_bytes)
+            if guard in guarded.overfull_guards() or self._starves_level0(level, guard):
+                continue
+            yield level, guard
+
+    def _trigger_seek_guard(self):
+        """Seek-based compaction (section 4.2): once a run of consecutive
+        seeks makes it due, every multi-sstable guard the seeks touched.
+        The first pass to get this far takes the touched guards, for that
+        pass only."""
+        if self._seek_compaction_due:
+            self._seek_compaction_due = False
+            touched, self._touched_guards = self._touched_guards, []
+            self._seek_taken = list(dict.fromkeys(
+                (level, self._guarded[level].find_guard(key or b""))
+                for level, key in dict.fromkeys(touched)
+            ))
+        for level, guard in self._seek_taken or ():
+            if guard.num_files > 1 and self._guard_idle(level, guard):
+                yield level, guard
+
+    def _trigger_seek_aggressive(self):
+        """Aggressive compaction (section 4.2), in the passes that took
+        touched guards: every idle guard of the first level holding at
+        least ``AGGRESSIVE_COMPACTION_RATIO`` times the next level's bytes."""
+        opts = self.options
+        if self._seek_taken is None or not opts.enable_aggressive_seek_compaction:
+            return
         sizes = self.level_sizes()
         for level in range(1, opts.num_levels - 1):
-            effective = sizes[level] - self._inflight_outflow.get(level, 0)
-            if effective >= opts.level_target_bytes(level):
-                guard = self._largest_idle_guard(level)
-                if guard is not None and (level, guard.key) not in seen:
-                    candidates.append(("guard", level, guard, "size"))
-        if self._l0_conflict_blocked and candidates:
-            # A due Level-0 compaction is waiting on the conflict map;
-            # submitting more work over the ranges it needs would starve
-            # it, so only disjoint candidates stay runnable.
-            l0_claims = self._level0_claims()
-            candidates = [
-                c
-                for c in candidates
-                if c[2] is not None
-                and not self._claims_conflict(
-                    self._guard_claims(c[1], c[2]), l0_claims
-                )
-            ]
-        return candidates
+            size, lower = sizes[level], sizes[level + 1]
+            if size and lower and size >= AGGRESSIVE_COMPACTION_RATIO * lower:
+                for guard in self._guarded[level].non_empty_guards():
+                    if self._guard_idle(level, guard):
+                        yield level, guard
+                return
 
     def _capture_scheduling_state(self):
         # What a compute mutates besides the busy set before its job is
-        # queued: conflict-map claims and outflow accounting, the
-        # guard-commit bookkeeping, and the seek-compaction inputs.
+        # queued: conflict-map claims and outflow accounting, and the
+        # guard-commit bookkeeping.
         return (
             dict(self._claims),
             dict(self._inflight_outflow),
             [set(keys) for keys in self._uncommitted],
             set(self._committing),
-            list(self._touched_guards),
             set(self._pending_guard_deletions),
-            self._seek_compaction_due,
         )
 
     def _restore_scheduling_state(self, snapshot) -> None:
@@ -554,9 +562,7 @@ class PebblesDBStore(LSMStoreBase):
             self._inflight_outflow,
             self._uncommitted,
             self._committing,
-            self._touched_guards,
             self._pending_guard_deletions,
-            self._seek_compaction_due,
         ) = snapshot
 
     def _reset_scheduling_state(self) -> None:
@@ -565,6 +571,20 @@ class PebblesDBStore(LSMStoreBase):
 
     def _guard_busy(self, guard: Guard) -> bool:
         return any(f.number in self._busy for f in guard.files)
+
+    def _guard_idle(self, level: int, guard: Guard) -> bool:
+        """No file of ``guard`` is busy and its claims are free."""
+        return not self._guard_busy(guard) and self._claims_available(
+            self._guard_claims(level, guard)
+        )
+
+    def _starves_level0(self, level: int, guard: Guard) -> bool:
+        """A due Level-0 compaction is waiting on the conflict map and
+        ``guard``'s job would claim ranges it needs: starting it would
+        starve Level 0, so only disjoint work may start meanwhile."""
+        return self._l0_conflict_blocked and self._claims_conflict(
+            self._guard_claims(level, guard), self._level0_claims()
+        )
 
     def _level0_due(self) -> bool:
         """Level 0 is at its file-count trigger and nothing is compacting it."""
@@ -583,7 +603,12 @@ class PebblesDBStore(LSMStoreBase):
     def _has_parallel_slot(self) -> bool:
         # One job per worker: more would only queue on busy timelines
         # while inflating write amplification.
-        return len(self._claims) < self.executor.workers
+        if len(self._claims) < self.executor.workers:
+            return True
+        # Note when a due Level-0 compaction is the work being held back
+        # (stall attribution).
+        self._l0_conflict_blocked = self._level0_due()
+        return False
 
     @staticmethod
     def _ranges_overlap(
@@ -682,65 +707,6 @@ class PebblesDBStore(LSMStoreBase):
             hi_t = target_guarded.guard_range(target_guarded.find_guard(hi))[1]
         claims.append((level + 1, lo_t, hi_t))
         return claims
-
-    def _largest_idle_guard(self, level: int) -> Optional[Guard]:
-        guarded = self._guarded[level]
-        candidates = []
-        blocked = 0
-        for g in guarded.guards():
-            if not g.files or self._guard_busy(g):
-                continue
-            if self._claims_available(self._guard_claims(level, g)):
-                candidates.append(g)
-            else:
-                blocked += 1
-        if not candidates:
-            if blocked:
-                self._stats.compaction_conflicts += 1
-            return None
-        return max(candidates, key=lambda g: g.size_bytes)
-
-    def _submit_seek_compactions(self, sizes: List[int]) -> bool:
-        """Seek-based + aggressive compaction (paper section 4.2)."""
-        opts = self.options
-        submitted = False
-        # Merge multi-sstable guards recently touched by seeks.
-        touched, self._touched_guards = self._touched_guards, []
-        seen = set()
-        for level, key in touched:
-            if (level, key) in seen:
-                continue
-            seen.add((level, key))
-            guard = self._guarded[level].find_guard(key if key is not None else b"")
-            if (
-                guard.num_files > 1
-                and not self._guard_busy(guard)
-                and self._has_parallel_slot()
-                and self._claims_available(self._guard_claims(level, guard))
-            ):
-                if not self._run_compaction(level, guard):
-                    return submitted
-                submitted = True
-        # Aggressive level compaction: push small levels down.
-        if opts.enable_aggressive_seek_compaction:
-            for level in range(1, opts.num_levels - 1):
-                if not sizes[level] or not sizes[level + 1]:
-                    continue
-                if sizes[level] >= AGGRESSIVE_COMPACTION_RATIO * sizes[level + 1]:
-                    guarded = self._guarded[level]
-                    for guard in list(guarded.non_empty_guards()):
-                        if (
-                            not self._guard_busy(guard)
-                            and self._has_parallel_slot()
-                            and self._claims_available(
-                                self._guard_claims(level, guard)
-                            )
-                        ):
-                            if not self._run_compaction(level, guard):
-                                return submitted
-                            submitted = True
-                    break
-        return submitted
 
     # ------------------------------------------------------------------
     # Compute: Level 0 -> Level 1, or a guard at level i -> level i+1

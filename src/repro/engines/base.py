@@ -1024,10 +1024,11 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     ) -> None:
         """Install a compaction dispatch policy (None restores default).
 
-        Schedule-exploration hook: when the engine has several runnable
-        compaction candidates, ``policy(candidates)`` picks the index to
-        submit next instead of the built-in priority order.  Candidates
-        are collected deterministically, so a seeded policy yields a
+        Schedule-exploration hook: given the runnable compaction
+        candidates of the first trigger tier that has any, as
+        ``(trigger, level, pick)`` tuples, ``policy(candidates)`` picks the
+        index to submit next instead of the first.  Candidates are
+        collected deterministically, so a seeded policy yields a
         replayable schedule; every schedule must produce the same
         user-visible state.
         """

@@ -4,9 +4,12 @@ FLSM and leveled LSM differ in *what* a compaction picks and *where* its
 output lands (paper section 3.4); everything under that is one mechanism
 and lives here.  An engine supplies three things:
 
-* **pick** — ``_pick_and_submit``: choose the next due compaction (and
-  whatever candidates, claims and busy checks that takes) and hand it to
-  :meth:`CompactionRunner._run_compaction`;
+* **pick** — ``COMPACTION_TRIGGERS``: trigger names in priority tiers,
+  each a ``_trigger_<name>`` method yielding the runnable ``(level, pick)``
+  candidates it finds due (inputs idle, claims free).  The runner's one
+  pick loop, :meth:`CompactionRunner._pick_and_submit`, pools the first
+  tier that yields any, lets the dispatch policy choose (default: the
+  first) and hands it to :meth:`CompactionRunner._run_compaction`;
 * **compute** — ``_compute_compaction(level, pick, ctx)``: claim the inputs, then
   turn them into output files using only :meth:`CompactionContext.merge`
   and :meth:`CompactionContext.write`; returns a :class:`CompactionResult`
@@ -137,12 +140,17 @@ class CompactionRunner:
     #: Ledger cause of this engine's compaction jobs (``<cause>.L<level>``).
     COMPACTION_CAUSE: str
 
+    #: Trigger names in priority tiers.  ``_trigger_<name>()`` yields the
+    #: runnable ``(level, pick)`` candidates it finds due, ``pick`` being
+    #: what ``_compute_compaction`` takes.
+    COMPACTION_TRIGGERS: Tuple[Tuple[str, ...], ...]
+
     # ------------------------------------------------------------------
     # Engine hooks
     # ------------------------------------------------------------------
-    def _pick_and_submit(self) -> bool:
-        """Pick the next due compaction and run it; False when none is."""
-        raise NotImplementedError
+    def _has_parallel_slot(self) -> bool:
+        """Whether another compaction may start now."""
+        return True
 
     def _compute_compaction(
         self, level: int, pick, ctx: CompactionContext
@@ -186,6 +194,28 @@ class CompactionRunner:
         for _ in range(max(2 * self.options.num_levels, self.executor.workers)):
             if not self._pick_and_submit():
                 break
+
+    def _due_candidates(self) -> List[Tuple[str, int, object]]:
+        """``(trigger, level, pick)`` for every candidate of the first tier
+        that yields any, in trigger order (empty when nothing is due)."""
+        for tier in self.COMPACTION_TRIGGERS:
+            pool = [(t, *c) for t in tier for c in getattr(self, "_trigger_" + t)()]
+            if pool:
+                return pool
+        return []
+
+    def _pick_and_submit(self) -> bool:
+        """Run one due compaction — the dispatch policy's choice, else the
+        first candidate; False when none is due or none may start."""
+        self._l0_conflict_blocked = False
+        if not self._has_parallel_slot():
+            return False
+        pool = self._due_candidates()
+        if not pool:
+            return False
+        idx = 0 if self._dispatch_policy is None else self._dispatch_policy(pool)
+        _, level, pick = pool[idx % len(pool)]
+        return self._run_compaction(level, pick)
 
     def force_full_compaction(self) -> None:
         """``compact_range`` over everything.  Bottom-level rewrites drop

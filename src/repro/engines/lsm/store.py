@@ -253,41 +253,40 @@ class LeveledLSMStore(LSMStoreBase):
     # ==================================================================
     COMPACTION_CAUSE = "compaction.level"
 
-    def _pick_and_submit(self) -> bool:
-        self._l0_conflict_blocked = False
-        spec = self._pick_compaction()
-        return spec is not None and self._run_compaction(spec[0], spec[1:])
-
     def _scheduler_mode(self) -> str:
         # Leveled compaction already serializes at file granularity: jobs
         # conflict only when their input/output file sets intersect.
         return "file"
 
     def _capture_scheduling_state(self):
-        return dict(self._compact_pointer), list(self._seek_overflow)
+        return dict(self._compact_pointer)
 
     def _restore_scheduling_state(self, snapshot) -> None:
-        self._compact_pointer, self._seek_overflow = snapshot
+        self._compact_pointer = snapshot
 
     @property
     def _policy(self) -> _Policy:
         return _POLICIES.get(self.options.preset, _DEFAULT_POLICY)
 
-    def _pick_compaction(
-        self,
-    ) -> Optional[Tuple[int, List[FileMetadata], List[FileMetadata]]]:
-        opts = self.options
-        # Priority 1: Level 0 file count.
-        l0 = [f for f in self._levels[0] if f.number not in self._busy]
-        if len(self._levels[0]) >= opts.level0_compaction_trigger:
-            if len(l0) == len(self._levels[0]):  # nothing already being compacted
-                next_inputs = self._overlapping(1, l0)
-                if all(f.number not in self._busy for f in next_inputs):
-                    return (0, l0, next_inputs)
-            self._l0_conflict_blocked = True
-            self._stats.compaction_conflicts += 1
-        # Priority 2: level size vs target.
-        best_level, best_score = -1, self._policy.start_at
+    #: Level 0 and level sizes first; a seek-exhausted file only when
+    #: neither has runnable work.
+    COMPACTION_TRIGGERS = (("level0", "size"), ("seek",))
+
+    def _trigger_level0(self):
+        """All of Level 0, at its file-count trigger."""
+        if len(self._levels[0]) >= self.options.level0_compaction_trigger:
+            pick = self._with_overlaps(0, list(self._levels[0]))
+            if pick is not None:
+                yield 0, pick
+            else:
+                self._l0_conflict_blocked = True
+                self._stats.compaction_conflicts += 1
+
+    def _trigger_size(self):
+        """The preset's window of idle files from the level furthest past
+        its policy's share of its size target."""
+        opts, policy = self.options, self._policy
+        best_level, best_score = -1, policy.start_at
         sizes = self.level_sizes()
         for level in range(1, len(self._levels) - 1):
             if not self._levels[level]:
@@ -295,32 +294,26 @@ class LeveledLSMStore(LSMStoreBase):
             score = sizes[level] / opts.level_target_bytes(level)
             if score >= best_score:
                 best_level, best_score = level, score
-        if best_level > 0:
-            picked = self._pick_level_inputs(best_level)
-            if picked is not None:
-                return picked
-        # Priority 3: seek-triggered compaction.
+        if best_level < 0:
+            return
+        files = [f for f in self._levels[best_level] if f.number not in self._busy]
+        if files:
+            inputs = policy.pick(self, best_level, files, policy.max_input_files)
+            pick = self._with_overlaps(best_level, inputs)
+            if pick is not None:
+                yield best_level, pick
+
+    def _trigger_seek(self):
+        """The oldest runnable file that ran out of ``allowed_seeks``
+        (LevelDB's seek compaction); the entries it passes are dropped."""
         while self._seek_overflow:
             level, meta = self._seek_overflow.pop(0)
             if self._level_of(meta.number) != level or level >= len(self._levels) - 1:
                 continue
             pick = self._with_overlaps(level, [meta])
             if pick is not None:
-                return (level, *pick)
-        return None
-
-    def _pick_level_inputs(
-        self, level: int
-    ) -> Optional[Tuple[int, List[FileMetadata], List[FileMetadata]]]:
-        files = [f for f in self._levels[level] if f.number not in self._busy]
-        if not files:
-            return None
-        policy = self._policy
-        inputs = policy.pick(self, level, files, policy.max_input_files)
-        next_inputs = self._overlapping(level + 1, inputs)
-        if any(f.number in self._busy for f in next_inputs):
-            return None
-        return (level, inputs, next_inputs)
+                yield level, pick
+                return
 
     def _with_overlaps(
         self, level: int, inputs: List[FileMetadata]
