@@ -7,12 +7,23 @@ compaction alone to 7%; sstable bloom filters improve point reads 63%.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from repro.analysis import Table
 from repro.harness import fresh_run, standard_config
 from _helpers import print_paper_comparison, run_once
 
 NUM_KEYS = 10000
 VALUE_SIZE = 1024
+SEEKS = 1500
+
+#: What the seek phase is read through: jobs and bytes per compaction
+#: trigger, and the tables each seek positions an iterator on, per level.
+SEEK_COUNTERS = (
+    "compaction.triggered",
+    "compaction.triggered_bytes",
+    "seek.positioned_tables",
+)
 
 VARIANTS = {
     "all-off": dict(
@@ -43,6 +54,15 @@ VARIANTS = {
 }
 
 
+def _seek_counters(db) -> Dict[Tuple[str, str], float]:
+    """``(counter, trigger or level) -> value`` for ``SEEK_COUNTERS``."""
+    return {
+        (m.name, m.labels[0][1]): m.value
+        for m in db.stats_part()["registry"]
+        if m.name in SEEK_COUNTERS
+    }
+
+
 def _run_variant(overrides):
     cfg = standard_config(num_keys=NUM_KEYS, value_size=VALUE_SIZE, seed=25)
     if overrides:
@@ -51,8 +71,55 @@ def _run_variant(overrides):
     bench = run.bench
     bench.fill_random()
     reads = bench.read_random(2500)
-    seeks = bench.seek_random(1500)
-    return {"read": reads.kops, "seek": seeks.kops}
+    before = _seek_counters(run.db)
+    seeks = bench.seek_random(SEEKS)
+    phase = {
+        key: value - before.get(key, 0)
+        for key, value in _seek_counters(run.db).items()
+    }
+    return {
+        "read": reads.kops,
+        "seek": seeks.kops,
+        "seek_phase": phase,
+        "files": run.db.files_per_level(),
+    }
+
+
+def _seek_phase_table(rows) -> Table:
+    table = Table(
+        f"Section 5.2 ablation — the {SEEKS:,}-seek phase",
+        [
+            "variant",
+            "compactions by trigger",
+            "MB compacted",
+            "tables positioned per seek (L0/L1/...)",
+            "files per level after",
+        ],
+    )
+    for name, r in rows.items():
+        phase = r["seek_phase"]
+        jobs = [
+            f"{trigger}={value:.0f}"
+            for (counter, trigger), value in sorted(phase.items())
+            if counter == "compaction.triggered" and value
+        ]
+        moved = sum(
+            value
+            for (counter, _), value in phase.items()
+            if counter == "compaction.triggered_bytes"
+        )
+        per_seek = "/".join(
+            f"{phase.get(('seek.positioned_tables', str(level)), 0) / SEEKS:.1f}"
+            for level in range(len(r["files"]))
+        )
+        table.add_row(
+            name,
+            " ".join(jobs) or "none",
+            f"{moved / 1e6:.2f}",
+            per_seek,
+            "/".join(map(str, r["files"])),
+        )
+    return table
 
 
 def test_optimization_ablation(benchmark):
@@ -67,6 +134,7 @@ def test_optimization_ablation(benchmark):
     for name, r in rows.items():
         table.add_row(name, f"{r['read']:.1f}", f"{r['seek']:.1f}")
     table.print()
+    _seek_phase_table(rows).print()
 
     print_paper_comparison(
         "Section 5.2 ablation",

@@ -572,10 +572,12 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         #: ``read.seq_skipped`` / ``read.table_cache_hits`` /
         #: ``read.table_cache_misses`` registry counters when stats are
         #: read.  Per level, the three probe tallies sum to the candidate
-        #: files whose key range covered the key.
+        #: files whose key range covered the key.  Likewise the tables a
+        #: seek positions an iterator on, into ``seek.positioned_tables``.
         self._probe_files = [0] * (self.options.num_levels + 1)
         self._probe_bloom = [0] * (self.options.num_levels + 1)
         self._probe_seq = [0] * (self.options.num_levels + 1)
+        self._seek_tables = [0] * (self.options.num_levels + 1)
         self._table_hits = self._table_misses = 0
         #: Build-lane tallies, bumped once per sstable built: entries the
         #: builder appended as the encoded record they arrived with, and
@@ -891,14 +893,15 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Fold the per-level read-path tallies into their counters and
         set the read-time gauges (layout, memory, block cache, value log)."""
         reg = self.registry
-        for what, tallies in (
-            ("files_probed", self._probe_files),
-            ("bloom_skipped", self._probe_bloom),
-            ("seq_skipped", self._probe_seq),
+        for name, tallies in (
+            ("read.files_probed", self._probe_files),
+            ("read.bloom_skipped", self._probe_bloom),
+            ("read.seq_skipped", self._probe_seq),
+            ("seek.positioned_tables", self._seek_tables),
         ):
             for level, n in enumerate(tallies):
                 if n:
-                    reg.counter(f"read.{what}", level=level).value += n
+                    reg.counter(name, level=level).value += n
                     tallies[level] = 0
         reg.counter("read.table_cache_hits").value += self._table_hits
         reg.counter("read.table_cache_misses").value += self._table_misses

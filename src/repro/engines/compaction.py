@@ -4,12 +4,11 @@ FLSM and leveled LSM differ in *what* a compaction picks and *where* its
 output lands (paper section 3.4); everything under that is one mechanism
 and lives here.  An engine supplies three things:
 
-* **pick** — ``COMPACTION_TRIGGERS``: trigger names in priority tiers,
-  each a ``_trigger_<name>`` method yielding the runnable ``(level, pick)``
-  candidates it finds due (inputs idle, claims free).  The runner's one
-  pick loop, :meth:`CompactionRunner._pick_and_submit`, pools the first
-  tier that yields any, lets the dispatch policy choose (default: the
-  first) and hands it to :meth:`CompactionRunner._run_compaction`;
+* **pick** — ``COMPACTION_TRIGGERS``: trigger names in priority tiers, each
+  a ``_trigger_<name>`` method yielding the runnable ``(level, pick)``
+  candidates it finds due.  The one pick loop,
+  :meth:`CompactionRunner._pick_and_submit`, pools the first tier that
+  yields any and runs the dispatch policy's choice (default: the first);
 * **compute** — ``_compute_compaction(level, pick, ctx)``: claim the inputs, then
   turn them into output files using only :meth:`CompactionContext.merge`
   and :meth:`CompactionContext.write`; returns a :class:`CompactionResult`
@@ -214,8 +213,8 @@ class CompactionRunner:
         if not pool:
             return False
         idx = 0 if self._dispatch_policy is None else self._dispatch_policy(pool)
-        _, level, pick = pool[idx % len(pool)]
-        return self._run_compaction(level, pick)
+        trigger, level, pick = pool[idx % len(pool)]
+        return self._run_compaction(level, pick, trigger)
 
     def force_full_compaction(self) -> None:
         """``compact_range`` over everything.  Bottom-level rewrites drop
@@ -254,15 +253,15 @@ class CompactionRunner:
     # ------------------------------------------------------------------
     # The lifecycle
     # ------------------------------------------------------------------
-    def _run_compaction(self, level: int, pick) -> bool:
+    def _run_compaction(self, level: int, pick, trigger: Optional[str] = None) -> bool:
         """Compute ``pick`` (source ``level``) with fault retries and queue the
-        job; False once degraded."""
+        job, counted under ``trigger`` if given; False once degraded."""
         self._run_protected(
-            "compaction", lambda: self._submit_compaction(level, pick)
+            "compaction", lambda: self._submit_compaction(level, pick, trigger)
         )
         return self._background_error is None
 
-    def _submit_compaction(self, level: int, pick) -> None:
+    def _submit_compaction(self, level: int, pick, trigger: Optional[str]) -> None:
         ctx = CompactionContext(self, f"{self.COMPACTION_CAUSE}.L{level}")
         try:
             result = self._compute_compaction(level, pick, ctx)
@@ -282,6 +281,10 @@ class CompactionRunner:
             edit.delete_file(file_level, meta.number)
         edit.new_files.extend(outputs)
         bytes_in = sum(meta.file_size for _, meta in consumed)
+        if trigger is not None:
+            reg = self.registry
+            reg.counter("compaction.triggered", trigger=trigger).inc()
+            reg.counter("compaction.triggered_bytes", trigger=trigger).inc(bytes_in)
         if ctx.input_entries:
             gc = ctx.gc
             acct.charge(

@@ -167,6 +167,7 @@ class LeveledLSMStore(LSMStoreBase):
             if meta.largest.user_key < start_key:
                 continue
             touched.append(meta)
+            self._seek_tables[0] += 1
             iters.append(self._file_iter(meta, probe, account))
         for level in range(1, len(self._levels)):
             files = list(self._levels[level])
@@ -176,6 +177,7 @@ class LeveledLSMStore(LSMStoreBase):
             if idx >= len(files):
                 continue
             touched.append(files[idx])
+            self._seek_tables[level] += 1
             iters.append(self._level_iter(files, idx, probe, account))
         self._charge_seek_costs(touched, account)
         return iters

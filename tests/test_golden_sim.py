@@ -335,6 +335,12 @@ def run_workload(engine: str, scenario: str = "default"):
         # The pin is only worth something if GC actually ran.
         assert db.registry.value("vlog.gc_relocated") > 0
         assert db.registry.value("vlog.segments") > 1
+    if scenario == "seekflush":
+        # The pin is only worth something if every engine's seek trigger fired.
+        assert sum(
+            db.registry.value("compaction.triggered", trigger=trigger)
+            for trigger in ("seek", "seek_guard", "seek_aggressive")
+        ) >= 1
     if scenario == "fault":
         assert stats.transient_fault_retries >= 7
         kinds = {
