@@ -30,25 +30,21 @@ VARIANTS = {
         enable_sstable_bloom=False,
         enable_parallel_seeks=False,
         enable_seek_based_compaction=False,
-        enable_aggressive_seek_compaction=False,
     ),
     "parallel-seeks": dict(
         enable_sstable_bloom=False,
         enable_parallel_seeks=True,
         enable_seek_based_compaction=False,
-        enable_aggressive_seek_compaction=False,
     ),
     "seek-compaction": dict(
         enable_sstable_bloom=False,
         enable_parallel_seeks=False,
         enable_seek_based_compaction=True,
-        enable_aggressive_seek_compaction=True,
     ),
     "bloom-only": dict(
         enable_sstable_bloom=True,
         enable_parallel_seeks=False,
         enable_seek_based_compaction=False,
-        enable_aggressive_seek_compaction=False,
     ),
     "all-on": dict(),
 }

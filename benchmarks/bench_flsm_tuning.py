@@ -36,11 +36,7 @@ def test_max_sstables_per_guard_tradeoff(benchmark):
         rows = {}
         for cap in (1, 2, 4, 8):
             rows[cap] = _run_with(
-                dict(
-                    max_sstables_per_guard=cap,
-                    enable_seek_based_compaction=False,
-                    enable_aggressive_seek_compaction=False,
-                )
+                dict(max_sstables_per_guard=cap, enable_seek_based_compaction=False)
             )
         return {"rows": rows}
 

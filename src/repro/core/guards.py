@@ -149,9 +149,6 @@ class GuardedLevel:
         """All guards in key order, sentinel first."""
         return iter(self._order)
 
-    def non_empty_guards(self) -> Iterator[Guard]:
-        return (g for g in self._order if g.files)
-
     def overfull_guards(self) -> List[Guard]:
         """Guards holding at least ``overfull_files`` files, in key order."""
         return sorted(self._overfull, key=lambda g: (g.key is not None, g.key))

@@ -20,10 +20,9 @@ The FLSM rules implemented here (paper chapter 3):
   range is absorbed by its left neighbour (section 3.3).
 
 On top of FLSM, the PebblesDB optimizations (chapter 4): per-sstable bloom
-filters, seek-based compaction after a run of consecutive seeks,
-aggressive level compaction (level *i* once it holds 25% of level *i+1*'s
-bytes), and parallel seeks in the last level, each independently
-switchable for the ablation study.
+filters, seek-based compaction of the multi-sstable guards a run of
+consecutive seeks touched, and parallel seeks in the last level, each
+independently switchable for the ablation study.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ from repro.util.keys import InternalKey, KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_S
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_KEY, GUARD_NONE, GUARD_SENTINEL
-
-#: Aggressive compaction (paper section 4.2) pushes level *i* down once
-#: ``size(i) >= 0.25 * size(i+1)``; whether "within 25%" was meant is
-#: open (ROADMAP.md, "Seeks as the paper describes them").
-AGGRESSIVE_COMPACTION_RATIO = 0.25
 
 #: A second-to-last-level guard is rewritten in place instead of pushed
 #: down when merging it into the last level would cost at least this many
@@ -468,9 +462,9 @@ class PebblesDBStore(LSMStoreBase):
         self._seek_taken = None
         super()._schedule_compactions()
 
-    #: Level 0, over-full guards and level sizes first; the seek triggers
+    #: Level 0, over-full guards and level sizes first; the seek trigger
     #: only when none of those has runnable work.
-    COMPACTION_TRIGGERS = (("level0", "overfull", "size"), ("seek_guard", "seek_aggressive"))
+    COMPACTION_TRIGGERS = (("level0", "overfull", "size"), ("seek_guard",))
 
     def _trigger_level0(self):
         """All of Level 0, at its file-count trigger."""
@@ -527,22 +521,6 @@ class PebblesDBStore(LSMStoreBase):
         for level, guard in self._seek_taken or ():
             if guard.num_files > 1 and self._guard_idle(level, guard):
                 yield level, guard
-
-    def _trigger_seek_aggressive(self):
-        """Aggressive compaction (section 4.2), in the passes that took
-        touched guards: every idle guard of the first level holding at
-        least ``AGGRESSIVE_COMPACTION_RATIO`` times the next level's bytes."""
-        opts = self.options
-        if self._seek_taken is None or not opts.enable_aggressive_seek_compaction:
-            return
-        sizes = self.level_sizes()
-        for level in range(1, opts.num_levels - 1):
-            size, lower = sizes[level], sizes[level + 1]
-            if size and lower and size >= AGGRESSIVE_COMPACTION_RATIO * lower:
-                for guard in self._guarded[level].non_empty_guards():
-                    if self._guard_idle(level, guard):
-                        yield level, guard
-                return
 
     def _capture_scheduling_state(self):
         # What a compute mutates besides the busy set before its job is

@@ -154,7 +154,6 @@ class StoreOptions:
     enable_sstable_bloom: bool = True
     enable_parallel_seeks: bool = True
     enable_seek_based_compaction: bool = True
-    enable_aggressive_seek_compaction: bool = True
     #: Consecutive seek() calls that trigger seek-based compaction.
     seek_compaction_threshold: int = 10
 

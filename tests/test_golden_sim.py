@@ -339,7 +339,7 @@ def run_workload(engine: str, scenario: str = "default"):
         # The pin is only worth something if every engine's seek trigger fired.
         assert sum(
             db.registry.value("compaction.triggered", trigger=trigger)
-            for trigger in ("seek", "seek_guard", "seek_aggressive")
+            for trigger in ("seek", "seek_guard")
         ) >= 1
     if scenario == "fault":
         assert stats.transient_fault_retries >= 7

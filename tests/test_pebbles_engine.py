@@ -199,7 +199,6 @@ class TestOptimizations:
                 max_sstables_per_guard=12,
                 level1_max_bytes=1 << 26,
                 enable_seek_based_compaction=False,
-                enable_aggressive_seek_compaction=False,
             )
             model = fill(db, 2500, seed=18, value_size=128)
             db.wait_idle()
@@ -236,7 +235,6 @@ class TestOptimizations:
                 env,
                 enable_parallel_seeks=parallel,
                 enable_seek_based_compaction=False,
-                enable_aggressive_seek_compaction=False,
             )
             fill(db, 2500, seed=21, value_size=256)
             db.wait_idle()

@@ -68,8 +68,7 @@ def _flsm_layout(parts):
     ``overfull`` four files in guard g at level 2 (``overfull_l1``: guard
     m at level 1); ``size`` level 3 past its target; ``seek`` two files in
     guard p at level 2, touched by a seek run that made seek compaction
-    due (``aggressive``: level 3 small enough for the aggressive rule);
-    ``blocked`` an in-flight job holding Level-1 range [a, c)."""
+    due; ``blocked`` an in-flight job holding Level-1 range [a, c)."""
     db = make_store("pebblesdb", repro.Environment(), background_workers=4)
     level = db._guarded
     for lvl, key in ((1, b"m"), (2, b"g"), (2, b"p")):
@@ -80,7 +79,6 @@ def _flsm_layout(parts):
         "overfull_l1": [(1, _meta(n, b"m", b"n")) for n in range(14, 18)],
         "size": [(3, _meta(20, b"s", b"t", size=2_000_000))],
         "seek": [(2, _meta(n, b"p", b"q")) for n in (30, 31)],
-        "aggressive": [(3, _meta(40, b"s", b"t"))],
     }
     for part in parts:
         for lvl, meta in files.get(part, ()):
@@ -101,7 +99,6 @@ FLSM_ORDER = [
     # The seek tier only when the first tier is empty.
     (("size", "seek"), [("size", 3)]),
     (("seek",), [("seek_guard", 2)]),
-    (("seek", "aggressive"), [("seek_guard", 2), ("seek_aggressive", 2)]),
     # While a due Level 0 is claim-blocked, work over its ranges waits.
     (
         ("level0", "overfull_l1", "overfull"),
