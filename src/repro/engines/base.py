@@ -2052,15 +2052,13 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     def _replay_wals(self, log_number: int, acct: IoAccount) -> None:
         """Replay live WALs into the memtable and flush them to Level 0.
 
-        With ``sync_writes`` (or ``strict_wal_recovery``) the reader runs
-        in strict mode: every acknowledged record was synced, so a bad
-        record *below* the durable boundary means acknowledged data was
-        damaged and recovery raises :class:`CorruptionError` instead of
-        silently truncating (a torn unsynced tail still stops normally).
+        With ``sync_writes`` the reader runs in strict mode: every
+        acknowledged record was synced, so a bad record *below* the durable
+        boundary means acknowledged data was damaged and recovery raises
+        :class:`CorruptionError` instead of silently truncating (a torn
+        unsynced tail still stops normally).
         """
-        strict = self.options.strict_wal_recovery
-        if strict is None:
-            strict = self.options.sync_writes
+        strict = self.options.sync_writes
         wal_names = []
         for name in self.storage.list_files(self.prefix):
             if name.endswith(".log"):

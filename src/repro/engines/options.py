@@ -137,13 +137,6 @@ class StoreOptions:
     #: corruption / shedding; ``None`` keeps dumps in memory only.
     trace_dump_dir: "str | None" = None
 
-    # --- fault handling ---------------------------------------------------
-    #: Treat corruption found mid-WAL (before the durable boundary) as an
-    #: error during recovery instead of silently stopping replay.  None =
-    #: follow ``sync_writes`` (with synchronous writes every acknowledged
-    #: record is durable, so mid-log corruption means acknowledged loss).
-    strict_wal_recovery: "bool | None" = None
-
     # --- FLSM / PebblesDB -----------------------------------------------
     #: Consecutive set LSBs of murmur(key) required to guard Level 1.
     top_level_bits: int = 13
