@@ -659,7 +659,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
     @abstractmethod
     def level_sizes(self) -> List[int]:
-        """Bytes per level (diagnostics and aggressive compaction)."""
+        """Bytes per level (diagnostics and size triggers)."""
 
     @abstractmethod
     def files_per_level(self) -> List[int]:
@@ -1425,12 +1425,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         a different file written later under the same number.
         """
         for number in range(start_number, self._next_file_number):
-            self._table_cache.pop(number, None)
-            if self._block_cache is not None:
-                self._block_cache.drop_file(number)
-            name = self._sst_name(number)
-            if self.storage.exists(name):
-                self.storage.delete(name)
+            self._drop_table_file(number)
 
     def _append_manifest(self, edit: VersionEdit, account: IoAccount) -> bool:
         """Append an edit to the MANIFEST, retrying transient faults.
@@ -2022,9 +2017,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         # (edits carry next_file_number only when the job commits).
         self._remove_orphans()
         for name in self.storage.list_files(self.prefix):
-            if name.endswith((".sst", ".log")):
-                number = int(name[len(self.prefix) : -4])
-            elif name.endswith(".vlg"):
+            if name.endswith((".sst", ".log", ".vlg")):
                 number = int(name[len(self.prefix) : -4])
             elif name.startswith(self.prefix + "MANIFEST-"):
                 # The live MANIFEST's number is allocated at rotation time;
