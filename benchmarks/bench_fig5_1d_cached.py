@@ -14,6 +14,14 @@ from _helpers import print_paper_comparison, run_once
 
 NUM_KEYS = 4000
 VALUE_SIZE = 1024
+SEEKS = 2000
+
+
+def _positioned_tables(db) -> float:
+    """Tables every seek so far positioned an iterator on, all levels."""
+    return sum(
+        m.value for m in db.stats_part()["registry"] if m.name == "seek.positioned_tables"
+    )
 
 
 def _run(engine, overrides=None):
@@ -30,8 +38,16 @@ def _run(engine, overrides=None):
     writes = bench.fill_random()
     run.db.compact_all()
     reads = bench.read_random(4000)
-    seeks = bench.seek_random(2000)
-    return {"write": writes.kops, "read": reads.kops, "seek": seeks.kops}
+    sstables = sum(run.db.files_per_level())
+    before = _positioned_tables(run.db)
+    seeks = bench.seek_random(SEEKS)
+    return {
+        "write": writes.kops,
+        "read": reads.kops,
+        "seek": seeks.kops,
+        "sstables": sstables,
+        "tables_per_seek": (_positioned_tables(run.db) - before) / SEEKS,
+    }
 
 
 def test_cached_dataset(benchmark):
@@ -45,10 +61,17 @@ def test_cached_dataset(benchmark):
     rows = run_once(benchmark, lambda: {"rows": experiment()})["rows"]
     table = Table(
         "Figure 5.1(d) — fully cached dataset (KOps/s)",
-        ["store", "writes", "reads", "seeks"],
+        ["store", "writes", "reads", "seeks", "sstables", "tables positioned per seek"],
     )
     for name, r in rows.items():
-        table.add_row(name, f"{r['write']:.1f}", f"{r['read']:.1f}", f"{r['seek']:.1f}")
+        table.add_row(
+            name,
+            f"{r['write']:.1f}",
+            f"{r['read']:.1f}",
+            f"{r['seek']:.1f}",
+            r["sstables"],
+            f"{r['tables_per_seek']:.2f}",
+        )
     table.print()
 
     h, p, p1 = rows["hyperleveldb"], rows["pebblesdb"], rows["pebblesdb-1"]
