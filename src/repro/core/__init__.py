@@ -4,7 +4,7 @@
   section 4.4), the per-level guard structure, and its invariants.
 * :mod:`repro.core.pebbles` — the PebblesDB store: FLSM partition-append
   compaction (section 3.4) plus the section 4 optimizations (sstable bloom
-  filters, seek-based and aggressive compaction, parallel seeks).
+  filters, seek-based compaction, parallel seeks).
 """
 
 from repro.core.guards import Guard, GuardedLevel, GuardPicker

@@ -244,15 +244,16 @@ class TestOptimizations:
         the guard rule's: nothing pushes whole levels down."""
         kops, seek_jobs = {}, {}
         for enabled in (False, True):
+            overrides = dict(
+                enable_sstable_bloom=False,
+                enable_parallel_seeks=False,
+                enable_seek_based_compaction=enabled,
+            )
             cfg = standard_config(
                 num_keys=10_000,
                 value_size=1024,
                 seed=25,
-                option_overrides={"pebblesdb": dict(
-                    enable_sstable_bloom=False,
-                    enable_parallel_seeks=False,
-                    enable_seek_based_compaction=enabled,
-                )},
+                option_overrides={"pebblesdb": overrides},
             )
             run = fresh_run("pebblesdb", cfg)
             run.bench.fill_random()
