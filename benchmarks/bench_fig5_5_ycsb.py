@@ -4,6 +4,11 @@ Paper: PebblesDB beats RocksDB on the write-heavy phases (Load A,
 Load E, A) by 1.5-2x, is near parity on read-heavy workloads (B-D, F),
 within ~6% on the scan-heavy E, and writes ~2x less total IO than
 RocksDB over the whole suite.
+
+For the read-only C and the read-mostly B it also prints what a get cost
+each store in table searches, as Figure 5.2(a) does: sstables probed,
+skipped by a resident filter, skipped by sequence bound, and table-cache
+misses (reopens), per get.
 """
 
 from __future__ import annotations
@@ -16,6 +21,21 @@ from _helpers import KV_STORES, print_paper_comparison, run_once
 RECORDS = 8000
 OPS = 2500
 THREADS = 4
+
+#: Phases whose per-get table-search counts are reported.
+COUNTED = ("B", "C")
+SEARCH = ("files_probed", "bloom_skipped", "seq_skipped")
+
+
+def _search_counts(db):
+    """Cumulative gets and table-search counts (each summed over levels)."""
+    reg = db.stats_part()["registry"]
+    counts = {
+        what: sum(m.value for m in reg if m.name == f"read.{what}") for what in SEARCH
+    }
+    counts["reopens"] = reg.value("read.table_cache_misses")
+    counts["gets"] = reg.value("op.gets")
+    return counts
 
 
 def _run_suite(engine):
@@ -31,7 +51,14 @@ def _run_suite(engine):
     results = {}
     results["Load A"] = ycsb.load("Load A").kops
     for name in ("A", "B", "C", "D", "F"):
+        before = _search_counts(run.db)
         results[name] = ycsb.run(YCSB_WORKLOADS[name], OPS).kops
+        if name in COUNTED:
+            after = _search_counts(run.db)
+            gets = after.pop("gets") - before["gets"]
+            results[f"{name} per get"] = {
+                what: (n - before[what]) / gets for what, n in after.items()
+            }
     # Load E then E, as Table 5.3 prescribes.
     run_e = fresh_run(engine, cfg)
     ycsb_e = run_e.ycsb()
@@ -55,13 +82,26 @@ def test_ycsb_suite(benchmark):
         table.add_row(engine, *[f"{rows[engine][ph]:.1f}" for ph in phases])
     table.print()
 
+    columns = [*SEARCH, "reopens"]
+    searches = Table(
+        "Figure 5.5 — table searches per get, workloads B and C",
+        ["store", "workload", *(c.replace("_", " ") for c in columns)],
+    )
+    for name in COUNTED:
+        for engine in KV_STORES:
+            per_get = rows[engine][f"{name} per get"]
+            searches.add_row(engine, name, *[f"{per_get[c]:.2f}" for c in columns])
+    searches.print()
+
     p, r = rows["pebblesdb"], rows["rocksdb"]
     print_paper_comparison(
         "Figure 5.5",
         [
             f"Load A P/RocksDB: paper ~1.5-2x | measured {p['Load A'] / r['Load A']:.2f}x",
             f"Load E P/RocksDB: paper ~1.5-2x | measured {p['Load E'] / r['Load E']:.2f}x",
-            f"Workload C near parity: paper ~1x | measured {p['C'] / r['C']:.2f}x",
+            f"Workload C near parity: paper ~1x | measured {p['C'] / r['C']:.2f}x "
+            f"(sstables probed per get P {p['C per get']['files_probed']:.2f}, "
+            f"RocksDB {r['C per get']['files_probed']:.2f})",
             f"Workload E overhead small: paper ~6% | measured "
             f"{p['E'] / max(kv['E'] for kv in rows.values()):.2f}x of best",
             f"Total IO P/RocksDB: paper ~0.5x | measured "

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import StorageError
 from repro.sim.cache import PAGE_SIZE, PageCache
@@ -126,12 +126,25 @@ class _SimFile:
     def __init__(self, name: str, file_id: int, charge_factor: float = 1.0) -> None:
         self.name = name
         self.file_id = file_id
-        self.data = bytearray()
+        #: The contents.  A file written by one ``append`` of a ``bytes``
+        #: object (a finished sstable) keeps that very object — *sealed*:
+        #: its bytes live once in host memory and ``read(view=True)``
+        #: hands out views of it.  Anything that changes a sealed file
+        #: first swaps in a ``bytearray`` copy (:meth:`mutable`), so a
+        #: view taken earlier keeps reading the bytes it was taken of.
+        self.data: bytes | bytearray = b""
         self.synced_len = 0
         #: Device-bytes per logical byte: < 1.0 models a compressed file
         #: (the simulation stores logical bytes; transfers and occupancy
         #: are charged at the compressed size).
         self.charge_factor = charge_factor
+
+    def mutable(self) -> bytearray:
+        """The contents as a ``bytearray`` that may be changed in place."""
+        data = self.data
+        if type(data) is not bytearray:
+            data = self.data = bytearray(data)
+        return data
 
 
 class ReadPlan:
@@ -274,7 +287,10 @@ class SimulatedStorage:
 
     def _append_bytes(self, f: _SimFile, data: bytes, account: IoAccount) -> None:
         offset = len(f.data)
-        f.data.extend(data)
+        if offset == 0 and type(data) is bytes:
+            f.data = data  # sealed until something changes it
+        else:
+            f.mutable().extend(data)
         device_bytes = int(len(data) * f.charge_factor)
         account.charge(self.device.seq_write_time(device_bytes))
         self.stats.note_write(account.name, device_bytes)
@@ -285,10 +301,11 @@ class SimulatedStorage:
         f = self._file(name)
         if self.faults is not None:
             self.faults.check("write_at", name)
+        contents = f.mutable()
         end = offset + len(data)
-        if end > len(f.data):
-            f.data.extend(b"\x00" * (end - len(f.data)))
-        f.data[offset:end] = data
+        if end > len(contents):
+            contents.extend(b"\x00" * (end - len(contents)))
+        contents[offset:end] = data
         account.charge(self.device.rand_write_time(len(data)))
         self.stats.note_write(account.name, len(data))
         self.cache.populate_range(f.file_id, offset, len(data))
@@ -302,13 +319,26 @@ class SimulatedStorage:
         *,
         sequential: bool = False,
         cache_insert: bool = True,
-    ) -> bytes:
-        """Read bytes; device time is charged only for page-cache misses."""
+        view: bool = False,
+    ) -> Union[bytes, memoryview]:
+        """Read bytes; device time is charged only for page-cache misses.
+
+        With ``view`` a sealed file (one ``bytes`` append, never changed
+        since) answers with a read-only ``memoryview`` into its own bytes
+        instead of a copy; any other file, and every read without
+        ``view``, answers with one ``bytes`` copy.  The charges are the
+        same either way: how a file is held is invisible to the
+        simulation.
+        """
         f = self._file(name)
         self._charge_read(
             f, offset, length, account, sequential=sequential, cache_insert=cache_insert
         )
-        return bytes(f.data[offset : offset + length])
+        data = f.data
+        end = offset + length
+        if type(data) is bytes:
+            return memoryview(data)[offset:end] if view else data[offset:end]
+        return bytes(memoryview(data)[offset:end])
 
     def charge_read(
         self,
@@ -347,7 +377,7 @@ class SimulatedStorage:
         sequential: bool,
         cache_insert: bool,
     ) -> None:
-        if offset < 0 or offset + length > len(f.data):
+        if offset < 0 or length < 0 or offset + length > len(f.data):
             raise StorageError(
                 f"read out of bounds: {f.name}[{offset}:{offset + length}] "
                 f"(size {len(f.data)})"
@@ -459,20 +489,23 @@ class SimulatedStorage:
             self.delete(name)
         for f in sorted(self._files.values(), key=lambda f: f.name):
             unsynced = len(f.data) - f.synced_len
-            if unsynced <= 0 or mode == CRASH_CLEAN or mode == CRASH_BITFLIP:
-                del f.data[f.synced_len :]
+            if unsynced <= 0:
+                continue  # nothing past the synced length: a sealed file stays so
+            contents = f.mutable()
+            if mode == CRASH_CLEAN or mode == CRASH_BITFLIP:
+                del contents[f.synced_len :]
                 continue
             keep = rng.randrange(unsynced + 1)
-            del f.data[f.synced_len + keep :]
+            del contents[f.synced_len + keep :]
             if mode == CRASH_GARBAGE and keep:
                 garbage = bytes(rng.getrandbits(8) for _ in range(keep))
-                f.data[f.synced_len :] = garbage
+                contents[f.synced_len :] = garbage
         if mode == CRASH_BITFLIP:
             victims = [f for f in self._files.values() if f.synced_len > 0]
             if victims:
                 victim = rng.choice(sorted(victims, key=lambda f: f.name))
                 bit = rng.randrange(victim.synced_len * 8)
-                victim.data[bit // 8] ^= 1 << (bit % 8)
+                victim.mutable()[bit // 8] ^= 1 << (bit % 8)
         self.cache.clear()
 
     # ------------------------------------------------------------------

@@ -15,6 +15,14 @@ are skipped.  Simulated metrics — device seconds, IO byte counts,
 page-cache hit rates — are byte-identical with the cache on or off.
 Compaction scans (``cache_insert=False``) bypass it entirely, mirroring
 how they bypass page-cache insertion.
+
+The byte budget bounds what the cache keeps *resident*, counted as each
+block's raw size plus a per-entry overhead; it is not a count of what
+the cache allocates.  A decoded block's values are views into the
+sstable's own bytes (``SimulatedStorage.read(..., view=True)``), which
+storage holds anyway, so the raw part of a block's charge is memory the
+cache pins rather than memory it adds — and keeps pinned, whole file
+included, until the block is evicted or its file dropped.
 """
 
 from __future__ import annotations

@@ -263,7 +263,9 @@ class SSTableReader:
         Simulated accounting is identical on both paths: a decoded-cache
         hit charges through ``charge_read`` exactly what the raw ``read``
         below would charge (same page-cache touches, same device time,
-        same IO statistics).
+        same IO statistics).  The raw read is a view into the table's own
+        bytes, so zero-copy values — and the decoded cache holding them —
+        point into the file itself, not into a private copy of the block.
         """
         # A bypassing scan (``cache_insert=False``) runs as if uncached.
         ref = self._block_cache if cache_insert else None
@@ -282,6 +284,7 @@ class SSTableReader:
             account,
             sequential=sequential,
             cache_insert=cache_insert,
+            view=True,
         )
         if cache is not None:
             try:

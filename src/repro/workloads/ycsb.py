@@ -9,6 +9,7 @@ over Load A's records, E over Load E's, exactly as Table 5.3 describes.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -110,7 +111,8 @@ class YcsbRunner(PhaseMeter):
         """Execute ``operations`` ops of ``workload``; returns the result."""
         if self._inserted == 0:
             raise RuntimeError("run a load phase before a YCSB workload")
-        rng = random.Random(self.seed + hash(workload.name) % 1000)
+        # crc32, not hash(): a str hash differs between processes.
+        rng = random.Random(self.seed + zlib.crc32(workload.name.encode()) % 1000)
         chooser = self._make_chooser(workload)
         self._version += 1
 

@@ -177,6 +177,53 @@ class TestFusedEqualsUnfused:
             assert states[0] == states[1]
 
 
+class TestViewReadEqualsCopy:
+    @pytest.mark.parametrize("fault_at", [None, 0, 7, 31])
+    def test_view_read_copy_read_and_charge_leave_identical_state(self, fault_at):
+        """``read(view=True)`` is charged as ``read`` and ``charge_read``
+        are: three storages run one seeded script of reads, each its own
+        way, and end every step in equal state — including which
+        operation a fault lands on.  ``f0`` is not sealed (it took a
+        second append), so it answers a view read with a copy."""
+        rng = random.Random(fault_at or 0)
+        sides = []
+        for how in ("view", "copy", "charge"):
+            storage = _storage()
+            storage.append("f0", b"tail", storage.background_account("load"))
+            if fault_at is not None:
+                storage.faults = FaultInjector(FaultPlan.fail_nth(fault_at, op="read"))
+            accounts = [
+                storage.foreground_account("user"),
+                storage.background_account("bg"),
+            ]
+            sides.append((how, storage, accounts))
+        for _ in range(120):
+            name = f"f{rng.randrange(FILES)}"
+            size = sides[0][1].size(name)
+            offset = rng.randrange(size)
+            length = rng.randint(0, min(3 * PAGE_SIZE, size - offset))
+            kwargs = {"sequential": rng.random() < 0.3, "cache_insert": rng.random() < 0.8}
+            which = rng.randrange(2)
+            outcomes, returned = [], []
+            for how, storage, accts in sides:
+                try:
+                    if how == "charge":
+                        storage.charge_read(name, offset, length, accts[which], **kwargs)
+                    else:
+                        data = storage.read(
+                            name, offset, length, accts[which], view=how == "view", **kwargs
+                        )
+                        assert isinstance(data, memoryview) == (how == "view" and name != "f0")
+                        returned.append(bytes(data))
+                    outcomes.append(None)
+                except TransientIOError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            assert len(set(returned)) <= 1
+            states = [_state(storage, accts) for _, storage, accts in sides]
+            assert states[0] == states[1] == states[2]
+
+
 class TestPlanChecks:
     def test_changed_file_takes_the_separate_calls(self):
         """A plan outlives nothing: a shorter file fails its bounds check

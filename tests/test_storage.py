@@ -1,5 +1,7 @@
 """Simulated storage: namespace ops, IO accounting, durability semantics."""
 
+import copy
+
 import pytest
 
 from repro.errors import StorageError
@@ -67,6 +69,23 @@ class TestDataOps:
         storage.append("f", b"abc", acct)
         with pytest.raises(StorageError):
             storage.read("f", 1, 10, acct)
+
+    def test_negative_length_rejected(self, storage):
+        """The span ``plan_reads`` refuses, ``read`` and ``charge_read``
+        refuse too — before any charge or fault check."""
+        acct = storage.foreground_account()
+        storage.create("f")
+        storage.append("f", b"x" * 100, acct)
+        def state():
+            return copy.deepcopy((storage.clock.now, storage.cache.stats, storage.stats))
+
+        before = state()
+        for call in (storage.read, storage.charge_read):
+            with pytest.raises(StorageError, match="out of bounds"):
+                call("f", 50, -10, acct)
+        with pytest.raises(StorageError, match="out of bounds"):
+            storage.read("f", 50, -10, acct, view=True)
+        assert state() == before
 
     def test_write_at_extends_and_overwrites(self, storage):
         acct = storage.foreground_account()
