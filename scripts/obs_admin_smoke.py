@@ -22,8 +22,7 @@ from repro.obs.ledger import IoLedger
 
 async def main(dump_dir: str) -> None:
     server = ProcessKVServer(ServerConfig(
-        shards=2, uniform_keys=2000, seed=11,
-        trace_dump_dir=dump_dir, heartbeat_interval=0.1,
+        shards=2, uniform_keys=2000, seed=11, trace_dump_dir=dump_dir,
     ))
     client = await ClusterClient.open_loopback(
         server, max_retries=8, backoff_base=0.01, backoff_max=0.2

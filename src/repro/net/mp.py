@@ -1,77 +1,53 @@
 """Multiprocessing serving mode: one OS process per shard, made durable.
 
 The loopback :class:`~repro.net.server.KVServer` hosts every shard on one
-asyncio event loop — fully deterministic, but one GIL means simulated
-throughput never becomes wall-clock throughput.  This module runs the
-*same* server, sharded across processes:
+event loop: deterministic, but one GIL.  This module runs the *same*
+server across processes (docs/architecture.md, "Process model", has the
+full contract):
 
-* Each **worker process** hosts ``KVServer(config, shard_ids=[i])`` — one
-  shard with its global identity (``shardN/`` storage prefix, ``seed+N``
-  engine seed), serving the ordinary CRC-framed wire protocol on a
-  private TCP port.  Because the worker runs the identical engine with
-  the identical seed on its own simulated device, a same-seed workload
-  produces byte-identical shard state in both serving modes.
-* The **parent** (:class:`ProcessKVServer`) supervises the workers over
-  ``multiprocessing`` control pipes (startup handshake, digests,
-  simulated clocks, shutdown) and is *not* on the data path: its HELLO
-  reply carries one :class:`~repro.net.protocol.Route` per shard, the
-  client dials the workers itself, and the parent's own connections
-  answer only HELLO and ``Op.ADMIN``.
+* Each **worker** is ``KVServer(config, shard_ids=[i])``: shard ``i`` with
+  its global identity (``shardN/`` prefix, ``seed+N``) on a private TCP
+  port, so a same-seed workload leaves byte-identical shard state in both
+  serving modes.  Workers start from a ``spawn`` context: forking a
+  process that runs an event loop or threads is unsafe.
+* The **parent** (:class:`ProcessKVServer`) is off the data path.  Its
+  HELLO reply carries one :class:`~repro.net.protocol.Route` per shard
+  and clients dial the workers; its own connections answer HELLO and
+  ``Op.ADMIN``.  It drives each worker over a control pipe: handshake,
+  ``ping``, ``replay``, ``shutdown``, ``run`` (a worker ``KVServer``
+  method by name: digests, clocks, op totals, admin parts) and two test
+  hooks, ``arm_kill`` and ``hang``.
 
-Worker state is **externalized by log shipping**: before a group commit
-is acknowledged, the worker writes a :func:`~repro.net.protocol
-.encode_ship_commit` record — the combined batch ops plus the fresh
-``(client_id, request_id)`` pairs — to a dedicated one-way pipe, and the
-parent appends it to a per-shard durable log in the parent's *own*
-:class:`repro.Environment`.  Optionally (``snapshot_interval``) the
-worker also ships compact snapshots that let the parent truncate the
-log.  Because a record sits in the pipe before any acknowledgement
-reaches the client, an acknowledged write survives the worker process.
+**Log shipping.**  Before a group commit is acknowledged, the worker
+writes its record (combined ops plus the fresh ``(client_id,
+request_id)`` pairs) to a one-way pipe, and the parent appends it to a
+per-shard durable log in its *own* :class:`repro.Environment`; so an
+acknowledged write survives the worker process.  ``snapshot_interval``
+adds compact snapshots that truncate the log.  A full-log replay
+re-issues the original ``write_batch`` sequence (byte-identical state);
+a snapshot replay is a logical restore (same keys, values and dedup
+table, different sstable layout).
 
-On top of the log sit three recovery mechanisms:
+**Recovery.**  The supervisor thread kills a worker that misses its ping
+deadline, restarts dead ones with capped backoff and replays the log,
+dedup table included, so retried writes stay exactly-once.
+``MAX_CONSECUTIVE_RESTARTS`` restarts inside the probation window trip a
+breaker into sticky ``DEGRADED`` until :meth:`ProcessKVServer.resume_shard`;
+a replacement that exits before its handshake is one failed attempt
+toward it.  :meth:`~ProcessKVServer.restart_shard` does the same by hand
+and :meth:`~ProcessKVServer.handoff_shard` drains first (a rolling
+restart).  All three go through one routine, which publishes the
+replacement's address only after its replay returned.
 
-* **Supervisor** — a heartbeat/deadline loop that detects worker death
-  (``is_alive``) or hang (a ``ping`` that misses its deadline), restarts
-  the worker with capped deterministic backoff, and replays snapshot +
-  log — including the dedup table, so retried writes stay exactly-once
-  across the crash.  ``max_consecutive_restarts`` failures inside the
-  probation window trip a restart-storm breaker into sticky
-  ``DEGRADED`` (mirroring the PR 2 persistent-fault taxonomy); an
-  operator's :meth:`ProcessKVServer.resume_shard` clears it.
-* **restart_shard** — the manual restart now *restores* the shard from
-  the durable log instead of starting empty.
-* **handoff_shard** — graceful rolling restart: drain the worker's
-  queued commits, shut it down (its final ship records land first),
-  replay into a fresh worker, and re-route.  Clients observe only
-  transient retries, never data loss.
-
-All three replace a worker through one routine, and a replacement's
-address is published in the routes only after its replay returned: no
-client can reach a worker that has not caught up with the ship log, and
-a write the old worker acknowledged while draining or dying was shipped
-before it was acknowledged, so it is in that log.
-
-A full-log replay re-issues the exact ``write_batch`` sequence the
-original worker executed, so the restored engine state is byte-identical
-to an uninterrupted run — the differential durability tests assert
-exactly that.  Snapshot-truncated replay is a *logical* restore (same
-key-value state and dedup table, different physical sstable layout).
-
-Determinism boundary: *within* a shard everything stays deterministic
-(its engine, clock, and WAL see the same op sequence either way); what
-the process mode gives up is the deterministic *interleaving across
-shards* that the single loopback event loop provided.  Workloads that
-need cross-shard determinism (the differential tests) drive operations
-in a deterministic per-shard order, which both modes preserve.
-
-Workers are started with the ``spawn`` method: forking a process that
-already runs an asyncio loop (or threads) is unsafe, and spawn gives
-identical semantics on Linux and macOS.
+Determinism holds *within* a shard; process mode gives up the loopback
+loop's interleaving *across* shards, so the differential tests drive
+operations in a fixed per-shard order.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import multiprocessing
 import os
 import threading
@@ -209,21 +185,15 @@ async def _shard_worker(conn, ship_conn, config: ServerConfig, shard_id: int) ->
             cmd = message[0]
             if cmd == "shutdown":
                 break
-            elif cmd == "digest":
-                await server.wait_idle()
-                conn.send(("digest", server.state_digests()[0]))
-            elif cmd == "sim_time":
-                conn.send(("sim_time", server.shard_sim_times()[0]))
-            elif cmd == "totals":
-                conn.send(("totals", server.total_ops(), server.protocol_errors))
-            elif cmd == "admin":
-                # Raw per-shard stats parts (everything in them pickles);
-                # the parent aggregates with the same function loopback
-                # mode uses, so both modes expose identical sections.
-                conn.send(("admin", server._admin_parts()))
-            elif cmd == "wait_idle":
-                await server.wait_idle()
-                conn.send(("idle",))
+            elif cmd == "run":
+                # The parent's introspection: one KVServer method (awaited
+                # when async) or attribute, by name; every result pickles.
+                result = getattr(server, message[1])
+                if callable(result):
+                    result = result()
+                if inspect.isawaitable(result):
+                    result = await result
+                conn.send(("result", result))
             elif cmd == "ping":
                 conn.send(("pong",))
             elif cmd == "replay":
@@ -252,11 +222,12 @@ async def _shard_worker(conn, ship_conn, config: ServerConfig, shard_id: int) ->
 class _WorkerHandle:
     """Parent-side handle: process, control pipe, serving port."""
 
-    def __init__(self, shard_id: int, process, conn, port: int) -> None:
+    def __init__(self, shard_id: int, process, conn) -> None:
         self.shard_id = shard_id
         self.process = process
         self.conn = conn
-        self.port = port
+        #: The worker's serving port, known once :meth:`handshake` returned.
+        self.port = 0
         #: Serializes control-pipe round-trips (they may run on executor
         #: threads, so this is a *thread* lock, not an asyncio one).
         self.lock = threading.Lock()
@@ -269,13 +240,39 @@ class _WorkerHandle:
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    def call(self, *message, timeout: Optional[float] = None):
+    def handshake(self, timeout: float) -> None:
+        """Take the port from the worker's ``("ready", port)``.  A worker
+        that exits before it (its engine failed to open, its port to bind)
+        or stays silent for ``timeout`` is shut down and reported as
+        :class:`TransientNetError`, like any failed restart."""
+        try:
+            if self.conn.poll(timeout):
+                self.port = self.conn.recv()[1]
+                return
+        except (EOFError, OSError):
+            pass  # the worker exited: its end of the pipe closed
+        self.shutdown(timeout=1.0)
+        raise TransientNetError(
+            f"shard {self.shard_id} worker did not complete its handshake "
+            f"(exit code {self.process.exitcode})"
+        )
+
+    def run(self, name: str, timeout: Optional[float] = None):
+        """The worker ``KVServer``'s ``name``: a method's result (awaited
+        when async) or an attribute's value, in one control round-trip."""
+        return self.call("run", name, timeout=timeout)[1]
+
+    def call(self, *message, timeout: Optional[float] = None, wait: bool = True):
         """One control round-trip; raises TransientNetError when dead.
 
         With ``timeout``, a worker that does not answer inside the
         deadline raises too — the hung-worker case the supervisor kills.
+        ``wait=False`` returns None at once while another round-trip is
+        in flight.
         """
-        with self.lock:
+        if not self.lock.acquire(wait):
+            return None
+        try:
             if not self.alive:
                 raise TransientNetError(
                     f"shard {self.shard_id} worker is not running"
@@ -292,6 +289,8 @@ class _WorkerHandle:
                 raise TransientNetError(
                     f"shard {self.shard_id} worker control pipe failed: {exc}"
                 ) from exc
+        finally:
+            self.lock.release()
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Graceful stop with escalation, never leaking the worker.
@@ -325,36 +324,32 @@ class _WorkerHandle:
 class ProcessKVServer(FrameServer):
     """KVServer-shaped frontend over one worker process per shard.
 
-    Duck-types the :class:`~repro.net.server.KVServer` surface the
-    clients, benchmarks, and tests use (``connect_loopback``,
-    ``serve_tcp``, ``wait_idle``, ``aclose``, ``state_digests``,
-    ``total_ops``, ``sim_now``, ...), so :class:`ClusterClient` and
-    :class:`BlockingClusterClient` work unchanged against it.
-
-    Introspection calls are control-pipe round-trips to the workers;
-    they are synchronous and intended for test/benchmark checkpoints,
-    not the data path.  The data path does not touch this process at
-    all: a client learns each shard's worker address from the routes in
-    the HELLO reply and talks to the workers directly; a connection to
-    the parent answers HELLO (the routes, a minted client id) and
-    ``Op.ADMIN``, and any shard-routed frame with ``BAD_REQUEST``.
-
-    Durability plumbing: every worker ships acknowledged commits over a
-    dedicated pipe; a per-worker drainer thread appends them to the
-    shard's durable log in :attr:`env` (the parent's own simulated
-    Environment); the supervisor thread restarts dead/hung workers and
-    replays the log.  :attr:`registry` exposes restart counts, heartbeat
-    misses, ship/replay volumes, and handoff durations.
+    Duck-types the :class:`~repro.net.server.KVServer` surface clients,
+    benchmarks and tests use (``serve_tcp``, ``wait_idle``, ``aclose``,
+    ``state_digests``, ``total_ops``, ...); its introspection is
+    synchronous control-pipe round-trips, meant for checkpoints.  A
+    connection to it answers HELLO (routes, a minted client id) and
+    ``Op.ADMIN``, and any shard-routed frame with ``BAD_REQUEST``.  A
+    drainer thread per worker appends shipped commits to the shard's log
+    in :attr:`env`; :attr:`registry` counts restarts, heartbeat misses,
+    ship/replay volumes and handoffs.
     """
+
+    # Supervisor timing in wall-clock seconds, fixed; a test that needs a
+    # faster supervisor overrides these in a subclass.
+    HEARTBEAT_INTERVAL = 0.25  # between ticks
+    HEARTBEAT_TIMEOUT = 5.0  # a ping unanswered this long: hung, killed
+    MAX_CONSECUTIVE_RESTARTS = 5  # inside probation, then sticky DEGRADED
+    RESTART_BACKOFF_BASE = 0.05  # doubled per consecutive restart,
+    RESTART_BACKOFF_MAX = 2.0  # up to this
+    RESTART_PROBATION = 1.0  # a worker alive this long resets the count
+    HANDSHAKE_TIMEOUT = 60.0  # no port by then: the spawn failed
 
     def __init__(self, config: Optional[ServerConfig] = None, **overrides) -> None:
         super().__init__(config, overrides)
         config = self.config
         #: Parent-side observability (supervisor/ship/replay/handoff).
         self.registry = MetricsRegistry()
-        #: (shard_id, time.monotonic()) per completed restart — the
-        #: availability benchmark derives time-to-recover from these.
-        self.restart_events: List[Tuple[int, float]] = []
         #: The parent's own Environment: home of the durable ship logs.
         self.env = repro.Environment(cache_bytes=1 << 20)
         #: Parent-side flight recorder: supervisor events (heartbeat
@@ -380,9 +375,14 @@ class ProcessKVServer(FrameServer):
         self._consecutive_failures = [0] * config.shards
         self._last_restart = [0.0] * config.shards
         self._ctx = multiprocessing.get_context("spawn")
-        self._workers: List[_WorkerHandle] = [
-            self._spawn_worker(i) for i in range(config.shards)
-        ]
+        self._workers: List[_WorkerHandle] = []
+        try:
+            for shard_id in range(config.shards):
+                self._workers.append(self._spawn_worker(shard_id))
+        except ReproError:
+            for worker in self._workers:
+                worker.shutdown()
+            raise
         self._supervisor: Optional[threading.Thread] = None
         if config.supervise:
             self._supervisor = threading.Thread(
@@ -402,15 +402,16 @@ class ProcessKVServer(FrameServer):
         process.start()
         child_conn.close()
         ship_send.close()
-        tag, port = parent_conn.recv()  # startup handshake
-        assert tag == "ready", f"worker {shard_id} bad handshake: {tag}"
-        handle = _WorkerHandle(shard_id, process, parent_conn, port)
+        handle = _WorkerHandle(shard_id, process, parent_conn)
+        # Drained from before the handshake, so the ship pipe of a worker
+        # that dies before it is still read to EOF and closed.
         threading.Thread(
             target=self._drain_ship,
             args=(shard_id, ship_recv, handle.drained),
             name=f"repro-ship{shard_id}",
             daemon=True,
         ).start()
+        handle.handshake(self.HANDSHAKE_TIMEOUT)
         plan = self._kill_plans.get(shard_id)
         if plan is not None:
             handle.call("arm_kill", plan[0], plan[1])
@@ -547,33 +548,24 @@ class ProcessKVServer(FrameServer):
         self._kill_plans.pop(shard_id, None)
 
     def _ping_worker(self, handle: _WorkerHandle) -> bool:
-        """True when the worker answered (or is busy answering someone)."""
-        if not handle.lock.acquire(blocking=False):
-            return True  # a control call is mid-flight: the pipe is live
+        """True when the worker answered (or is busy answering someone:
+        a control call in flight means the pipe is live).
+
+        On a missed deadline a late pong would desynchronize the pipe,
+        but the caller kills the worker for exactly that case.
+        """
         try:
-            if not handle.process.is_alive():
-                return False
-            try:
-                handle.conn.send(("ping",))
-                if handle.conn.poll(self.config.heartbeat_timeout):
-                    handle.conn.recv()
-                    return True
-                # Deadline missed.  A late pong would desynchronize the
-                # pipe, but the caller kills the worker for exactly this
-                # case, so the pipe dies with it.
-                return False
-            except (EOFError, BrokenPipeError, OSError):
-                return False
-        finally:
-            handle.lock.release()
+            handle.call("ping", timeout=self.HEARTBEAT_TIMEOUT, wait=False)
+        except TransientNetError:
+            return False
+        return True
 
     def _supervise(self) -> None:
         """Heartbeat loop: detect death/hang, restart, trip the breaker."""
-        config = self.config
-        probation = max(config.restart_probation, 2 * config.heartbeat_interval)
+        probation = max(self.RESTART_PROBATION, 2 * self.HEARTBEAT_INTERVAL)
         while not self._closed:
-            time.sleep(config.heartbeat_interval)
-            for shard_id in range(config.shards):
+            time.sleep(self.HEARTBEAT_INTERVAL)
+            for shard_id in range(self.config.shards):
                 if self._closed:
                     return
                 if self._shard_states[shard_id] != SHARD_ACTIVE:
@@ -596,7 +588,7 @@ class ProcessKVServer(FrameServer):
                         "supervisor.heartbeat_miss", shard=shard_id
                     )
                     handle.process.kill()
-                    handle.process.join(config.heartbeat_timeout)
+                    handle.process.join(self.HEARTBEAT_TIMEOUT)
                 else:
                     self.recorder.point(
                         "supervisor.worker_death",
@@ -605,14 +597,17 @@ class ProcessKVServer(FrameServer):
                     )
                 try:
                     self._supervised_restart(shard_id)
-                except ReproError:
-                    # Spawn/replay failed; count it and let the next tick
-                    # retry (or trip the breaker).
-                    self._consecutive_failures[shard_id] += 1
+                except ReproError as exc:
+                    # Spawn or replay failed (say, the replacement died
+                    # before its handshake).  The attempt is counted; the
+                    # next tick retries or trips the breaker.
+                    self.recorder.point(
+                        "supervisor.restart_failed", shard=shard_id, error=str(exc)
+                    )
 
     def _supervised_restart(self, shard_id: int) -> None:
         failures = self._consecutive_failures[shard_id]
-        if failures >= self.config.max_consecutive_restarts:
+        if failures >= self.MAX_CONSECUTIVE_RESTARTS:
             # Restart storm: breaker trips into sticky DEGRADED.
             self._shard_states[shard_id] = SHARD_DEGRADED
             self.registry.counter(
@@ -624,8 +619,7 @@ class ProcessKVServer(FrameServer):
             self.recorder.dump(f"breaker-trip:shard{shard_id}")
             return
         delay = min(
-            self.config.restart_backoff_base * (2 ** failures),
-            self.config.restart_backoff_max,
+            self.RESTART_BACKOFF_BASE * (2 ** failures), self.RESTART_BACKOFF_MAX
         )
         time.sleep(delay)
         if self._closed:
@@ -638,9 +632,7 @@ class ProcessKVServer(FrameServer):
         )
         self.recorder.dump(f"worker-restart:shard{shard_id}")
 
-    def _replace_worker(
-        self, shard_id: int, state: str, *, drain: bool, replay: bool = True
-    ) -> None:
+    def _replace_worker(self, shard_id: int, state: str, *, drain: bool) -> None:
         """The one way a worker is replaced: [drain →] stop → respawn →
         replay → publish.
 
@@ -655,38 +647,39 @@ class ProcessKVServer(FrameServer):
         with self._shard_locks[shard_id]:
             previous = self._shard_states[shard_id]
             self._shard_states[shard_id] = state
+            handle = None
             try:
                 old = self._workers[shard_id]
                 if drain and old.alive:
                     try:
-                        old.call("wait_idle", timeout=30.0)  # queued commits
+                        old.run("wait_idle", timeout=30.0)  # queued commits
                     except TransientNetError:
                         pass  # died mid-drain; the ship log still has it all
                 old.shutdown(timeout=5.0)
                 old.drained.wait(timeout=10.0)
                 handle = self._spawn_worker(shard_id)
-                if replay and self.config.ship_log:
+                if self.config.ship_log:
                     self._replay_into(shard_id, handle)
             except BaseException:
+                if handle is not None:  # spawned, but never published
+                    handle.shutdown()
                 self._shard_states[shard_id] = previous
                 raise
             self._workers[shard_id] = handle
             self._shard_states[shard_id] = SHARD_ACTIVE
 
-    def restart_shard(self, shard_id: int, *, replay: bool = True) -> None:
+    def restart_shard(self, shard_id: int) -> None:
         """Replace a (dead or live) worker and restore the shard's state.
 
         The replacement replays the durable ship log (newest snapshot +
         commit records) before it is routed to, so every acknowledged
         write — and the dedup table that keeps retries exactly-once —
-        survives the old process.  ``replay=False`` restores the PR 6
-        start-empty behaviour for tests that want a genuinely fresh
-        shard.  A failure leaves the shard as it was: the breaker counts
-        the miss and the supervisor (or the operator) tries again.
+        survives the old process.  A failure leaves the shard as it was:
+        the breaker counts the miss and the supervisor (or the operator)
+        tries again.
         """
-        self._replace_worker(shard_id, SHARD_RESTARTING, drain=False, replay=replay)
+        self._replace_worker(shard_id, SHARD_RESTARTING, drain=False)
         self.registry.counter("supervisor.restarts", shard=shard_id).inc()
-        self.restart_events.append((shard_id, time.monotonic()))
 
     def resume_shard(self, shard_id: int) -> None:
         """Operator override: clear the restart-storm breaker and bring
@@ -772,30 +765,24 @@ class ProcessKVServer(FrameServer):
     # Introspection (control-pipe round-trips)
     # ------------------------------------------------------------------
     def state_digests(self) -> List[str]:
-        """Per-shard on-storage digests, gathered from the workers."""
-        return [worker.call("digest")[1] for worker in self._workers]
+        """Per-shard on-storage digests, gathered from the idle workers."""
+        for worker in self._workers:
+            worker.run("wait_idle")
+        return [worker.run("state_digests")[0] for worker in self._workers]
 
     def shard_sim_times(self) -> List[float]:
-        return [worker.call("sim_time")[1] for worker in self._workers]
-
-    def sim_now(self) -> float:
-        return max(self.shard_sim_times())
+        return [worker.run("shard_sim_times")[0] for worker in self._workers]
 
     def total_ops(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
         for worker in self._workers:
-            _, ops, _proto = worker.call("totals")
-            for name, value in ops.items():
+            for name, value in worker.run("total_ops").items():
                 totals[name] = totals.get(name, 0) + value
         return totals
 
     def worker_protocol_errors(self) -> int:
         """Bad frames seen by the workers (the CI smoke asserts 0)."""
-        return sum(worker.call("totals")[2] for worker in self._workers)
-
-    def metrics_text(self) -> str:
-        """Cluster-wide exposition (the ``metrics`` admin section)."""
-        return self.admin_text("metrics")
+        return sum(worker.run("protocol_errors") for worker in self._workers)
 
     def _admin_parts(self) -> List[Dict[str, object]]:
         """Per-shard stats parts, gathered over the control pipes.
@@ -809,7 +796,7 @@ class ProcessKVServer(FrameServer):
         parts: List[Dict[str, object]] = []
         for shard_id, worker in enumerate(self._workers):
             try:
-                worker_parts = worker.call("admin", timeout=30.0)[1]
+                worker_parts = worker.run("_admin_parts", timeout=30.0)
             except TransientNetError:
                 worker_parts = [{"shard": shard_id}]
             for part in worker_parts:
@@ -837,7 +824,7 @@ class ProcessKVServer(FrameServer):
         loop = asyncio.get_running_loop()
         for worker in self._workers:
             if worker.alive:
-                await loop.run_in_executor(None, worker.call, "wait_idle")
+                await loop.run_in_executor(None, worker.run, "wait_idle")
 
     async def aclose(self) -> None:
         if self._closed:
@@ -851,16 +838,6 @@ class ProcessKVServer(FrameServer):
         loop = asyncio.get_running_loop()
         for worker in self._workers:
             await loop.run_in_executor(None, worker.shutdown)
-
-    def close(self) -> None:
-        """Synchronous close for callers outside an event loop."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._supervisor is not None:
-            self._supervisor.join(15.0)
-        for worker in self._workers:
-            worker.shutdown()
 
 
 def make_server(config: Optional[ServerConfig] = None, *, serving_mode: str = "loopback", **overrides):

@@ -86,8 +86,6 @@ class ServerConfig:
     group_commit: bool = True
     #: Sync the WAL once per group commit (durable acknowledgements).
     sync_commits: bool = True
-    #: Recently applied write ids remembered per client for dedup.
-    dedup_window: int = 4096
     #: Admission control: maximum write requests a shard may have queued
     #: for group commit before new writes are shed with
     #: ``Status.OVERLOADED`` (0 = unlimited).  Shedding keeps the commit
@@ -106,22 +104,9 @@ class ServerConfig:
     #: the log (0 = never; replay then reproduces byte-identical state).
     snapshot_interval: int = 0
     #: Run the supervisor loop: heartbeat worker processes, auto-restart
-    #: dead/hung ones with replay, trip the restart-storm breaker.
+    #: dead/hung ones with replay, trip the restart-storm breaker (its
+    #: timing is the ``ProcessKVServer`` class constants).
     supervise: bool = True
-    #: Seconds between supervisor ticks (wall clock).
-    heartbeat_interval: float = 0.25
-    #: A worker that does not answer a ping within this deadline is
-    #: declared hung and killed (then restarted like a crash).
-    heartbeat_timeout: float = 5.0
-    #: Consecutive failed restarts before the breaker trips the shard
-    #: into sticky DEGRADED (resume_shard clears it).
-    max_consecutive_restarts: int = 5
-    #: Deterministic capped exponential backoff between auto-restarts.
-    restart_backoff_base: float = 0.05
-    restart_backoff_max: float = 2.0
-    #: A restarted worker alive this long resets the consecutive-failure
-    #: count (distinguishes a crash storm from isolated crashes).
-    restart_probation: float = 1.0
     #: Directory the parent supervisor's flight recorder dumps into on a
     #: supervised restart or breaker trip (None = keep in memory only).
     #: Engine-level dumps are configured separately via
@@ -164,11 +149,14 @@ class ShardStats:
     errors: int = 0
 
 
+#: Recently applied write ids a shard remembers per client for dedup.
+DEDUP_WINDOW = 4096
+
+
 class _DedupTable:
     """Recently applied (client, request) ids, bounded per client."""
 
-    def __init__(self, window: int) -> None:
-        self._window = window
+    def __init__(self) -> None:
         self._applied: Dict[int, Tuple[int, Set[int]]] = {}
 
     def seen(self, client_id: int, request_id: int) -> bool:
@@ -179,7 +167,7 @@ class _DedupTable:
             return True
         # Ids that fell out of the window are conservatively treated as
         # applied: they can only be very old retries.
-        return request_id <= max_id - self._window
+        return request_id <= max_id - DEDUP_WINDOW
 
     def record(self, client_id: int, request_id: int) -> None:
         if client_id == 0:
@@ -187,8 +175,8 @@ class _DedupTable:
         max_id, ids = self._applied.setdefault(client_id, (-1, set()))
         ids.add(request_id)
         new_max = max(max_id, request_id)
-        if len(ids) > 2 * self._window:
-            floor = new_max - self._window
+        if len(ids) > 2 * DEDUP_WINDOW:
+            floor = new_max - DEDUP_WINDOW
             ids = {i for i in ids if i > floor}
         self._applied[client_id] = (new_max, ids)
 
@@ -235,7 +223,7 @@ class Shard:
         self.on_commit: Optional[Callable[[list, List[Tuple[int, int]]], None]] = None
         self._snapshots: Dict[int, object] = {}
         self._next_snapshot_token = 1
-        self._dedup = _DedupTable(config.dedup_window)
+        self._dedup = _DedupTable()
         # Group-commit queue: (ops, client_id, request_id, answer, trace_ctx).
         self._write_queue: List[Tuple[list, int, int, WriteAnswer, object]] = []
 
@@ -354,8 +342,6 @@ class Shard:
         """Load a shipped compact snapshot into a fresh shard (logical
         restore: the key-value state and dedup table are exact, the
         physical sstable layout is not)."""
-        from repro.util.keys import KIND_PUT
-
         if pairs:
             self.db.write_batch(
                 [(KIND_PUT, key, value) for key, value in pairs],
@@ -590,6 +576,14 @@ class FrameServer:
 
     def _serve(self, link: ClientLink, request: Request) -> None:
         raise NotImplementedError
+
+    def metrics_text(self) -> str:
+        """Cluster-wide exposition: the ``metrics`` admin section."""
+        return self.admin_text("metrics")
+
+    def sim_now(self) -> float:
+        """Cluster simulated time: the slowest shard's clock."""
+        return max(self.shard_sim_times())
 
 
 class KVServer(FrameServer):
@@ -849,10 +843,6 @@ class KVServer(FrameServer):
                 sink, component=f"shard{shard.index}"
             )
 
-    def metrics_text(self) -> str:
-        """Cluster-wide exposition: counters summed, gauges maxed."""
-        return self.admin_text("metrics")
-
     def _admin_parts(self) -> List[Dict[str, object]]:
         """One stats part per shard for :func:`aggregate_admin`.
 
@@ -873,10 +863,6 @@ class KVServer(FrameServer):
     def admin_text(self, section: str) -> Optional[str]:
         """One aggregated admin section (``Op.ADMIN``); None if unknown."""
         return aggregate_admin(section, self._admin_parts())
-
-    def sim_now(self) -> float:
-        """Cluster simulated time: the slowest shard's clock."""
-        return max(shard.env.clock.now for shard in self.shards)
 
     def shard_sim_times(self) -> List[float]:
         return [shard.env.clock.now for shard in self.shards]
@@ -905,13 +891,5 @@ class KVServer(FrameServer):
         self._closed = True
         await self._close_connections()
         await self.wait_idle()
-        for shard in self.shards:
-            shard.close()
-
-    def close(self) -> None:
-        """Synchronous close for callers outside an event loop."""
-        if self._closed:
-            return
-        self._closed = True
         for shard in self.shards:
             shard.close()

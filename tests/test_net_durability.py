@@ -22,6 +22,7 @@ sequence under sequential driving).
 """
 
 import asyncio
+import multiprocessing
 import time
 
 import pytest
@@ -31,6 +32,7 @@ from repro.net.errors import (
     RetriesExhaustedError,
     ServerUnavailableError,
     ShardDegradedError,
+    TransientNetError,
 )
 from repro.net.mp import (
     SHARD_ACTIVE,
@@ -52,10 +54,25 @@ def V(i, size=64):
     return value_bytes(i, size)
 
 
+class FastServer(ProcessKVServer):
+    """The process server with a supervisor that ticks fast enough for a
+    test to watch a restart."""
+
+    HEARTBEAT_INTERVAL = 0.05
+    RESTART_BACKOFF_BASE = 0.01
+    RESTART_BACKOFF_MAX = 0.05
+
+
+class HangWatchServer(FastServer):
+    HEARTBEAT_TIMEOUT = 0.3
+
+
+class StormServer(FastServer):
+    MAX_CONSECUTIVE_RESTARTS = 2
+    RESTART_PROBATION = 30.0  # storms never look healthy
+
+
 def config(shards=2, num_keys=400, seed=7, **overrides):
-    overrides.setdefault("heartbeat_interval", 0.05)
-    overrides.setdefault("restart_backoff_base", 0.01)
-    overrides.setdefault("restart_backoff_max", 0.05)
     return ServerConfig(
         shards=shards,
         uniform_keys=num_keys,
@@ -122,14 +139,14 @@ class TestCrashDifferential:
 
         async def main():
             # Uninterrupted run: the reference digests.
-            baseline = ProcessKVServer(config(supervise=False))
+            baseline = FastServer(config(supervise=False))
             base_applied, base_digests = await self._drive(baseline, indices)
             await baseline.aclose()
             assert all(base_applied)
 
             # Same seed, same ops — but shard 0's worker dies at the
             # seeded group-commit boundary and the supervisor restores it.
-            server = ProcessKVServer(config())
+            server = FastServer(config())
             server.arm_worker_kill(0, kill.after_commits, kill.mode)
             crash_applied, crash_digests = await self._drive(server, indices)
             restarts = server.registry.value("supervisor.restarts", shard=0)
@@ -160,7 +177,7 @@ class TestCrashDifferential:
         async def main():
             results = {}
             for mode in ("before_ship", "after_ship"):
-                server = ProcessKVServer(config())
+                server = FastServer(config())
                 server.arm_worker_kill(0, 3, mode)
                 applied, digests = await self._drive(server, list(range(24)))
                 await server.aclose()
@@ -180,7 +197,7 @@ class TestCrashDifferential:
 class TestSupervisor:
     def test_auto_restart_after_kill(self):
         async def main():
-            server = ProcessKVServer(config())
+            server = FastServer(config())
             client = await open_client(server)
             assert await client.put(K(1), b"survives")
             shard = client.router.shard_for(K(1))
@@ -200,7 +217,7 @@ class TestSupervisor:
 
     def test_hang_detection(self):
         async def main():
-            server = ProcessKVServer(config(heartbeat_timeout=0.3))
+            server = HangWatchServer(config())
             client = await open_client(server)
             assert await client.put(K(1), b"survives-hang")
             shard = client.router.shard_for(K(1))
@@ -225,12 +242,7 @@ class TestSupervisor:
 
     def test_restart_storm_trips_breaker_then_resume(self):
         async def main():
-            server = ProcessKVServer(
-                config(
-                    max_consecutive_restarts=2,
-                    restart_probation=30.0,  # storms never look healthy
-                )
-            )
+            server = StormServer(config())
             client = await open_client(server, max_retries=30)
             shard = 0
             keys = shard_keys(server, shard, 10)
@@ -264,6 +276,48 @@ class TestSupervisor:
 
         run(main())
 
+    def test_replacement_dying_before_its_handshake_is_one_failed_attempt(self):
+        """A replacement whose engine cannot open exits before it reports
+        its port.  The supervisor counts each such attempt once, keeps
+        running, and trips the breaker after MAX_CONSECUTIVE_RESTARTS of
+        them; with the cause gone, resume_shard brings the data back."""
+
+        class CountingServer(StormServer):
+            def _spawn_worker(self, shard_id):
+                self.spawns = getattr(self, "spawns", 0) + 1
+                return super()._spawn_worker(shard_id)
+
+        async def main():
+            server = CountingServer(config())
+            try:
+                client = await open_client(server)
+                shard = 0
+                key = K(shard_keys(server, shard, 1)[0])
+                assert await client.put(key, b"in-the-log")
+                spawned = server.spawns
+                # Every worker spawned from here on dies before its handshake.
+                server.config.engine = "no-such-engine"
+                server._workers[shard].process.kill()
+                assert await wait_for(
+                    lambda: server.shard_state(shard) == SHARD_DEGRADED
+                )
+                assert server._supervisor.is_alive()
+                assert server.spawns - spawned == StormServer.MAX_CONSECUTIVE_RESTARTS
+                server.config.engine = "pebblesdb"
+                server.resume_shard(shard)
+                assert server.shard_state(shard) == SHARD_ACTIVE
+                assert await client.get(key) == b"in-the-log"
+                await client.aclose()
+            finally:
+                await server.aclose()
+
+        run(main())
+
+    def test_worker_that_cannot_start_fails_the_constructor_cleanly(self):
+        with pytest.raises(TransientNetError, match="handshake"):
+            FastServer(config(engine="no-such-engine"))
+        assert not multiprocessing.active_children()
+
 
 # ----------------------------------------------------------------------
 # Graceful handoff (rolling restart)
@@ -271,7 +325,7 @@ class TestSupervisor:
 class TestHandoff:
     def test_handoff_under_concurrent_writes(self):
         async def main():
-            server = ProcessKVServer(config())
+            server = FastServer(config())
             client = await open_client(server, max_retries=30)
             indices = list(range(60))
 
@@ -298,7 +352,7 @@ class TestHandoff:
 
     def test_handoff_refused_while_not_active(self):
         async def main():
-            server = ProcessKVServer(config(supervise=False))
+            server = FastServer(config(supervise=False))
             server._shard_states[0] = SHARD_DEGRADED
             with pytest.raises(Exception):
                 server.handoff_shard(0)
@@ -314,7 +368,7 @@ class TestHandoff:
 class TestSnapshots:
     def test_snapshot_truncates_log_and_restores(self):
         async def main():
-            server = ProcessKVServer(
+            server = FastServer(
                 config(shards=1, supervise=False, snapshot_interval=5)
             )
             client = await open_client(server)
@@ -346,7 +400,7 @@ class TestSnapshots:
 class TestShutdownEscalation:
     def test_hung_worker_is_terminated_and_pipe_closed(self):
         async def main():
-            server = ProcessKVServer(config(shards=1, supervise=False))
+            server = FastServer(config(shards=1, supervise=False))
             handle = server._workers[0]
             # The control loop stops reading, so the graceful shutdown
             # message is never seen; shutdown() must escalate.
@@ -368,7 +422,7 @@ class TestShutdownEscalation:
 class TestRetryBudget:
     def test_backoff_is_deterministic_and_capped(self):
         async def main():
-            server = ProcessKVServer(config(shards=1, supervise=False))
+            server = FastServer(config(shards=1, supervise=False))
             a = await open_client(server, retry_budget=1.0)
             b = await open_client(server, retry_budget=1.0)
             delays_a = [a._backoff_delay(5, n) for n in range(6)]
@@ -387,7 +441,7 @@ class TestRetryBudget:
 
     def test_budget_exhaustion_raises_distinct_error(self):
         async def main():
-            server = ProcessKVServer(config(shards=1, supervise=False))
+            server = FastServer(config(shards=1, supervise=False))
             client = await open_client(
                 server, max_retries=50, retry_budget=0.05
             )
@@ -417,7 +471,7 @@ class TestOverloadDuringRestart:
         commit deduplicates on retry instead of double-applying."""
 
         async def main():
-            server = ProcessKVServer(
+            server = FastServer(
                 config(max_write_debt=2, overload_retry_after=0.001)
             )
             try:
@@ -479,7 +533,7 @@ class TestOverloadDuringRestart:
         lands exactly once (all puts applied, none deduplicated)."""
 
         async def main():
-            server = ProcessKVServer(
+            server = FastServer(
                 config(max_write_debt=2, overload_retry_after=0.001)
             )
             try:

@@ -16,7 +16,11 @@ import threading
 import pytest
 
 from repro.net.client import ClusterClient
-from repro.net.errors import ServerUnavailableError, ShardDegradedError
+from repro.net.errors import (
+    ServerUnavailableError,
+    ShardDegradedError,
+    TransientNetError,
+)
 from repro.net.mp import SHARD_ACTIVE, SHARD_DEGRADED, ProcessKVServer, make_server
 from repro.net.protocol import (
     FrameDecoder,
@@ -152,6 +156,25 @@ class TestProcessModeDifferential:
             )
             assert again_digests == proc_digests
             assert again_obs == proc_obs
+
+        run(main())
+
+    def test_clocks_read_through_the_workers_match_loopback(self):
+        async def clocks(server):
+            client = await ClusterClient.open_loopback(server)
+            for i in range(60):
+                assert await client.put(K(i), V(i))
+            await server.wait_idle()
+            seen = (server.shard_sim_times(), server.sim_now())
+            await client.aclose()
+            await server.aclose()
+            return seen
+
+        async def main():
+            times, now = await clocks(KVServer(config(shards=2, seed=21)))
+            assert len(times) == 2 and now == max(times) > 0
+            server = ProcessKVServer(config(shards=2, seed=21, supervise=False))
+            assert await clocks(server) == (times, now)
 
         run(main())
 
@@ -332,6 +355,25 @@ class TestRoutes:
             )
             assert await client.get(K(keys_on(server, shard)[0])) == b"in-the-log"
             await client.aclose()
+            await server.aclose()
+
+        run(main())
+
+    def test_a_failed_replay_stops_the_worker_it_spawned(self):
+        async def main():
+            server = ProcessKVServer(config(shards=2, supervise=False))
+            survivor = server._workers[0].process
+
+            def failing_replay(shard_id, handle):
+                raise TransientNetError("replay failed")
+
+            server._replay_into = failing_replay
+            with pytest.raises(TransientNetError):
+                server.restart_shard(1)
+            # Shard 1's old worker was stopped for the restart and the
+            # replacement never published: only shard 0's worker runs.
+            assert multiprocessing.active_children() == [survivor]
+            assert server.shard_state(1) == SHARD_ACTIVE
             await server.aclose()
 
         run(main())
