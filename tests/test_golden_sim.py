@@ -31,7 +31,13 @@ The scenarios cover what the default-options run cannot see:
 * ``seekflush`` — the seek phase's puts are 2,000 B, so it flushes and
   each flush lets the picker act on the files the seeks exhausted: the
   only scenario where a leveled store's seek trigger fires (recorded from
-  the commit before the compaction pickers became one).
+  the commit before the compaction pickers became one);
+* ``scans`` — long walks in place of the seeks: 40 x (seek + 500 nexts),
+  one full ``scan()``, 10 x (reverse seek + 500 nexts) and one full
+  ``scan_reverse()``, so a forward walk reads many later runs whole and
+  a reverse walk descends through many (recorded from the commit before
+  the engines' scan iterators became one walker).  The full scans are
+  checked against the model.
 
 All 24 pins were re-recorded when reads became the paper's (ISSUE 23), a
 change that meant to move them.  Each edit alone, against the pins before
@@ -63,7 +69,8 @@ Deleting aggressive compaction (FLSM's seek tier became the guard rule
 alone) moved two pins, both ``pebblesdb``, and only the two where the rule
 had fired: ``workers4`` (13 aggressive jobs; clock -0.9 %) and
 ``snapshot`` (one job; digest and MANIFEST only, the clock is identical).
-The other 26 are identical to the last digit.
+The other 26 are identical to the last digit.  The four ``scans`` pins
+make 32.
 
 ``python tests/test_golden_sim.py`` prints the current values.
 """
@@ -93,6 +100,7 @@ SCENARIOS = {
     "fault": {},
     "gets": {},
     "seekflush": {},
+    "scans": {},
 }
 
 #: (scenario, engine) -> (storage digest, MANIFEST sha256, env.clock.now)
@@ -237,6 +245,26 @@ GOLDEN = {
         "1b4f69d0f937d4ce9b1cad7a08ab82dcd32deb9cab6358b1f522910cc8cc99a7",
         0.15103179637298478,
     ),
+    ("scans", "leveldb"): (
+        "470e39da9e2f2c6d3dca131c4dbd603624cda9bc34ee3d263f4534ad233dfb46",
+        "ced5198c8556626a1ab7dcfa34e69e61dfaf1d2dde76551d16861d99794c564e",
+        0.1316162721592607,
+    ),
+    ("scans", "hyperleveldb"): (
+        "83b4605321558d4b69ff59557a065a2212a86993ab01e60cb799765c7f0a4153",
+        "80ced43042d4035f4eeeb8145ff185a894d8f15c2b301c28b76e1e405a045bc8",
+        0.11496673332173761,
+    ),
+    ("scans", "rocksdb"): (
+        "8cac7e6fe04bb8ba804abca8ec7ee865b66baa4f839f89d853af3845cc46d5b5",
+        "7e58614b3e271e2d1031256911988cacc47bfc85432d71f3168f431fa0596a94",
+        0.13153793979824838,
+    ),
+    ("scans", "pebblesdb"): (
+        "43d8a2fd5f714899eba1e848afbafc093405c72898ae0444f91c9518a2ebec04",
+        "0180353526c5d1e58333b2b84474fd234f895cc21e12036098417106133f3746",
+        0.30132213498798244,
+    ),
 }
 
 
@@ -303,6 +331,24 @@ def _run_seeks(db, rng, keys, put_bytes: int) -> int:
     return seen
 
 
+def _run_scans(db, rng, keys, latest) -> int:
+    """40 x (seek + 500 nexts), a full scan, 10 x (reverse seek + 500
+    nexts), a full reverse scan; the full scans match the model."""
+    seen = 0
+    for seek, count in ((db.seek, 40), (db.seek_reverse, 10)):
+        for _ in range(count):
+            with seek(rng.choice(keys)) as it:
+                for _ in range(500):
+                    if not it.valid:
+                        break
+                    seen += len(it.key()) + len(it.value())
+                    it.next()
+    expected = sorted(latest.items())
+    assert list(db.scan()) == expected
+    assert list(db.scan_reverse(None)) == expected[::-1]
+    return seen + len(expected)
+
+
 def run_workload(engine: str, scenario: str = "default"):
     """Seeded fill -> overwrite -> 300 x (seek + 20 nexts) -> reverse seeks
     (``gets``: fill -> overwrite -> deletes -> 2,000 gets)."""
@@ -326,6 +372,8 @@ def run_workload(engine: str, scenario: str = "default"):
     db.wait_idle()
     if scenario == "gets":
         seen, snap = _run_gets(db, rng, keys, first, latest, snap), None
+    elif scenario == "scans":
+        seen = _run_scans(db, rng, keys, latest)
     else:
         seen = _run_seeks(db, rng, keys, 2000 if scenario == "seekflush" else 200)
     if snap is not None:
