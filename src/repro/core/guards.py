@@ -101,12 +101,15 @@ class LevelView(NamedTuple):
     """Immutable picture of one level's guards, as iterators capture it.
 
     ``files[0]`` is the sentinel's file tuple and ``files[i + 1]`` that of
-    the guard keyed ``keys[i]``, so ``bisect_right(keys, user_key)`` is
-    the index of the guard covering ``user_key``.
+    the guard keyed ``keys[i]``.
     """
 
     keys: Tuple[bytes, ...]
     files: Tuple[Tuple[FileMetadata, ...], ...]
+
+    def covering(self, user_key: bytes) -> int:
+        """Index into ``files`` of the guard covering ``user_key``."""
+        return bisect_right(self.keys, user_key)
 
 
 class GuardedLevel:

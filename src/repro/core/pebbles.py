@@ -27,19 +27,17 @@ independently switchable for the ablation study.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.guards import Guard, GuardedLevel, GuardPicker, LevelView
+from repro.core.guards import Guard, GuardedLevel, GuardPicker
 from repro.engines.base import Entry, LSMStoreBase
 from repro.engines.compaction import CompactionContext, CompactionResult
 from repro.engines.options import StoreOptions
 from repro.memtable.memtable import GetResult
 from repro.sim.cpu import CpuCosts
 from repro.sim.storage import IoAccount, SimulatedStorage
-from repro.sstable import merge_entries
-from repro.util.keys import InternalKey, KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
+from repro.util.keys import InternalKey, KIND_DELETE
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_KEY, GUARD_NONE, GUARD_SENTINEL
@@ -287,87 +285,46 @@ class PebblesDBStore(LSMStoreBase):
 
     # ------------------------------------------------------------------
     def _table_iterators(
-        self, start: Optional[bytes], account: IoAccount
+        self, start: Optional[bytes], account: IoAccount, reverse: bool = False
     ) -> List[Iterator[Entry]]:
-        start_key = start if start is not None else b""
-        probe = InternalKey(start_key, MAX_SEQUENCE, KIND_SEEK)
-        iters: List[Iterator[Entry]] = []
-        positioned_tables = 0
-        for meta in self._level0:
-            if meta.largest.user_key < start_key:
-                continue
-            iters.append(self._file_iter(meta, probe, account))
-            positioned_tables += 1
-        self._seek_tables[0] += positioned_tables
-        parallel_level = self._parallel_seek_level()
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            if guarded.size_bytes == 0:
-                continue
-            parallel = (
-                self.options.enable_parallel_seeks and level == parallel_level
-            )
-            iters.append(
-                self._guarded_level_iter(guarded.view(), start_key, probe, account, parallel)
-            )
-            first_guard = guarded.find_guard(start_key)
-            positioned_tables += len(first_guard.files)
-            self._seek_tables[level] += len(first_guard.files)
-            self._touched_guards.append((level, first_guard.key))
-            if len(self._touched_guards) > 128:
-                del self._touched_guards[:-64]
-        if positioned_tables:
-            account.charge(
-                self.cpu.charge(
-                    "iterator_seek",
-                    self.cpu.iterator_seek_per_table * positioned_tables,
-                )
-            )
-        return iters
+        return super()._table_iterators(start, account, reverse)
 
-    def _guarded_level_iter(
+    def _level_runs(self, level: int) -> Tuple[Tuple[FileMetadata, ...], ...]:
+        # The guards as they stand now: compactions meanwhile can neither
+        # hide keys from a walk nor delete files under it (the read pin).
+        guarded = self._guarded[level]
+        return guarded.view().files if guarded.size_bytes else ()
+
+    def _covering_run(
+        self, level: int, runs: Sequence[Sequence[FileMetadata]], key: bytes, reverse: bool
+    ) -> int:
+        # Guards tile the key space: one guard covers ``key`` either way,
+        # and a forward seek opens every file in it.
+        return self._guarded[level].view().covering(key)
+
+    def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
+        if level:
+            touched = self._touched_guards
+            touched.append((level, self._guarded[level].find_guard(key).key))
+            if len(touched) > 128:
+                del touched[:-64]
+
+    def _position_run(
         self,
-        view: LevelView,
-        start_key: bytes,
+        files: Sequence[FileMetadata],
         probe: InternalKey,
         account: IoAccount,
         parallel: bool,
-    ) -> Iterator[Entry]:
-        """Walk ``view`` from the guard covering ``start_key`` rightward.
-
-        The view is the level as it stood at seek time; the caller's read
-        pin keeps every file in it on storage, so later compactions can
-        neither hide keys from this iterator nor delete files under it.
-        """
-        guard_files = view.files
-        first = bisect_right(view.keys, start_key)
-        for idx in range(first, len(guard_files)):
-            files = guard_files[idx]
-            if not files:
-                continue
-            if idx != first:
-                file_iters = [
-                    self._get_reader(f.number, account).iter_all(account)
-                    for f in files
-                ]
-            elif parallel and len(files) > 1:
-                file_iters = self._parallel_position(files, probe, account)
-            else:
-                file_iters = [
-                    self._get_reader(f.number, account).seek(probe, account)
-                    for f in files
-                ]
-            yield from merge_entries(file_iters)
-
-    def _parallel_position(
-        self, files: Sequence[FileMetadata], probe: InternalKey, account: IoAccount
     ) -> List[Iterator[Entry]]:
-        """Position iterators on every file of a guard "in parallel".
+        """In the parallel-seek level, position every file of the guard
+        "in parallel" (paper section 4.2).
 
         Each table's positioning cost is measured on a private account;
         the foreground pays the maximum plus a per-thread dispatch cost
-        instead of the sum (paper section 4.2).
+        instead of the sum.
         """
+        if not parallel or len(files) < 2:
+            return super()._position_run(files, probe, account, parallel)
         out: List[Iterator[Entry]] = []
         switches: List[_SwitchAccount] = []
         costs: List[float] = []
@@ -386,43 +343,6 @@ class PebblesDBStore(LSMStoreBase):
             switch.attach(account)
         return out
 
-    def _table_iterators_reverse(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        bound = start
-        iters: List[Iterator[Entry]] = []
-        for meta in self._level0:
-            if bound is not None and meta.smallest.user_key > bound:
-                continue
-            iters.append(self._file_iter_reverse(meta, bound, account))
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            if guarded.size_bytes == 0:
-                continue
-            iters.append(
-                self._guarded_level_iter_reverse(guarded.view(), bound, account)
-            )
-        return iters
-
-    def _guarded_level_iter_reverse(
-        self, view: LevelView, bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        """Walk guards in descending key order, merging each guard's
-        (mutually overlapping) sstables backward."""
-        guard_files = view.files
-        last = len(view.keys) if bound is None else bisect_right(view.keys, bound)
-        for idx in range(last, -1, -1):
-            files = guard_files[idx]
-            if not files:
-                continue
-            file_iters = [
-                self._get_reader(f.number, account).iter_reverse(
-                    account, max_user_key=bound
-                )
-                for f in files
-            ]
-            yield from merge_entries(file_iters, reverse=True)
-
     def _parallel_seek_level(self) -> int:
         """The level parallel seeks apply to (paper section 4.2).
 
@@ -432,6 +352,8 @@ class PebblesDBStore(LSMStoreBase):
         sit one level above the deepest one, so we pick the deepest level
         holding the largest share of bytes — the same intent.
         """
+        if not self.options.enable_parallel_seeks:
+            return 0
         best_level, best_bytes = 0, 0
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.admin import aggregate_admin, compact_json
 from repro.obs.ledger import IoLedger
@@ -425,6 +425,18 @@ class KeyValueStore(ABC):
         return out
 
 
+def _check_snapshot(snapshot: Optional[Snapshot]) -> None:
+    # Compaction may already have dropped what only this snapshot could
+    # see: a read through it would answer with a state that never existed.
+    if snapshot is not None and snapshot._released:
+        raise InvalidArgumentError("snapshot was released")
+
+
+def _merged(iters: List[Iterator[Entry]], reverse: bool = False) -> Iterator[Entry]:
+    """One run's entries: its files' iterators merged (one needs no heap)."""
+    return iters[0] if len(iters) == 1 else merge_entries(iters, reverse)
+
+
 def _validate_key(key: bytes) -> None:
     if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
         raise InvalidArgumentError(f"keys must be non-empty bytes, got {key!r}")
@@ -637,11 +649,35 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Engine attributes of a ``table.search`` span that found ``key`` at ``level``."""
         return {}
 
+    # What an engine tells the scan path: Level 0, and each deeper level
+    # as key-ordered runs for ``_walk_runs``.
+    @property
     @abstractmethod
-    def _table_iterators(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        """Positioned entry iterators over persistent state."""
+    def _level0(self) -> Sequence[FileMetadata]:
+        """Level 0 newest first: the order its tables are merged in."""
+
+    @abstractmethod
+    def _level_runs(self, level: int) -> Sequence[Sequence[FileMetadata]]:
+        """Level ``level`` (>= 1) as an immutable, key-ordered sequence of
+        runs — the files of one run may overlap, two runs never do — or
+        empty when the level holds no data."""
+
+    @abstractmethod
+    def _covering_run(
+        self, level: int, runs: Sequence[Sequence[FileMetadata]], key: bytes, reverse: bool
+    ) -> int:
+        """Index into ``runs`` (just taken from :meth:`_level_runs`) of the
+        run a walk from ``key`` starts in: ``len(runs)`` when a forward
+        walk has nothing to read, -1 when a reverse one has nothing."""
+
+    def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
+        """Bookkeeping for the files a forward seek from ``key`` positions
+        at ``level``: each Level-0 file, one run per deeper level."""
+
+    def _parallel_seek_level(self) -> int:
+        """The level whose run a forward seek positions in parallel
+        (paper section 4.2); 0 means none."""
+        return 0
 
     @abstractmethod
     def _recover_file(self, level: int, meta: FileMetadata, marker: int, guard_key: bytes) -> None:
@@ -732,6 +768,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     def get(self, key: bytes, snapshot: Optional[Snapshot] = None) -> Optional[bytes]:
         self._check_open()
         _validate_key(key)
+        _check_snapshot(snapshot)
         self.executor.drain()
         self._op_gets.value += 1
         trc = self.tracer
@@ -779,46 +816,46 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 span.end()
 
     def seek(self, key: bytes, snapshot: Optional[Snapshot] = None) -> DBIterator:
-        self._check_open()
-        _validate_key(key)
-        self.executor.drain()
-        self._op_seeks.value += 1
-        self._note_seek()
-        gen = self._visible_entries(key, snapshot)
+        return self._seek(key, snapshot, reverse=False)
 
-        def on_next() -> None:
-            self._op_next_calls.value += 1
-
-        return DBIterator(gen, on_next=on_next)
+    def seek_reverse(self, key: bytes, snapshot: Optional[Snapshot] = None) -> DBIterator:
+        """Iterator over keys <= ``key``, walking backward."""
+        return self._seek(key, snapshot, reverse=True)
 
     def scan(
         self, start: Optional[bytes] = None, snapshot: Optional[Snapshot] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
         """Generator over all visible pairs from ``start`` onward."""
-        self._check_open()
-        self.executor.drain()
-        return self._visible_entries(start if start is not None else b"", snapshot)
-
-    def seek_reverse(self, key: bytes, snapshot: Optional[Snapshot] = None) -> DBIterator:
-        """Iterator over keys <= ``key``, walking backward."""
-        self._check_open()
-        _validate_key(key)
-        self.executor.drain()
-        self._op_seeks.value += 1
-        gen = self._visible_entries_reverse(key, snapshot)
-
-        def on_next() -> None:
-            self._op_next_calls.value += 1
-
-        return DBIterator(gen, on_next=on_next)
+        return self._scan(start, snapshot, reverse=False)
 
     def scan_reverse(
         self, start: Optional[bytes] = None, snapshot: Optional[Snapshot] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
-        """All visible pairs with key <= ``start``, descending."""
+        """All visible pairs with key <= ``start`` (None: all), descending."""
+        return self._scan(start, snapshot, reverse=True)
+
+    def _seek(self, key: bytes, snapshot: Optional[Snapshot], reverse: bool) -> DBIterator:
         self._check_open()
+        _validate_key(key)
+        _check_snapshot(snapshot)
         self.executor.drain()
-        return self._visible_entries_reverse(start, snapshot)
+        self._op_seeks.value += 1
+        if not reverse:  # a reverse seek does not feed the seek trigger
+            self._note_seek()
+        return DBIterator(
+            self._visible_entries(key, snapshot, reverse), on_next=self._count_next
+        )
+
+    def _scan(
+        self, start: Optional[bytes], snapshot: Optional[Snapshot], reverse: bool
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        self._check_open()
+        _check_snapshot(snapshot)
+        self.executor.drain()
+        return self._visible_entries(start, snapshot, reverse)
+
+    def _count_next(self) -> None:
+        self._op_next_calls.value += 1
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -1710,19 +1747,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             cache.popitem(last=False)
         return reader
 
-    def _file_iter(
-        self, meta: FileMetadata, probe: InternalKey, account: IoAccount
-    ) -> Iterator[Entry]:
-        """One table from ``probe`` onward; opened when first advanced."""
-        yield from self._get_reader(meta.number, account).seek(probe, account)
-
-    def _file_iter_reverse(
-        self, meta: FileMetadata, bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        """One table backward from ``bound``; opened when first advanced."""
-        reader = self._get_reader(meta.number, account)
-        yield from reader.iter_reverse(account, max_user_key=bound)
-
     def _pin_reads(self) -> int:
         """Keep every sstable and value-log segment that is live now on
         storage until unpinned.
@@ -1880,77 +1904,144 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         return bytes(value)
 
     def _visible_entries(
-        self, start: bytes, snap: Optional[Snapshot] = None
+        self, start: Optional[bytes], snap: Optional[Snapshot], reverse: bool
     ) -> Iterator[Tuple[bytes, bytes]]:
-        """Newest visible version of each user key from ``start`` onward."""
-        acct = self._user_acct
-        snapshot = snap.sequence if snap is not None else self._last_sequence
-        pin = self._pin_reads()
-        try:
-            iters: List[Iterator[Entry]] = [self._mem.seek(start)]
-            iters.extend(imm.seek(start) for imm, _ in self._imm)
-            iters.extend(self._table_iterators(start, acct))
-            merged = merging_iterator(iters, cpu=self.cpu, account=acct)
-            prev: Optional[bytes] = None
-            for key, value in merged:
-                if key.sequence > snapshot:
-                    continue
-                if key.user_key == prev:
-                    continue
-                prev = key.user_key
-                if key.kind == KIND_DELETE:
-                    continue
-                yield key.user_key, self._resolve_value(value, key.kind, acct)
-        finally:
-            self._unpin_reads(pin)
+        """Newest visible version of each user key: from ``start`` onward,
+        or when ``reverse`` descending from ``start`` (None: the top).
 
-    def _visible_entries_reverse(
-        self, start: Optional[bytes], snap: Optional[Snapshot] = None
-    ) -> Iterator[Tuple[bytes, bytes]]:
-        """Newest visible version per user key, user keys descending.
-
-        The merged stream is in *descending internal-key order*, so for
-        one user key the versions arrive oldest first; the newest visible
-        one is decided when the user key changes.
+        A reverse merge is in descending internal-key order, so the
+        versions of one user key arrive oldest first: the newest visible
+        one is held until the user key changes.
         """
         acct = self._user_acct
         snapshot = snap.sequence if snap is not None else self._last_sequence
         pin = self._pin_reads()
         try:
-            iters: List[Iterator[Entry]] = [self._mem.reverse_iter(start)]
-            iters.extend(imm.reverse_iter(start) for imm, _ in self._imm)
-            iters.extend(self._table_iterators_reverse(start, acct))
-            merged = merge_entries(iters, reverse=True)
-            current_key: Optional[bytes] = None
-            candidate: Optional[Entry] = None
-
-            def emit(entry: Optional[Entry]):
-                if entry is None or entry[0].kind == KIND_DELETE:
-                    return None
-                return entry[0].user_key, self._resolve_value(entry[1], entry[0].kind, acct)
-
+            if not reverse and start is None:
+                start = b""
+            mems = [self._mem, *(imm for imm, _ in self._imm)]
+            iters: List[Iterator[Entry]] = [
+                mem.reverse_iter(start) if reverse else mem.seek(start) for mem in mems
+            ]
+            iters.extend(self._table_iterators(start, acct, reverse))
+            merged = merging_iterator(iters, cpu=self.cpu, account=acct, reverse=reverse)
+            prev: Optional[bytes] = None
+            held: Optional[Entry] = None
             for key, value in merged:
-                acct.charge(self.cpu.charge("iterator_step", self.cpu.iterator_step))
                 if key.sequence > snapshot:
                     continue
-                if key.user_key != current_key:
-                    out = emit(candidate)
-                    if out is not None:
-                        yield out
-                    current_key = key.user_key
-                # Ascending sequence within the key: a later entry is newer.
-                candidate = (key, value)
-            out = emit(candidate)
-            if out is not None:
-                yield out
+                if key.user_key == prev:
+                    if reverse:  # ascending sequence: a later entry is newer
+                        held = key, value
+                    continue
+                prev = key.user_key
+                if reverse:
+                    held, entry = (key, value), held
+                    if entry is None:
+                        continue
+                    key, value = entry
+                if key.kind != KIND_DELETE:
+                    yield key.user_key, self._resolve_value(value, key.kind, acct)
+            if held is not None and held[0].kind != KIND_DELETE:
+                key, value = held
+                yield key.user_key, self._resolve_value(value, key.kind, acct)
         finally:
             self._unpin_reads(pin)
 
-    def _table_iterators_reverse(
-        self, start: Optional[bytes], account: IoAccount
+    def _table_iterators(
+        self, start: Optional[bytes], account: IoAccount, reverse: bool = False
     ) -> List[Iterator[Entry]]:
-        """Descending-order entry iterators over persistent state."""
-        raise NotImplementedError(f"{type(self).__name__} cannot iterate backward")
+        """One walk per Level-0 file that may hold keys past ``start`` in
+        the walk's direction, then one per deeper level with data there.
+
+        A forward seek charges ``iterator_seek`` once for every table it
+        positions — the Level-0 files and each level's covering run — and
+        reports them to :meth:`_note_positioned`; a reverse one does
+        neither.
+        """
+        walk = self._walk_runs
+        if reverse:
+            level0 = [m for m in self._level0 if start is None or m.smallest.user_key <= start]
+        else:
+            level0 = [m for m in self._level0 if m.largest.user_key >= start]
+        iters = [walk(((meta,),), 0, start, account, reverse=reverse) for meta in level0]
+        landed = [(0, (meta,)) for meta in level0]
+        parallel_level = self._parallel_seek_level()
+        for level in range(1, self.options.num_levels):
+            runs = self._level_runs(level)
+            if not runs:
+                continue
+            if start is None:  # an unbounded reverse walk
+                first = len(runs) - 1
+            else:
+                first = self._covering_run(level, runs, start, reverse)
+            if 0 <= first < len(runs):
+                landed.append((level, runs[first]))
+                parallel = level == parallel_level
+                iters.append(walk(runs, first, start, account, reverse=reverse, parallel=parallel))
+        if not reverse:
+            positioned = 0
+            for level, files in landed:
+                self._note_positioned(level, start, files)
+                self._seek_tables[level] += len(files)
+                positioned += len(files)
+            if positioned:
+                account.charge(
+                    self.cpu.charge(
+                        "iterator_seek", self.cpu.iterator_seek_per_table * positioned
+                    )
+                )
+        return iters
+
+    def _walk_runs(
+        self,
+        runs: Sequence[Sequence[FileMetadata]],
+        first: int,
+        key: Optional[bytes],
+        account: IoAccount,
+        *,
+        reverse: bool = False,
+        parallel: bool = False,
+    ) -> Iterator[Entry]:
+        """Entries of a key-ordered sequence of runs, from run ``first``;
+        a run's readers open when the walk reaches it.
+
+        Forward, run ``first`` is positioned at ``key`` and every later
+        run is read whole; reverse, runs ``first`` down to 0 are read
+        backward from ``key`` (None: unbounded).  The files of one run are
+        merged.  The caller holds a read pin, so compactions meanwhile
+        neither hide keys from the walk nor delete its files.
+        """
+        get_reader = self._get_reader
+        if reverse:
+            order = range(first, -1, -1)
+        else:
+            order = range(first, len(runs))
+            probe = InternalKey(key, MAX_SEQUENCE, KIND_SEEK)
+        for idx in order:
+            files = runs[idx]
+            if reverse:
+                iters = [
+                    get_reader(f.number, account).iter_reverse(account, max_user_key=key)
+                    for f in files
+                ]
+            elif idx == first:
+                iters = self._position_run(files, probe, account, parallel)
+            else:
+                iters = [get_reader(f.number, account).iter_all(account) for f in files]
+            if iters:
+                yield from _merged(iters, reverse)
+
+    def _position_run(
+        self,
+        files: Sequence[FileMetadata],
+        probe: InternalKey,
+        account: IoAccount,
+        parallel: bool,
+    ) -> List[Iterator[Entry]]:
+        """Iterators over the files of the run a forward walk starts in,
+        each from ``probe`` on; ``parallel`` is for an engine to honour."""
+        return [self._get_reader(f.number, account).seek(probe, account) for f in files]
 
     def _note_seek(self) -> None:
         """Hook for seek-triggered compaction policies."""

@@ -16,13 +16,11 @@ nearly free for LSM but not for FLSM (paper section 4.5).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from bisect import bisect_left, bisect_right, insort
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.engines.base import Entry, LSMStoreBase
+from repro.engines.base import LSMStoreBase
 from repro.engines.compaction import CompactionContext, CompactionResult
-from repro.sim.storage import IoAccount
-from repro.util.keys import InternalKey, KIND_SEEK, MAX_SEQUENCE
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_NONE
@@ -145,6 +143,10 @@ class LeveledLSMStore(LSMStoreBase):
     # ==================================================================
     # Reads
     # ==================================================================
+    @property
+    def _level0(self) -> List[FileMetadata]:
+        return self._levels[0]
+
     def _level_candidates(self, level: int, key: bytes):
         files = self._levels[level]
         if not files:
@@ -153,101 +155,27 @@ class LeveledLSMStore(LSMStoreBase):
             return files
         # Deeper levels are disjoint: the first file ending at or after
         # ``key`` is the single one that may contain it.
-        idx = self._file_index_for(files, key)
+        idx = bisect_left(files, key, key=lambda f: f.largest.user_key)
         return files[idx : idx + 1]
 
-    def _table_iterators(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        start_key = start if start is not None else b""
-        probe = InternalKey(start_key, MAX_SEQUENCE, KIND_SEEK)
-        iters: List[Iterator[Entry]] = []
-        touched: List[FileMetadata] = []
-        for meta in list(self._levels[0]):
-            if meta.largest.user_key < start_key:
-                continue
-            touched.append(meta)
-            self._seek_tables[0] += 1
-            iters.append(self._file_iter(meta, probe, account))
-        for level in range(1, len(self._levels)):
-            files = list(self._levels[level])
-            if not files:
-                continue
-            idx = self._file_index_for(files, start_key)
-            if idx >= len(files):
-                continue
-            touched.append(files[idx])
-            self._seek_tables[level] += 1
-            iters.append(self._level_iter(files, idx, probe, account))
-        self._charge_seek_costs(touched, account)
-        return iters
+    def _level_runs(self, level: int) -> Tuple[Tuple[FileMetadata], ...]:
+        return tuple(zip(self._levels[level]))  # one run per file: (f,)
 
-    def _charge_seek_costs(self, metas: List[FileMetadata], account: IoAccount) -> None:
-        if metas:
-            account.charge(
-                self.cpu.charge(
-                    "iterator_seek",
-                    self.cpu.iterator_seek_per_table * len(metas),
-                )
-            )
-        for meta in metas:
+    def _covering_run(
+        self, level: int, runs: Sequence[Tuple[FileMetadata]], key: bytes, reverse: bool
+    ) -> int:
+        # One file per run, and a key may fall between two files: forward
+        # it is covered by the first file ending at or after it, in reverse
+        # by the last file starting at or before it.
+        if reverse:
+            return bisect_right(runs, key, key=lambda run: run[0].smallest.user_key) - 1
+        return bisect_left(runs, key, key=lambda run: run[0].largest.user_key)
+
+    def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
+        for meta in files:
             meta.allowed_seeks -= 1
             if meta.allowed_seeks == 0:
-                level = self._level_of(meta.number)
-                if level is not None:
-                    self._seek_overflow.append((level, meta))
-
-    @staticmethod
-    def _file_index_for(files: List[FileMetadata], key: bytes) -> int:
-        lo, hi = 0, len(files)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if files[mid].largest.user_key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _level_iter(
-        self,
-        files: List[FileMetadata],
-        idx: int,
-        probe: InternalKey,
-        account: IoAccount,
-    ) -> Iterator[Entry]:
-        first = True
-        for meta in files[idx:]:
-            reader = self._get_reader(meta.number, account)
-            if first:
-                yield from reader.seek(probe, account)
-                first = False
-            else:
-                yield from reader.iter_all(account)
-
-    def _table_iterators_reverse(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        bound = start  # None = unbounded
-        iters: List[Iterator[Entry]] = []
-        for meta in list(self._levels[0]):
-            if bound is not None and meta.smallest.user_key > bound:
-                continue
-            iters.append(self._file_iter_reverse(meta, bound, account))
-        for level in range(1, len(self._levels)):
-            files = list(self._levels[level])
-            if not files:
-                continue
-            iters.append(self._level_iter_reverse(files, bound, account))
-        return iters
-
-    def _level_iter_reverse(
-        self, files: List[FileMetadata], bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        for meta in reversed(files):
-            if bound is not None and meta.smallest.user_key > bound:
-                continue
-            reader = self._get_reader(meta.number, account)
-            yield from reader.iter_reverse(account, max_user_key=bound)
+                self._seek_overflow.append((level, meta))
 
     # ==================================================================
     # Compaction: pick, compute, install (the lifecycle between them is

@@ -45,13 +45,15 @@ def merging_iterator(
     *,
     cpu: Optional[CpuCosts] = None,
     account: Optional[IoAccount] = None,
+    reverse: bool = False,
 ) -> Iterator[Entry]:
-    """Merge ordered entry streams into one ordered stream.
+    """Merge ordered entry streams (all descending when ``reverse``) into
+    one ordered stream.
 
     When ``cpu``/``account`` are given, each step charges the
     merging-iterator CPU cost.
     """
-    merged = merge_entries(iterators)
+    merged = merge_entries(iterators, reverse)
     if cpu is None or account is None:
         yield from merged
         return

@@ -180,12 +180,81 @@ class TestLevelIteratorDifferential:
 
         probe = InternalKey(start, MAX_SEQUENCE, KIND_SEEK)
         for parallel in (False, True):
-            forward = db._guarded_level_iter(level.view(), start, probe, acct, parallel)
+            forward = db._walk_runs(
+                level.view().files, level.view().covering(start), start, acct, parallel=parallel
+            )
             assert flat(forward) == flat(e for e in everything if e[0].user_key >= start)
 
-        backward = db._guarded_level_iter_reverse(level.view(), start, acct)
+        backward = db._walk_runs(
+            level.view().files, level.view().covering(start), start, acct, reverse=True
+        )
         assert flat(backward) == flat(
             e for e in reversed(everything) if e[0].user_key <= start
         )
-        unbounded = db._guarded_level_iter_reverse(level.view(), None, acct)
+        unbounded = db._walk_runs(
+            level.view().files, len(level.view().files) - 1, None, acct, reverse=True
+        )
         assert flat(unbounded) == flat(reversed(everything))
+
+
+@st.composite
+def _leveled_layouts(draw):
+    """Disjoint files in key order — some keys fall between two files —
+    each holding one or two versions of every key it has."""
+    cuts = sorted(draw(st.sets(st.integers(1, len(_USER_KEYS) - 1), max_size=8)))
+    sequence = 0
+    files = []
+    for lo, hi in zip([0] + cuts, cuts + [len(_USER_KEYS)]):
+        picked = sorted(draw(st.sets(st.sampled_from(_USER_KEYS[lo:hi]))))
+        if not picked:
+            continue
+        entries = []
+        for user_key in picked:
+            for _ in range(draw(st.integers(1, 2))):
+                sequence += 1
+                entries.append((user_key, sequence))
+        files.append(entries)
+    return files
+
+
+#: Walk bounds: every stored key, one just past each, and both ends.
+_BOUNDS = [b""] + sorted(_USER_KEYS + [k + b"~" for k in _USER_KEYS]) + [b"zz"]
+
+
+class TestLeveledWalkDifferential:
+    """The run walker over a leveled level: one file per run."""
+
+    @given(
+        files=_leveled_layouts(),
+        start=st.sampled_from(_BOUNDS),
+        bound=st.sampled_from(_BOUNDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_forward_and_reverse_match_brute_force(self, files, start, bound):
+        env = repro.Environment(cache_bytes=1 << 20)
+        db = make_store("leveldb", env)
+        level, everything = _build_level(db, [], [files])
+        metas = sorted(level.all_files(), key=lambda meta: meta.smallest)
+        runs = tuple(zip(metas))
+        acct = db.storage.foreground_account("test")
+        flat = lambda entries: [(k.user_key, k.sequence, bytes(v)) for k, v in entries]
+
+        db._table_cache.clear()
+        forward = db._walk_runs(runs, db._covering_run(1, runs, start, False), start, acct)
+        assert flat(forward) == flat(e for e in everything if e[0].user_key >= start)
+        # Only files ending at or after ``start`` were opened.
+        assert sorted(db._table_cache) == [
+            meta.number for meta in metas if meta.largest.user_key >= start
+        ]
+
+        db._table_cache.clear()
+        backward = db._walk_runs(
+            runs, db._covering_run(1, runs, bound, True), bound, acct, reverse=True
+        )
+        assert flat(backward) == flat(
+            e for e in reversed(everything) if e[0].user_key <= bound
+        )
+        # Only files starting at or before ``bound`` were opened.
+        assert sorted(db._table_cache) == [
+            meta.number for meta in metas if meta.smallest.user_key <= bound
+        ]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import repro
+from repro.errors import InvalidArgumentError
 from tests.conftest import LSM_ENGINES, make_store
 
 
@@ -104,6 +105,30 @@ class TestSnapshotVsCompaction:
         db.force_full_compaction()
         assert sum(db.level_sizes()) < pinned
         assert list(db.scan()) == []
+
+    @pytest.mark.parametrize("engine", LSM_ENGINES)
+    def test_reads_through_a_released_snapshot_raise(self, engine, env):
+        """Compaction may drop what only a released snapshot could see, so
+        a read through it would answer with a state that never existed."""
+        db = make_store(engine, env)
+        db.put(b"k", b"v1")
+        snap = db.get_snapshot()
+        db.put(b"k", b"v2")
+        db.release_snapshot(snap)
+        for i in range(2000):
+            db.put(b"f%05d" % i, b"x" * 100)
+        db.compact_all()
+        reads = (
+            lambda: db.get(b"k", snap),
+            lambda: db.seek(b"k", snap),
+            lambda: db.seek_reverse(b"k", snap),
+            lambda: db.scan(b"k", snap),
+            lambda: db.scan_reverse(b"k", snap),
+        )
+        for read in reads:
+            with pytest.raises(InvalidArgumentError, match="released"):
+                read()
+        assert db.get(b"k") == b"v2"
 
     def test_double_release_harmless(self, env):
         db = make_store("pebblesdb", env)
