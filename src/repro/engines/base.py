@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.obs.admin import aggregate_admin, compact_json
 from repro.obs.ledger import IoLedger
@@ -1935,7 +1935,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                         held = key, value
                     continue
                 prev = key.user_key
-                if reverse:
+                if reverse:  # the previous user key's newest version is known
                     held, entry = (key, value), held
                     if entry is None:
                         continue
@@ -1962,9 +1962,11 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         walk = self._walk_runs
         if reverse:
             level0 = [m for m in self._level0 if start is None or m.smallest.user_key <= start]
+            key = start
         else:
             level0 = [m for m in self._level0 if m.largest.user_key >= start]
-        iters = [walk(((meta,),), 0, start, account, reverse=reverse) for meta in level0]
+            key = InternalKey(start, MAX_SEQUENCE, KIND_SEEK)
+        iters = [walk(((meta,),), 0, key, account, reverse=reverse) for meta in level0]
         landed = [(0, (meta,)) for meta in level0]
         parallel_level = self._parallel_seek_level()
         for level in range(1, self.options.num_levels):
@@ -1978,7 +1980,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             if 0 <= first < len(runs):
                 landed.append((level, runs[first]))
                 parallel = level == parallel_level
-                iters.append(walk(runs, first, start, account, reverse=reverse, parallel=parallel))
+                iters.append(walk(runs, first, key, account, reverse=reverse, parallel=parallel))
         if not reverse:
             positioned = 0
             for level, files in landed:
@@ -1997,7 +1999,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self,
         runs: Sequence[Sequence[FileMetadata]],
         first: int,
-        key: Optional[bytes],
+        key: Union[InternalKey, bytes, None],
         account: IoAccount,
         *,
         reverse: bool = False,
@@ -2006,18 +2008,15 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Entries of a key-ordered sequence of runs, from run ``first``;
         a run's readers open when the walk reaches it.
 
-        Forward, run ``first`` is positioned at ``key`` and every later
-        run is read whole; reverse, runs ``first`` down to 0 are read
-        backward from ``key`` (None: unbounded).  The files of one run are
-        merged.  The caller holds a read pin, so compactions meanwhile
-        neither hide keys from the walk nor delete its files.
+        Forward, run ``first`` is positioned at the internal key ``key``
+        and every later run is read whole; reverse, runs ``first`` down
+        to 0 are read backward from the user key ``key`` (None:
+        unbounded).  The files of one run are merged.  The caller holds a
+        read pin, so compactions meanwhile neither hide keys from the
+        walk nor delete its files.
         """
         get_reader = self._get_reader
-        if reverse:
-            order = range(first, -1, -1)
-        else:
-            order = range(first, len(runs))
-            probe = InternalKey(key, MAX_SEQUENCE, KIND_SEEK)
+        order = range(first, -1, -1) if reverse else range(first, len(runs))
         for idx in order:
             files = runs[idx]
             if reverse:
@@ -2026,7 +2025,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     for f in files
                 ]
             elif idx == first:
-                iters = self._position_run(files, probe, account, parallel)
+                iters = self._position_run(files, key, account, parallel)
             else:
                 iters = [get_reader(f.number, account).iter_all(account) for f in files]
             if iters:

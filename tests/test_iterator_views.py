@@ -181,7 +181,7 @@ class TestLevelIteratorDifferential:
         probe = InternalKey(start, MAX_SEQUENCE, KIND_SEEK)
         for parallel in (False, True):
             forward = db._walk_runs(
-                level.view().files, level.view().covering(start), start, acct, parallel=parallel
+                level.view().files, level.view().covering(start), probe, acct, parallel=parallel
             )
             assert flat(forward) == flat(e for e in everything if e[0].user_key >= start)
 
@@ -240,7 +240,8 @@ class TestLeveledWalkDifferential:
         flat = lambda entries: [(k.user_key, k.sequence, bytes(v)) for k, v in entries]
 
         db._table_cache.clear()
-        forward = db._walk_runs(runs, db._covering_run(1, runs, start, False), start, acct)
+        probe = InternalKey(start, MAX_SEQUENCE, KIND_SEEK)
+        forward = db._walk_runs(runs, db._covering_run(1, runs, start, False), probe, acct)
         assert flat(forward) == flat(e for e in everything if e[0].user_key >= start)
         # Only files ending at or after ``start`` were opened.
         assert sorted(db._table_cache) == [
