@@ -356,9 +356,9 @@ class PebblesDBStore(LSMStoreBase):
             return 0
         best_level, best_bytes = 0, 0
         for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            if guarded.size_bytes >= best_bytes and guarded.size_bytes > 0:
-                best_level, best_bytes = level, guarded.size_bytes
+            size = self._guarded[level].size_bytes
+            if size and size >= best_bytes:
+                best_level, best_bytes = level, size
         return best_level
 
     # ------------------------------------------------------------------

@@ -816,23 +816,23 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 span.end()
 
     def seek(self, key: bytes, snapshot: Optional[Snapshot] = None) -> DBIterator:
-        return self._seek(key, snapshot, reverse=False)
+        return self._seek(key, snapshot, False)
 
     def seek_reverse(self, key: bytes, snapshot: Optional[Snapshot] = None) -> DBIterator:
         """Iterator over keys <= ``key``, walking backward."""
-        return self._seek(key, snapshot, reverse=True)
+        return self._seek(key, snapshot, True)
 
     def scan(
         self, start: Optional[bytes] = None, snapshot: Optional[Snapshot] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
         """Generator over all visible pairs from ``start`` onward."""
-        return self._scan(start, snapshot, reverse=False)
+        return self._scan(start, snapshot, False)
 
     def scan_reverse(
         self, start: Optional[bytes] = None, snapshot: Optional[Snapshot] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
         """All visible pairs with key <= ``start`` (None: all), descending."""
-        return self._scan(start, snapshot, reverse=True)
+        return self._scan(start, snapshot, True)
 
     def _seek(self, key: bytes, snapshot: Optional[Snapshot], reverse: bool) -> DBIterator:
         self._check_open()
@@ -1966,8 +1966,13 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         else:
             level0 = [m for m in self._level0 if m.largest.user_key >= start]
             key = InternalKey(start, MAX_SEQUENCE, KIND_SEEK)
-        iters = [walk(((meta,),), 0, key, account, reverse=reverse) for meta in level0]
-        landed = [(0, (meta,)) for meta in level0]
+        iters = [walk(((meta,),), 0, key, account, reverse) for meta in level0]
+        seek_tables = self._seek_tables
+        positioned = len(level0)
+        if not reverse:
+            for meta in level0:
+                self._note_positioned(0, start, (meta,))
+            seek_tables[0] += positioned
         parallel_level = self._parallel_seek_level()
         for level in range(1, self.options.num_levels):
             runs = self._level_runs(level)
@@ -1977,22 +1982,20 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 first = len(runs) - 1
             else:
                 first = self._covering_run(level, runs, start, reverse)
-            if 0 <= first < len(runs):
-                landed.append((level, runs[first]))
-                parallel = level == parallel_level
-                iters.append(walk(runs, first, key, account, reverse=reverse, parallel=parallel))
-        if not reverse:
-            positioned = 0
-            for level, files in landed:
+            if first < 0 or first == len(runs):
+                continue
+            iters.append(walk(runs, first, key, account, reverse, level == parallel_level))
+            if not reverse:
+                files = runs[first]
                 self._note_positioned(level, start, files)
-                self._seek_tables[level] += len(files)
+                seek_tables[level] += len(files)
                 positioned += len(files)
-            if positioned:
-                account.charge(
-                    self.cpu.charge(
-                        "iterator_seek", self.cpu.iterator_seek_per_table * positioned
-                    )
+        if positioned and not reverse:
+            account.charge(
+                self.cpu.charge(
+                    "iterator_seek", self.cpu.iterator_seek_per_table * positioned
                 )
+            )
         return iters
 
     def _walk_runs(
@@ -2001,7 +2004,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         first: int,
         key: Union[InternalKey, bytes, None],
         account: IoAccount,
-        *,
         reverse: bool = False,
         parallel: bool = False,
     ) -> Iterator[Entry]:
