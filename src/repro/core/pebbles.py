@@ -289,18 +289,16 @@ class PebblesDBStore(LSMStoreBase):
     ) -> List[Iterator[Entry]]:
         return super()._table_iterators(start, account, reverse)
 
-    def _level_runs(self, level: int) -> Tuple[Tuple[FileMetadata, ...], ...]:
-        # The guards as they stand now: compactions meanwhile can neither
-        # hide keys from a walk nor delete files under it (the read pin).
+    def _level_runs(
+        self, level: int, key: Optional[bytes], reverse: bool
+    ) -> Tuple[Tuple[Tuple[FileMetadata, ...], ...], int]:
+        # A run is a guard.  Guards tile the key space, so one guard covers
+        # ``key`` either way, and a forward seek positions every file in it.
         guarded = self._guarded[level]
-        return guarded.view().files if guarded.size_bytes else ()
-
-    def _covering_run(
-        self, level: int, runs: Sequence[Sequence[FileMetadata]], key: bytes, reverse: bool
-    ) -> int:
-        # Guards tile the key space: one guard covers ``key`` either way,
-        # and a forward seek opens every file in it.
-        return self._guarded[level].view().covering(key)
+        if not guarded.size_bytes:
+            return (), 0
+        view = guarded.view()
+        return view.files, len(view.keys) if key is None else view.covering(key)
 
     def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
         if level:
@@ -309,22 +307,15 @@ class PebblesDBStore(LSMStoreBase):
             if len(touched) > 128:
                 del touched[:-64]
 
-    def _position_run(
-        self,
-        files: Sequence[FileMetadata],
-        probe: InternalKey,
-        account: IoAccount,
-        parallel: bool,
+    def _position_parallel(
+        self, files: Sequence[FileMetadata], probe: InternalKey, account: IoAccount
     ) -> List[Iterator[Entry]]:
-        """In the parallel-seek level, position every file of the guard
-        "in parallel" (paper section 4.2).
+        """Position every file of a guard "in parallel" (paper section 4.2).
 
         Each table's positioning cost is measured on a private account;
         the foreground pays the maximum plus a per-thread dispatch cost
         instead of the sum.
         """
-        if not parallel or len(files) < 2:
-            return super()._position_run(files, probe, account, parallel)
         out: List[Iterator[Entry]] = []
         switches: List[_SwitchAccount] = []
         costs: List[float] = []

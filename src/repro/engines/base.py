@@ -657,27 +657,31 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Level 0 newest first: the order its tables are merged in."""
 
     @abstractmethod
-    def _level_runs(self, level: int) -> Sequence[Sequence[FileMetadata]]:
+    def _level_runs(
+        self, level: int, key: Optional[bytes], reverse: bool
+    ) -> Tuple[Sequence[Sequence[FileMetadata]], int]:
         """Level ``level`` (>= 1) as an immutable, key-ordered sequence of
-        runs — the files of one run may overlap, two runs never do — or
-        empty when the level holds no data."""
-
-    @abstractmethod
-    def _covering_run(
-        self, level: int, runs: Sequence[Sequence[FileMetadata]], key: bytes, reverse: bool
-    ) -> int:
-        """Index into ``runs`` (just taken from :meth:`_level_runs`) of the
-        run a walk from ``key`` starts in: ``len(runs)`` when a forward
-        walk has nothing to read, -1 when a reverse one has nothing."""
+        runs — the files of one run may overlap, two runs never do; empty
+        when the level holds no data — and the index of the run covering
+        ``key`` that a walk from it starts in (``key`` None: an unbounded
+        reverse walk, the last run).  The index is ``len(runs)`` when a
+        forward walk has nothing to read, -1 when a reverse one has none."""
 
     def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
         """Bookkeeping for the files a forward seek from ``key`` positions
         at ``level``: each Level-0 file, one run per deeper level."""
 
     def _parallel_seek_level(self) -> int:
-        """The level whose run a forward seek positions in parallel
-        (paper section 4.2); 0 means none."""
+        """The level whose covering run a forward seek positions with
+        :meth:`_position_parallel` (paper section 4.2); 0 means none."""
         return 0
+
+    def _position_parallel(
+        self, files: Sequence[FileMetadata], probe: InternalKey, account: IoAccount
+    ) -> List[Iterator[Entry]]:
+        """Iterators over the files of one run, each from ``probe`` on,
+        positioned in parallel: what :meth:`_parallel_seek_level` opts in."""
+        raise NotImplementedError
 
     @abstractmethod
     def _recover_file(self, level: int, meta: FileMetadata, marker: int, guard_key: bytes) -> None:
@@ -1975,14 +1979,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             seek_tables[0] += positioned
         parallel_level = self._parallel_seek_level()
         for level in range(1, self.options.num_levels):
-            runs = self._level_runs(level)
-            if not runs:
-                continue
-            if start is None:  # an unbounded reverse walk
-                first = len(runs) - 1
-            else:
-                first = self._covering_run(level, runs, start, reverse)
-            if first < 0 or first == len(runs):
+            runs, first = self._level_runs(level, start, reverse)
+            if not 0 <= first < len(runs):
                 continue
             iters.append(walk(runs, first, key, account, reverse, level == parallel_level))
             if not reverse:
@@ -2011,7 +2009,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         a run's readers open when the walk reaches it.
 
         Forward, run ``first`` is positioned at the internal key ``key``
-        and every later run is read whole; reverse, runs ``first`` down
+        (in parallel when ``parallel`` and the run has several files) and
+        every later run is read whole; reverse, runs ``first`` down
         to 0 are read backward from the user key ``key`` (None:
         unbounded).  The files of one run are merged.  The caller holds a
         read pin, so compactions meanwhile neither hide keys from the
@@ -2026,23 +2025,14 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                     get_reader(f.number, account).iter_reverse(account, max_user_key=key)
                     for f in files
                 ]
-            elif idx == first:
-                iters = self._position_run(files, key, account, parallel)
-            else:
+            elif idx != first:
                 iters = [get_reader(f.number, account).iter_all(account) for f in files]
+            elif parallel and len(files) > 1:
+                iters = self._position_parallel(files, key, account)
+            else:
+                iters = [get_reader(f.number, account).seek(key, account) for f in files]
             if iters:
                 yield from _merged(iters, reverse)
-
-    def _position_run(
-        self,
-        files: Sequence[FileMetadata],
-        probe: InternalKey,
-        account: IoAccount,
-        parallel: bool,
-    ) -> List[Iterator[Entry]]:
-        """Iterators over the files of the run a forward walk starts in,
-        each from ``probe`` on; ``parallel`` is for an engine to honour."""
-        return [self._get_reader(f.number, account).seek(probe, account) for f in files]
 
     def _note_seek(self) -> None:
         """Hook for seek-triggered compaction policies."""

@@ -158,18 +158,18 @@ class LeveledLSMStore(LSMStoreBase):
         idx = bisect_left(files, key, key=lambda f: f.largest.user_key)
         return files[idx : idx + 1]
 
-    def _level_runs(self, level: int) -> Tuple[Tuple[FileMetadata], ...]:
-        return tuple(zip(self._levels[level]))  # one run per file: (f,)
-
-    def _covering_run(
-        self, level: int, runs: Sequence[Tuple[FileMetadata]], key: bytes, reverse: bool
-    ) -> int:
-        # One file per run, and a key may fall between two files: forward
+    def _level_runs(
+        self, level: int, key: Optional[bytes], reverse: bool
+    ) -> Tuple[Tuple[Tuple[FileMetadata], ...], int]:
+        # A run is one file, and a key may fall between two files: forward
         # it is covered by the first file ending at or after it, in reverse
         # by the last file starting at or before it.
+        runs = tuple(zip(self._levels[level]))
+        if key is None:
+            return runs, len(runs) - 1
         if reverse:
-            return bisect_right(runs, key, key=lambda run: run[0].smallest.user_key) - 1
-        return bisect_left(runs, key, key=lambda run: run[0].largest.user_key)
+            return runs, bisect_right(runs, key, key=lambda run: run[0].smallest.user_key) - 1
+        return runs, bisect_left(runs, key, key=lambda run: run[0].largest.user_key)
 
     def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
         for meta in files:

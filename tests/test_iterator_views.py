@@ -235,27 +235,30 @@ class TestLeveledWalkDifferential:
         db = make_store("leveldb", env)
         level, everything = _build_level(db, [], [files])
         metas = sorted(level.all_files(), key=lambda meta: meta.smallest)
-        runs = tuple(zip(metas))
+        db._levels[1] = metas
         acct = db.storage.foreground_account("test")
         flat = lambda entries: [(k.user_key, k.sequence, bytes(v)) for k, v in entries]
 
         db._table_cache.clear()
+        runs, first = db._level_runs(1, start, False)
         probe = InternalKey(start, MAX_SEQUENCE, KIND_SEEK)
-        forward = db._walk_runs(runs, db._covering_run(1, runs, start, False), probe, acct)
-        assert flat(forward) == flat(e for e in everything if e[0].user_key >= start)
+        assert flat(db._walk_runs(runs, first, probe, acct)) == flat(
+            e for e in everything if e[0].user_key >= start
+        )
         # Only files ending at or after ``start`` were opened.
         assert sorted(db._table_cache) == [
             meta.number for meta in metas if meta.largest.user_key >= start
         ]
 
-        db._table_cache.clear()
-        backward = db._walk_runs(
-            runs, db._covering_run(1, runs, bound, True), bound, acct, reverse=True
-        )
-        assert flat(backward) == flat(
-            e for e in reversed(everything) if e[0].user_key <= bound
-        )
-        # Only files starting at or before ``bound`` were opened.
-        assert sorted(db._table_cache) == [
-            meta.number for meta in metas if meta.smallest.user_key <= bound
-        ]
+        for key in (bound, None):
+            db._table_cache.clear()
+            runs, first = db._level_runs(1, key, True)
+            assert flat(db._walk_runs(runs, first, key, acct, reverse=True)) == flat(
+                e for e in reversed(everything) if key is None or e[0].user_key <= key
+            )
+            # Only files starting at or before ``key`` were opened.
+            assert sorted(db._table_cache) == [
+                meta.number
+                for meta in metas
+                if key is None or meta.smallest.user_key <= key
+            ]
