@@ -310,11 +310,11 @@ class PebblesDBStore(LSMStoreBase):
     def _position_parallel(
         self, files: Sequence[FileMetadata], probe: InternalKey, account: IoAccount
     ) -> List[Iterator[Entry]]:
-        """Position every file of a guard "in parallel" (paper section 4.2).
+        """Position iterators on every file of a guard "in parallel".
 
         Each table's positioning cost is measured on a private account;
         the foreground pays the maximum plus a per-thread dispatch cost
-        instead of the sum.
+        instead of the sum (paper section 4.2).
         """
         out: List[Iterator[Entry]] = []
         switches: List[_SwitchAccount] = []
