@@ -370,7 +370,7 @@ class PebblesDBStore(LSMStoreBase):
 
     def _schedule_compactions(self) -> None:
         # Guard deletions are metadata-only; they go first.
-        if self._pending_guard_deletions and self._background_error is None:
+        if self._pending_guard_deletions and self._faults.error is None:
             self._apply_guard_deletions()
         self._seek_taken = None
         super()._schedule_compactions()
@@ -869,7 +869,7 @@ class PebblesDBStore(LSMStoreBase):
         if changed:
             acct = self.storage.background_account(self.prefix + "manifest")
             # Metadata-only; on failure the edit queues for resume().
-            self._append_manifest(edit, acct)
+            self._manifest.append(edit, acct)
 
     def _uncommitted_discard(self, key: bytes) -> None:
         for pending in self._uncommitted:

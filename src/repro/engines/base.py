@@ -1,454 +1,75 @@
-"""Store interface and the machinery shared by all LSM-family engines.
+"""The machinery shared by all LSM-family engines.
 
-:class:`KeyValueStore` is the public interface (paper section 2.1: put,
-get, delete, iterators, range query).  :class:`LSMStoreBase` implements
-everything LSM and FLSM engines have in common — write-ahead logging,
-memtable rotation, background flush scheduling, Level-0 write stalls, the
-table cache, recovery from MANIFEST + WAL — and leaves the shape of
-persistent state (levels of disjoint files vs. levels of guards) to
-subclasses.
+:class:`LSMStoreBase` implements everything LSM and FLSM engines have in
+common — write-ahead logging, memtable rotation, background flush
+scheduling, Level-0 write stalls, the table cache, the read and scan
+paths — and leaves the shape of persistent state (levels of disjoint
+files vs. levels of guards) to subclasses.  It composes the collaborators
+that own the rest: the MANIFEST and recovery (:mod:`repro.version.lifecycle`),
+retries and the sticky background error
+(:mod:`repro.engines.background`), and the compaction lifecycle
+(:mod:`repro.engines.compaction`).  The store interface
+(:mod:`repro.engines.interface`) and the stats plane
+(:mod:`repro.obs.stats`) are re-exported here under their old names.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.obs.admin import aggregate_admin, compact_json
-from repro.obs.ledger import IoLedger
+from repro.obs.admin import compact_json
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.recorder import FlightRecorder
-from repro.obs.render import health_line, summary
-from repro.obs.trace import Tracer, TraceSink
+from repro.obs.stats import STAT_METRICS, StatsCounters, StoreStats  # noqa: F401 (re-exports)
+from repro.obs.trace import Tracer
 from repro.obs.windows import WindowedHistogram
-from repro.errors import (
-    BackgroundError,
-    CorruptionError,
-    InvalidArgumentError,
-    StorageError,
-    StoreClosedError,
-    TransientIOError,
-)
+from repro.errors import CorruptionError, InvalidArgumentError, StorageError, StoreClosedError
 from repro.memtable import Memtable
 from repro.memtable.memtable import GetResult
 from repro.sim.executor import BackgroundExecutor, Job
 from repro.sim.ratelimit import TokenBucket
 from repro.sim.storage import IoAccount, SimulatedStorage
-from repro.sstable import (
-    DecodedBlockCache,
-    SSTableBuilder,
-    SSTableReader,
-    merge_entries,
-    merging_iterator,
-)
+from repro.sstable import DecodedBlockCache, SSTableBuilder, SSTableReader, merge_entries, merging_iterator
 from repro.sstable.format import Entry, ValuePointer
 from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_SEEK, KIND_VPTR, MAX_SEQUENCE, InternalKey
 from repro.util.murmur import murmur3_64
 from repro.vlog.log import ValueLog
-from repro.version import (
-    ManifestReader,
-    ManifestWriter,
-    VersionEdit,
-    read_current,
-    set_current,
-)
+from repro.version import ManifestWriter, VersionEdit, read_current
 from repro.version.files import FileMetadata
-from repro.wal import LogReader, LogWriter, decode_batch, encode_batch
+from repro.version.lifecycle import (
+    TABLE,
+    WAL,
+    ManifestLog,
+    create_manifest,
+    file_name,
+    next_file_number,
+    numbered_files,
+    remove_orphans,
+    replay_manifest,
+    replay_wals,
+    write_table,
+)
+from repro.wal import LogWriter, encode_batch
+from repro.engines.background import DELETE_WAL, BackgroundErrors
 from repro.engines.compaction import CompactionRunner
+from repro.engines.interface import (
+    DBIterator,
+    KeyValueStore,
+    Snapshot,
+    check_snapshot,
+    checked_bytes,
+    validate_key,
+)
 from repro.engines.options import StoreOptions
-
-#: Retries a background flush/compaction/MANIFEST append attempts after a
-#: transient I/O fault before declaring a sticky background error.
-FAULT_RETRY_LIMIT = 3
-
-
-def _retry_backoff(attempt: int) -> float:
-    """Simulated seconds to wait before retry ``attempt`` (0-based):
-    1 ms doubling per retry, capped at 50 ms."""
-    return min(1.0e-3 * 2 ** attempt, 50.0e-3)
-
-
-@dataclass
-class StoreStats:
-    """Operational counters for one store instance."""
-
-    preset: str = ""
-    puts: int = 0
-    gets: int = 0
-    deletes: int = 0
-    seeks: int = 0
-    next_calls: int = 0
-    user_bytes_written: int = 0
-    device_bytes_written: int = 0
-    device_bytes_read: int = 0
-    stall_seconds: float = 0.0
-    flushes: int = 0
-    compactions: int = 0
-    compaction_bytes_written: int = 0
-    memory_bytes: int = 0
-    sstable_count: int = 0
-    level_sizes: List[int] = field(default_factory=list)
-    #: Host-side decoded-block cache counters (wall-clock memoization;
-    #: these never influence any simulated metric).
-    block_cache_hits: int = 0
-    block_cache_misses: int = 0
-    block_cache_bytes: int = 0
-    #: Fault handling: transient retries that succeeded or were attempted,
-    #: sticky background errors declared, successful resume() calls, and
-    #: the current degraded-read-only state.
-    transient_fault_retries: int = 0
-    background_errors: int = 0
-    resumes: int = 0
-    degraded: bool = False
-    background_error: str = ""
-    #: Compaction scheduling: times an otherwise-runnable compaction was
-    #: rejected because its key range conflicted with in-flight work,
-    #: write-stall seconds spent while a due Level-0 compaction was
-    #: conflict-blocked, and the peak number of compaction jobs that were
-    #: ever in flight at once.
-    compaction_conflicts: int = 0
-    conflict_stall_seconds: float = 0.0
-    compactions_parallel_peak: int = 0
-
-    @property
-    def block_cache_hit_rate(self) -> float:
-        total = self.block_cache_hits + self.block_cache_misses
-        return self.block_cache_hits / total if total else 0.0
-
-    @property
-    def write_amplification(self) -> float:
-        if self.user_bytes_written == 0:
-            return 0.0
-        return self.device_bytes_written / self.user_bytes_written
-
-
-#: StoreStats attribute -> registry metric name: the counters and the one
-#: gauge engines mutate directly, then the values ``stats_part()`` derives
-#: at read time.  ``STAT_METRICS`` is the whole table — every numeric
-#: StoreStats field is the registry metric it names, nothing else.
-_STAT_COUNTERS = {
-    "puts": "op.puts",
-    "gets": "op.gets",
-    "deletes": "op.deletes",
-    "seeks": "op.seeks",
-    "next_calls": "op.next_calls",
-    "user_bytes_written": "write.user_bytes",
-    "stall_seconds": "stall.seconds",
-    "flushes": "flush.count",
-    "compactions": "compaction.count",
-    "compaction_bytes_written": "compaction.bytes_written",
-    "transient_fault_retries": "fault.transient_retries",
-    "background_errors": "fault.background_errors",
-    "resumes": "fault.resumes",
-    "compaction_conflicts": "compaction.conflicts",
-    "conflict_stall_seconds": "compaction.conflict_stall_seconds",
-}
-_STAT_GAUGES = {
-    "compactions_parallel_peak": "compaction.parallel_peak",
-}
-STAT_METRICS = {
-    **_STAT_COUNTERS,
-    **_STAT_GAUGES,
-    "device_bytes_written": "io.device_bytes_written",
-    "device_bytes_read": "io.device_bytes_read",
-    "memory_bytes": "store.memory_bytes",
-    "sstable_count": "store.sstables",
-    "block_cache_hits": "block_cache.hits",
-    "block_cache_misses": "block_cache.misses",
-    "block_cache_bytes": "block_cache.bytes",
-    "degraded": "fault.degraded",
-}
-
-
-class StatsCounters:
-    """Mutable stat attributes backed by a :class:`MetricsRegistry`.
-
-    Engines write ``self._stats.flushes += 1``; every attribute is a
-    registry metric, making the registry the single source of truth.
-    """
-
-    __slots__ = ("registry", "_m")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._m: Dict[str, object] = {}
-        for attr, name in _STAT_COUNTERS.items():
-            self._m[attr] = registry.counter(name)
-        for attr, name in _STAT_GAUGES.items():
-            self._m[attr] = registry.gauge(name)
-
-    def bind(self, attr: str):
-        """The raw metric behind one attribute.
-
-        Per-operation paths bump counters through this instead of the
-        property façade (two dict hops per ``+= 1`` add up at a million
-        gets).
-        """
-        return self._m[attr]
-
-
-def _stat_property(attr: str) -> property:
-    def fget(self):
-        return self._m[attr].value
-
-    def fset(self, value):
-        self._m[attr].value = value
-
-    return property(fget, fset)
-
-
-for _attr in (*_STAT_COUNTERS, *_STAT_GAUGES):
-    setattr(StatsCounters, _attr, _stat_property(_attr))
-del _attr
-
-
-class Snapshot:
-    """A consistent read view: all writes with sequence <= ``sequence``.
-
-    Obtained from :meth:`LSMStoreBase.get_snapshot`; release it so
-    compaction may reclaim the versions it pins.
-    """
-
-    __slots__ = ("sequence", "_released")
-
-    def __init__(self, sequence: int) -> None:
-        self.sequence = sequence
-        self._released = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Snapshot(seq={self.sequence})"
-
-
-class DBIterator:
-    """A positioned iterator over visible ``(user_key, value)`` pairs."""
-
-    def __init__(self, gen: Iterator[Tuple[bytes, bytes]], on_next=None) -> None:
-        self._gen = gen
-        self._on_next = on_next
-        self._current: Optional[Tuple[bytes, bytes]] = next(gen, None)
-
-    @property
-    def valid(self) -> bool:
-        return self._current is not None
-
-    def key(self) -> bytes:
-        if self._current is None:
-            raise InvalidArgumentError("iterator exhausted")
-        return self._current[0]
-
-    def value(self) -> bytes:
-        if self._current is None:
-            raise InvalidArgumentError("iterator exhausted")
-        return self._current[1]
-
-    def next(self) -> bool:
-        """Advance; returns True while positioned on an entry."""
-        if self._on_next is not None:
-            self._on_next()
-        self._current = next(self._gen, None)
-        return self._current is not None
-
-    def close(self) -> None:
-        self._gen.close()
-
-    def __enter__(self) -> "DBIterator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class KeyValueStore(ABC):
-    """The operations every engine provides (paper section 2.1)."""
-
-    @abstractmethod
-    def put(self, key: bytes, value: bytes) -> None:
-        """Store ``key -> value`` (overwriting any previous value)."""
-
-    @abstractmethod
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Latest value of ``key``, or None if absent/deleted."""
-
-    @abstractmethod
-    def delete(self, key: bytes) -> None:
-        """Remove ``key`` (a no-op if absent)."""
-
-    @abstractmethod
-    def seek(self, key: bytes) -> DBIterator:
-        """Iterator positioned at the smallest key >= ``key``."""
-
-    def seek_reverse(self, key: bytes) -> DBIterator:
-        """Iterator over keys <= ``key`` in descending order.
-
-        Optional: engines without backward iteration raise
-        NotImplementedError.
-        """
-        raise NotImplementedError(f"{type(self).__name__} cannot iterate backward")
-
-    @abstractmethod
-    def close(self) -> None:
-        """Finish background work and release the store."""
-
-    # ------------------------------------------------------------------
-    # The stats plane: one read entry point, everything else a view of it
-    # ------------------------------------------------------------------
-    #: ``StoreStats.preset`` (LSM engines report their options preset).
-    preset = ""
-
-    def background_error(self) -> Optional[BackgroundError]:
-        """The sticky background error, or None when healthy."""
-        return None
-
-    @property
-    def is_degraded(self) -> bool:
-        """True while a sticky background error blocks writes (cheap
-        enough for per-request checks; ``stats_part()`` is not)."""
-        return self.background_error() is not None
-
-    def _refresh_derived(self) -> None:
-        """Set the engine's read-time metrics (memory, sstables, caches)."""
-
-    def io_ledger(self) -> IoLedger:
-        """Per-cause I/O attribution for this store's traffic."""
-        return IoLedger.from_storage(self.storage, self.prefix)
-
-    def stats_part(self) -> Dict[str, object]:
-        """This store's stats *part*: the registry with every derived
-        value computed once, plus health, I/O ledger and op windows.
-
-        Plain data (it pickles; see :mod:`repro.obs.admin`).  ``stats()``,
-        every ``repro.*`` property and the serving layer's admin sections
-        are views of it, so a number has one definition: device bytes and
-        syncs are the :class:`IoLedger` totals.
-        """
-        self._refresh_derived()
-        reg = self.registry
-        ledger = self.io_ledger()
-        reg.gauge("io.device_bytes_written").set(ledger.total_write_bytes)
-        reg.gauge("io.device_bytes_read").set(ledger.total_read_bytes)
-        reg.gauge("io.device_syncs").set(ledger.total_syncs)
-        error = self.background_error()
-        reg.gauge("fault.degraded").set(0 if error is None else 1)
-        return {
-            "preset": self.preset,
-            "registry": reg,
-            "health": health_line(reg),
-            "background_error": "" if error is None else str(error),
-            "ledger": ledger.to_dict(),
-            "windows": dict(getattr(self, "op_windows", {})),
-        }
-
-    def stats(self) -> StoreStats:
-        """The flat counter view: ``STAT_METRICS`` read off the part."""
-        part = self.stats_part()
-        reg = part["registry"]
-        s = StoreStats(
-            preset=part["preset"], background_error=part["background_error"]
-        )
-        for attr, name in STAT_METRICS.items():
-            setattr(s, attr, reg.value(name))
-        s.degraded = bool(s.degraded)
-        while (
-            size := reg.get("store.level_bytes", level=len(s.level_sizes))
-        ) is not None:
-            s.level_sizes.append(size.value)
-        return s
-
-    #: ``get_property`` dispatch, LevelDB-style: name -> renderer(store).
-    #: A name ending ``<N>`` takes a trailing integer, passed as a second
-    #: argument.  Subclasses extend the table; ``property_names()`` is
-    #: its keys.  ``repro.health`` leads with ``ok``/``degraded``.
-    PROPERTIES: Dict[str, Callable[..., Optional[str]]] = {
-        "repro.stats": lambda db: summary(db.stats()),
-        "repro.health": lambda db: db.stats_part()["health"],
-        "repro.background-error": lambda db: str(db.background_error() or ""),
-        "repro.metrics": lambda db: aggregate_admin("metrics", [db.stats_part()]),
-        "repro.ledger": lambda db: aggregate_admin("ledger", [db.stats_part()]),
-        "repro.windows": lambda db: aggregate_admin("windows", [db.stats_part()]),
-    }
-
-    def get_property(self, name: str) -> Optional[str]:
-        """Textual store property; None when unknown."""
-        stem = name.rstrip("0123456789")
-        if stem == name:
-            render = self.PROPERTIES.get(name)
-            return None if render is None or name.endswith("<N>") else render(self)
-        render = self.PROPERTIES.get(stem + "<N>")
-        return None if render is None else render(self, int(name[len(stem):]))
-
-    def property_names(self) -> List[str]:
-        """Property names :meth:`get_property` understands for this engine."""
-        return list(self.PROPERTIES)
-
-    # Optional lifecycle hooks (engines without background work inherit
-    # these no-ops, keeping the harness engine-agnostic) -----------------
-    def wait_idle(self) -> None:
-        """Let background work finish; no-op for synchronous engines."""
-
-    def flush_memtable(self) -> None:
-        """Force buffered writes to storage; no-op where inapplicable."""
-
-    def compact_all(self) -> None:
-        """Drive compaction to a steady state; no-op where inapplicable."""
-
-    def check_invariants(self) -> None:
-        """Raise AssertionError on internal inconsistency."""
-
-    # Convenience built on the primitives -------------------------------
-    def write_batch(
-        self, ops: List[Tuple[int, bytes, bytes]], sync: bool = False
-    ) -> None:
-        """Apply ``(kind, key, value)`` ops atomically where supported.
-
-        ``sync=True`` asks for durability before returning; engines
-        without a WAL (or whose options already force syncing) ignore it.
-        """
-        for kind, key, value in ops:
-            if kind == KIND_PUT:
-                self.put(key, value)
-            else:
-                self.delete(key)
-
-    def range_query(self, lo: bytes, hi: bytes, limit: Optional[int] = None):
-        """All pairs with lo <= key <= hi (paper section 2.1)."""
-        out = []
-        it = self.seek(lo)
-        while it.valid and it.key() <= hi:
-            out.append((it.key(), it.value()))
-            if limit is not None and len(out) >= limit:
-                break
-            it.next()
-        it.close()
-        return out
-
-
-def _check_snapshot(snapshot: Optional[Snapshot]) -> None:
-    # Compaction may already have dropped what only this snapshot could
-    # see: a read through it would answer with a state that never existed.
-    if snapshot is not None and snapshot._released:
-        raise InvalidArgumentError("snapshot was released")
 
 
 def _merged(iters: List[Iterator[Entry]], reverse: bool = False) -> Iterator[Entry]:
     """One run's entries: its files' iterators merged (one needs no heap)."""
     return iters[0] if len(iters) == 1 else merge_entries(iters, reverse)
-
-
-def _validate_key(key: bytes) -> None:
-    if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
-        raise InvalidArgumentError(f"keys must be non-empty bytes, got {key!r}")
-
-
-def checked_bytes(data, *, key: bool = False) -> bytes:
-    """``data`` as the ``bytes`` a write stores.  The type is checked before
-    it is coerced (``bytes(5)`` is five zero bytes); a key is not empty."""
-    if not isinstance(data, (bytes, bytearray, memoryview)) or (key and not len(data)):
-        what = "keys must be non-empty bytes" if key else "values must be bytes"
-        raise InvalidArgumentError(f"{what}, got {data!r}")
-    return bytes(data)
 
 
 class LSMStoreBase(CompactionRunner, KeyValueStore):
@@ -491,7 +112,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._next_file_number = 1
         self._wal_number = 0
         self._wal: Optional[LogWriter] = None
-        self._manifest: Optional[ManifestWriter] = None
         self._table_cache: "OrderedDict[int, SSTableReader]" = OrderedDict()
         #: Host-side memoization of parsed data blocks, shared by every
         #: reader this store opens (keyed by sstable file number).  None
@@ -509,27 +129,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._retired_files: "deque[Tuple[int, int]]" = deque()
         self._snapshots: List[int] = []
         self._closed = False
-        #: Sticky background error (RocksDB's SetBackgroundError model).
-        #: Set when a background flush/compaction/MANIFEST write fails
-        #: beyond retry; while set, writes raise BackgroundError, reads
-        #: keep serving the last consistent state, and no new background
-        #: work is scheduled.  Cleared only by a successful resume().
-        self._background_error: Optional[BackgroundError] = None
-        #: Version edits already applied in memory whose MANIFEST append
-        #: failed; resume() persists them into a fresh MANIFEST.
-        self._pending_manifest_edits: List[VersionEdit] = []
-        #: Once a MANIFEST append fails, the file may end in a torn or
-        #: unsynced record; further appends would be shadowed behind it at
-        #: recovery, so they queue instead until resume() rotates the file.
-        self._manifest_suspect = False
-        #: Input sstables whose deleting edit is not yet durable: crash
-        #: recovery would replay the old version, which still references
-        #: them, so deletion waits for resume().
-        self._deferred_retirements: List[int] = []
-        #: WAL files whose reclaiming flush edit is not yet durable.
-        self._deferred_wal_deletions: List[str] = []
-        #: Value-log segments whose retiring edit is not yet durable.
-        self._deferred_vlog_retirements: List[int] = []
         #: Key–value separation: None unless ``value_separation_bytes`` is
         #: set.  Constructed before recovery so WAL replay can validate
         #: pointers against it.
@@ -618,6 +217,12 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         )
         if self.recorder.sampling_tracer is not None:
             self.tracer = self.recorder.sampling_tracer
+        #: Retries, the sticky background error (while set, no new
+        #: background work is scheduled) and the live MANIFEST.
+        self._faults = BackgroundErrors(
+            self.clock, self._stats, self.recorder, lambda: self.tracer
+        )
+        self._manifest = ManifestLog(storage, prefix, self._faults, self._alloc_file_number)
         #: Per-op latency percentiles over simulated time (admin plane
         #: ``windows`` section).  Recorded on the sim clock, so the
         #: series is byte-identical traced or untraced.
@@ -771,8 +376,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
     def get(self, key: bytes, snapshot: Optional[Snapshot] = None) -> Optional[bytes]:
         self._check_open()
-        _validate_key(key)
-        _check_snapshot(snapshot)
+        validate_key(key)
+        check_snapshot(snapshot)
         self.executor.drain()
         self._op_gets.value += 1
         trc = self.tracer
@@ -840,8 +445,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
     def _seek(self, key: bytes, snapshot: Optional[Snapshot], reverse: bool) -> DBIterator:
         self._check_open()
-        _validate_key(key)
-        _check_snapshot(snapshot)
+        validate_key(key)
+        check_snapshot(snapshot)
         self.executor.drain()
         self._op_seeks.value += 1
         if not reverse:  # a reverse seek does not feed the seek trigger
@@ -854,7 +459,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self, start: Optional[bytes], snapshot: Optional[Snapshot], reverse: bool
     ) -> Iterator[Tuple[bytes, bytes]]:
         self._check_open()
-        _check_snapshot(snapshot)
+        check_snapshot(snapshot)
         self.executor.drain()
         return self._visible_entries(start, snapshot, reverse)
 
@@ -891,7 +496,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             if self._flush_job is None:
                 # Degraded mode: the flush cannot be scheduled; report
                 # instead of spinning forever on the unflushable memtable.
-                self._raise_if_degraded()
+                self._faults.raise_if_failed()
                 break
             self.executor.wait_for(self._flush_job)
         self.executor.drain()
@@ -967,20 +572,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             reg.gauge("vlog.segments").set(len(vl.segment_numbers()))
             reg.gauge("vlog.data_bytes").set(vl.data_bytes())
             reg.gauge("vlog.dead_bytes").set(vl.dead_bytes())
-
-    def enable_tracing(
-        self, sink: TraceSink, component: str = "engine"
-    ) -> Tracer:
-        """Attach a span tracer writing to ``sink``; returns the tracer.
-
-        Ids derive from ``(component, seed, op ordinal)`` and timestamps
-        from the simulated clock, so the same seed and workload produce a
-        byte-identical trace file.
-        """
-        self.tracer = Tracer(
-            sink, clock=self.clock, component=component, seed=self.seed
-        )
-        return self.tracer
 
     def _stall_cause(self, cause: str) -> Counter:
         counter = self._stall_cause_counters.get(cause)
@@ -1109,8 +700,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         pending = self.executor.pending
         if pending and pending[0].completion <= self.clock.now:
             self.executor.drain()
-        if self._background_error is not None:
-            raise self._background_error
+        if self._faults.error is not None:
+            raise self._faults.error
         if (  # the two marks short of which ``_make_room`` has nothing to do
             len(self._imm) > opts.max_immutable_memtables
             or self._level0_file_count() >= opts.level0_slowdown_trigger
@@ -1118,7 +709,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             self._make_room()
             # Stall waits run background apply callbacks, which may have
             # just moved the store into degraded mode.
-            self._raise_if_degraded()
+            self._faults.raise_if_failed()
         seq = self._last_sequence + 1
         sync = sync or opts.sync_writes
         # Key–value separation happens *before* the WAL append (BVLSM):
@@ -1314,9 +905,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         when the job's completion time passes, mirroring a real background
         flush thread.
         """
-        if self._flush_job is not None or not self._imm:
-            return
-        if self._background_error is not None:
+        if self._flush_job is not None or not self._imm or self._faults.error is not None:
             return
         imm, _ = self._imm[0]
         acct = self.storage.background_account(self.prefix + "flush")
@@ -1361,213 +950,63 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
         All logs numbered below the edit's ``log_number`` are obsolete
         (this also reclaims files abandoned by :meth:`_switch_wal_file`).
-        When the edit did *not* reach the MANIFEST the files are kept and
-        queued instead: crash recovery would replay the old version, drop
-        the flushed sstable as an orphan, and need the WAL as the only
+        When the edit did *not* reach the MANIFEST the deletions wait for
+        resume(): crash recovery would replay the old version, drop the
+        flushed sstable as an orphan, and need the WAL as the only
         remaining copy of the data.
         """
         if log_number is None:
             return
-        for name in self.storage.list_files(self.prefix):
-            if not name.endswith(".log"):
-                continue
-            try:
-                number = int(name[len(self.prefix) : -4])
-            except ValueError:
-                continue
-            if number >= log_number:
-                continue
-            if durable:
-                if self.storage.exists(name):
-                    self.storage.delete(name)
-            elif name not in self._deferred_wal_deletions:
-                self._deferred_wal_deletions.append(name)
+        for number, name in numbered_files(self.storage, self.prefix, (WAL,)):
+            if number < log_number:
+                delete = partial(self._delete_if_exists, name)
+                if durable:
+                    delete()
+                else:
+                    self._faults.defer(DELETE_WAL, delete)
+
+    def _delete_if_exists(self, name: str) -> None:
+        if self.storage.exists(name):
+            self.storage.delete(name)
 
     # ==================================================================
     # Fault handling and graceful degradation
     # ==================================================================
-    def background_error(self) -> Optional[BackgroundError]:
-        return self._background_error
-
-    def _raise_if_degraded(self) -> None:
-        if self._background_error is not None:
-            raise self._background_error
-
-    def _set_background_error(self, kind: str, exc: Exception) -> None:
-        """Declare a sticky background error (first failure wins)."""
-        if self._background_error is None:
-            self._background_error = BackgroundError(
-                f"store degraded to read-only: background {kind} failed: {exc}",
-                cause=exc,
-            )
-            self._stats.background_errors += 1
-            if self.tracer is not None:
-                self.tracer.point(
-                    "fault.degraded", kind=kind, error=type(exc).__name__
-                )
-            self._flight_point(
-                "fault.degraded", kind=kind, error=type(exc).__name__
-            )
-            reason = (
-                "corruption" if isinstance(exc, CorruptionError) else "degraded"
-            )
-            self.recorder.dump(f"{reason}:{kind}")
-
-    def _flight_point(self, name: str, **attrs: object) -> None:
-        """Record an error-path event into the flight-recorder ring.
-
-        Skipped when the recorder's own tracer is installed as the hot
-        path tracer (``1/N`` mode), which already recorded the event via
-        the normal ``tracer.point`` path above.
-        """
-        rec = self.recorder
-        if rec.tracer is not None and rec.tracer is not self.tracer:
-            rec.point(name, **attrs)
-
     def _run_protected(self, kind: str, compute: Callable):
         """Run a background compute step with retries and state rollback.
 
-        On a :class:`TransientIOError` the attempt's partially written
-        sstables are deleted, engine scheduling state is restored from a
-        pre-attempt snapshot, the simulated clock advances by a capped
-        exponential backoff, and the step reruns.  A persistent fault,
-        corruption, or an exhausted retry budget sets the sticky
-        background error instead and returns None.
+        After a failed attempt its partially written sstables are deleted
+        and the scheduling state is restored from a pre-attempt snapshot;
+        a :class:`TransientIOError` then reruns the step after a backoff.
+        A persistent fault, corruption, or an exhausted retry budget sets
+        the sticky background error instead and returns None.
         """
-        attempt = 0
-        while True:
-            start_number = self._next_file_number
-            busy, inflight = set(self._busy), self._compactions_inflight
-            engine_state = self._capture_scheduling_state()
-            try:
-                return compute()
-            except (CorruptionError, StorageError) as exc:
-                self._discard_attempt(start_number)
-                self._busy, self._compactions_inflight = busy, inflight
-                self._restore_scheduling_state(engine_state)
-                if (
-                    not isinstance(exc, TransientIOError)
-                    or attempt >= FAULT_RETRY_LIMIT
-                ):
-                    self._set_background_error(kind, exc)
-                    return None
-            self._stats.transient_fault_retries += 1
-            if self.tracer is not None:
-                self.tracer.point("fault.retry", kind=kind, attempt=attempt + 1)
-            self._flight_point("fault.retry", kind=kind, attempt=attempt + 1)
-            self.clock.advance(_retry_backoff(attempt))
-            attempt += 1
+        saved = None
 
-    def _discard_attempt(self, start_number: int) -> None:
-        """Delete sstables written by a failed compute attempt.
-
-        File numbers stay monotonic — the counter is *not* rewound — so a
-        stale table- or block-cache entry keyed by number can never alias
-        a different file written later under the same number.
-        """
-        for number in range(start_number, self._next_file_number):
-            self._drop_table_file(number)
-
-    def _append_manifest(self, edit: VersionEdit, account: IoAccount) -> bool:
-        """Append an edit to the MANIFEST, retrying transient faults.
-
-        Returns False when the append did not durably reach storage: the
-        edit is queued (resume() persists the queue into a fresh MANIFEST)
-        and the sticky background error is set.  Callers must then keep
-        any on-storage state the *persisted* MANIFEST still references —
-        input sstables and WALs — until resume() makes the edit durable.
-        """
-        assert self._manifest is not None
-        if self._manifest_suspect:
-            self._pending_manifest_edits.append(edit)
-            return False
-        name = self._manifest.name
-        error: Optional[Exception] = None
-        for attempt in range(FAULT_RETRY_LIMIT + 1):
-            size_before = self.storage.size(name)
-            try:
-                self._manifest.append(edit, account)
-                return True
-            except TransientIOError as exc:
-                error = exc
-                if self.storage.size(name) != size_before:
-                    # Bytes landed despite the failure (a torn record, or a
-                    # full record whose sync failed).  Appending after it
-                    # could shadow or duplicate edits at recovery; stop and
-                    # let resume() rotate to a fresh MANIFEST.
-                    break
-                if attempt < FAULT_RETRY_LIMIT:
-                    self._stats.transient_fault_retries += 1
-                    if self.tracer is not None:
-                        self.tracer.point(
-                            "fault.retry", kind="manifest_append", attempt=attempt + 1
-                        )
-                    self.clock.advance(_retry_backoff(attempt))
-            except (CorruptionError, StorageError) as exc:
-                error = exc
-                break
-        assert error is not None
-        self._manifest_suspect = True
-        self._pending_manifest_edits.append(edit)
-        self._set_background_error("MANIFEST append", error)
-        return False
-
-    def _rotate_manifest(self, acct: IoAccount) -> None:
-        """Persist queued edits by rewriting the MANIFEST.
-
-        The old file may end in a torn or unsynced record, so queued edits
-        cannot simply be appended — at recovery the reader stops at the
-        bad record and everything behind it would be lost.  Instead the
-        old file's intact records and the queued edits are written to a
-        fresh MANIFEST and CURRENT flips atomically.
-        """
-        assert self._manifest is not None
-        trc = self.tracer
-        rotate_span = (
-            trc.span("manifest.rotate", pending=len(self._pending_manifest_edits))
-            if trc is not None
-            else None
-        )
-        try:
-            self._rotate_manifest_impl(acct)
-        finally:
-            if rotate_span is not None:
-                rotate_span.end()
-        self.registry.counter("manifest.rotations").inc()
-
-    def _rotate_manifest_impl(self, acct: IoAccount) -> None:
-        assert self._manifest is not None
-        old_name = self._manifest.name
-        # strict: losing an *intact durable* record here would silently
-        # rewrite history; a damaged one must fail the resume instead.
-        records = list(LogReader(self.storage, old_name).records(acct, strict=True))
-        pending = [edit.encode() for edit in self._pending_manifest_edits]
-        if pending and records and records[-1] == pending[0]:
-            # The "failed" append actually reached storage completely
-            # (only its sync failed); don't write the edit twice.
-            pending.pop(0)
-        new_name = f"{self.prefix}MANIFEST-{self._alloc_file_number():06d}"
-        try:
-            log = LogWriter(self.storage, new_name)
-            for payload in records + pending:
-                log.append(payload, acct)
-            # Persist the counter advanced by allocating the new MANIFEST's
-            # own number; without this a post-crash recovery could re-bump
-            # the counter to below it and a later rotation would append
-            # onto the live MANIFEST, duplicating every edit.
-            log.append(
-                VersionEdit(next_file_number=self._next_file_number).encode(), acct
+        def attempt():
+            nonlocal saved
+            saved = (
+                self._next_file_number,
+                set(self._busy),
+                self._compactions_inflight,
+                self._capture_scheduling_state(),
             )
-            log.sync(acct)
-            set_current(self.storage, new_name, acct, self.prefix)
-        except (CorruptionError, StorageError):
-            if self.storage.exists(new_name):
-                self.storage.delete(new_name)
-            raise
-        self._manifest = ManifestWriter(self.storage, new_name)
-        self._pending_manifest_edits.clear()
-        self._manifest_suspect = False
-        self.storage.delete(old_name)
+            return compute()
+
+        def undo() -> None:
+            # Delete the attempt's sstables.  File numbers stay monotonic —
+            # the counter is *not* rewound — so a stale table- or block-cache
+            # entry keyed by number never aliases a later file.
+            for number in range(saved[0], self._next_file_number):
+                self._drop_table_file(number)
+            self._busy, self._compactions_inflight = saved[1], saved[2]
+            self._restore_scheduling_state(saved[3])
+
+        try:
+            return self._faults.retry(kind, attempt, undo)
+        except (CorruptionError, StorageError) as exc:
+            self._faults.fail(kind, exc)
+            return None
 
     def resume(self) -> bool:
         """Attempt to leave degraded mode (RocksDB's ``Resume``).
@@ -1581,35 +1020,19 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """
         self._check_open()
         self.executor.wait_all()
-        if self._background_error is None:
+        if self._faults.error is None:
             return True
-        acct = self.storage.foreground_account(self.prefix + "recover")
-        try:
+
+        def repair() -> None:
+            acct = self.storage.foreground_account(self.prefix + "recover")
             for number in self.sstable_file_numbers():
                 # Opening checks the footer magic and parses the index.
                 self._get_reader(number, acct)
-            if self._pending_manifest_edits or self._manifest_suspect:
-                self._rotate_manifest(acct)
-            for number in self._deferred_retirements:
-                self._retire_file(number)
-            self._deferred_retirements.clear()
-            for name in self._deferred_wal_deletions:
-                if self.storage.exists(name):
-                    self.storage.delete(name)
-            self._deferred_wal_deletions.clear()
-            if self._vlog is not None:
-                for segment in self._deferred_vlog_retirements:
-                    self._vlog.retire_segment(segment)
-                self._deferred_vlog_retirements.clear()
-        except (CorruptionError, StorageError) as exc:
-            self._background_error = BackgroundError(
-                f"store degraded to read-only: resume failed: {exc}", cause=exc
-            )
+            if self._manifest.pending or self._manifest.suspect:
+                self._manifest.rotate(acct)
+
+        if not self._faults.resume(repair):
             return False
-        self._background_error = None
-        self._stats.resumes += 1
-        if self.tracer is not None:
-            self.tracer.point("fault.resume")
         # wait_all() ran above: nothing is in flight, any marker is stale.
         self._busy.clear()
         self._compactions_inflight = 0
@@ -1619,7 +1042,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._maybe_schedule_flush()
         self._schedule_compactions()
         self.executor.drain()
-        return self._background_error is None
+        return self._faults.error is None
 
     def _switch_wal_file(self) -> None:
         """Abandon the current WAL file after a failed append.
@@ -1634,7 +1057,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             self._wal = LogWriter(self.storage, self._wal_name(number))
             self._wal_number = number
         except StorageError as exc:  # pragma: no cover - create is not faulted
-            self._set_background_error("WAL rotation", exc)
+            self._faults.fail("WAL rotation", exc)
 
     # ------------------------------------------------------------------
     # Shared sstable writing
@@ -1661,30 +1084,13 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         metas: List[FileMetadata] = []
 
         def finish(builder: SSTableBuilder, number: int) -> None:
-            blob, props, bloom = builder.finish()
-            self._records_passed += builder.records_passed
-            self._records_encoded += props.num_entries - builder.records_passed
-            name = self._sst_name(number)
-            self.storage.create(name, charge_factor=opts.compression_ratio)
-            if opts.compression_ratio < 1.0:
-                account.charge(
-                    self.cpu.charge(
-                        "compress", self.cpu.compress_per_kb * len(blob) / 1024
-                    )
-                )
-            self.storage.append(name, blob, account)
-            self.storage.sync(name, account)
-            metas.append(
-                FileMetadata(
-                    number=number,
-                    smallest=props.smallest,
-                    largest=props.largest,
-                    file_size=props.file_size,
-                    num_entries=props.num_entries,
-                    largest_seq=props.largest_seq,
-                    bloom=bloom if opts.enable_sstable_bloom else None,
-                )
+            meta = write_table(
+                self.storage, self.prefix, number, builder, account,
+                compression_ratio=opts.compression_ratio, bloom=opts.enable_sstable_bloom,
             )
+            self._records_passed += builder.records_passed
+            self._records_encoded += meta.num_entries - builder.records_passed
+            metas.append(meta)
 
         if split_bytes is None:
             builder = SSTableBuilder()
@@ -1787,9 +1193,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._table_cache.pop(number, None)
         if self._block_cache is not None:
             self._block_cache.drop_file(number)
-        name = self._sst_name(number)
-        if self.storage.exists(name):
-            self.storage.delete(name)
+        self._delete_if_exists(self._sst_name(number))
 
     # ------------------------------------------------------------------
     # Read helpers
@@ -2046,184 +1450,62 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     def _open_or_recover(self) -> None:
         acct = self.storage.foreground_account(self.prefix + "recover")
         current = read_current(self.storage, acct, self.prefix)
-        if current is None:
-            self._create_fresh(acct)
-        else:
+        if current is not None:
             self._recover(current, acct)
+        else:  # a fresh store: MANIFEST 1, then WAL 2
+            self._next_file_number = 2
+            self._wal_number = self._alloc_file_number()
+            edit = VersionEdit(
+                last_sequence=0,
+                next_file_number=self._next_file_number,
+                log_number=self._wal_number,
+            )
+            self._manifest.writer = create_manifest(self.storage, self.prefix, 1, edit, acct)
+            self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
         self._post_recover()
 
     def _post_recover(self) -> None:
         """Hook run after recovery (FLSM re-seeds uncommitted guards)."""
 
-    def _create_fresh(self, acct: IoAccount) -> None:
-        manifest_name = f"{self.prefix}MANIFEST-{1:06d}"
-        self._next_file_number = 2
-        self._wal_number = self._alloc_file_number()
-        self._manifest = ManifestWriter(self.storage, manifest_name)
-        edit = VersionEdit(
-            last_sequence=0,
-            next_file_number=self._next_file_number,
-            log_number=self._wal_number,
-        )
-        self._manifest.append(edit, acct)
-        set_current(self.storage, manifest_name, acct, self.prefix)
-        self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
-
     def _recover(self, manifest_name: str, acct: IoAccount) -> None:
-        log_number = 0
-        vlog_dead: Dict[int, int] = {}
-        vlog_deleted: set = set()
-        for edit in ManifestReader(self.storage, manifest_name).edits(acct):
-            if edit.last_sequence is not None:
-                self._last_sequence = max(self._last_sequence, edit.last_sequence)
-            if edit.next_file_number is not None:
-                self._next_file_number = max(self._next_file_number, edit.next_file_number)
-            if edit.log_number is not None:
-                log_number = max(log_number, edit.log_number)
-            for level, key in edit.new_guards:
-                self._recover_guard(level, key)
-            for level, key in edit.deleted_guards:
-                self._recover_guard_deletion(level, key)
-            for level, meta, marker, guard_key in edit.new_files:
-                self._recover_file(level, meta, marker, guard_key)
-            for level, number in edit.deleted_files:
-                self._recover_drop_file(level, number)
-            for segment, dead in edit.vlog_dead:
-                vlog_dead[segment] = vlog_dead.get(segment, 0) + dead
-            for segment in edit.deleted_vlog_segments:
-                vlog_deleted.add(segment)
-                vlog_dead.pop(segment, None)
-        self._manifest = ManifestWriter(self.storage, manifest_name)
+        """Reinstall the MANIFEST's version, then flush the live WALs'
+        records to Level 0 and start a fresh WAL."""
+        storage, prefix = self.storage, self.prefix
+        version = replay_manifest(storage, manifest_name, acct, self)
+        self._last_sequence = version.last_sequence
+        self._manifest.writer = ManifestWriter(storage, manifest_name)
         # Files written by in-flight background jobs that never committed
-        # are orphans; their numbers may exceed the persisted counter
-        # (edits carry next_file_number only when the job commits).
-        self._remove_orphans()
-        for name in self.storage.list_files(self.prefix):
-            if name.endswith((".sst", ".log", ".vlg")):
-                number = int(name[len(self.prefix) : -4])
-            elif name.startswith(self.prefix + "MANIFEST-"):
-                # The live MANIFEST's number is allocated at rotation time;
-                # counting it here keeps the counter ahead of it even when
-                # the crash landed before that allocation was persisted.
-                number = int(name[len(self.prefix) + len("MANIFEST-") :])
-            else:
-                continue
-            self._next_file_number = max(self._next_file_number, number + 1)
+        # are orphans.
+        remove_orphans(storage, prefix, set(self.sstable_file_numbers()))
+        self._next_file_number = next_file_number(storage, prefix, version.next_file_number)
         if self._vlog is not None:
             # Before WAL replay: replayed pointer ops validate against the
             # recovered segments.
-            self._vlog.recover(vlog_dead, vlog_deleted)
-        self._replay_wals(log_number, acct)
-        self._wal_number = self._alloc_file_number()
-        self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
-        edit = VersionEdit(
-            last_sequence=self._last_sequence,
-            next_file_number=self._next_file_number,
-            log_number=self._wal_number,
+            self._vlog.recover(version.vlog_dead, version.vlog_deleted)
+        wals, self._last_sequence = replay_wals(
+            storage, prefix, version.log_number, acct, self._mem, self._last_sequence,
+            strict=self.options.sync_writes, vlog=self._vlog,
         )
-        self._manifest.append(edit, acct)
-        self._remove_orphans()
-
-    def _replay_wals(self, log_number: int, acct: IoAccount) -> None:
-        """Replay live WALs into the memtable and flush them to Level 0.
-
-        With ``sync_writes`` the reader runs in strict mode: every
-        acknowledged record was synced, so a bad record *below* the durable
-        boundary means acknowledged data was damaged and recovery raises
-        :class:`CorruptionError` instead of silently truncating (a torn
-        unsynced tail still stops normally).
-        """
-        strict = self.options.sync_writes
-        wal_names = []
-        for name in self.storage.list_files(self.prefix):
-            if name.endswith(".log"):
-                number = int(name[len(self.prefix) : -4])
-                if number >= log_number:
-                    wal_names.append((number, name))
-        wal_names.sort()
-        recovered = 0
-        for _, name in wal_names:
-            for record in LogReader(self.storage, name).records(acct, strict=strict):
-                seq, ops = decode_batch(record)
-                if not self._batch_pointers_intact(seq, ops, acct, strict):
-                    # A pointer op leads to a torn value-log record: the
-                    # batch was never acknowledged (acknowledged pointers
-                    # sync their records before the WAL record), so drop
-                    # it whole — batches are atomic — while still burning
-                    # its sequence numbers.
-                    self._last_sequence = max(
-                        self._last_sequence, seq + len(ops) - 1
-                    )
-                    continue
-                for i, (kind, key, value) in enumerate(ops):
-                    op_seq = seq + i
-                    if op_seq <= self._last_sequence:
-                        continue  # already durable in an sstable
-                    self._mem.add(op_seq, kind, key, value)
-                    recovered += 1
-                self._last_sequence = max(self._last_sequence, seq + len(ops) - 1)
-        if recovered:
+        if len(self._mem):
             metas = self._write_sstables(iter(self._mem), acct, split_bytes=None)
             edit = VersionEdit(
                 last_sequence=self._last_sequence,
                 next_file_number=self._next_file_number,
             )
             self._install_flush(metas, edit)
-            assert self._manifest is not None
-            self._manifest.append(edit, acct)
+            self._manifest.writer.append(edit, acct)
             self._mem = Memtable(self.seed)
-        for _, name in wal_names:
-            self.storage.delete(name)
-
-    def _batch_pointers_intact(
-        self, seq: int, ops: List[Tuple[int, bytes, bytes]], acct: IoAccount, strict: bool
-    ) -> bool:
-        """Validate every value pointer a replayed WAL batch carries.
-
-        A pointer whose record fails to parse beyond its segment's synced
-        boundary is the value-log half of a torn write — the batch is
-        droppable (never acknowledged).  In strict mode a bad record
-        *inside* the synced region means acknowledged data was damaged
-        and recovery fails loudly, mirroring strict WAL replay.
-        """
-        vlog = self._vlog
-        if vlog is None:
-            if any(kind == KIND_VPTR for kind, _, _ in ops):
-                raise CorruptionError(
-                    "WAL contains value-log pointers but value separation "
-                    "is disabled; reopen with value_separation_bytes set"
-                )
-            return True
-        for kind, key, value in ops:
-            if kind != KIND_VPTR:
-                continue
-            try:
-                pointer = ValuePointer.decode(bytes(value))
-            except CorruptionError:
-                return False
-            if vlog.pointer_intact(pointer, acct):
-                continue
-            if (
-                strict
-                and pointer.offset + pointer.record_length
-                <= vlog.synced_size(pointer.segment)
-            ):
-                raise CorruptionError(
-                    f"WAL batch at sequence {seq} references a damaged "
-                    f"value-log record inside the synced region of "
-                    f"segment {pointer.segment}"
-                )
-            return False
-        return True
-
-    def _remove_orphans(self) -> None:
-        """Delete sstables not referenced by the recovered version."""
-        live = set(self.sstable_file_numbers())
-        for name in self.storage.list_files(self.prefix):
-            if name.endswith(".sst"):
-                number = int(name[len(self.prefix) : -4])
-                if number not in live:
-                    self.storage.delete(name)
+        for name in wals:
+            storage.delete(name)
+        self._wal_number = self._alloc_file_number()
+        self._wal = LogWriter(storage, self._wal_name(self._wal_number))
+        edit = VersionEdit(
+            last_sequence=self._last_sequence,
+            next_file_number=self._next_file_number,
+            log_number=self._wal_number,
+        )
+        self._manifest.writer.append(edit, acct)
+        remove_orphans(storage, prefix, set(self.sstable_file_numbers()))
 
     # ==================================================================
     # Naming and bookkeeping
@@ -2234,11 +1516,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         return number
 
     def _sst_name(self, number: int) -> str:
-        return f"{self.prefix}{number:06d}.sst"
+        return file_name(self.prefix, number, TABLE)
 
     def _wal_name(self, number: int) -> str:
-        return f"{self.prefix}{number:06d}.log"
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StoreClosedError("store is closed")
+        return file_name(self.prefix, number, WAL)

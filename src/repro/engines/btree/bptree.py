@@ -16,6 +16,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from typing import Iterator, List, Optional, Set, Tuple
 
+from repro.util.keys import KIND_PUT
+from repro.wal import LogReader, decode_batch
+
 PAGE_SIZE = 4096
 #: Per-entry overhead used when deciding whether a leaf page is full.
 _ENTRY_OVERHEAD = 8
@@ -205,6 +208,18 @@ class BPlusTree:
     def take_dirty(self) -> Set[int]:
         dirty, self.dirty_pages = self.dirty_pages, set()
         return dirty
+
+    def replay_journal(self, storage, name: str, account) -> None:
+        """Apply every intact record of the journal ``name`` (one write
+        batch each) and forget the pages that dirtied: the journal, not
+        the page images, is what a store reopens from."""
+        for record in LogReader(storage, name).records(account):
+            for kind, key, value in decode_batch(record)[1]:
+                if kind == KIND_PUT:
+                    self.put(key, value)
+                else:
+                    self.delete(key)
+        self.take_dirty()
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:

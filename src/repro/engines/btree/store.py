@@ -12,33 +12,24 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.engines.base import DBIterator, KeyValueStore, StatsCounters, checked_bytes
+from repro.engines.background import BackgroundErrors
+from repro.engines.interface import DBIterator, KeyValueStore, checked_bytes, validate_key
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stats import StatsCounters
 from repro.engines.btree.bptree import PAGE_SIZE, BPlusTree
-from repro.errors import (
-    BackgroundError,
-    InvalidArgumentError,
-    PersistentIOError,
-    StorageError,
-    StoreClosedError,
-    TransientIOError,
-)
+from repro.errors import PersistentIOError, StorageError, TransientIOError
 from repro.sim.storage import SimulatedStorage
 from repro.wal import LogWriter, encode_batch
 from repro.util.keys import KIND_DELETE, KIND_PUT
 
 
-class BPlusTreeStore(KeyValueStore):
-    """Embedded B+tree key-value store with write-through pages."""
+class PagedTreeStore(KeyValueStore):
+    """What both B-tree engines share: an in-memory :class:`BPlusTree`
+    whose page ids map onto one data file, a journal every write goes
+    through first and a reopen replays, and reads charged per page.  A
+    subclass decides when dirty pages are written back."""
 
-    preset = "btree"
-
-    def __init__(
-        self,
-        storage: SimulatedStorage,
-        prefix: str = "btree/",
-        fanout: int = 128,
-    ) -> None:
+    def __init__(self, storage: SimulatedStorage, prefix: str, fanout: int) -> None:
         self.storage = storage
         self.prefix = prefix
         self.cpu = storage.cpu
@@ -52,51 +43,17 @@ class BPlusTreeStore(KeyValueStore):
         self._journal = LogWriter(storage, self._journal_name)
         self.registry = MetricsRegistry()
         self._stats = StatsCounters(self.registry)
-        self.tracer = None
-        self._closed = False
-        #: Sticky error: set when the journal may hold a torn record or a
-        #: persistent fault hit the write path.  Writes then raise
-        #: BackgroundError; reads keep serving; resume() rewrites the
-        #: journal as a clean checkpoint of the in-memory tree.
-        self._background_error: Optional[BackgroundError] = None
         if recovering:
-            self._recover()
+            self._tree.replay_journal(
+                storage, self._journal_name, storage.foreground_account(prefix + "recover")
+            )
 
-    # ------------------------------------------------------------------
-    def enable_tracing(self, sink, component: str = "engine", seed: int = 0):
-        """Attach a tracer (server-layer spans; the tree emits none yet)."""
-        from repro.obs.trace import Tracer
-
-        self.tracer = Tracer(
-            sink, clock=self.storage.clock, component=component, seed=seed
-        )
-        return self.tracer
-
-    # ------------------------------------------------------------------
-    def _page_offset(self, page_id: int) -> int:
-        return page_id * PAGE_SIZE
-
-    def _write_pages(self, page_ids) -> None:
-        for page_id in sorted(page_ids):
-            try:
-                self.storage.write_at(
-                    self._data_file,
-                    self._page_offset(page_id),
-                    b"\x00" * PAGE_SIZE,
-                    self._acct,
-                )
-            except TransientIOError:
-                # The journal already holds the operation; the page image
-                # is rebuilt from it at recovery, so a transient writeback
-                # failure costs nothing but the retry a real pager would do.
-                continue
-            except PersistentIOError as exc:
-                self._set_background_error("page writeback", exc)
-                return
+    def _before_read(self) -> None:
+        """Hook run first by every get and seek."""
 
     def _read_pages(self, page_ids) -> None:
         for page_id in page_ids:
-            offset = self._page_offset(page_id)
+            offset = page_id * PAGE_SIZE
             if offset + PAGE_SIZE <= self.storage.size(self._data_file):
                 try:
                     self.storage.read(self._data_file, offset, PAGE_SIZE, self._acct)
@@ -105,125 +62,10 @@ class BPlusTreeStore(KeyValueStore):
                     # read only loses its simulated cache accounting.
                     continue
 
-    def _recover(self) -> None:
-        """Rebuild the tree from the journal after a reopen or crash."""
-        from repro.wal import LogReader, decode_batch
-
-        acct = self.storage.foreground_account(self.prefix + "recover")
-        for record in LogReader(self.storage, self._journal_name).records(acct):
-            _, ops = decode_batch(record)
-            for kind, key, value in ops:
-                if kind == KIND_PUT:
-                    self._tree.put(key, value)
-                else:
-                    self._tree.delete(key)
-        self._tree.take_dirty()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StoreClosedError("store is closed")
-
-    @staticmethod
-    def _validate(key: bytes) -> None:
-        if not isinstance(key, (bytes, bytearray)) or not key:
-            raise InvalidArgumentError(f"keys must be non-empty bytes: {key!r}")
-
-    # ------------------------------------------------------------------
-    # Degraded mode and resume (mirrors LSMStoreBase's state machine)
-    # ------------------------------------------------------------------
-    def background_error(self) -> Optional[BackgroundError]:
-        return self._background_error
-
-    def _set_background_error(self, kind: str, exc: Exception) -> None:
-        if self._background_error is None:
-            self._background_error = BackgroundError(
-                f"store degraded to read-only: {kind} failed: {exc}", cause=exc
-            )
-            self._stats.background_errors += 1
-
-    def _journal_append(self, payload: bytes) -> None:
-        """Journal one operation; the journal precedes every tree mutation.
-
-        A failed append that left bytes behind may have torn the record: a
-        later record appended after the tear would be unreadable at
-        recovery even though it was acknowledged, so the store degrades
-        until resume() rewrites the journal.  A failure that left nothing
-        behind is a clean, retryable foreground error.
-        """
-        if self._background_error is not None:
-            raise self._background_error
-        size_before = self.storage.size(self._journal_name)
-        try:
-            self._journal.append(payload, self._acct)
-        except StorageError as exc:
-            if (
-                self.storage.size(self._journal_name) != size_before
-                or isinstance(exc, PersistentIOError)
-            ):
-                self._set_background_error("journal append", exc)
-            raise
-
-    def resume(self) -> bool:
-        """Rewrite the journal as a checkpoint and re-enable writes.
-
-        The in-memory tree is the authoritative state (every acknowledged
-        operation reached it), so the new journal is simply one PUT record
-        per live pair, synced, then atomically renamed over the suspect
-        file.  Returns True when the store is healthy again.
-        """
-        self._check_open()
-        if self._background_error is None:
-            return True
-        acct = self.storage.foreground_account(self.prefix + "recover")
-        tmp = self._journal_name + ".new"
-        try:
-            if self.storage.exists(tmp):
-                self.storage.delete(tmp)
-            checkpoint = LogWriter(self.storage, tmp)
-            for key, value, _ in self._tree.iterate_from(b"\x00"):
-                checkpoint.append(encode_batch(0, [(KIND_PUT, key, value)]), acct)
-            checkpoint.sync(acct)
-            self.storage.rename(tmp, self._journal_name)
-        except StorageError as exc:
-            if self.storage.exists(tmp):
-                self.storage.delete(tmp)
-            self._background_error = BackgroundError(
-                f"store degraded to read-only: resume failed: {exc}", cause=exc
-            )
-            return False
-        self._journal = LogWriter(self.storage, self._journal_name)
-        self._background_error = None
-        self._stats.resumes += 1
-        return True
-
-    # ------------------------------------------------------------------
-    def put(self, key: bytes, value: bytes) -> None:
-        self._check_open()
-        self._validate(key)
-        key, value = bytes(key), checked_bytes(value)
-        self._journal_append(encode_batch(0, [(KIND_PUT, key, value)]))
-        path = self._tree.put(key, value)
-        self._read_pages(path[:-1])  # interior pages consulted on the way down
-        self._write_pages(self._tree.take_dirty())
-        self._acct.charge(self.cpu.charge("btree_update", 3.0e-6))
-        self._stats.puts += 1
-        self._stats.user_bytes_written += len(key) + len(value)
-
-    def delete(self, key: bytes) -> None:
-        self._check_open()
-        self._validate(key)
-        key = bytes(key)
-        self._journal_append(encode_batch(0, [(KIND_DELETE, key, b"")]))
-        removed, path = self._tree.delete(key)
-        self._read_pages(path[:-1])
-        if removed:
-            self._write_pages(self._tree.take_dirty())
-        self._stats.deletes += 1
-        self._stats.user_bytes_written += len(key)
-
     def get(self, key: bytes) -> Optional[bytes]:
         self._check_open()
-        self._validate(key)
+        validate_key(key)
+        self._before_read()
         value, path = self._tree.get(bytes(key))
         self._read_pages(path)
         self._acct.charge(self.cpu.charge("btree_search", 2.0e-6))
@@ -232,7 +74,8 @@ class BPlusTreeStore(KeyValueStore):
 
     def seek(self, key: bytes) -> DBIterator:
         self._check_open()
-        self._validate(key)
+        validate_key(key)
+        self._before_read()
         self._stats.seeks += 1
 
         def gen() -> Iterator[Tuple[bytes, bytes]]:
@@ -248,12 +91,123 @@ class BPlusTreeStore(KeyValueStore):
 
         return DBIterator(gen(), on_next=on_next)
 
+    def check_invariants(self) -> None:
+        self._tree.check_invariants()
+
+
+class BPlusTreeStore(PagedTreeStore):
+    """Embedded B+tree key-value store with write-through pages."""
+
+    preset = "btree"
+
+    def __init__(
+        self,
+        storage: SimulatedStorage,
+        prefix: str = "btree/",
+        fanout: int = 128,
+    ) -> None:
+        super().__init__(storage, prefix, fanout)
+        #: Sticky error: set when the journal may hold a torn record or a
+        #: persistent fault hit the write path.  Writes then raise
+        #: BackgroundError; reads keep serving; resume() rewrites the
+        #: journal as a clean checkpoint of the in-memory tree.
+        self._faults = BackgroundErrors(storage.clock, self._stats, tracer=lambda: self.tracer)
+
+    def _write_pages(self, page_ids) -> None:
+        for page_id in sorted(page_ids):
+            try:
+                self.storage.write_at(
+                    self._data_file, page_id * PAGE_SIZE, b"\x00" * PAGE_SIZE, self._acct
+                )
+            except TransientIOError:
+                # The journal already holds the operation; the page image
+                # is rebuilt from it at recovery, so a transient writeback
+                # failure costs nothing but the retry a real pager would do.
+                continue
+            except PersistentIOError as exc:
+                self._faults.fail("page writeback", exc)
+                return
+
+    # ------------------------------------------------------------------
+    # Degraded mode and resume
+    # ------------------------------------------------------------------
+    def _journal_append(self, payload: bytes) -> None:
+        """Journal one operation; the journal precedes every tree mutation.
+
+        A failed append that left bytes behind may have torn the record: a
+        later record appended after the tear would be unreadable at
+        recovery even though it was acknowledged, so the store degrades
+        until resume() rewrites the journal.  A failure that left nothing
+        behind is a clean, retryable foreground error.
+        """
+        self._faults.raise_if_failed()
+        size_before = self.storage.size(self._journal_name)
+        try:
+            self._journal.append(payload, self._acct)
+        except StorageError as exc:
+            if (
+                self.storage.size(self._journal_name) != size_before
+                or isinstance(exc, PersistentIOError)
+            ):
+                self._faults.fail("journal append", exc)
+            raise
+
+    def resume(self) -> bool:
+        """Rewrite the journal as a checkpoint and re-enable writes.
+
+        The in-memory tree is the authoritative state (every acknowledged
+        operation reached it), so the new journal is simply one PUT record
+        per live pair, synced, then atomically renamed over the suspect
+        file.  Returns True when the store is healthy again.
+        """
+        self._check_open()
+        return self._faults.resume(self._checkpoint)
+
+    def _checkpoint(self) -> None:
+        acct = self.storage.foreground_account(self.prefix + "recover")
+        tmp = self._journal_name + ".new"
+        try:
+            if self.storage.exists(tmp):
+                self.storage.delete(tmp)
+            checkpoint = LogWriter(self.storage, tmp)
+            for key, value, _ in self._tree.iterate_from(b"\x00"):
+                checkpoint.append(encode_batch(0, [(KIND_PUT, key, value)]), acct)
+            checkpoint.sync(acct)
+            self.storage.rename(tmp, self._journal_name)
+        except StorageError:
+            if self.storage.exists(tmp):
+                self.storage.delete(tmp)
+            raise
+        self._journal = LogWriter(self.storage, self._journal_name)
+
+    # ------------------------------------------------------------------
+    def put(self, key: bytes, value: bytes) -> None:
+        self._check_open()
+        validate_key(key)
+        key, value = bytes(key), checked_bytes(value)
+        self._journal_append(encode_batch(0, [(KIND_PUT, key, value)]))
+        path = self._tree.put(key, value)
+        self._read_pages(path[:-1])  # interior pages consulted on the way down
+        self._write_pages(self._tree.take_dirty())
+        self._acct.charge(self.cpu.charge("btree_update", 3.0e-6))
+        self._stats.puts += 1
+        self._stats.user_bytes_written += len(key) + len(value)
+
+    def delete(self, key: bytes) -> None:
+        self._check_open()
+        validate_key(key)
+        key = bytes(key)
+        self._journal_append(encode_batch(0, [(KIND_DELETE, key, b"")]))
+        removed, path = self._tree.delete(key)
+        self._read_pages(path[:-1])
+        if removed:
+            self._write_pages(self._tree.take_dirty())
+        self._stats.deletes += 1
+        self._stats.user_bytes_written += len(key)
+
     # ------------------------------------------------------------------
     def _refresh_derived(self) -> None:
         self.registry.gauge("store.memory_bytes").set(len(self._tree) * 64)
-
-    def check_invariants(self) -> None:
-        self._tree.check_invariants()
 
     def close(self) -> None:
         if not self._closed:

@@ -39,8 +39,10 @@ for every job of every engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engines.background import RETIRE_SEGMENT, RETIRE_TABLE
 from repro.sim.executor import Job
 from repro.sstable import compaction_iterator, merging_iterator
 from repro.sstable.format import Entry
@@ -187,7 +189,7 @@ class CompactionRunner:
     # ------------------------------------------------------------------
     def _schedule_compactions(self) -> None:
         """Submit due compactions until the engine's pick comes up empty."""
-        if self._background_error is not None:
+        if self._faults.error is not None:
             return
         # One pass submits at most two jobs per level (or one per worker).
         for _ in range(max(2 * self.options.num_levels, self.executor.workers)):
@@ -259,7 +261,7 @@ class CompactionRunner:
         self._run_protected(
             "compaction", lambda: self._submit_compaction(level, pick, trigger)
         )
-        return self._background_error is None
+        return self._faults.error is None
 
     def _submit_compaction(self, level: int, pick, trigger: Optional[str]) -> None:
         ctx = CompactionContext(self, f"{self.COMPACTION_CAUSE}.L{level}")
@@ -308,7 +310,8 @@ class CompactionRunner:
 
         def settle(durable: bool) -> None:
             if gc is not None:
-                self._deferred_vlog_retirements.extend(gc.retire(durable))
+                for segment in gc.retire(durable):
+                    self._faults.defer(RETIRE_SEGMENT, partial(self._vlog.retire_segment, segment))
             self._install_compaction(result)
             moved = {meta.number for _, meta, _, _ in outputs}
             for _, meta in consumed:
@@ -318,7 +321,7 @@ class CompactionRunner:
                 if durable:
                     self._retire_file(meta.number)
                 else:
-                    self._deferred_retirements.append(meta.number)
+                    self._faults.defer(RETIRE_TABLE, partial(self._retire_file, meta.number))
             self._note_compaction_inflight(-1)
             self._stats.compactions += 1
             self._stats.compaction_bytes_written += bytes_out
@@ -367,7 +370,7 @@ class CompactionRunner:
         def apply() -> None:
             if prepare is not None:
                 prepare()
-            durable = self._append_manifest(
+            durable = self._manifest.append(
                 edit, self.storage.background_account(self.prefix + "manifest")
             )
             settle(durable)

@@ -15,19 +15,18 @@ flight and the dirty set has grown past twice the trigger, writes stall
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
-from repro.engines.base import DBIterator, KeyValueStore, StatsCounters, checked_bytes
-from repro.obs.metrics import MetricsRegistry
-from repro.engines.btree.bptree import PAGE_SIZE, BPlusTree
-from repro.errors import InvalidArgumentError, StoreClosedError
+from repro.engines.btree.bptree import PAGE_SIZE
+from repro.engines.btree.store import PagedTreeStore
+from repro.engines.interface import checked_bytes, validate_key
 from repro.sim.executor import BackgroundExecutor, Job
 from repro.sim.storage import SimulatedStorage
-from repro.wal import LogReader, LogWriter, decode_batch, encode_batch
+from repro.wal import encode_batch
 from repro.util.keys import KIND_DELETE, KIND_PUT
 
 
-class WiredTigerStore(KeyValueStore):
+class WiredTigerStore(PagedTreeStore):
     """Checkpoint + journal B-tree store."""
 
     preset = "wiredtiger"
@@ -39,42 +38,22 @@ class WiredTigerStore(KeyValueStore):
         checkpoint_dirty_bytes: int = 256 * 1024,
         fanout: int = 128,
     ) -> None:
-        self.storage = storage
-        self.prefix = prefix
-        self.cpu = storage.cpu
+        # The journal holds the store's full history (it is retained
+        # across checkpoints, so durability never depends on the
+        # simulated page images).
+        super().__init__(storage, prefix, fanout)
         self.checkpoint_dirty_bytes = checkpoint_dirty_bytes
-        self._tree = BPlusTree(fanout)
-        self._acct = storage.foreground_account(prefix + "user")
         self.executor = BackgroundExecutor(storage.clock, workers=1)
-        self._data_file = prefix + "tree.db"
-        if not storage.exists(self._data_file):
-            storage.create(self._data_file)
-        self._journal_name = prefix + "journal.log"
-        recovering = storage.exists(self._journal_name)
-        self._journal = LogWriter(storage, self._journal_name)
         self._dirty_bytes = 0
         self._checkpoint_job: Optional[Job] = None
-        self.registry = MetricsRegistry()
-        self._stats = StatsCounters(self.registry)
-        self.tracer = None
-        self._closed = False
-        if recovering:
-            self._recover()
 
-    # ------------------------------------------------------------------
-    def enable_tracing(self, sink, component: str = "engine", seed: int = 0):
-        """Attach a tracer (server-layer spans; the tree emits none yet)."""
-        from repro.obs.trace import Tracer
-
-        self.tracer = Tracer(
-            sink, clock=self.storage.clock, component=component, seed=seed
-        )
-        return self.tracer
+    def _before_read(self) -> None:
+        self.executor.drain()
 
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
-        self._validate(key)
+        validate_key(key)
         key, value = bytes(key), checked_bytes(value)
         self.executor.drain()
         self._journal.append(encode_batch(0, [(KIND_PUT, key, value)]), self._acct)
@@ -88,7 +67,7 @@ class WiredTigerStore(KeyValueStore):
 
     def delete(self, key: bytes) -> None:
         self._check_open()
-        self._validate(key)
+        validate_key(key)
         key = bytes(key)
         self.executor.drain()
         self._journal.append(encode_batch(0, [(KIND_DELETE, key, b"")]), self._acct)
@@ -99,35 +78,6 @@ class WiredTigerStore(KeyValueStore):
         self._stats.deletes += 1
         self._stats.user_bytes_written += len(key)
         self._maybe_checkpoint()
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        self._check_open()
-        self._validate(key)
-        self.executor.drain()
-        value, path = self._tree.get(bytes(key))
-        self._read_pages(path)
-        self._acct.charge(self.cpu.charge("btree_search", 2.0e-6))
-        self._stats.gets += 1
-        return value
-
-    def seek(self, key: bytes) -> DBIterator:
-        self._check_open()
-        self._validate(key)
-        self.executor.drain()
-        self._stats.seeks += 1
-
-        def gen() -> Iterator[Tuple[bytes, bytes]]:
-            last_page = None
-            for k, v, page_id in self._tree.iterate_from(bytes(key)):
-                if page_id != last_page:
-                    self._read_pages([page_id])
-                    last_page = page_id
-                yield k, v
-
-        def on_next() -> None:
-            self._stats.next_calls += 1
-
-        return DBIterator(gen(), on_next=on_next)
 
     # ------------------------------------------------------------------
     def _maybe_checkpoint(self) -> None:
@@ -165,52 +115,10 @@ class WiredTigerStore(KeyValueStore):
         self._checkpoint_job = self.executor.submit("checkpoint", acct.seconds, apply)
 
     # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        """Rebuild the in-memory tree by replaying the journal.
-
-        The journal holds the store's full history (it is retained across
-        checkpoints, so durability never depends on the simulated page
-        images); replaying it restores the exact pre-crash contents up to
-        the last durable journal byte.
-        """
-        from repro.util.keys import KIND_PUT as _PUT
-
-        acct = self.storage.foreground_account(self.prefix + "recover")
-        for record in LogReader(self.storage, self._journal_name).records(acct):
-            _, ops = decode_batch(record)
-            for kind, key, value in ops:
-                if kind == _PUT:
-                    self._tree.put(key, value)
-                else:
-                    self._tree.delete(key)
-        self._tree.take_dirty()
-        self._dirty_bytes = 0
-
-    # ------------------------------------------------------------------
-    def _read_pages(self, page_ids) -> None:
-        size = self.storage.size(self._data_file)
-        for page_id in page_ids:
-            offset = page_id * PAGE_SIZE
-            if offset + PAGE_SIZE <= size:
-                self.storage.read(self._data_file, offset, PAGE_SIZE, self._acct)
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StoreClosedError("store is closed")
-
-    @staticmethod
-    def _validate(key: bytes) -> None:
-        if not isinstance(key, (bytes, bytearray)) or not key:
-            raise InvalidArgumentError(f"keys must be non-empty bytes: {key!r}")
-
-    # ------------------------------------------------------------------
     def _refresh_derived(self) -> None:
         self.registry.gauge("store.memory_bytes").set(
             len(self._tree) * 64 + self._dirty_bytes
         )
-
-    def check_invariants(self) -> None:
-        self._tree.check_invariants()
 
     def wait_idle(self) -> None:
         self.executor.wait_all()

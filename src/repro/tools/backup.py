@@ -17,7 +17,8 @@ from typing import List
 
 from repro.errors import CorruptionError, ReproError
 from repro.sim.storage import SimulatedStorage
-from repro.version import ManifestReader, read_current, set_current
+from repro.version import read_current, set_current
+from repro.version.lifecycle import MANIFEST, SEGMENT, TABLE, WAL, file_name, numbered_files, replay_manifest
 from repro.version.manifest import CURRENT_NAME
 
 
@@ -51,30 +52,18 @@ def _live_files(storage: SimulatedStorage, prefix: str) -> List[str]:
     manifest = read_current(storage, acct, prefix)
     if manifest is None:
         raise ReproError(f"no CURRENT under {prefix!r}: nothing to back up")
-    live: set = set()
-    dead: set = set()
-    retired_vlog: set = set()
-    for edit in ManifestReader(storage, manifest).edits(acct):
-        for _, meta, _, _ in edit.new_files:
-            live.add(meta.number)
-        for _, number in edit.deleted_files:
-            dead.add(number)
-        retired_vlog.update(edit.deleted_vlog_segments)
-    live -= dead
+    version = replay_manifest(storage, manifest, acct)
     names = [manifest]
-    for number in sorted(live):
-        name = f"{prefix}{number:06d}.sst"
+    for number in sorted({number for _, number in version.tables}):
+        name = file_name(prefix, number, TABLE)
         if not storage.exists(name):
             raise CorruptionError(f"live sstable missing, refusing to back up: {name}")
         names.append(name)
-    for name in storage.list_files(prefix):
-        if name.endswith(".log"):
+    # Every WAL, and every value-log segment the MANIFEST has not retired:
+    # a surviving segment may hold records the live sstables point into.
+    for number, name in numbered_files(storage, prefix, (WAL, SEGMENT)):
+        if name.endswith(WAL) or number not in version.vlog_deleted:
             names.append(name)
-        elif name.endswith(".vlg"):
-            # Value-log segments: every surviving segment may hold records
-            # the live sstables point into; manifest-retired ones are dead.
-            if int(name[len(prefix):-4]) not in retired_vlog:
-                names.append(name)
     return names
 
 
@@ -116,7 +105,7 @@ def restore_backup(
         if base == CURRENT_NAME:
             continue
         _copy_file(storage, name, dst_prefix + base, report)
-        if base.startswith("MANIFEST-"):
+        if base.startswith(MANIFEST):
             manifest_dst = dst_prefix + base
     if manifest_dst is None:
         raise CorruptionError("backup contains no MANIFEST")

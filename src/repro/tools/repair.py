@@ -5,7 +5,8 @@ write-ahead logs still hold all the data.  ``repair_store``:
 
 1. scans the store's directory for sstables, validating each one
    (corrupt tables are set aside and reported, not silently dropped);
-2. converts any surviving write-ahead logs into fresh sstables;
+2. replays the surviving write-ahead logs into one fresh sstable, the
+   way recovery replays them into Level 0;
 3. writes a brand-new MANIFEST placing every table in Level 0 — always
    legal, since Level 0 tolerates overlapping ranges — ordered so newer
    versions shadow older ones;
@@ -19,19 +20,27 @@ normal compaction, exactly as a fresh store would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.errors import ReproError
 from repro.memtable import Memtable
 from repro.sim.storage import SimulatedStorage
 from repro.sstable import SSTableBuilder, SSTableReader
-from repro.sstable.format import ValuePointer
 from repro.util.keys import KIND_VPTR
-from repro.version import ManifestWriter, VersionEdit, set_current
+from repro.version import VersionEdit
 from repro.version.files import FileMetadata
+from repro.version.lifecycle import (
+    MANIFEST,
+    SEGMENT,
+    TABLE,
+    batch_pointers_intact,
+    create_manifest,
+    numbered_files,
+    replay_wals,
+    write_table,
+)
 from repro.version.manifest import CURRENT_NAME, GUARD_NONE
-from repro.vlog.log import SEGMENT_SUFFIX
-from repro.wal import LogReader, decode_batch
+from repro.vlog.log import ValueLog
 
 
 @dataclass
@@ -52,31 +61,15 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
     report = RepairReport()
 
     tables: List[FileMetadata] = []
-    max_number = 0
-
     # Value-log segments are data files too: they are kept as-is (the
     # reopened store re-registers them from disk), their numbers must not
-    # be re-allocated, and pointers into them are validated below.
-    segments: Dict[int, int] = {}
-    for name in storage.list_files(prefix):
-        if name.endswith(SEGMENT_SUFFIX):
-            number = int(name[len(prefix) : -len(SEGMENT_SUFFIX)])
-            segments[number] = storage.size(name)
-            max_number = max(max_number, number)
+    # be re-allocated, and pointers into them are validated as recovery
+    # validates them.
+    # (Read-only here: it never appends, so it never allocates a number.)
+    vlog = ValueLog(storage, prefix, segment_bytes=0, gc_dead_ratio=1.0, alloc_number=int)
+    max_number = max([0] + [n for n, _ in numbered_files(storage, prefix, (SEGMENT,))])
 
-    def pointer_ok(value: bytes) -> bool:
-        try:
-            pointer = ValuePointer.decode(bytes(value))
-        except ReproError:
-            return False
-        return pointer.offset + pointer.record_length <= segments.get(
-            pointer.segment, 0
-        )
-
-    for name in storage.list_files(prefix):
-        if not name.endswith(".sst"):
-            continue
-        number = int(name[len(prefix) : -4])
+    for number, name in numbered_files(storage, prefix, (TABLE,)):
         max_number = max(max_number, number)
         try:
             reader = SSTableReader.open(storage, name, acct)
@@ -89,7 +82,9 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
                 last_key = key
                 max_seq = max(max_seq, key.sequence)
                 entries += 1
-                if key.kind == KIND_VPTR and not pointer_ok(value):
+                if key.kind == KIND_VPTR and not batch_pointers_intact(
+                    vlog, key.sequence, [(key.kind, key.user_key, value)], acct, strict=False
+                ):
                     raise ReproError("dangling value pointer")
             if first_key is None or last_key is None:
                 raise ReproError("empty sstable")
@@ -112,77 +107,38 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
 
     next_number = max_number + 1
 
-    # Convert surviving WALs into tables so their data is not lost and
+    # Replay the surviving WALs into a table so their data is not lost and
     # cannot be double-applied on a later recovery.
-    for name in sorted(storage.list_files(prefix)):
-        if not name.endswith(".log"):
-            continue
-        mem = Memtable()
-        recovered = 0
-        for record in LogReader(storage, name).records(acct):
-            try:
-                seq, ops = decode_batch(record)
-            except ReproError:
-                break
-            # A batch whose value pointers lead nowhere (torn vlog tail)
-            # is dropped whole — batch atomicity — but its sequence range
-            # is still burned so later writes cannot collide with any
-            # phantom vlog records that carry those sequences.
-            report.last_sequence = max(report.last_sequence, seq + len(ops) - 1)
-            if any(
-                kind == KIND_VPTR and not pointer_ok(value)
-                for kind, _, value in ops
-            ):
-                continue
-            for i, (kind, key, value) in enumerate(ops):
-                try:
-                    mem.add(seq + i, kind, key, value)
-                    recovered += 1
-                except ValueError:
-                    pass  # duplicate (key, seq): already present
-        if recovered:
-            builder = SSTableBuilder()
-            for ikey, value in mem:
-                builder.add(ikey, value)
-            blob, props, _ = builder.finish()
-            number = next_number
-            next_number += 1
-            table_name = f"{prefix}{number:06d}.sst"
-            storage.create(table_name)
-            storage.append(table_name, blob, acct)
-            storage.sync(table_name, acct)
-            meta = FileMetadata(
-                number=number,
-                smallest=props.smallest,
-                largest=props.largest,
-                file_size=props.file_size,
-                num_entries=props.num_entries,
-                largest_seq=props.largest_seq,
-            )
-            tables.append(meta)
-            report.last_sequence = max(report.last_sequence, props.largest_seq)
-            report.entries_from_logs += recovered
-            report.logs_converted += 1
+    mem = Memtable()
+    logs, last_sequence = replay_wals(
+        storage, prefix, 0, acct, mem, 0, strict=False, vlog=vlog
+    )
+    report.last_sequence = max(report.last_sequence, last_sequence)
+    if len(mem):
+        builder = SSTableBuilder()
+        for ikey, value in mem:
+            builder.add(ikey, value)
+        tables.append(write_table(storage, prefix, next_number, builder, acct, bloom=False))
+        next_number += 1
+        report.entries_from_logs = len(mem)
+    report.logs_converted = len(logs)
+    for name in logs:
         storage.delete(name)
 
     # Remove the old metadata before writing fresh metadata.
-    for name in storage.list_files(prefix):
-        base = name[len(prefix) :]
-        if base.startswith("MANIFEST-") or base == CURRENT_NAME:
-            storage.delete(name)
+    for _, name in numbered_files(storage, prefix, (MANIFEST,)):
+        storage.delete(name)
+    if storage.exists(prefix + CURRENT_NAME):
+        storage.delete(prefix + CURRENT_NAME)
 
-    manifest_name = f"{prefix}MANIFEST-{next_number:06d}"
-    next_number += 1
-    writer = ManifestWriter(storage, manifest_name)
     edit = VersionEdit(
         last_sequence=report.last_sequence,
-        next_file_number=next_number,
-        log_number=next_number,
+        next_file_number=next_number + 1,
+        log_number=next_number + 1,
     )
     # Level-0 recovery inserts each file at the front, so appending in
     # ascending max-sequence order leaves the newest data searched first.
     for meta in sorted(tables, key=lambda m: m.largest_seq):
         edit.add_file(0, meta, GUARD_NONE)
-    writer.append(edit, acct)
-    set_current(storage, manifest_name, acct, prefix)
+    create_manifest(storage, prefix, next_number, edit, acct)
     return report

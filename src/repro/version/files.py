@@ -46,10 +46,6 @@ class FileMetadata:
         if self.allowed_seeks == 0:
             self.allowed_seeks = max(100, self.file_size // (16 * 1024))
 
-    @property
-    def name(self) -> str:
-        return sstable_name(self.number)
-
     def overlaps(self, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
         """Whether the file's user-key range intersects ``[lo, hi]``.
 
@@ -94,8 +90,3 @@ class FileMetadata:
         largest_seq, offset = decode_varint64(data, offset)
         meta = cls(number, smallest, largest, file_size, num_entries, largest_seq=largest_seq)
         return meta, offset
-
-
-def sstable_name(number: int) -> str:
-    """Canonical file name of sstable ``number``."""
-    return f"{number:06d}.sst"

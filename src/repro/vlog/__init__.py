@@ -2,7 +2,6 @@
 
 from repro.sstable.format import ValuePointer
 from repro.vlog.log import (
-    SEGMENT_SUFFIX,
     SegmentState,
     ValueLog,
     VlogCompactionContext,
@@ -12,7 +11,6 @@ from repro.vlog.log import (
 )
 
 __all__ = [
-    "SEGMENT_SUFFIX",
     "SegmentState",
     "ValueLog",
     "ValuePointer",

@@ -32,15 +32,14 @@ from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable.format import ValuePointer
 from repro.util.crc import crc32c, mask_crc, unmask_crc
 from repro.util.keys import KIND_VPTR
-
-SEGMENT_SUFFIX = ".vlg"
+from repro.version.lifecycle import SEGMENT, file_name, numbered_files
 
 #: ``masked_crc(4) | klen(4) | vlen(4) | sequence(8)``
 _HEADER_SIZE = 20
 
 
 def segment_name(prefix: str, number: int) -> str:
-    return f"{prefix}{number:06d}{SEGMENT_SUFFIX}"
+    return file_name(prefix, number, SEGMENT)
 
 
 def encode_record(key: bytes, value: bytes, sequence: int) -> bytes:
@@ -129,9 +128,6 @@ class ValueLog:
     # ------------------------------------------------------------------
     def segment_numbers(self) -> List[int]:
         return sorted(self._segments)
-
-    def segment_file_names(self) -> List[str]:
-        return [segment_name(self._prefix, n) for n in sorted(self._segments)]
 
     @property
     def active_segment(self) -> Optional[int]:
@@ -252,11 +248,6 @@ class ValueLog:
     def note_stray_dead(self, segment: int, nbytes: int) -> None:
         self._stray_dead[segment] = self._stray_dead.get(segment, 0) + nbytes
 
-    def drain_stray_dead(self) -> Dict[int, int]:
-        out = self._stray_dead
-        self._stray_dead = {}
-        return out
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -375,10 +366,7 @@ class ValueLog:
         active one (appends continue at its tail).
         """
         on_disk: List[int] = []
-        for name in self._storage.list_files(self._prefix):
-            if not name.endswith(SEGMENT_SUFFIX):
-                continue
-            number = int(name[len(self._prefix) : -len(SEGMENT_SUFFIX)])
+        for number, name in numbered_files(self._storage, self._prefix, (SEGMENT,)):
             if number in deleted_segments:
                 self._storage.delete(name)
                 continue
