@@ -981,26 +981,23 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         A persistent fault, corruption, or an exhausted retry budget sets
         the sticky background error instead and returns None.
         """
-        saved = None
+        saved = []
 
         def attempt():
-            nonlocal saved
-            saved = (
-                self._next_file_number,
-                set(self._busy),
-                self._compactions_inflight,
-                self._capture_scheduling_state(),
+            saved[:] = (
+                self._next_file_number, set(self._busy),
+                self._compactions_inflight, self._capture_scheduling_state(),
             )
             return compute()
 
         def undo() -> None:
+            start, self._busy, self._compactions_inflight, state = saved
             # Delete the attempt's sstables.  File numbers stay monotonic —
             # the counter is *not* rewound — so a stale table- or block-cache
             # entry keyed by number never aliases a later file.
-            for number in range(saved[0], self._next_file_number):
+            for number in range(start, self._next_file_number):
                 self._drop_table_file(number)
-            self._busy, self._compactions_inflight = saved[1], saved[2]
-            self._restore_scheduling_state(saved[3])
+            self._restore_scheduling_state(state)
 
         try:
             return self._faults.retry(kind, attempt, undo)

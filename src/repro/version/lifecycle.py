@@ -39,15 +39,16 @@ def numbered_files(
     storage: SimulatedStorage, prefix: str, kinds: Tuple[str, ...]
 ) -> List[Tuple[int, str]]:
     """``(number, name)`` of each file of one of ``kinds`` under ``prefix``, ascending."""
+    stem = prefix + MANIFEST if MANIFEST in kinds else None
     out = []
-    for name in storage.list_files(prefix):
-        base = name[len(prefix) :]
-        if base.startswith(MANIFEST):
-            kind, digits = MANIFEST, base[len(MANIFEST) :]
+    for name in storage.list_files(prefix):  # no name *ends* with MANIFEST
+        if name.endswith(kinds):
+            digits = name[len(prefix) : -4]
+        elif stem is not None and name.startswith(stem):
+            digits = name[len(stem) :]
         else:
-            digits, _, suffix = base.partition(".")
-            kind = "." + suffix
-        if kind in kinds and digits.isdigit():
+            continue
+        if digits.isdigit():
             out.append((int(digits), name))
     return sorted(out)
 

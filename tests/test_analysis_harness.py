@@ -184,3 +184,22 @@ class TestOptionValidation:
             "a new knob needs two callers that exist today and need different "
             "values (ROADMAP aim 2); a removed one lowers this number"
         )
+
+    def test_module_budget(self):
+        """``engines/base.py`` keeps its split (ROADMAP item 8), and none of
+        the modules carved out of it grows into a second one."""
+        import pathlib
+
+        root = pathlib.Path(repro.__file__).parent
+
+        def lines(path: str) -> int:
+            return len((root / path).read_text().splitlines())
+
+        assert lines("engines/base.py") <= 1550
+        for path in (
+            "version/lifecycle.py",
+            "engines/background.py",
+            "engines/interface.py",
+            "obs/stats.py",
+        ):
+            assert lines(path) <= 500, path

@@ -19,6 +19,7 @@ from repro.errors import ReproError, TransientIOError
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.tools.backup import create_backup, restore_backup
 from repro.tools.repair import repair_store
+from repro.version import ManifestReader, read_current
 from tests.conftest import check_sequence_bounds
 
 
@@ -229,3 +230,71 @@ class TestRepairFaultedStore:
         check_sequence_bounds(db3, env)
         db3.check_invariants()
         db3.close()
+
+
+def _crashed_store(preset, separate):
+    """A store that lost power with acknowledged writes both in sstables
+    (some of them outputs of jobs still in flight) and in its durable but
+    unflushed WAL.  Returns the environment and the acknowledged map."""
+    env = repro.Environment(cache_bytes=1 << 20)
+    extra = dict(value_separation_bytes=100, vlog_segment_bytes=4096) if separate else {}
+    options = _tiny(preset, **extra)
+    db = repro.open_store(preset, env.storage, options=options, prefix="db/")
+    rng = random.Random(11)
+    model = {}
+    for i in range(900):
+        key = b"key%05d" % rng.randrange(500)
+        if rng.random() < 0.1:
+            db.delete(key)
+            model.pop(key, None)
+        else:
+            value = b"%05d" % i * rng.choice([1, 40])  # 5 B, or past the threshold
+            db.put(key, value)
+            model[key] = value
+    assert any(name.endswith(".log") and env.storage.size(name) for name in env.storage.list_files("db/"))
+    env.storage.crash()
+    return env, options, model
+
+
+@pytest.mark.parametrize("separate", [False, True], ids=["inline", "vlog"])
+@pytest.mark.parametrize("preset", ["leveldb", "hyperleveldb", "rocksdb", "pebblesdb"])
+def test_repair_equals_recovery(preset, separate):
+    """Reopening a crashed store and repairing it after losing its metadata
+    expose the same data: both replay the WAL through the one replay."""
+    env, options, model = _crashed_store(preset, separate)
+    recovered = repro.open_store(preset, env.storage, options=options, prefix="db/")
+    assert dict(recovered.scan()) == model
+
+    env, options, _ = _crashed_store(preset, separate)
+    for name in env.storage.list_files("db/"):
+        if name == "db/CURRENT" or name.startswith("db/MANIFEST-"):
+            env.storage.delete(name)
+    repair_store(env.storage, "db/")
+    repaired = repro.open_store(preset, env.storage, options=options, prefix="db/")
+    assert dict(repaired.scan()) == model
+    repaired.check_invariants()
+
+
+@pytest.mark.parametrize("preset", ["leveldb", "hyperleveldb"])
+def test_backup_keeps_trivially_moved_tables(preset):
+    """A trivial move deletes a table at one level and adds it at the next
+    in one edit; the backup's live set is the recovery fold's, level by
+    level, so the moved table is copied and the restored store opens."""
+    env = repro.Environment(cache_bytes=1 << 20)
+    db = repro.open_store(preset, env.storage, options=_tiny(preset), prefix="db/")
+    model = {}
+    for i in range(3000):  # sequential keys: flushed tables move down whole
+        db.put(b"key%06d" % i, b"v%05d" % i)
+        model[b"key%06d" % i] = b"v%05d" % i
+    db.wait_idle()
+    acct = env.storage.foreground_account()
+    edits = ManifestReader(env.storage, read_current(env.storage, acct, "db/")).edits(acct)
+    assert any(
+        {n for _, n in e.deleted_files} & {m.number for _, m, _, _ in e.new_files}
+        for e in edits
+    )
+    create_backup(env.storage, "db/", "bak/")
+    restore_backup(env.storage, "bak/", "restored/")
+    db2 = repro.open_store(preset, env.storage, options=_tiny(preset), prefix="restored/")
+    assert dict(db2.scan()) == model
+    db2.check_invariants()

@@ -115,6 +115,28 @@ class TestErrorsMode:
         assert not db.is_degraded
         db.close()
 
+    def test_transient_manifest_retries_are_recorded(self):
+        """A retried MANIFEST append takes the same retry loop as a flush,
+        so it lands in the ring too, under its own kind."""
+        env = repro.Environment(cache_bytes=1 << 20)
+        db = make_store("pebblesdb", env)
+        _fill(db, 100)
+        env.storage.set_fault_injector(
+            FaultInjector(
+                FaultPlan.fail_nth(0, op="append", name_pattern="db/MANIFEST-*")
+            )
+        )
+        db.flush_memtable()
+        db.wait_idle()
+        env.storage.set_fault_injector(None)
+        assert db.stats().transient_fault_retries == 1
+        retries = [
+            r["attrs"] for r in db.recorder.records() if r["name"] == "fault.retry"
+        ]
+        assert retries == [{"kind": "manifest_append", "attempt": 1}]
+        assert not db.is_degraded
+        db.close()
+
     def test_degradation_dumps_the_ring(self, tmp_path):
         env = repro.Environment(cache_bytes=1 << 20)
         db = make_store("pebblesdb", env, trace_dump_dir=str(tmp_path))
