@@ -33,7 +33,13 @@ from repro.memtable.memtable import GetResult
 from repro.sim.executor import BackgroundExecutor, Job
 from repro.sim.ratelimit import TokenBucket
 from repro.sim.storage import IoAccount, SimulatedStorage
-from repro.sstable import DecodedBlockCache, SSTableBuilder, SSTableReader, merge_entries, merging_iterator
+from repro.sstable import (
+    DecodedBlockCache,
+    SSTableBuilder,
+    SSTableReader,
+    merge_entries,
+    merging_iterator,
+)
 from repro.sstable.format import Entry, ValuePointer
 from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_SEEK, KIND_VPTR, MAX_SEQUENCE, InternalKey
 from repro.util.murmur import murmur3_64
@@ -45,6 +51,7 @@ from repro.version.lifecycle import (
     WAL,
     ManifestLog,
     create_manifest,
+    delete_if_exists,
     file_name,
     next_file_number,
     numbered_files,
@@ -905,7 +912,9 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         when the job's completion time passes, mirroring a real background
         flush thread.
         """
-        if self._flush_job is not None or not self._imm or self._faults.error is not None:
+        if self._flush_job is not None or not self._imm:
+            return
+        if self._faults.error is not None:
             return
         imm, _ = self._imm[0]
         acct = self.storage.background_account(self.prefix + "flush")
@@ -959,15 +968,11 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             return
         for number, name in numbered_files(self.storage, self.prefix, (WAL,)):
             if number < log_number:
-                delete = partial(self._delete_if_exists, name)
+                delete = partial(delete_if_exists, self.storage, name)
                 if durable:
                     delete()
                 else:
                     self._faults.defer(DELETE_WAL, delete)
-
-    def _delete_if_exists(self, name: str) -> None:
-        if self.storage.exists(name):
-            self.storage.delete(name)
 
     # ==================================================================
     # Fault handling and graceful degradation
@@ -1190,7 +1195,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._table_cache.pop(number, None)
         if self._block_cache is not None:
             self._block_cache.drop_file(number)
-        self._delete_if_exists(self._sst_name(number))
+        delete_if_exists(self.storage, self._sst_name(number))
 
     # ------------------------------------------------------------------
     # Read helpers

@@ -18,7 +18,16 @@ from typing import List
 from repro.errors import CorruptionError, ReproError
 from repro.sim.storage import SimulatedStorage
 from repro.version import read_current, set_current
-from repro.version.lifecycle import MANIFEST, SEGMENT, TABLE, WAL, file_name, numbered_files, replay_manifest
+from repro.version.lifecycle import (
+    MANIFEST,
+    SEGMENT,
+    TABLE,
+    WAL,
+    delete_if_exists,
+    file_name,
+    numbered_files,
+    replay_manifest,
+)
 from repro.version.manifest import CURRENT_NAME
 
 
@@ -35,8 +44,7 @@ def _copy_file(
     storage: SimulatedStorage, src: str, dst: str, report: BackupReport
 ) -> None:
     acct = storage.foreground_account("backup")
-    if storage.exists(dst):
-        storage.delete(dst)
+    delete_if_exists(storage, dst)
     storage.create(dst)
     data = storage.read(src, 0, storage.size(src), acct, sequential=True)
     storage.append(dst, data, acct)

@@ -67,10 +67,12 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
     # validates them.
     # (Read-only here: it never appends, so it never allocates a number.)
     vlog = ValueLog(storage, prefix, segment_bytes=0, gc_dead_ratio=1.0, alloc_number=int)
-    max_number = max([0] + [n for n, _ in numbered_files(storage, prefix, (SEGMENT,))])
+    data_files = numbered_files(storage, prefix, (TABLE, SEGMENT))
+    next_number = max([0] + [number for number, _ in data_files]) + 1
 
-    for number, name in numbered_files(storage, prefix, (TABLE,)):
-        max_number = max(max_number, number)
+    for number, name in data_files:
+        if not name.endswith(TABLE):
+            continue
         try:
             reader = SSTableReader.open(storage, name, acct)
             max_seq = 0
@@ -104,8 +106,6 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
         tables.append(meta)
         report.tables_recovered += 1
         report.last_sequence = max(report.last_sequence, max_seq)
-
-    next_number = max_number + 1
 
     # Replay the surviving WALs into a table so their data is not lost and
     # cannot be double-applied on a later recovery.

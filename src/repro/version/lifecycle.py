@@ -53,6 +53,11 @@ def numbered_files(
     return sorted(out)
 
 
+def delete_if_exists(storage: SimulatedStorage, name: str) -> None:
+    if storage.exists(name):
+        storage.delete(name)
+
+
 # ----------------------------------------------------------------------
 # Creation and the live MANIFEST
 # ----------------------------------------------------------------------
@@ -164,8 +169,7 @@ class ManifestLog:
                 log.sync(account)
                 set_current(storage, new_name, account, self.prefix)
             except (CorruptionError, StorageError):
-                if storage.exists(new_name):
-                    storage.delete(new_name)
+                delete_if_exists(storage, new_name)
                 raise
             self.writer = ManifestWriter(storage, new_name)
             self.pending.clear()
@@ -247,15 +251,8 @@ def remove_orphans(storage: SimulatedStorage, prefix: str, live: Set[int]) -> No
 
 
 def replay_wals(
-    storage: SimulatedStorage,
-    prefix: str,
-    log_number: int,
-    account: IoAccount,
-    mem,
-    last_sequence: int,
-    *,
-    strict: bool,
-    vlog,
+    storage: SimulatedStorage, prefix: str, log_number: int, account: IoAccount,
+    mem, last_sequence: int, *, strict: bool, vlog,
 ) -> Tuple[List[str], int]:
     """Replay every WAL numbered ``log_number`` or above into ``mem``,
     skipping ops at or below the running ``last_sequence`` (durable in an
@@ -324,14 +321,8 @@ def batch_pointers_intact(
 # Tables
 # ----------------------------------------------------------------------
 def write_table(
-    storage: SimulatedStorage,
-    prefix: str,
-    number: int,
-    builder: SSTableBuilder,
-    account: IoAccount,
-    *,
-    compression_ratio: float = 1.0,
-    bloom: bool = True,
+    storage: SimulatedStorage, prefix: str, number: int, builder: SSTableBuilder,
+    account: IoAccount, *, compression_ratio: float = 1.0, bloom: bool = True,
 ) -> FileMetadata:
     """Finish ``builder`` as sstable ``number``: create, append, sync.  A
     ``compression_ratio`` below 1 charges device IO at that ratio and the

@@ -7,7 +7,6 @@ from repro.vlog.log import (
     VlogCompactionContext,
     decode_record,
     encode_record,
-    segment_name,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "VlogCompactionContext",
     "decode_record",
     "encode_record",
-    "segment_name",
 ]

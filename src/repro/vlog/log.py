@@ -32,14 +32,10 @@ from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable.format import ValuePointer
 from repro.util.crc import crc32c, mask_crc, unmask_crc
 from repro.util.keys import KIND_VPTR
-from repro.version.lifecycle import SEGMENT, file_name, numbered_files
+from repro.version.lifecycle import SEGMENT, delete_if_exists, file_name, numbered_files
 
 #: ``masked_crc(4) | klen(4) | vlen(4) | sequence(8)``
 _HEADER_SIZE = 20
-
-
-def segment_name(prefix: str, number: int) -> str:
-    return file_name(prefix, number, SEGMENT)
 
 
 def encode_record(key: bytes, value: bytes, sequence: int) -> bytes:
@@ -182,7 +178,7 @@ class ValueLog:
             self._open_segment()
         assert self._active is not None
         record = encode_record(key, value, sequence)
-        name = segment_name(self._prefix, self._active)
+        name = file_name(self._prefix, self._active, SEGMENT)
         offset = self._active_offset
         self._storage.append(name, record, account)
         self._active_offset = offset + len(record)
@@ -197,7 +193,7 @@ class ValueLog:
 
     def _open_segment(self) -> None:
         number = self._alloc_number()
-        name = segment_name(self._prefix, number)
+        name = file_name(self._prefix, number, SEGMENT)
         if not self._storage.exists(name):
             self._storage.create(name)
         self._segments[number] = SegmentState(number)
@@ -208,7 +204,7 @@ class ValueLog:
         """Seal the active segment (synced: later pointers into it may be
         acknowledged while only the new active segment gets synced)."""
         assert self._active is not None
-        self._storage.sync(segment_name(self._prefix, self._active), account)
+        self._storage.sync(file_name(self._prefix, self._active, SEGMENT), account)
         self._active = None
         self._active_offset = 0
 
@@ -221,7 +217,7 @@ class ValueLog:
         vlog records durable" an invariant.
         """
         if self._active is not None:
-            self._storage.sync(segment_name(self._prefix, self._active), account)
+            self._storage.sync(file_name(self._prefix, self._active, SEGMENT), account)
 
     def abandon_tail(self, pointers: List[ValuePointer]) -> None:
         """Recover from a failed append or an abandoned write batch.
@@ -232,7 +228,7 @@ class ValueLog:
         by an acknowledged write — as stray dead bytes.
         """
         if self._active is not None:
-            name = segment_name(self._prefix, self._active)
+            name = file_name(self._prefix, self._active, SEGMENT)
             size = self._storage.size(name) if self._storage.exists(name) else 0
             torn = size - self._active_offset
             if torn > 0:
@@ -255,7 +251,7 @@ class ValueLog:
         self, pointer: ValuePointer, account: IoAccount
     ) -> Tuple[bytes, bytes, int]:
         """Resolve a pointer to ``(key, value, sequence)`` (CRC-checked)."""
-        name = segment_name(self._prefix, pointer.segment)
+        name = file_name(self._prefix, pointer.segment, SEGMENT)
         if not self._storage.exists(name):
             raise CorruptionError(
                 f"value pointer into missing segment {pointer.segment}"
@@ -284,7 +280,7 @@ class ValueLog:
             return False
 
     def synced_size(self, segment: int) -> int:
-        name = segment_name(self._prefix, segment)
+        name = file_name(self._prefix, segment, SEGMENT)
         return self._storage.synced_size(name) if self._storage.exists(name) else 0
 
     # ------------------------------------------------------------------
@@ -310,9 +306,7 @@ class ValueLog:
             self._delete_segment(segment)
 
     def _delete_segment(self, segment: int) -> None:
-        name = segment_name(self._prefix, segment)
-        if self._storage.exists(name):
-            self._storage.delete(name)
+        delete_if_exists(self._storage, file_name(self._prefix, segment, SEGMENT))
 
     # ------------------------------------------------------------------
     # Job commit (runs at compaction apply time, before the MANIFEST append)
@@ -373,7 +367,7 @@ class ValueLog:
             on_disk.append(number)
         self._segments = {}
         for number in sorted(on_disk):
-            size = self._storage.size(segment_name(self._prefix, number))
+            size = self._storage.size(file_name(self._prefix, number, SEGMENT))
             self._segments[number] = SegmentState(
                 number, size, min(dead_by_segment.get(number, 0), size)
             )
