@@ -15,6 +15,7 @@ retries and the sticky background error
 
 from __future__ import annotations
 
+import weakref
 from abc import abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
@@ -226,10 +227,13 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             self.tracer = self.recorder.sampling_tracer
         #: Retries, the sticky background error (while set, no new
         #: background work is scheduled) and the live MANIFEST.
+        #: (Through a weak proxy: no cycle, so a dropped store is freed at
+        #: once rather than at the next full garbage collection.)
+        store = weakref.proxy(self)
         self._faults = BackgroundErrors(
-            self.clock, self._stats, self.recorder, lambda: self.tracer
+            self.clock, self._stats, self.recorder, lambda: store.tracer
         )
-        self._manifest = ManifestLog(storage, prefix, self._faults, self._alloc_file_number)
+        self._manifest = ManifestLog(storage, prefix, self._faults)
         #: Per-op latency percentiles over simulated time (admin plane
         #: ``windows`` section).  Recorded on the sim clock, so the
         #: series is byte-identical traced or untraced.
@@ -1031,7 +1035,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 # Opening checks the footer magic and parses the index.
                 self._get_reader(number, acct)
             if self._manifest.pending or self._manifest.suspect:
-                self._manifest.rotate(acct)
+                self._manifest.rotate(acct, self._alloc_file_number)
 
         if not self._faults.resume(repair):
             return False

@@ -10,6 +10,7 @@ which is why B+trees lose to LSM on write throughput.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Optional, Tuple
 
 from repro.engines.background import BackgroundErrors
@@ -112,7 +113,8 @@ class BPlusTreeStore(PagedTreeStore):
         #: persistent fault hit the write path.  Writes then raise
         #: BackgroundError; reads keep serving; resume() rewrites the
         #: journal as a clean checkpoint of the in-memory tree.
-        self._faults = BackgroundErrors(storage.clock, self._stats, tracer=lambda: self.tracer)
+        store = weakref.proxy(self)  # no cycle: a dropped store is freed at once
+        self._faults = BackgroundErrors(storage.clock, self._stats, tracer=lambda: store.tracer)
 
     def _write_pages(self, page_ids) -> None:
         for page_id in sorted(page_ids):

@@ -76,17 +76,13 @@ class ManifestLog:
     """A store's live MANIFEST: retried, torn-safe appends and rotation.
 
     ``errors`` is the store's :class:`~repro.engines.background.BackgroundErrors`
-    (its retry loop, sticky error, tracer and registry); ``alloc_number``
-    its file-number allocator, which names a rotated MANIFEST.
+    (its retry loop, sticky error, tracer and registry).
     """
 
-    def __init__(
-        self, storage: SimulatedStorage, prefix: str, errors, alloc_number: Callable[[], int]
-    ) -> None:
+    def __init__(self, storage: SimulatedStorage, prefix: str, errors) -> None:
         self.storage = storage
         self.prefix = prefix
         self.errors = errors
-        self._alloc_number = alloc_number
         self.writer: Optional[ManifestWriter] = None
         #: Version edits already applied in memory whose append failed;
         #: :meth:`rotate` persists them into a fresh MANIFEST.
@@ -132,8 +128,9 @@ class ManifestLog:
             self.errors.fail("MANIFEST append", exc)
             return False
 
-    def rotate(self, account: IoAccount) -> None:
-        """Persist queued edits by rewriting the MANIFEST.
+    def rotate(self, account: IoAccount, alloc_number: Callable[[], int]) -> None:
+        """Persist queued edits by rewriting the MANIFEST, named with a
+        number from the store's allocator ``alloc_number``.
 
         The old file may end in a torn or unsynced record, so queued edits
         cannot simply be appended — at recovery the reader stops at the
@@ -155,7 +152,7 @@ class ManifestLog:
                 # The "failed" append actually reached storage completely
                 # (only its sync failed); don't write the edit twice.
                 pending.pop(0)
-            number = self._alloc_number()
+            number = alloc_number()
             new_name = file_name(self.prefix, number, MANIFEST)
             try:
                 log = LogWriter(storage, new_name)

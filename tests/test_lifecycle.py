@@ -31,10 +31,9 @@ def _errors(storage):
 
 
 def _log(storage):
-    """A live MANIFEST-000001 holding one edit; rotations take 10, 11, ..."""
+    """A live MANIFEST-000001 holding one edit."""
     errors = _errors(storage)
-    numbers = iter(range(10, 100))
-    log = ManifestLog(storage, "db/", errors, lambda: next(numbers))
+    log = ManifestLog(storage, "db/", errors)
     log.writer = create_manifest(
         storage, "db/", 1, VersionEdit(last_sequence=0), storage.foreground_account()
     )
@@ -89,7 +88,7 @@ class TestManifestLog:
         storage.set_fault_injector(None)
         log.append(VersionEdit(last_sequence=2), acct)
         old = log.writer.name
-        log.rotate(acct)
+        log.rotate(acct, lambda: 10)
         assert read_current(storage, acct, "db/") == file_name("db/", 10, MANIFEST)
         assert not storage.exists(old)
         edits = _edits(storage)
@@ -106,7 +105,7 @@ class TestManifestLog:
         _fail(storage, op="sync")  # the record is whole; only its sync fails
         assert not log.append(VersionEdit(last_sequence=1), acct)
         storage.set_fault_injector(None)
-        log.rotate(acct)
+        log.rotate(acct, lambda: 10)
         assert [e.last_sequence for e in _edits(storage)] == [0, 1, None]
 
 
