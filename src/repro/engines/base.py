@@ -52,7 +52,6 @@ from repro.version.lifecycle import (
     WAL,
     ManifestLog,
     create_manifest,
-    delete_if_exists,
     file_name,
     next_file_number,
     numbered_files,
@@ -972,7 +971,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             return
         for number, name in numbered_files(self.storage, self.prefix, (WAL,)):
             if number < log_number:
-                delete = partial(delete_if_exists, self.storage, name)
+                delete = partial(self.storage.delete, name, missing_ok=True)
                 if durable:
                     delete()
                 else:
@@ -1199,7 +1198,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._table_cache.pop(number, None)
         if self._block_cache is not None:
             self._block_cache.drop_file(number)
-        delete_if_exists(self.storage, self._sst_name(number))
+        self.storage.delete(self._sst_name(number), missing_ok=True)
 
     # ------------------------------------------------------------------
     # Read helpers

@@ -20,7 +20,6 @@ from repro.obs.stats import StatsCounters
 from repro.engines.btree.bptree import PAGE_SIZE, BPlusTree
 from repro.errors import PersistentIOError, StorageError, TransientIOError
 from repro.sim.storage import SimulatedStorage
-from repro.version.lifecycle import delete_if_exists
 from repro.wal import LogWriter, encode_batch
 from repro.util.keys import KIND_DELETE, KIND_PUT
 
@@ -170,14 +169,14 @@ class BPlusTreeStore(PagedTreeStore):
         acct = self.storage.foreground_account(self.prefix + "recover")
         tmp = self._journal_name + ".new"
         try:
-            delete_if_exists(self.storage, tmp)
+            self.storage.delete(tmp, missing_ok=True)
             checkpoint = LogWriter(self.storage, tmp)
             for key, value, _ in self._tree.iterate_from(b"\x00"):
                 checkpoint.append(encode_batch(0, [(KIND_PUT, key, value)]), acct)
             checkpoint.sync(acct)
             self.storage.rename(tmp, self._journal_name)
         except StorageError:
-            delete_if_exists(self.storage, tmp)
+            self.storage.delete(tmp, missing_ok=True)
             raise
         self._journal = LogWriter(self.storage, self._journal_name)
 

@@ -53,6 +53,11 @@ class StoreStats:
     compactions_parallel_peak: int = 0
 
     @property
+    def block_cache_hit_rate(self) -> float:
+        total = self.block_cache_hits + self.block_cache_misses
+        return self.block_cache_hits / total if total else 0.0
+
+    @property
     def write_amplification(self) -> float:
         if self.user_bytes_written == 0:
             return 0.0

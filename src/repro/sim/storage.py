@@ -245,9 +245,11 @@ class SimulatedStorage:
             if n.startswith(prefix)
         )
 
-    def delete(self, name: str) -> None:
+    def delete(self, name: str, missing_ok: bool = False) -> None:
         f = self._files.pop(name, None)
         if f is None:
+            if missing_ok:
+                return
             raise StorageError(f"no such file: {name}")
         self.cache.drop_file(f.file_id)
 

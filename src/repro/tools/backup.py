@@ -23,7 +23,6 @@ from repro.version.lifecycle import (
     SEGMENT,
     TABLE,
     WAL,
-    delete_if_exists,
     file_name,
     numbered_files,
     replay_manifest,
@@ -44,7 +43,7 @@ def _copy_file(
     storage: SimulatedStorage, src: str, dst: str, report: BackupReport
 ) -> None:
     acct = storage.foreground_account("backup")
-    delete_if_exists(storage, dst)
+    storage.delete(dst, missing_ok=True)
     storage.create(dst)
     data = storage.read(src, 0, storage.size(src), acct, sequential=True)
     storage.append(dst, data, acct)

@@ -128,8 +128,7 @@ def repair_store(storage: SimulatedStorage, prefix: str = "db/") -> RepairReport
     # Remove the old metadata before writing fresh metadata.
     for _, name in numbered_files(storage, prefix, (MANIFEST,)):
         storage.delete(name)
-    if storage.exists(prefix + CURRENT_NAME):
-        storage.delete(prefix + CURRENT_NAME)
+    storage.delete(prefix + CURRENT_NAME, missing_ok=True)
 
     edit = VersionEdit(
         last_sequence=report.last_sequence,

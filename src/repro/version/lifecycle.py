@@ -53,11 +53,6 @@ def numbered_files(
     return sorted(out)
 
 
-def delete_if_exists(storage: SimulatedStorage, name: str) -> None:
-    if storage.exists(name):
-        storage.delete(name)
-
-
 # ----------------------------------------------------------------------
 # Creation and the live MANIFEST
 # ----------------------------------------------------------------------
@@ -166,7 +161,7 @@ class ManifestLog:
                 log.sync(account)
                 set_current(storage, new_name, account, self.prefix)
             except (CorruptionError, StorageError):
-                delete_if_exists(storage, new_name)
+                storage.delete(new_name, missing_ok=True)
                 raise
             self.writer = ManifestWriter(storage, new_name)
             self.pending.clear()

@@ -211,8 +211,7 @@ def set_current(
     """Atomically point CURRENT at ``manifest_name``."""
     current = prefix + CURRENT_NAME
     tmp = current + ".tmp"
-    if storage.exists(tmp):
-        storage.delete(tmp)
+    storage.delete(tmp, missing_ok=True)
     storage.create(tmp)
     storage.append(tmp, manifest_name.encode("utf-8"), account)
     storage.sync(tmp, account)

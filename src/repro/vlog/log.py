@@ -32,7 +32,7 @@ from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable.format import ValuePointer
 from repro.util.crc import crc32c, mask_crc, unmask_crc
 from repro.util.keys import KIND_VPTR
-from repro.version.lifecycle import SEGMENT, delete_if_exists, file_name, numbered_files
+from repro.version.lifecycle import SEGMENT, file_name, numbered_files
 
 #: ``masked_crc(4) | klen(4) | vlen(4) | sequence(8)``
 _HEADER_SIZE = 20
@@ -306,7 +306,7 @@ class ValueLog:
             self._delete_segment(segment)
 
     def _delete_segment(self, segment: int) -> None:
-        delete_if_exists(self._storage, file_name(self._prefix, segment, SEGMENT))
+        self._storage.delete(file_name(self._prefix, segment, SEGMENT), missing_ok=True)
 
     # ------------------------------------------------------------------
     # Job commit (runs at compaction apply time, before the MANIFEST append)

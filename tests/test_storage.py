@@ -29,6 +29,12 @@ class TestNamespace:
         with pytest.raises(StorageError):
             storage.delete("nope")
 
+    def test_delete_missing_ok(self, storage):
+        storage.delete("nope", missing_ok=True)
+        storage.create("a")
+        storage.delete("a", missing_ok=True)
+        assert not storage.exists("a")
+
     def test_rename_replaces_target(self, storage):
         acct = storage.foreground_account()
         storage.create("a")
