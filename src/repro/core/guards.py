@@ -1,4 +1,5 @@
-"""Guards: the skip-list-inspired partitioning of FLSM levels.
+"""Levels: guards, the skip-list-inspired partitioning of FLSM levels, and
+the sorted level of a leveled LSM.
 
 A guard with key *K* at level *i* owns every sstable whose keys fall in
 ``[K, K_next)`` where ``K_next`` is the next guard key of that level; keys
@@ -13,11 +14,29 @@ skip-list property — which follows automatically from the selection rule:
 Within a level, guard ranges are disjoint; the sstables *inside* one guard
 may overlap freely — that is what lets compaction append fragments instead
 of rewriting, and it is the invariant difference between FLSM and LSM.
+
+:class:`GuardedLevel` (FLSM) and :class:`SortedLevel` (leveled LSM) answer
+one protocol, all a store asks of a level:
+
+* ``attach(meta)`` / ``detach(number)`` — the only mutations of its files;
+* ``all_files()`` — every file in search order: runs in key order, the
+  files of one run newest first;
+* ``size_bytes`` / ``num_files`` — kept as counters, never re-summed;
+* ``runs(key, reverse)`` — the level as immutable key-ordered runs (the
+  files of a run may overlap, two runs never do), and the index of the run
+  covering ``key``: forward, the first run that may hold keys at or after
+  it; reverse, the last that may hold keys at or before it; ``key`` None,
+  the last run.  The runs are empty when the level has nothing to bisect;
+* ``check_invariants()`` — its layout rule and every counter against a
+  recomputation.
+
+A guardless :class:`GuardedLevel` is Level 0 of either engine: one run of
+overlapping files in flush order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.util.murmur import murmur3_64
@@ -248,9 +267,9 @@ class GuardedLevel:
             self._overfull.discard(guard)
         self._view = None
 
-    def all_files(self) -> Iterator[FileMetadata]:
-        for guard in self._order:
-            yield from guard.files
+    def all_files(self) -> List[FileMetadata]:
+        """Every file in search order: guards in key order, each newest first."""
+        return [f for guard in self._order for f in reversed(guard.files)]
 
     @property
     def num_files(self) -> int:
@@ -259,6 +278,20 @@ class GuardedLevel:
     @property
     def size_bytes(self) -> int:
         return self._size_bytes
+
+    def runs(
+        self, key: Optional[bytes], reverse: bool = False
+    ) -> Tuple[Tuple[Tuple[FileMetadata, ...], ...], int]:
+        """Each guard's files in append order, and the index of the guard
+        covering ``key`` (guards tile the key space, so either direction
+        has the same one).  A level with guards is bisected even when
+        they hold no file; one with neither has no runs."""
+        if not self._keys and not self._by_number:
+            return (), -1 if reverse else 0
+        view = self._view
+        if view is None:
+            view = self.view()
+        return view.files, len(view.keys) if key is None else bisect_right(view.keys, key)
 
     def view(self) -> LevelView:
         """The level as an immutable value, rebuilt only after a mutation.
@@ -315,3 +348,84 @@ class GuardedLevel:
             assert self._view == (tuple(keys), tuple(g.files for g in order)), (
                 f"stale level view {where}"
             )
+
+
+class SortedLevel:
+    """One level of a leveled LSM: disjoint files in key order, each file
+    its own run (paper section 2.2).  The runs and the boundary keys they
+    are bisected by are cached until the next mutation."""
+
+    def __init__(self, level: int) -> None:
+        self.level = level
+        self._files: List[FileMetadata] = []
+        self._size_bytes = 0
+        #: ``(runs, smallest user keys, largest user keys)``; None when stale.
+        self._index: Optional[
+            Tuple[Tuple[Tuple[FileMetadata], ...], List[bytes], List[bytes]]
+        ] = None
+
+    def attach(self, meta: FileMetadata) -> None:
+        insort(self._files, meta, key=lambda f: f.smallest)
+        self._size_bytes += meta.file_size
+        self._index = None
+
+    def detach(self, number: int) -> bool:
+        """Remove file ``number``; False if not in this level."""
+        for idx, meta in enumerate(self._files):
+            if meta.number == number:
+                del self._files[idx]
+                self._size_bytes -= meta.file_size
+                self._index = None
+                return True
+        return False
+
+    def __contains__(self, number: int) -> bool:
+        return any(f.number == number for f in self._files)
+
+    def all_files(self) -> List[FileMetadata]:
+        return list(self._files)
+
+    @property
+    def num_files(self) -> int:
+        return len(self._files)
+
+    @property
+    def size_bytes(self) -> int:
+        return self._size_bytes
+
+    def runs(
+        self, key: Optional[bytes], reverse: bool = False
+    ) -> Tuple[Tuple[Tuple[FileMetadata], ...], int]:
+        """One run per file.  A key may fall between two files: forward it
+        is covered by the first file ending at or after it, in reverse by
+        the last file starting at or before it."""
+        index = self._index
+        if index is None:
+            files = self._files
+            index = self._index = (
+                tuple((f,) for f in files),
+                [f.smallest.user_key for f in files],
+                [f.largest.user_key for f in files],
+            )
+        runs, lows, highs = index
+        if key is None:
+            return runs, len(runs) - 1
+        if reverse:
+            return runs, bisect_right(lows, key) - 1
+        return runs, bisect_left(highs, key)
+
+    def check_invariants(self) -> None:
+        files = self._files
+        for meta in files:
+            assert meta.smallest <= meta.largest, f"file {meta.number} range inverted"
+        for a, b in zip(files, files[1:]):
+            assert a.largest.user_key < b.smallest.user_key, (
+                f"level {self.level} files overlap: {a.largest!r} vs {b.smallest!r}"
+            )
+        assert self._size_bytes == sum(f.file_size for f in files), (
+            f"level byte count drifted at level {self.level}"
+        )
+        cached, self._index = self._index, None
+        if cached is not None:
+            self.runs(None)
+            assert cached == self._index, f"stale level index at level {self.level}"

@@ -14,8 +14,10 @@ The FLSM rules implemented here (paper chapter 3):
   must merge with a full guard, and (b) in the second-to-last level when
   merging into the last level would cost more than
   ``LAST_LEVEL_MERGE_IO_RATIO`` times the input (section 3.4).
-* An sstable that an uncommitted guard would split is not rewritten in its
-  own level: it is compacted down to the next level (section 3.3).
+* An sstable that an uncommitted guard would split (a *straddler*) joins
+  the compaction committing the guard and re-lands partitioned in its own
+  level; the paper pushes it one level down instead (section 3.3).  The
+  ``compaction.straddler_bytes{level}`` counter measures the difference.
 * Guard deletion is asynchronous and metadata-only: the deleted guard's
   range is absorbed by its left neighbour (section 3.3).
 
@@ -40,7 +42,7 @@ from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.util.keys import InternalKey, KIND_DELETE
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
-from repro.version.manifest import GUARD_KEY, GUARD_NONE, GUARD_SENTINEL
+from repro.version.manifest import GUARD_KEY, GUARD_SENTINEL
 
 #: A second-to-last-level guard is rewritten in place instead of pushed
 #: down when merging it into the last level would cost at least this many
@@ -139,7 +141,7 @@ class PebblesDBStore(LSMStoreBase):
         opts = options if options is not None else StoreOptions.pebblesdb()
         #: One guarded level per level.  Level 0 never gains a guard, so
         #: all of it sits in its sentinel, in flush order.
-        self._guarded: List[GuardedLevel] = [
+        self._levels = self._guarded = [
             GuardedLevel(level, overfull_files=max(2, opts.max_sstables_per_guard))
             for level in range(opts.num_levels)
         ]
@@ -194,31 +196,9 @@ class PebblesDBStore(LSMStoreBase):
     # ==================================================================
     # State installation
     # ==================================================================
-    @property
-    def _level0(self) -> Tuple[FileMetadata, ...]:
-        """Level 0 newest first: the order its tables are searched, and
-        listed in a compaction's inputs (so in the MANIFEST)."""
-        return self._guarded[0].sentinel.files[::-1]
-
+    # Defined here, as the pinned benchmark's tracer looks it up on this class.
     def _install_flush(self, metas: List[FileMetadata], edit: VersionEdit) -> None:
-        for meta in metas:
-            self._guarded[0].attach(meta)
-            edit.add_file(0, meta, GUARD_NONE)
-
-    def _level0_file_count(self) -> int:
-        return self._guarded[0].num_files
-
-    def level_sizes(self) -> List[int]:
-        return [guarded.size_bytes for guarded in self._guarded]
-
-    def files_per_level(self) -> List[int]:
-        return [guarded.num_files for guarded in self._guarded]
-
-    def live_files(self) -> List[FileMetadata]:
-        files = list(self._level0)
-        for guarded in self._guarded[1:]:
-            files.extend(guarded.all_files())
-        return files
+        return super()._install_flush(metas, edit)
 
     def compact_range(self, lo: Optional[bytes], hi: Optional[bytes]) -> None:
         """Compact every guard whose data overlaps ``[lo, hi]`` downward.
@@ -269,14 +249,6 @@ class PebblesDBStore(LSMStoreBase):
     def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount) -> GetResult:
         return super()._get_from_tables(key, snapshot, account)
 
-    def _level_candidates(self, level: int, key: bytes):
-        # One guard per level, every sstable in the guard (Level 0: all of
-        # it); a level with guards is bisected even when they are empty.
-        guarded = self._guarded[level]
-        if not len(guarded) and not guarded.sentinel.files:
-            return None
-        return reversed(guarded.find_guard(key).files)
-
     def _search_span_attrs(self, level: int, key: bytes) -> Dict[str, object]:
         if level == 0:  # its one "guard" would say nothing about the key
             return {}
@@ -288,17 +260,6 @@ class PebblesDBStore(LSMStoreBase):
         self, start: Optional[bytes], account: IoAccount, reverse: bool = False
     ) -> List[Iterator[Entry]]:
         return super()._table_iterators(start, account, reverse)
-
-    def _level_runs(
-        self, level: int, key: Optional[bytes], reverse: bool
-    ) -> Tuple[Tuple[Tuple[FileMetadata, ...], ...], int]:
-        # A run is a guard.  Guards tile the key space, so one guard covers
-        # ``key`` either way, and a forward seek positions every file in it.
-        guarded = self._guarded[level]
-        if not guarded.size_bytes:
-            return (), 0
-        view = guarded.view()
-        return view.files, len(view.keys) if key is None else view.covering(key)
 
     def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
         if level:
@@ -642,6 +603,12 @@ class PebblesDBStore(LSMStoreBase):
         outputs, merged_away = self._partition_into(
             inputs + straddlers, target, ctx, new_keys
         )
+        # Counted after the last step that can fail: a retried attempt's
+        # straddlers are not counted twice.
+        if straddlers:
+            self.registry.counter("compaction.straddler_bytes", level=target).inc(
+                sum(f.file_size for f in straddlers)
+            )
         return CompactionResult(
             [(level, f) for f in inputs]
             + [(target, f) for f in straddlers + merged_away],
@@ -655,11 +622,7 @@ class PebblesDBStore(LSMStoreBase):
             guarded = self._guarded[level]
             guarded.add_guard(key)
             self._committing.discard((level, key))
-        for _, meta in result.consumed:
-            self._detach_file(meta)
-        for level, meta, _, _ in result.outputs:
-            guarded = self._guarded[level]
-            guarded.attach(meta)
+        super()._install_compaction(result)
         self._release_claims(result.claim)
 
     def _compaction_span(self, result: CompactionResult, job):
@@ -680,8 +643,9 @@ class PebblesDBStore(LSMStoreBase):
         """Commit uncommitted guards of ``target`` within ``[lo, hi)``.
 
         Returns the newly committed keys and the *straddler* sstables —
-        files an uncommitted guard would split, which the paper compacts
-        into the next level instead of rewriting in place (section 3.3).
+        files an uncommitted guard would split.  The paper compacts them
+        into the next level (section 3.3); here they are merged into this
+        job and re-land partitioned in ``target``.
         """
         keys = sorted(
             k
@@ -749,7 +713,7 @@ class PebblesDBStore(LSMStoreBase):
         # when the output replaces every sstable of the target guard
         # (forced merge) or the guard is empty, with nothing below.
         stream = _Peekable(ctx.merge(inputs, drop_tombstones=False))
-        is_bottom = self._is_bottom_level(target)
+        is_bottom = self._is_bottom(target)
         guarded = self._guarded[target]
         committed = set(guarded.guard_keys)
         boundaries = sorted(committed | set(new_keys))
@@ -823,26 +787,13 @@ class PebblesDBStore(LSMStoreBase):
         token: int,
     ) -> CompactionResult:
         """Merge a guard's sstables into one table at the same level."""
-        merged = ctx.merge(inputs, drop_tombstones=self._is_bottom_level(level))
+        merged = ctx.merge(inputs, drop_tombstones=self._is_bottom(level))
         guarded = self._guarded[level]
         outputs = [
             _placed(level, guarded.find_guard(meta.smallest.user_key).key, meta)
             for meta in ctx.write(merged)
         ]
         return CompactionResult([(level, f) for f in inputs], outputs, claim=token)
-
-    def _is_bottom_level(self, level: int) -> bool:
-        """No live data strictly below ``level`` (tombstones can be GC'd)."""
-        for lvl in range(level + 1, self.options.num_levels):
-            guarded = self._guarded[lvl]
-            if guarded.size_bytes > 0:
-                return False
-        return True
-
-    def _detach_file(self, meta: FileMetadata) -> None:
-        for guarded in self._guarded:
-            if guarded.detach(meta.number):
-                return
 
     # ==================================================================
     # Guard deletion (paper section 3.3)
@@ -959,15 +910,6 @@ class PebblesDBStore(LSMStoreBase):
     # ==================================================================
     # Recovery plumbing
     # ==================================================================
-    def _recover_file(
-        self, level: int, meta: FileMetadata, marker: int, guard_key: bytes
-    ) -> None:
-        self._guarded[level].attach(meta)
-
-    def _recover_drop_file(self, level: int, number: int) -> None:
-        for guarded in self._guarded:
-            guarded.detach(number)
-
     def _recover_guard(self, level: int, key: bytes) -> None:
         guarded = self._guarded[level]
         guarded.add_guard(key)
@@ -1024,7 +966,6 @@ class PebblesDBStore(LSMStoreBase):
     def check_invariants(self) -> None:
         assert not len(self._guarded[0]), "Level 0 has guards"
         for level, guarded in enumerate(self._guarded):
-            guarded.check_invariants()
             # Skip-list property: a committed guard at level i must be
             # present (committed or pending) at every deeper level.
             for key in guarded.guard_keys:

@@ -3,9 +3,9 @@
 :class:`LSMStoreBase` implements everything LSM and FLSM engines have in
 common — write-ahead logging, memtable rotation, background flush
 scheduling, Level-0 write stalls, the table cache, the read and scan
-paths — and leaves the shape of persistent state (levels of disjoint
-files vs. levels of guards) to subclasses.  It composes the collaborators
-that own the rest: the MANIFEST and recovery (:mod:`repro.version.lifecycle`),
+paths, the level objects (:mod:`repro.core.guards`) — and leaves to
+subclasses what a compaction picks and computes.  It composes the
+collaborators that own the rest: the MANIFEST and recovery (:mod:`repro.version.lifecycle`),
 retries and the sticky background error
 (:mod:`repro.engines.background`), and the compaction lifecycle
 (:mod:`repro.engines.compaction`).  The store interface
@@ -16,7 +16,6 @@ retries and the sticky background error
 from __future__ import annotations
 
 import weakref
-from abc import abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from functools import partial
@@ -47,6 +46,7 @@ from repro.util.murmur import murmur3_64
 from repro.vlog.log import ValueLog
 from repro.version import ManifestWriter, VersionEdit, read_current
 from repro.version.files import FileMetadata
+from repro.version.manifest import GUARD_NONE
 from repro.version.lifecycle import (
     TABLE,
     WAL,
@@ -80,7 +80,12 @@ def _merged(iters: List[Iterator[Entry]], reverse: bool = False) -> Iterator[Ent
 
 
 class LSMStoreBase(CompactionRunner, KeyValueStore):
-    """Common write path, stalls, table cache, and recovery."""
+    """Common write path, stalls, table cache, levels and recovery.
+
+    An engine builds ``self._levels`` before calling this constructor and
+    supplies the compaction hooks (:mod:`repro.engines.compaction`) and
+    the seek bookkeeping ``_note_positioned`` (:meth:`_table_iterators`).
+    """
 
     def __init__(
         self,
@@ -244,67 +249,58 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._open_or_recover()
 
     # ==================================================================
-    # Subclass interface
+    # Levels: ``self._levels[i]`` is level i's GuardedLevel or SortedLevel
+    # (repro.core.guards); what a level holds is asked of it alone.
     # ==================================================================
-    @abstractmethod
-    def _install_flush(self, metas: List[FileMetadata], edit: VersionEdit) -> None:
-        """Add freshly flushed Level-0 files to persistent state."""
+    @property
+    def _level0(self) -> List[FileMetadata]:
+        """Level 0 newest first: its search, merge and compaction-input order."""
+        return self._levels[0].all_files()
 
-    @abstractmethod
     def _level0_file_count(self) -> int:
         """Files currently in Level 0 (write stall input)."""
+        return self._levels[0].num_files
 
-    @abstractmethod
+    def level_sizes(self) -> List[int]:
+        """Bytes per level (diagnostics and size triggers)."""
+        return [level.size_bytes for level in self._levels]
+
+    def files_per_level(self) -> List[int]:
+        """Live sstable count per level."""
+        return [level.num_files for level in self._levels]
+
+    def live_files(self) -> List[FileMetadata]:
+        """Metadata of every live sstable, each level in search order."""
+        return [f for level in self._levels for f in level.all_files()]
+
+    def _install_flush(self, metas: List[FileMetadata], edit: VersionEdit) -> None:
+        """Add freshly flushed files to Level 0 and to ``edit``."""
+        for meta in metas:
+            self._levels[0].attach(meta)
+            edit.add_file(0, meta, GUARD_NONE)
+
     def _level_candidates(self, level: int, key: bytes) -> Optional[Iterable[FileMetadata]]:
-        """The files of ``level`` that may hold ``key``, newest first: all
-        an engine tells the point-read path.  None means the level is
-        empty — the search moves on and charges nothing."""
+        """The run of ``level`` covering ``key``, newest first; None when the
+        level has nothing to bisect (the search moves on, charging nothing)."""
+        runs, idx = self._levels[level].runs(key)
+        if not runs:
+            return None
+        return reversed(runs[idx]) if idx < len(runs) else ()
 
-    def _search_span_attrs(self, level: int, key: bytes) -> Dict[str, object]:
-        """Engine attributes of a ``table.search`` span that found ``key`` at ``level``."""
-        return {}
-
-    # What an engine tells the scan path: Level 0, and each deeper level
-    # as key-ordered runs for ``_walk_runs``.
-    @property
-    @abstractmethod
-    def _level0(self) -> Sequence[FileMetadata]:
-        """Level 0 newest first: the order its tables are merged in."""
-
-    @abstractmethod
     def _level_runs(
         self, level: int, key: Optional[bytes], reverse: bool
     ) -> Tuple[Sequence[Sequence[FileMetadata]], int]:
-        """Level ``level`` (>= 1) as an immutable, key-ordered sequence of
-        runs — the files of one run may overlap, two runs never do; empty
-        when the level holds no data — and the index of the run covering
-        ``key`` that a walk from it starts in (``key`` None: an unbounded
-        reverse walk, the last run).  The index is ``len(runs)`` when a
-        forward walk has nothing to read, -1 when a reverse one has none."""
+        """Level ``level``'s runs and the index of the one a walk from ``key``
+        starts in (``key`` None: the last), as its ``runs``; but none when
+        the level holds no data: forward index 0, reverse -1."""
+        lvl = self._levels[level]
+        if not lvl.size_bytes:
+            return (), -1 if reverse else 0
+        return lvl.runs(key, reverse)
 
-    def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
-        """Bookkeeping for the files a forward seek from ``key`` positions
-        at ``level``: each Level-0 file, one run per deeper level."""
-
-    def _parallel_seek_level(self) -> int:
-        """The level whose covering run a forward seek positions with
-        :meth:`_position_parallel` (paper section 4.2); 0 means none."""
-        return 0
-
-    def _position_parallel(
-        self, files: Sequence[FileMetadata], probe: InternalKey, account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        """Iterators over the files of one run, each from ``probe`` on,
-        positioned in parallel: what :meth:`_parallel_seek_level` opts in."""
-        raise NotImplementedError
-
-    @abstractmethod
-    def _recover_file(self, level: int, meta: FileMetadata, marker: int, guard_key: bytes) -> None:
-        """Re-install one file while replaying the MANIFEST."""
-
-    @abstractmethod
-    def _recover_drop_file(self, level: int, number: int) -> None:
-        """Remove one file while replaying the MANIFEST."""
+    def _is_bottom(self, level: int) -> bool:
+        """No live data below ``level``: its tombstones can be dropped."""
+        return not any(lvl.size_bytes for lvl in self._levels[level + 1 :])
 
     def _recover_guard(self, level: int, key: bytes) -> None:
         """Re-install a committed guard (FLSM only)."""
@@ -312,17 +308,14 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     def _recover_guard_deletion(self, level: int, key: bytes) -> None:
         """Apply a guard deletion (FLSM only)."""
 
-    @abstractmethod
-    def level_sizes(self) -> List[int]:
-        """Bytes per level (diagnostics and size triggers)."""
+    def _search_span_attrs(self, level: int, key: bytes) -> Dict[str, object]:
+        """Engine attributes of a ``table.search`` span that found ``key`` at ``level``."""
+        return {}
 
-    @abstractmethod
-    def files_per_level(self) -> List[int]:
-        """Live sstable count per level."""
-
-    @abstractmethod
-    def live_files(self) -> List[FileMetadata]:
-        """Metadata of every live sstable, Level 0 (newest first) onward."""
+    def _parallel_seek_level(self) -> int:
+        """The level whose covering run a forward seek positions in parallel
+        (paper section 4.2); 0 means none."""
+        return 0
 
     def sstable_file_numbers(self) -> List[int]:
         """Numbers of every live sstable."""
@@ -334,9 +327,11 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
     def check_invariants(self) -> None:
         """Raise AssertionError if internal invariants are violated: an
-        engine's layout rules, then for every sstable a number, a file, a
-        sequence bound no lower than its boundary keys and a resident
-        filter (if any) built over as many keys as the file holds."""
+        engine's layout rules, each level's, then for every sstable a number,
+        a file, a sequence bound no lower than its boundary keys and a
+        resident filter (if any) built over as many keys as the file holds."""
+        for level in self._levels:
+            level.check_invariants()
         files = self.live_files()
         assert len(files) == len({f.number for f in files}), "duplicate file numbers"
         for f in files:
@@ -1369,8 +1364,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
 
         A forward seek charges ``iterator_seek`` once for every table it
         positions — the Level-0 files and each level's covering run — and
-        reports them to :meth:`_note_positioned`; a reverse one does
-        neither.
+        reports them to the engine's ``_note_positioned(level, key,
+        files)``; a reverse one does neither.
         """
         walk = self._walk_runs
         if reverse:
@@ -1417,11 +1412,11 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Entries of a key-ordered sequence of runs, from run ``first``;
         a run's readers open when the walk reaches it.
 
-        Forward, run ``first`` is positioned at the internal key ``key``
-        (in parallel when ``parallel`` and the run has several files) and
-        every later run is read whole; reverse, runs ``first`` down
-        to 0 are read backward from the user key ``key`` (None:
-        unbounded).  The files of one run are merged.  The caller holds a
+        Forward, run ``first`` is positioned at the internal key ``key`` (by
+        the engine's ``_position_parallel`` when ``parallel`` and the run
+        has several files) and every later run is read whole; reverse, runs
+        ``first`` down to 0 are read backward from the user key ``key``
+        (None: unbounded).  The files of one run are merged.  The caller holds a
         read pin, so compactions meanwhile neither hide keys from the
         walk nor delete its files.
         """

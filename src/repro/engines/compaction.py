@@ -2,7 +2,7 @@
 
 FLSM and leveled LSM differ in *what* a compaction picks and *where* its
 output lands (paper section 3.4); everything under that is one mechanism
-and lives here.  An engine supplies three things:
+and lives here.  An engine supplies two things:
 
 * **pick** — ``COMPACTION_TRIGGERS``: trigger names in priority tiers, each
   a ``_trigger_<name>`` method yielding the runnable ``(level, pick)``
@@ -12,12 +12,14 @@ and lives here.  An engine supplies three things:
 * **compute** — ``_compute_compaction(level, pick, ctx)``: claim the inputs, then
   turn them into output files using only :meth:`CompactionContext.merge`
   and :meth:`CompactionContext.write`; returns a :class:`CompactionResult`
-  (or None when there is nothing to do);
-* **install** — ``_install_compaction(result)``: detach the consumed files
-  from, and attach the outputs to, its own layout.
+  (or None when there is nothing to do).  What a compute mutates besides
+  the busy set, ``_capture_scheduling_state()`` snapshots and
+  ``_restore_scheduling_state(snapshot)`` puts back after a failed attempt.
 
-Its ``compact_range(lo, hi)`` is the same pick made by hand: it walks its
-layout and hands what overlaps to ``_run_compaction``;
+Install is shared: :meth:`CompactionRunner._install_compaction` detaches
+the consumed files from, and attaches the outputs to, their level objects.
+An engine's ``compact_range(lo, hi)`` is the same pick made by hand: it
+walks the levels and hands what overlaps to ``_run_compaction``;
 ``force_full_compaction()`` is that over everything.
 
 The runner owns the rest: fault-protected submission, the ledger account,
@@ -153,33 +155,19 @@ class CompactionRunner:
         """Whether another compaction may start now."""
         return True
 
-    def _compute_compaction(
-        self, level: int, pick, ctx: CompactionContext
-    ) -> Optional[CompactionResult]:
-        """Claim ``pick``'s inputs at ``level``; build its outputs through ``ctx``."""
-        raise NotImplementedError
-
     def _install_compaction(self, result: CompactionResult) -> None:
-        """Swap ``result``'s files in the engine's layout; release claims."""
-        raise NotImplementedError
-
-    def compact_range(self, lo: Optional[bytes], hi: Optional[bytes]) -> None:
-        """LevelDB's CompactRange: compact the data overlapping ``[lo, hi]``
-        downward, level by level (a None bound is open)."""
-        raise NotImplementedError
+        """Swap ``result``'s files in the levels: consumed out, outputs in."""
+        levels = self._levels
+        for level, meta in result.consumed:
+            levels[level].detach(meta.number)
+        for level, meta, _, _ in result.outputs:
+            levels[level].attach(meta)
 
     def _compaction_span(
         self, result: CompactionResult, job: Job
     ) -> Tuple[str, Dict[str, object]]:
         """Trace span name and the attributes beyond the shared ones."""
         return "compaction", {"queue_wait": job.queue_wait}
-
-    def _capture_scheduling_state(self):
-        """Engine-owned scheduling fields a failed attempt must restore."""
-        return None
-
-    def _restore_scheduling_state(self, snapshot) -> None:
-        """Restore the :meth:`_capture_scheduling_state` snapshot."""
 
     def _reset_scheduling_state(self) -> None:
         """Drop engine-owned in-flight markers (resume(): nothing is in flight)."""

@@ -16,12 +16,13 @@ nearly free for LSM but not for FLSM (paper section 4.5).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core.guards import GuardedLevel, SortedLevel
 from repro.engines.base import LSMStoreBase
 from repro.engines.compaction import CompactionContext, CompactionResult
-from repro.version import VersionEdit
+from repro.engines.options import StoreOptions
+from repro.sim.storage import SimulatedStorage
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_NONE
 
@@ -88,38 +89,25 @@ _DEFAULT_POLICY = _Policy(_from_cursor, 4, 1.0, True)
 class LeveledLSMStore(LSMStoreBase):
     """Leveled-compaction LSM engine."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        self._levels: List[List[FileMetadata]] = []
+    def __init__(
+        self,
+        storage: SimulatedStorage,
+        options: Optional[StoreOptions] = None,
+        prefix: str = "db/",
+        seed: int = 0,
+    ) -> None:
+        opts = options if options is not None else StoreOptions()
+        #: Level 0 is one run of overlapping files in flush order; every
+        #: deeper level is disjoint files in key order.
+        self._levels = [GuardedLevel(0)] + [
+            SortedLevel(level) for level in range(1, opts.num_levels)
+        ]
         self._compact_pointer: Dict[int, bytes] = {}
         self._seek_overflow: List[Tuple[int, FileMetadata]] = []
         #: Optional compaction trace for the Figure 2.1 illustration:
         #: (from_level, input_numbers, output_numbers, bytes_written).
         self.compaction_trace: Optional[List[Tuple[int, List[int], List[int], int]]] = None
-        super().__init__(*args, **kwargs)
-        while len(self._levels) < self.options.num_levels:
-            self._levels.append([])
-
-    # ==================================================================
-    # State installation
-    # ==================================================================
-    def _install_flush(self, metas: List[FileMetadata], edit: VersionEdit) -> None:
-        while not self._levels:  # recovery may flush before levels exist
-            self._levels.append([])
-        for meta in metas:
-            self._levels[0].insert(0, meta)
-            edit.add_file(0, meta, GUARD_NONE)
-
-    def _level0_file_count(self) -> int:
-        return len(self._levels[0]) if self._levels else 0
-
-    def level_sizes(self) -> List[int]:
-        return [sum(f.file_size for f in level) for level in self._levels]
-
-    def files_per_level(self) -> List[int]:
-        return [len(level) for level in self._levels]
-
-    def live_files(self) -> List[FileMetadata]:
-        return [f for level in self._levels for f in level]
+        super().__init__(storage, opts, prefix=prefix, seed=seed)
 
     def compact_range(self, lo: Optional[bytes], hi: Optional[bytes]) -> None:
         """Compact all data overlapping ``[lo, hi]`` to the deepest level
@@ -130,7 +118,7 @@ class LeveledLSMStore(LSMStoreBase):
             while True:
                 inputs = [
                     f
-                    for f in self._levels[level]
+                    for f in self._levels[level].all_files()
                     if f.overlaps(lo, hi) and f.number not in self._busy
                 ]
                 pick = self._with_overlaps(level, inputs) if inputs else None
@@ -141,36 +129,8 @@ class LeveledLSMStore(LSMStoreBase):
                 self.executor.wait_all()
 
     # ==================================================================
-    # Reads
+    # Seek bookkeeping
     # ==================================================================
-    @property
-    def _level0(self) -> List[FileMetadata]:
-        return self._levels[0]
-
-    def _level_candidates(self, level: int, key: bytes):
-        files = self._levels[level]
-        if not files:
-            return None
-        if level == 0:
-            return files
-        # Deeper levels are disjoint: the first file ending at or after
-        # ``key`` is the single one that may contain it.
-        idx = bisect_left(files, key, key=lambda f: f.largest.user_key)
-        return files[idx : idx + 1]
-
-    def _level_runs(
-        self, level: int, key: Optional[bytes], reverse: bool
-    ) -> Tuple[Tuple[Tuple[FileMetadata], ...], int]:
-        # A run is one file, and a key may fall between two files: forward
-        # it is covered by the first file ending at or after it, in reverse
-        # by the last file starting at or before it.
-        runs = tuple(zip(self._levels[level]))
-        if key is None:
-            return runs, len(runs) - 1
-        if reverse:
-            return runs, bisect_right(runs, key, key=lambda run: run[0].smallest.user_key) - 1
-        return runs, bisect_left(runs, key, key=lambda run: run[0].largest.user_key)
-
     def _note_positioned(self, level: int, key: bytes, files: Sequence[FileMetadata]) -> None:
         for meta in files:
             meta.allowed_seeks -= 1
@@ -204,8 +164,8 @@ class LeveledLSMStore(LSMStoreBase):
 
     def _trigger_level0(self):
         """All of Level 0, at its file-count trigger."""
-        if len(self._levels[0]) >= self.options.level0_compaction_trigger:
-            pick = self._with_overlaps(0, list(self._levels[0]))
+        if self._level0_file_count() >= self.options.level0_compaction_trigger:
+            pick = self._with_overlaps(0, self._level0)
             if pick is not None:
                 yield 0, pick
             else:
@@ -219,14 +179,14 @@ class LeveledLSMStore(LSMStoreBase):
         best_level, best_score = -1, policy.start_at
         sizes = self.level_sizes()
         for level in range(1, len(self._levels) - 1):
-            if not self._levels[level]:
+            if not sizes[level]:
                 continue
             score = sizes[level] / opts.level_target_bytes(level)
             if score >= best_score:
                 best_level, best_score = level, score
         if best_level < 0:
             return
-        files = [f for f in self._levels[best_level] if f.number not in self._busy]
+        files = [f for f in self._levels[best_level].all_files() if f.number not in self._busy]
         if files:
             inputs = policy.pick(self, best_level, files, policy.max_input_files)
             pick = self._with_overlaps(best_level, inputs)
@@ -238,7 +198,7 @@ class LeveledLSMStore(LSMStoreBase):
         (LevelDB's seek compaction); the entries it passes are dropped."""
         while self._seek_overflow:
             level, meta = self._seek_overflow.pop(0)
-            if self._level_of(meta.number) != level or level >= len(self._levels) - 1:
+            if meta.number not in self._levels[level] or level >= len(self._levels) - 1:
                 continue
             pick = self._with_overlaps(level, [meta])
             if pick is not None:
@@ -269,7 +229,7 @@ class LeveledLSMStore(LSMStoreBase):
             return []
         lo = min(f.smallest.user_key for f in inputs)
         hi = max(f.largest.user_key for f in inputs)
-        return [f for f in self._levels[level] if f.overlaps(lo, hi)]
+        return [f for f in self._levels[level].all_files() if f.overlaps(lo, hi)]
 
     def _compute_compaction(
         self, level: int, pick, ctx: CompactionContext
@@ -306,12 +266,6 @@ class LeveledLSMStore(LSMStoreBase):
             consumed, [(target, m, GUARD_NONE, b"") for m in metas]
         )
 
-    def _install_compaction(self, result: CompactionResult) -> None:
-        for level, meta in result.consumed:
-            self._remove_from_level(level, meta.number)
-        for level, meta, _, _ in result.outputs:
-            insort(self._levels[level], meta, key=lambda f: f.smallest)
-
     @staticmethod
     def _mutually_disjoint(metas: List[FileMetadata]) -> bool:
         ordered = sorted(metas, key=lambda f: f.smallest)
@@ -320,43 +274,13 @@ class LeveledLSMStore(LSMStoreBase):
             for a, b in zip(ordered, ordered[1:])
         )
 
-    def _remove_from_level(self, level: int, number: int) -> None:
-        self._levels[level] = [f for f in self._levels[level] if f.number != number]
-
-    def _is_bottom(self, level: int) -> bool:
-        """True when no live data exists below ``level``."""
-        return all(not self._levels[l] for l in range(level + 1, len(self._levels)))
-
-    def _level_of(self, number: int) -> Optional[int]:
-        for level, files in enumerate(self._levels):
-            if any(f.number == number for f in files):
-                return level
-        return None
-
-    # ==================================================================
-    # Recovery plumbing
-    # ==================================================================
-    def _recover_file(
-        self, level: int, meta: FileMetadata, marker: int, guard_key: bytes
-    ) -> None:
-        while len(self._levels) <= level:
-            self._levels.append([])
-        if level == 0:
-            self._levels[0].insert(0, meta)
-        else:
-            insort(self._levels[level], meta, key=lambda f: f.smallest)
-
-    def _recover_drop_file(self, level: int, number: int) -> None:
-        if level < len(self._levels):
-            self._remove_from_level(level, number)
-
     # ==================================================================
     # Diagnostics
     # ==================================================================
     def layout(self) -> str:
         """Human-readable level map (the Figure 2.1 style illustration)."""
         lines = []
-        for level, files in enumerate(self._levels):
+        for level, files in enumerate(lvl.all_files() for lvl in self._levels):
             if not files and level > 1:
                 continue
             parts = [
@@ -365,13 +289,3 @@ class LeveledLSMStore(LSMStoreBase):
             ]
             lines.append(f"Level {level}: " + (" ".join(parts) if parts else "(empty)"))
         return "\n".join(lines)
-
-    def check_invariants(self) -> None:
-        for level in range(1, len(self._levels)):
-            files = self._levels[level]
-            for a, b in zip(files, files[1:]):
-                assert a.smallest <= a.largest, "file range inverted"
-                assert a.largest.user_key < b.smallest.user_key, (
-                    f"level {level} files overlap: {a.largest!r} vs {b.smallest!r}"
-                )
-        super().check_invariants()

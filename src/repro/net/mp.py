@@ -376,13 +376,20 @@ class ProcessKVServer(FrameServer):
         self._last_restart = [0.0] * config.shards
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: List[_WorkerHandle] = []
+        # Every worker starts before the first handshake is awaited, so
+        # their start-ups (a fresh interpreter each) overlap.
         try:
             for shard_id in range(config.shards):
                 self._workers.append(self._spawn_worker(shard_id))
+            for worker in self._workers:
+                self._handshake(worker)
         except ReproError:
             for worker in self._workers:
                 worker.shutdown()
             raise
+        #: Set by :meth:`aclose`: the supervisor's tick and restart
+        #: back-off wait on it, so closing never waits either out.
+        self._closing = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
         if config.supervise:
             self._supervisor = threading.Thread(
@@ -391,6 +398,8 @@ class ProcessKVServer(FrameServer):
             self._supervisor.start()
 
     def _spawn_worker(self, shard_id: int) -> _WorkerHandle:
+        """Start one worker process and its ship drainer; its port is
+        known once :meth:`_handshake` returned."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         ship_recv, ship_send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
@@ -411,11 +420,14 @@ class ProcessKVServer(FrameServer):
             name=f"repro-ship{shard_id}",
             daemon=True,
         ).start()
+        return handle
+
+    def _handshake(self, handle: _WorkerHandle) -> None:
+        """Wait for a started worker's port, then re-arm its kill plan."""
         handle.handshake(self.HANDSHAKE_TIMEOUT)
-        plan = self._kill_plans.get(shard_id)
+        plan = self._kill_plans.get(handle.shard_id)
         if plan is not None:
             handle.call("arm_kill", plan[0], plan[1])
-        return handle
 
     # ------------------------------------------------------------------
     # Durable ship log (parent Environment)
@@ -563,8 +575,7 @@ class ProcessKVServer(FrameServer):
     def _supervise(self) -> None:
         """Heartbeat loop: detect death/hang, restart, trip the breaker."""
         probation = max(self.RESTART_PROBATION, 2 * self.HEARTBEAT_INTERVAL)
-        while not self._closed:
-            time.sleep(self.HEARTBEAT_INTERVAL)
+        while not self._closing.wait(self.HEARTBEAT_INTERVAL):
             for shard_id in range(self.config.shards):
                 if self._closed:
                     return
@@ -621,8 +632,7 @@ class ProcessKVServer(FrameServer):
         delay = min(
             self.RESTART_BACKOFF_BASE * (2 ** failures), self.RESTART_BACKOFF_MAX
         )
-        time.sleep(delay)
-        if self._closed:
+        if self._closing.wait(delay):
             return
         self._consecutive_failures[shard_id] = failures + 1
         self._last_restart[shard_id] = time.monotonic()
@@ -658,6 +668,7 @@ class ProcessKVServer(FrameServer):
                 old.shutdown(timeout=5.0)
                 old.drained.wait(timeout=10.0)
                 handle = self._spawn_worker(shard_id)
+                self._handshake(handle)
                 if self.config.ship_log:
                     self._replay_into(shard_id, handle)
             except BaseException:
@@ -822,14 +833,19 @@ class ProcessKVServer(FrameServer):
 
     async def wait_idle(self) -> None:
         loop = asyncio.get_running_loop()
-        for worker in self._workers:
-            if worker.alive:
-                await loop.run_in_executor(None, worker.run, "wait_idle")
+        await asyncio.gather(
+            *(
+                loop.run_in_executor(None, worker.run, "wait_idle")
+                for worker in self._workers
+                if worker.alive
+            )
+        )
 
     async def aclose(self) -> None:
         if self._closed:
             return
         self._closed = True
+        self._closing.set()
         if self._supervisor is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._supervisor.join, 15.0

@@ -194,8 +194,9 @@ class RecoveredVersion:
 def replay_manifest(
     storage: SimulatedStorage, name: str, account: IoAccount, engine=None
 ) -> RecoveredVersion:
-    """Fold MANIFEST ``name``'s edits, re-installing guards and files
-    through ``engine``'s ``_recover_*`` hooks when one is given."""
+    """Fold MANIFEST ``name``'s edits, re-installing guards through
+    ``engine``'s ``_recover_guard*`` hooks and files into its level objects
+    when one is given."""
     v = RecoveredVersion()
     for edit in ManifestReader(storage, name).edits(account):
         if edit.last_sequence is not None:
@@ -205,14 +206,15 @@ def replay_manifest(
         if edit.log_number is not None:
             v.log_number = max(v.log_number, edit.log_number)
         if engine is not None:
+            levels = engine._levels
             for level, key in edit.new_guards:
                 engine._recover_guard(level, key)
             for level, key in edit.deleted_guards:
                 engine._recover_guard_deletion(level, key)
-            for level, meta, marker, guard_key in edit.new_files:
-                engine._recover_file(level, meta, marker, guard_key)
+            for level, meta, _, _ in edit.new_files:
+                levels[level].attach(meta)
             for level, number in edit.deleted_files:
-                engine._recover_drop_file(level, number)
+                levels[level].detach(number)
         v.tables.update((level, meta.number) for level, meta, _, _ in edit.new_files)
         v.tables.difference_update(edit.deleted_files)
         for segment, dead in edit.vlog_dead:

@@ -235,7 +235,8 @@ class TestLeveledWalkDifferential:
         db = make_store("leveldb", env)
         level, everything = _build_level(db, [], [files])
         metas = sorted(level.all_files(), key=lambda meta: meta.smallest)
-        db._levels[1] = metas
+        for meta in metas:
+            db._levels[1].attach(meta)
         acct = db.storage.foreground_account("test")
         flat = lambda entries: [(k.user_key, k.sequence, bytes(v)) for k, v in entries]
 

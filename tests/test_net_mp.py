@@ -12,6 +12,7 @@ import asyncio
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -239,6 +240,56 @@ class TestWorkerCrash:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+# ----------------------------------------------------------------------
+# Start and stop without serial waits
+# ----------------------------------------------------------------------
+class TestStartStop:
+    def test_every_worker_starts_before_the_first_handshake_returns(self):
+        events = []
+
+        class Recording(ProcessKVServer):
+            def _spawn_worker(self, shard_id):
+                handle = super()._spawn_worker(shard_id)
+                events.append(("started", shard_id))
+                handshake = handle.handshake
+
+                def recorded(timeout):
+                    handshake(timeout)
+                    events.append(("handshake returned", shard_id))
+
+                handle.handshake = recorded
+                return handle
+
+        async def main():
+            server = Recording(config(shards=2, supervise=False))
+            assert all(server.worker_ports)
+            await server.aclose()
+
+        run(main())
+        assert events == [
+            ("started", 0),
+            ("started", 1),
+            ("handshake returned", 0),
+            ("handshake returned", 1),
+        ]
+
+    def test_close_does_not_wait_out_the_heartbeat_tick(self):
+        class SlowTick(ProcessKVServer):
+            HEARTBEAT_INTERVAL = 60.0
+
+        async def main():
+            server = SlowTick(config(shards=1))
+            assert server._supervisor.is_alive()
+            start = time.monotonic()
+            await server.aclose()
+            return server, time.monotonic() - start
+
+        server, elapsed = run(main())
+        assert not server._supervisor.is_alive()
+        assert elapsed < 10.0
+        assert not multiprocessing.active_children()
 
 
 # ----------------------------------------------------------------------

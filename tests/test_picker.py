@@ -131,7 +131,7 @@ def _leveled_layout(parts):
     }
     for part in parts:
         for lvl, meta in files.get(part, ()):
-            db._levels[lvl].append(meta)
+            db._levels[lvl].attach(meta)
     if "level0_busy" in parts:
         db._busy.add(1)
     if "seek" in parts:

@@ -199,7 +199,7 @@ def test_any_file_order_answers_with_the_newest_visible_version(engine, versions
         if engine == "pebblesdb":
             db._guarded[1].attach(meta)
         else:
-            db._levels[0].append(meta)
+            db._levels[0].attach(meta)
     db._last_sequence = len(versions)
     check_sequence_bounds(db, env)
     for snapshot in range(len(versions) + 1):
