@@ -49,10 +49,6 @@ class BloomFilter:
             self._array[bit >> 3] |= 1 << (bit & 7)
         self.keys_added += 1
 
-    def add_all(self, keys: Iterable[bytes]) -> None:
-        for key in keys:
-            self.add(key)
-
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
         return self.may_contain_hash(murmur3_64(key))

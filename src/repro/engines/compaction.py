@@ -307,9 +307,9 @@ class CompactionRunner:
                 if meta.number in moved:
                     continue
                 if durable:
-                    self._retire_file(meta.number)
+                    self._reads.retire_file(meta.number)
                 else:
-                    self._faults.defer(RETIRE_TABLE, partial(self._retire_file, meta.number))
+                    self._faults.defer(RETIRE_TABLE, partial(self._reads.retire_file, meta.number))
             self._note_compaction_inflight(-1)
             self._stats.compactions += 1
             self._stats.compaction_bytes_written += bytes_out
@@ -367,7 +367,7 @@ class CompactionRunner:
                 trc.start_span(
                     name, kind="background", parent=parent, start=job.start, **attrs
                 ).end(at=job.completion)
-            self._maybe_schedule_flush()
+            self._writes.maybe_schedule_flush()
             self._schedule_compactions()
 
         job = self.executor.submit(kind, seconds, apply, at=at)

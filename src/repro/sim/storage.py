@@ -87,10 +87,6 @@ class IoAccount:
                 raise ValueError(f"cannot advance clock by {seconds}")
             clock._now += seconds
 
-    @property
-    def is_foreground(self) -> bool:
-        return self._clock is not None
-
 
 @dataclass
 class StorageStats:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.bloom import BloomFilter
 from repro.errors import InvalidArgumentError
 from repro.sstable.format import (
     BLOCK_TRAILER_SIZE,
     DEFAULT_BLOCK_SIZE,
-    Entry,
     Footer,
     IndexEntry,
     block_trailer,
@@ -90,10 +89,6 @@ class SSTableBuilder:
         self._raw_value_bytes += len(value)
         if len(buf) >= self._block_size:
             self._flush_block()
-
-    def add_all(self, entries: Iterable[Entry]) -> None:
-        for entry in entries:
-            self.add(*entry)
 
     @property
     def num_entries(self) -> int:

@@ -376,12 +376,6 @@ class SSTableReader:
             else:
                 yield from block.entries
 
-    def seek_user_key(self, user_key: bytes, account: IoAccount) -> Iterator[
-        Tuple[InternalKey, bytes]
-    ]:
-        """Iterate starting at the newest entry for ``user_key``."""
-        return self.seek(InternalKey(user_key, MAX_SEQUENCE, KIND_SEEK), account)
-
     def iter_reverse(
         self, account: IoAccount, max_user_key: Optional[bytes] = None
     ) -> Iterator[Tuple[InternalKey, bytes]]:
