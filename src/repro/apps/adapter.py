@@ -81,7 +81,3 @@ class YcsbAppAdapter(KeyValueStore):
 
     def close(self) -> None:
         self.app.kv.close()
-
-    @property
-    def storage(self):
-        return self.app.kv.storage

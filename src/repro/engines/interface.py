@@ -29,9 +29,6 @@ class Snapshot:
         self.sequence = sequence
         self._released = False
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Snapshot(seq={self.sequence})"
-
 
 class DBIterator:
     """A positioned iterator over visible ``(user_key, value)`` pairs."""

@@ -30,19 +30,19 @@ class WiredTigerStore(PagedTreeStore):
     """Checkpoint + journal B-tree store."""
 
     preset = "wiredtiger"
+    #: Dirty bytes that start a checkpoint; twice this stalls writes.
+    CHECKPOINT_DIRTY_BYTES = 256 * 1024
 
     def __init__(
         self,
         storage: SimulatedStorage,
         prefix: str = "wt/",
-        checkpoint_dirty_bytes: int = 256 * 1024,
         fanout: int = 128,
     ) -> None:
         # The journal holds the store's full history (it is retained
         # across checkpoints, so durability never depends on the
         # simulated page images).
         super().__init__(storage, prefix, fanout)
-        self.checkpoint_dirty_bytes = checkpoint_dirty_bytes
         self.executor = BackgroundExecutor(storage.clock, workers=1)
         self._dirty_bytes = 0
         self._checkpoint_job: Optional[Job] = None
@@ -81,12 +81,12 @@ class WiredTigerStore(PagedTreeStore):
 
     # ------------------------------------------------------------------
     def _maybe_checkpoint(self) -> None:
-        if self._dirty_bytes < self.checkpoint_dirty_bytes:
+        if self._dirty_bytes < self.CHECKPOINT_DIRTY_BYTES:
             return
         if self._checkpoint_job is not None and not self._checkpoint_job.applied:
             # Previous checkpoint still running: stall once the dirty set
             # doubles (eviction pressure), as the real engine does.
-            if self._dirty_bytes >= 2 * self.checkpoint_dirty_bytes:
+            if self._dirty_bytes >= 2 * self.CHECKPOINT_DIRTY_BYTES:
                 before = self.storage.clock.now
                 self.executor.wait_for(self._checkpoint_job)
                 self._stats.stall_seconds += self.storage.clock.now - before

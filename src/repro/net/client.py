@@ -210,7 +210,6 @@ class ClusterClient:
         backoff_base: float = 0.01,
         backoff_max: float = 0.5,
         retry_budget: Optional[float] = None,
-        retry_jitter: bool = True,
         sleep: Optional[Callable[[float], Awaitable[None]]] = None,
         endpoint_wrap: Optional[Callable[[object, int], object]] = None,
         dialled_host: str = "127.0.0.1",
@@ -232,10 +231,6 @@ class ClusterClient:
         #: Total backoff seconds one call may spend before it raises
         #: :class:`RetriesExhaustedError` (None = attempt cap only).
         self._retry_budget = retry_budget
-        #: Capped *deterministic* jitter: the delay is scaled into
-        #: [0.5, 1.0) by a pure function of (request_id, attempt), so
-        #: retry storms decorrelate without sacrificing reproducibility.
-        self._retry_jitter = retry_jitter
         self._sleep = sleep if sleep is not None else asyncio.sleep
         self._endpoint_wrap = endpoint_wrap
         #: Connections to the server this client was opened on ...
@@ -416,10 +411,8 @@ class ClusterClient:
         same-seed rerun backs off identically.
         """
         delay = min(self._backoff_base * (2 ** attempt), self._backoff_max)
-        if self._retry_jitter:
-            h = (request_id * 2654435761 + attempt * 40503 + 97) & 0xFFFFFFFF
-            delay *= 0.5 + (h / 2.0 ** 32) * 0.5
-        return delay
+        h = (request_id * 2654435761 + attempt * 40503 + 97) & 0xFFFFFFFF
+        return delay * (0.5 + (h / 2.0 ** 32) * 0.5)
 
     async def _retry_backoff(
         self,
@@ -820,16 +813,8 @@ class BlockingClusterClient:
     def seek(self, key: bytes) -> _ClientIterator:
         return _ClientIterator(self, key)
 
-    def range_query(self, lo: bytes, hi: bytes, limit: Optional[int] = None):
-        # Engine range_query is hi-inclusive; the wire scan is exclusive,
-        # so stretch hi by the smallest possible suffix.
-        return self.scan(lo, hi + b"\x00", limit or 0)
-
     def get_property(self, name: str, shard: int = 0) -> Optional[str]:
         return self._run(self.client.get_property(name, shard))
-
-    def metrics(self, shard: int = 0) -> Optional[str]:
-        return self._run(self.client.metrics(shard))
 
     def all_metrics(self) -> List[Optional[str]]:
         return self._run(self.client.all_metrics())
@@ -869,14 +854,6 @@ class BlockingClusterClient:
                 setattr(total, name, getattr(total, name) + getattr(stats, name))
         total.degraded = bool(total.degraded)
         return total
-
-    def flush_memtable(self) -> None:
-        for shard in self.server.shards:
-            shard.db.flush_memtable()
-
-    def compact_all(self) -> None:
-        for shard in self.server.shards:
-            shard.db.compact_all()
 
     def wait_idle(self) -> None:
         self._run(self.server.wait_idle())

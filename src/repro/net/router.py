@@ -121,6 +121,3 @@ class ShardRouter:
             sub_hi = hi if shard == last else shard_hi
             pieces.append((shard, sub_lo, sub_hi))
         return pieces
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardRouter(shards={self.num_shards})"

@@ -221,9 +221,3 @@ class IoLedger:
             and self.read_bytes == other.read_bytes
             and self.syncs == other.syncs
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"IoLedger(write={self.total_write_bytes}, "
-            f"read={self.total_read_bytes}, syncs={self.total_syncs})"
-        )

@@ -94,9 +94,6 @@ class Gauge:
     def set(self, value: Number) -> None:
         self.value = value
 
-    def add(self, n: Number) -> None:
-        self.value += n
-
     def track_max(self, value: Number) -> None:
         if value > self.value:
             self.value = value
@@ -214,11 +211,6 @@ class Histogram:
         return self._total
 
     @property
-    def min(self) -> float:
-        self._drain()
-        return self._min
-
-    @property
     def max(self) -> float:
         self._drain()
         return self._max
@@ -279,11 +271,12 @@ class Histogram:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
+        self._drain()
         return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
+            "count": self._count,
+            "sum": self._total,
+            "min": self._min if self._count else 0.0,
+            "max": self._max if self._count else 0.0,
             "buckets": dict(self.buckets),
         }
 

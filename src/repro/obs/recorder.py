@@ -57,22 +57,17 @@ def parse_sample_mode(spec: str) -> Tuple[str, int]:
     )
 
 
-class _RingSink(TraceSink):
-    """A TraceSink that appends finished span records to a bounded deque."""
+class _RingSink:
+    """The sink a recorder's tracer writes to: finished span records in a
+    bounded deque (a :class:`Tracer` only ever calls ``write``)."""
 
     def __init__(self, capacity: int) -> None:
         self.records: Deque[Dict[str, object]] = collections.deque(maxlen=capacity)
         self.spans_written = 0
 
-    def write(self, record: Dict[str, object]) -> None:  # type: ignore[override]
+    def write(self, record: Dict[str, object]) -> None:
         self.records.append(record)
         self.spans_written += 1
-
-    def flush(self) -> None:  # type: ignore[override]
-        pass
-
-    def close(self) -> None:  # type: ignore[override]
-        pass
 
 
 class _NullSpan:
@@ -85,9 +80,6 @@ class _NullSpan:
 
     def set(self, **attrs: object) -> "_NullSpan":
         return self
-
-    def event(self, name: str, at: Optional[float] = None, **attrs: object) -> None:
-        pass
 
     def end(self, at: Optional[float] = None) -> None:
         pass

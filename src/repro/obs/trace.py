@@ -62,18 +62,9 @@ class TraceSink:
         )
         self.spans_written += 1
 
-    def flush(self) -> None:
-        self._file.flush()
-
     def close(self) -> None:
         if self._owns_file and not self._file.closed:
             self._file.close()
-
-    def __enter__(self) -> "TraceSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class Span:

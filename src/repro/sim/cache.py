@@ -25,11 +25,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class PageCache:
     """A byte-budgeted LRU cache of 4 KiB pages.

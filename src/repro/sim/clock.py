@@ -34,6 +34,3 @@ class SimClock:
         if deadline > self._now:
             self._now = deadline
         return self._now
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.6f})"

@@ -65,12 +65,6 @@ class Job:
     def __lt__(self, other: "Job") -> bool:
         return (self.completion, self.seq) < (other.completion, other.seq)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Job({self.kind}, cost={self.cost:.6f}, "
-            f"completes={self.completion:.6f}, applied={self.applied})"
-        )
-
 
 class BackgroundExecutor:
     """``workers`` parallel timelines executing jobs in submission order."""
@@ -168,5 +162,8 @@ class BackgroundExecutor:
     def _run(self, job: Job) -> None:
         if not job.applied:
             job.applied = True
-            if job.apply is not None:
-                job.apply()
+            # Dropped before it runs: an ``apply`` that refers to its own
+            # job would otherwise make the pair, and all it holds, a cycle.
+            apply, job.apply = job.apply, None
+            if apply is not None:
+                apply()

@@ -59,6 +59,3 @@ class TokenBucket:
             self.delayed += 1
             self.delay_seconds += start - now
         return start
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TokenBucket(rate={self.rate:.0f}, ready={self._ready:.6f})"

@@ -177,8 +177,3 @@ class DecodedBlockCache:
     def cached_files(self) -> Set[Hashable]:
         """File ids with at least one resident block (test/diagnostic aid)."""
         return set(self._file_index)
-
-    def clear(self) -> None:
-        self._blocks.clear()
-        self._file_index.clear()
-        self._size = 0

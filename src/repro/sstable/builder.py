@@ -40,11 +40,8 @@ class SSTableBuilder:
     invariant every sstable relies on for binary search.
     """
 
-    def __init__(
-        self, block_size: int = DEFAULT_BLOCK_SIZE, bloom_bits_per_key: int = 10
-    ) -> None:
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         self._block_size = block_size
-        self._bloom_bits = bloom_bits_per_key
         #: Records of the data block being filled.
         self._buf = bytearray()
         self._blob = bytearray()
@@ -119,7 +116,7 @@ class SSTableBuilder:
         if num_entries == 0:
             raise InvalidArgumentError("cannot build an empty sstable")
         self._flush_block()
-        bloom = BloomFilter.for_keys(self._user_keys, self._bloom_bits)
+        bloom = BloomFilter.for_keys(self._user_keys)
         filter_block = bloom.encode()
         filter_offset = len(self._blob)
         self._blob += filter_block

@@ -58,12 +58,6 @@ class InternalKey:
     def __le__(self, other: "InternalKey") -> bool:
         return self.sort_key <= other.sort_key
 
-    def __gt__(self, other: "InternalKey") -> bool:
-        return self.sort_key > other.sort_key
-
-    def __ge__(self, other: "InternalKey") -> bool:
-        return self.sort_key >= other.sort_key
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InternalKey):
             return NotImplemented
@@ -72,9 +66,6 @@ class InternalKey:
             and self.sequence == other.sequence
             and self.kind == other.kind
         )
-
-    def __hash__(self) -> int:
-        return hash((self.user_key, self.sequence, self.kind))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = {KIND_PUT: "PUT", KIND_DELETE: "DEL", KIND_VPTR: "VPTR"}[self.kind]

@@ -163,14 +163,6 @@ def zipf_sanity_skew(gen: ZipfianGenerator, samples: int = 10000) -> float:
     return hits / samples
 
 
-def harmonic_estimate(n: int, theta: float = ZIPFIAN_CONSTANT) -> float:
-    """Approximate generalized harmonic number (test/reference helper)."""
-    if n < 100:
-        return ZipfianGenerator._zeta_static(n, theta)
-    # Euler-Maclaurin approximation of sum_{i=1..n} i^-theta.
-    return (n ** (1 - theta) - 1) / (1 - theta) + 0.5 + 0.5 * n ** -theta
-
-
 __all__ = [
     "KeyCodec",
     "value_bytes",
@@ -180,5 +172,4 @@ __all__ = [
     "ScrambledZipfianGenerator",
     "LatestGenerator",
     "zipf_sanity_skew",
-    "harmonic_estimate",
 ]

@@ -129,6 +129,15 @@ class TestLoopbackSections:
             client.close()
 
 
+    def test_repro_top_demo_renders_every_section(self, capsys):
+        from repro.tools.top import main
+
+        assert main(["--demo", "--demo-ops", "200"]) == 0
+        out = capsys.readouterr().out
+        for section in ADMIN_SECTIONS:
+            assert f"== {section} " in out
+
+
 class TestServingModeParity:
     def test_process_mode_answers_byte_identically(self):
         async def scrape(server):

@@ -216,6 +216,15 @@ class TestAdapter:
         adapter.delete(b"k1")
         assert adapter.get(b"k1") is None
 
+    def test_closing_the_adapter_closes_the_store_under_the_app(self):
+        env = repro.Environment(cache_bytes=1 << 20)
+        kv = repro.open_store("pebblesdb", env.storage)
+        adapter = YcsbAppAdapter(MongoStore(kv))
+        adapter.put(b"k1", b"v1")
+        adapter.close()
+        with pytest.raises(repro.errors.ReproError):
+            kv.get(b"k1")
+
     def test_app_overhead_dilutes_engine_gain(self):
         """Paper section 5.4: app latency shrinks PebblesDB's advantage."""
         throughput = {}

@@ -143,7 +143,7 @@ def _build_level(db: PebblesDBStore, guard_keys, layout):
     everything = []
     for files in layout:
         for entries in files:
-            builder = SSTableBuilder(256, 10)
+            builder = SSTableBuilder(256)
             rows = sorted(
                 (InternalKey(user_key, seq, KIND_PUT), b"v%d" % seq)
                 for user_key, seq in entries

@@ -233,3 +233,27 @@ class TestStats:
         db = make_store("hyperleveldb", env)
         fill(db, 500, seed=15)
         assert db.stats().memory_bytes > 0
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("engine", ["pebblesdb", "hyperleveldb"])
+    def test_a_closed_store_goes_with_its_last_reference(self, engine):
+        """No flush or compaction job keeps its store in a reference
+        cycle: without the cyclic collector a dropped store is freed at
+        once, not at the next collection."""
+        import gc
+        import weakref
+
+        env = repro.Environment()
+        db = make_store(engine, env)
+        gc.disable()
+        try:
+            fill(db, 3000, seed=7)
+            db.flush_memtable()
+            db.wait_idle()
+            db.close()
+            gone = weakref.ref(db)
+            del db
+            assert gone() is None
+        finally:
+            gc.enable()

@@ -394,6 +394,33 @@ class TestSnapshots:
         run(main())
 
 
+    def test_a_shipped_snapshot_restores_a_shard_exactly(self):
+        """The worker half of the test above, in one process: a shard's
+        export goes through the ship codec and restores a fresh shard to
+        the same pairs and the same dedup table."""
+        from repro.net.protocol import decode_ship_record, encode_ship_snapshot
+        from repro.net.server import KVServer, Shard
+
+        async def main():
+            server = KVServer(config(shards=1))
+            client = await ClusterClient.open_loopback(server)
+            for i in range(12):
+                assert await client.put(K(i), V(i))
+            shard = server.shards[0]
+            pairs, dedup = shard.export_snapshot()
+            await client.aclose()
+            await server.aclose()
+            return shard.config, pairs, dedup
+
+        shard_config, pairs, dedup = run(main())
+        assert len(pairs) == 12 and dedup
+        record = decode_ship_record(encode_ship_snapshot(12, pairs, dedup))
+        fresh = Shard(0, shard_config)
+        fresh.restore_snapshot(record.pairs, record.dedup)
+        assert record.seq == 12
+        assert fresh.export_snapshot() == (pairs, dedup)
+
+
 # ----------------------------------------------------------------------
 # Worker shutdown escalation (satellite a)
 # ----------------------------------------------------------------------

@@ -318,6 +318,57 @@ class TestConnectionFaults:
 
         run(main())
 
+    def test_a_damaged_response_is_retried_on_a_fresh_connection(self):
+        """A server->client frame that fails its CRC kills the client's
+        connection (``frame_error``); the call retries on a fresh one and
+        succeeds, and the client span carries the retry as an event."""
+        import io
+
+        from repro.obs.trace import TraceSink, read_trace
+
+        class DamagedRead:
+            def __init__(self, inner, at):
+                self._inner, self._at, self._reads = inner, at, 0
+                self.write, self.close = inner.write, inner.close
+
+            async def read(self, n=65536):
+                data = await self._inner.read(n)
+                self._reads += 1
+                if self._reads == self._at:
+                    data = data[:8] + bytes([data[8] ^ 0xFF]) + data[9:]
+                return data
+
+            @property
+            def is_closed(self):
+                return self._inner.is_closed
+
+        async def main():
+            server = make_server(shards=1)
+            # Reads on connection 0: HELLO's response, put's, then get's.
+            client = await ClusterClient.open_loopback(
+                server,
+                pool_size=1,
+                endpoint_wrap=lambda ep, index: DamagedRead(ep, 3) if index == 0 else ep,
+                sleep=lambda s: asyncio.sleep(0),
+            )
+            buffer = io.StringIO()
+            client.enable_tracing(TraceSink(buffer))
+            assert await client.put(K(0), V(0))
+            assert await client.get(K(0)) == V(0)
+            assert client.stats.retries == 1
+            assert client.stats.connections_opened == 2
+            assert server.protocol_errors == 0
+            await client.aclose()
+            await server.aclose()
+            spans = read_trace(io.StringIO(buffer.getvalue()))
+            events = {span["name"]: span.get("events", []) for span in spans}
+            assert events["client.put"] == []
+            assert [(e["name"], e["attrs"]) for e in events["client.get"]] == [
+                ("retry", {"attempt": 1, "error": "FrameError"})
+            ]
+
+        run(main())
+
     def test_retries_exhausted_raises_unavailable(self):
         async def main():
             server = make_server(shards=1)

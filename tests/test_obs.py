@@ -117,6 +117,26 @@ class TestRegistry:
         assert reg.value("op.gets") == 17
         assert reg.value("compaction.parallel_peak") == 3
 
+    def test_snapshot_and_delta_of_every_metric_kind(self):
+        reg = MetricsRegistry()
+        reg.counter("op.puts").inc(3)
+        reg.gauge("store.memory_bytes").set(42)
+        hist = reg.histogram("flush.seconds")
+        hist.record(0.5)
+        hist.record(0.25)
+        before = reg.snapshot()
+        assert before["op.puts"] == 3 and before["store.memory_bytes"] == 42
+        flush = before["flush.seconds"]
+        assert (flush["count"], flush["sum"], flush["min"], flush["max"]) == (2, 0.75, 0.25, 0.5)
+        assert sum(flush["buckets"].values()) == 2
+        hist.record(1.0)
+        after = reg.delta(before)["flush.seconds"]
+        assert (after["count"], after["sum"], sum(after["buckets"].values())) == (1, 1.0, 1)
+        assert reg.delta(before)["store.memory_bytes"] == 42
+        empty = MetricsRegistry()
+        empty.histogram("flush.seconds")
+        assert empty.snapshot()["flush.seconds"]["min"] == 0.0
+
     def test_kind_collision_rejected(self):
         reg = MetricsRegistry()
         reg.counter("x")

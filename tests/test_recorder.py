@@ -223,6 +223,20 @@ class TestSamplingMode:
             if r.get("parent") and r["kind"] not in ("background", "event"):
                 assert (r["trace"], r["parent"]) in by_id
 
+    def test_error_events_are_never_sampled_away(self):
+        env = repro.Environment(cache_bytes=1 << 20)
+        db = make_store("pebblesdb", env, trace_sample="1/1000")
+        _fill(db, 100)
+        env.storage.set_fault_injector(
+            FaultInjector(FaultPlan.fail_nth(0, op="append", name_pattern="db/*.sst"))
+        )
+        db.flush_memtable()
+        db.wait_idle()
+        env.storage.set_fault_injector(None)
+        retries = [r for r in db.recorder.records() if r["name"] == "fault.retry"]
+        assert [r["kind"] for r in retries] == ["event"]
+        db.close()
+
     def test_same_seed_ring_is_byte_identical(self):
         def run():
             env = repro.Environment(cache_bytes=1 << 20)

@@ -426,6 +426,120 @@ class TestCrashSafety:
 
 
 # ----------------------------------------------------------------------
+# Value log x faults: the failure paths of the log itself
+# ----------------------------------------------------------------------
+class TestFaults:
+    @staticmethod
+    def _overwrite(db, model, version, step=1, suffix=b""):
+        for i in range(0, 80, step):
+            key, value = b"key%04d" % i + suffix, (b"%d" % version) * 300
+            db.put(key, value)
+            model[key] = value
+        db.flush_memtable()
+
+    @staticmethod
+    def _check(db, model):
+        assert dict(db.scan()) == model
+        db.check_invariants()
+
+    @pytest.mark.parametrize("engine", ["leveldb", "pebblesdb"])
+    def test_a_faulted_relocating_compaction_abandons_its_copies(self, engine, monkeypatch):
+        """An ``*.sst`` append fault after a compaction relocated cold
+        records: the retry starts afresh, the abandoned copies count as
+        dead, and the segment holding them still retires once overwritten."""
+        from repro.vlog.log import VlogCompactionContext
+
+        env = repro.Environment(cache_bytes=1 << 20)
+        db = _open(engine, env)
+        relocate, abandon = VlogCompactionContext.rewrite, VlogCompactionContext.abandon
+        abandoned = []
+
+        def rewrite(ctx, stream):
+            for entry in relocate(ctx, stream):
+                if ctx._appended and env.storage.faults is None and not abandoned:
+                    plan = FaultPlan.from_string("transient:append:db/*.sst:at=0")
+                    env.storage.set_fault_injector(FaultInjector(plan))
+                yield entry
+
+        def spy(ctx):
+            abandoned.extend(ctx._appended)
+            abandon(ctx)
+
+        monkeypatch.setattr(VlogCompactionContext, "rewrite", rewrite)
+        monkeypatch.setattr(VlogCompactionContext, "abandon", spy)
+        model = {}
+        # Half the keys overwritten: segments turn cold, not fully dead;
+        # fresh keys in the same range then make compactions rewrite the
+        # survivors' pointers.
+        self._overwrite(db, model, 0)
+        for version in range(1, 8):
+            self._overwrite(db, model, version, step=2)
+        for round_no in range(4):
+            if abandoned:
+                break
+            self._overwrite(db, model, round_no, suffix=b"-%d" % round_no)
+            db.compact_all()
+            db.wait_idle()
+        assert abandoned, "no relocating compaction was faulted"
+        assert not db.is_degraded
+        self._check(db, model)
+        holding = {pointer.segment for pointer in abandoned}
+        retired = db._vlog.segments_retired
+        for version in range(8, 14):
+            for suffix in [b""] + [b"-%d" % r for r in range(round_no + 1)]:
+                self._overwrite(db, model, version, suffix=suffix)
+        db.compact_all()
+        db.wait_idle()
+        assert db._vlog.segments_retired > retired
+        assert not holding & set(db._vlog.segment_numbers())
+        self._check(db, model)
+        db.close()
+        self._check(_open(engine, env), model)
+
+    def test_a_torn_vlog_append_counts_its_bytes_dead(self):
+        """The torn bytes are data of their segment and dead at once, so
+        the segment still retires when every record in it is overwritten."""
+        env = repro.Environment(cache_bytes=1 << 20)
+        db = _open("pebblesdb", env)
+        model = {}
+        self._overwrite(db, model, 0)
+        segment = db._vlog.active_segment
+        plan = FaultPlan.from_string("transient:append:db/*.vlg:at=0:torn=0.5")
+        env.storage.set_fault_injector(FaultInjector(plan))
+        with pytest.raises(repro.errors.StorageError):
+            db.put(b"torn", b"t" * 300)
+        env.storage.set_fault_injector(None)
+        assert 0 < db._vlog._stray_dead[segment] < 300
+        for version in range(1, 5):
+            self._overwrite(db, model, version)
+        assert segment not in db._vlog.segment_numbers()
+        self._check(db, model)
+        db.close()
+        self._check(_open("pebblesdb", env), model)
+
+    def test_strict_recovery_fails_on_a_damaged_synced_record(self):
+        """With ``sync_writes`` every pointer a replayed WAL batch carries
+        leads into the synced region of its segment, so a damaged record
+        there is lost acknowledged data and reopening fails loudly; with
+        the damage undone the same files recover every write."""
+        env = repro.Environment(cache_bytes=1 << 20)
+        db = _open("pebblesdb", env, sync_writes=True)
+        model = {}
+        for i in range(20):
+            key, value = b"key%04d" % i, b"%02d" % i * 100
+            db.put(key, value)
+            model[key] = value
+        env.storage.crash()
+        segment = min(n for n in env.storage.list_files("db/") if n.endswith(".vlg"))
+        damaged = env.storage._files[segment].mutable()
+        damaged[len(damaged) // 2] ^= 0x01
+        with pytest.raises(CorruptionError, match="synced region"):
+            _open("pebblesdb", env, sync_writes=True)
+        damaged[len(damaged) // 2] ^= 0x01
+        self._check(_open("pebblesdb", env, sync_writes=True), model)
+
+
+# ----------------------------------------------------------------------
 # Tools
 # ----------------------------------------------------------------------
 class TestTools:
