@@ -391,25 +391,6 @@ class PebblesDBStore(LSMStoreBase):
             if guard.num_files > 1 and self._guard_idle(level, guard):
                 yield level, guard
 
-    def _capture_scheduling_state(self):
-        # What a compute mutates besides the busy set before its job is
-        # queued: conflict-map claims and outflow accounting, and the
-        # guard-commit bookkeeping.
-        return (
-            dict(self._claims),
-            dict(self._inflight_outflow),
-            [set(keys) for keys in self._uncommitted],
-            set(self._committing),
-        )
-
-    def _restore_scheduling_state(self, snapshot) -> None:
-        (
-            self._claims,
-            self._inflight_outflow,
-            self._uncommitted,
-            self._committing,
-        ) = snapshot
-
     def _reset_scheduling_state(self) -> None:
         self._claims.clear()
         self._inflight_outflow.clear()
@@ -558,59 +539,49 @@ class PebblesDBStore(LSMStoreBase):
     def _compute_compaction(
         self, level: int, guard: Optional[Guard], ctx: CompactionContext
     ) -> Optional[CompactionResult]:
-        # ``guard`` None: all of Level 0.
-        opts = self.options
+        # ``guard`` None: all of Level 0.  Decide, merge and write (the
+        # only steps that can fault), then take the claims and the guard
+        # commits: a faulted attempt has taken nothing to put back.
         inputs = list(self._level0 if guard is None else guard.files)
         if not inputs:
             return None
         claims = (
             self._level0_claims() if guard is None else self._guard_claims(level, guard)
         )
-        self._busy.update(f.number for f in inputs)
-        token = self._acquire_claims(claims, level, sum(f.file_size for f in inputs))
-        last = opts.num_levels - 1
-        if level == last:
-            # Last level: rewrite the guard in place as one sstable.
-            return self._rewrite_guard_in_place(level, inputs, ctx, token)
-
+        input_bytes = sum(f.file_size for f in inputs)
+        last = self.options.num_levels - 1
         target = level + 1
         lo = hi = None
         if guard is not None:
-            guarded = self._guarded[level]
-            lo, hi = guarded.guard_range(guard)
-        new_keys, straddlers = self._commit_target_guards(target, lo, hi)
-
-        if guard is not None and target == last:
-            # Second-to-last level heuristic (paper section 3.4): estimate
-            # the merge IO forced by full last-level guards; if it exceeds
-            # the threshold, rewrite in place instead of pushing down.
-            input_bytes = sum(f.file_size for f in inputs)
-            merge_bytes = self._estimate_last_level_merge_io(target, lo, hi, input_bytes)
-            if input_bytes and merge_bytes >= LAST_LEVEL_MERGE_IO_RATIO * input_bytes:
-                # The heuristic rejects the push-down: undo the tentative
-                # guard commit.
-                for key in new_keys:
-                    self._uncommitted[target].add(key)
-                    self._committing.discard((target, key))
-                self._busy.difference_update(f.number for f in straddlers)
-                return self._rewrite_guard_in_place(level, inputs, ctx, token)
-
-        outputs, merged_away = self._partition_into(
-            inputs + straddlers, target, ctx, new_keys
-        )
-        # Counted after the last step that can fail: a retried attempt's
-        # straddlers are not counted twice.
-        if straddlers:
-            self.registry.counter("compaction.straddler_bytes", level=target).inc(
-                sum(f.file_size for f in straddlers)
+            lo, hi = self._guarded[level].guard_range(guard)
+        if level == last or (
+            guard is not None
+            and target == last
+            and self._push_down_too_costly(target, lo, hi, input_bytes)
+        ):
+            result = self._rewrite_guard_in_place(level, inputs, ctx)
+        else:
+            new_keys, straddlers = self._commit_target_guards(target, lo, hi)
+            outputs, merged_away = self._partition_into(
+                inputs + straddlers, target, ctx, new_keys
             )
-        return CompactionResult(
-            [(level, f) for f in inputs]
-            + [(target, f) for f in straddlers + merged_away],
-            outputs,
-            [(target, key) for key in new_keys],
-            token,
-        )
+            # Counted after the last step that can fail: a retried attempt's
+            # straddlers are not counted twice.
+            if straddlers:
+                self.registry.counter("compaction.straddler_bytes", level=target).inc(
+                    sum(f.file_size for f in straddlers)
+                )
+            result = CompactionResult(
+                [(level, f) for f in inputs]
+                + [(target, f) for f in straddlers + merged_away],
+                outputs,
+                [(target, key) for key in new_keys],
+            )
+        result.claim = self._acquire_claims(claims, level, input_bytes)
+        for target_level, key in result.new_guards:
+            self._uncommitted[target_level].discard(key)
+            self._committing.add((target_level, key))
+        return result
 
     def _install_compaction(self, result: CompactionResult) -> None:
         for level, key in result.new_guards:
@@ -635,12 +606,13 @@ class PebblesDBStore(LSMStoreBase):
     def _commit_target_guards(
         self, target: int, lo: Optional[bytes], hi: Optional[bytes]
     ) -> Tuple[List[bytes], List[FileMetadata]]:
-        """Commit uncommitted guards of ``target`` within ``[lo, hi)``.
+        """The uncommitted guards of ``target`` within ``[lo, hi)`` that a
+        push-down commits, and their *straddlers*; read-only.
 
-        Returns the newly committed keys and the *straddler* sstables —
-        files an uncommitted guard would split.  The paper compacts them
-        into the next level (section 3.3); here they are merged into this
-        job and re-land partitioned in ``target``.
+        A straddler is an idle sstable an uncommitted guard would split.
+        The paper compacts it into the next level (section 3.3); here it
+        is merged into this job and re-lands partitioned in ``target``.
+        The compute takes both once its last write is done.
         """
         keys = sorted(
             k
@@ -660,16 +632,15 @@ class PebblesDBStore(LSMStoreBase):
                     and meta not in straddlers
                 ):
                     straddlers.append(meta)
-        for meta in straddlers:
-            self._busy.add(meta.number)
-        for key in keys:
-            self._uncommitted[target].discard(key)
-            self._committing.add((target, key))
         return (keys, straddlers)
 
-    def _estimate_last_level_merge_io(
+    def _push_down_too_costly(
         self, last: int, lo: Optional[bytes], hi: Optional[bytes], input_bytes: int
-    ) -> int:
+    ) -> bool:
+        """The second-to-last level rule (paper section 3.4): merging
+        ``input_bytes`` of ``[lo, hi)`` into the full guards of level
+        ``last`` would cost ``LAST_LEVEL_MERGE_IO_RATIO`` times them or
+        more, so the guard is rewritten in place instead of pushed down."""
         guarded = self._guarded[last]
         opts = self.options
         total = 0
@@ -681,7 +652,7 @@ class PebblesDBStore(LSMStoreBase):
                 continue
             if guard.num_files + 1 > opts.max_sstables_per_guard:
                 total += guard.size_bytes + input_bytes
-        return total
+        return bool(input_bytes) and total >= LAST_LEVEL_MERGE_IO_RATIO * input_bytes
 
     def _partition_into(
         self,
@@ -698,7 +669,8 @@ class PebblesDBStore(LSMStoreBase):
         straddler sstables from the target level, so their data re-lands
         partitioned by the new boundaries.  Returns ``(outputs,
         merged_away)``: the placed fragments, and the pre-existing files
-        consumed by a forced merge with a full guard.
+        consumed by a forced merge with a full guard.  A guard holding a
+        file of ``inputs`` or of another job is never force-merged.
         """
         opts = self.options
         # Tombstones cannot be dropped for the stream as a whole: a
@@ -714,6 +686,7 @@ class PebblesDBStore(LSMStoreBase):
         boundaries = sorted(committed | set(new_keys))
         outputs: List[Tuple[int, FileMetadata, int, bytes]] = []
         merged_away: List[FileMetadata] = []
+        own = {f.number for f in inputs}
 
         # Segment i covers [lo_i, hi_i): lo of segment 0 is the open
         # sentinel start; hi of the last segment is open-ended.
@@ -730,6 +703,7 @@ class PebblesDBStore(LSMStoreBase):
                 guard is not None
                 and guard.files
                 and guard.num_files + 1 > opts.max_sstables_per_guard
+                and not any(f.number in own for f in guard.files)
                 and not self._guard_busy(guard)
             ):
                 # The guard cannot take another sstable: forced merge with
@@ -738,7 +712,6 @@ class PebblesDBStore(LSMStoreBase):
                 # behaviour (section 3.5); with the default it mainly
                 # happens in the last level (section 3.4).
                 existing = list(guard.files)
-                self._busy.update(f.number for f in existing)
                 chunk = ctx.merge(existing, drop_tombstones=is_bottom, also=[chunk])
                 merged_away.extend(existing)
             elif is_bottom and guard is not None and not guard.files:
@@ -779,7 +752,6 @@ class PebblesDBStore(LSMStoreBase):
         level: int,
         inputs: List[FileMetadata],
         ctx: CompactionContext,
-        token: int,
     ) -> CompactionResult:
         """Merge a guard's sstables into one table at the same level."""
         merged = ctx.merge(inputs, drop_tombstones=self._is_bottom(level))
@@ -788,7 +760,7 @@ class PebblesDBStore(LSMStoreBase):
             _placed(level, guarded.find_guard(meta.smallest.user_key).key, meta)
             for meta in ctx.write(merged)
         ]
-        return CompactionResult([(level, f) for f in inputs], outputs, claim=token)
+        return CompactionResult([(level, f) for f in inputs], outputs)
 
     # ==================================================================
     # Guard deletion (paper section 3.3)

@@ -596,31 +596,28 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     # Fault handling and graceful degradation
     # ==================================================================
     def _run_protected(self, kind: str, compute: Callable):
-        """Run a background compute step with retries and state rollback.
+        """Run a background compute step with retries.
 
-        After a failed attempt its partially written sstables are deleted
-        and the scheduling state is restored from a pre-attempt snapshot;
-        a :class:`TransientIOError` then reruns the step after a backoff.
-        A persistent fault, corruption, or an exhausted retry budget sets
-        the sticky background error instead and returns None.
+        A compute takes no scheduling state before its last write, so a
+        failed attempt leaves behind only its partially written sstables,
+        which are deleted; a :class:`TransientIOError` then reruns the step
+        after a backoff.  A persistent fault, corruption, or an exhausted
+        retry budget sets the sticky background error instead and returns
+        None.
         """
-        saved = []
+        start = self._next_file_number
 
         def attempt():
-            saved[:] = (
-                self._next_file_number, set(self._busy),
-                self._compactions_inflight, self._capture_scheduling_state(),
-            )
+            nonlocal start
+            start = self._next_file_number
             return compute()
 
         def undo() -> None:
-            start, self._busy, self._compactions_inflight, state = saved
-            # Delete the attempt's sstables.  File numbers stay monotonic —
-            # the counter is *not* rewound — so a stale table- or block-cache
-            # entry keyed by number never aliases a later file.
+            # File numbers stay monotonic — the counter is *not* rewound —
+            # so a stale table- or block-cache entry keyed by number never
+            # aliases a later file.
             for number in range(start, self._next_file_number):
                 self._reads.drop_table_file(number)
-            self._restore_scheduling_state(state)
 
         try:
             return self._faults.retry(kind, attempt, undo)

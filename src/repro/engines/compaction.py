@@ -9,12 +9,15 @@ and lives here.  An engine supplies two things:
   candidates it finds due.  The one pick loop,
   :meth:`CompactionRunner._pick_and_submit`, pools the first tier that
   yields any and runs the dispatch policy's choice (default: the first);
-* **compute** — ``_compute_compaction(level, pick, ctx)``: claim the inputs, then
-  turn them into output files using only :meth:`CompactionContext.merge`
-  and :meth:`CompactionContext.write`; returns a :class:`CompactionResult`
-  (or None when there is nothing to do).  What a compute mutates besides
-  the busy set, ``_capture_scheduling_state()`` snapshots and
-  ``_restore_scheduling_state(snapshot)`` puts back after a failed attempt.
+* **compute** — ``_compute_compaction(level, pick, ctx)``: decide what
+  the job does (read-only), turn the inputs into output files using only
+  :meth:`CompactionContext.merge` and :meth:`CompactionContext.write` —
+  the only steps that can fault — and only then take what the job holds
+  while in flight (FLSM: its conflict-map claims and the guards it
+  commits); returns a :class:`CompactionResult` (or None when there is
+  nothing to do).  The runner marks the consumed files busy.  A compute
+  takes nothing before its last write, so a faulted attempt leaves no
+  scheduling state to put back, only its partial sstables to delete.
 
 Install is shared: :meth:`CompactionRunner._install_compaction` detaches
 the consumed files from, and attaches the outputs to, their level objects.
@@ -266,6 +269,7 @@ class CompactionRunner:
         self._note_compaction_inflight(1)
         acct = ctx.account
         consumed, outputs = result.consumed, result.outputs
+        self._busy.update(meta.number for _, meta in consumed)
         edit = VersionEdit(new_guards=result.new_guards)
         for file_level, meta in consumed:
             edit.delete_file(file_level, meta.number)

@@ -148,12 +148,6 @@ class LeveledLSMStore(LSMStoreBase):
         # conflict only when their input/output file sets intersect.
         return "file"
 
-    def _capture_scheduling_state(self):
-        return dict(self._compact_pointer)
-
-    def _restore_scheduling_state(self, snapshot) -> None:
-        self._compact_pointer = snapshot
-
     @property
     def _policy(self) -> _Policy:
         return _POLICIES.get(self.options.preset, _DEFAULT_POLICY)
@@ -237,7 +231,6 @@ class LeveledLSMStore(LSMStoreBase):
         inputs, next_inputs = pick
         opts = self.options
         target = level + 1
-        self._busy.update(f.number for f in inputs + next_inputs)
         consumed = [(level, f) for f in inputs] + [(target, f) for f in next_inputs]
         # Trivial move: nothing to merge with and inputs mutually disjoint —
         # a metadata-only edit, no IO.  This is LevelDB's fast path that
