@@ -646,6 +646,10 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
                 # Opening checks the footer magic and parses the index.
                 self._get_reader(number, acct)
             if self._manifest.pending or self._manifest.suspect:
+                if self._vlog is not None:
+                    # A held edit may reference relocated records whose
+                    # sync failed: they go durable before the edit does.
+                    self._vlog.sync(acct)
                 self._manifest.rotate(acct, self._alloc_file_number)
 
         if not self._faults.resume(repair):

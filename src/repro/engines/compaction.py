@@ -28,8 +28,10 @@ walks the levels and hands what overlaps to ``_run_compaction``;
 The runner owns the rest: fault-protected submission, the ledger account,
 the value-log GC context and its abandon / commit / retire, the merge
 stream, the CPU charge, the version edit, job cost, rate-limit
-reservation, the executor, and the apply step.  Two ordering rules hold
-for every job of every engine:
+reservation, the executor, and the apply step.  Apply's fallible IO (the
+value-log sync, the MANIFEST append) is retried; a fault that persists
+degrades the store, queues the edit for ``resume()`` and still settles
+the job.  Two ordering rules hold for every job of every engine:
 
 * **File numbers.**  An output file's number comes from
   ``LSMStoreBase._write_sstables`` (single-file output: when the file is
@@ -48,6 +50,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engines.background import RETIRE_SEGMENT, RETIRE_TABLE
+from repro.errors import CorruptionError, StorageError
 from repro.sim.executor import Job
 from repro.sstable import compaction_iterator, merging_iterator
 from repro.sstable.format import Entry
@@ -333,7 +336,7 @@ class CompactionRunner:
         # before the MANIFEST can make them reachable).
         self._submit_job(
             kind, seconds, edit, settle, span,
-            prepare=(lambda: gc.commit(edit)) if gc is not None else None,
+            prepare=(lambda: gc.commit(edit, self._faults.retry)) if gc is not None else None,
             at=start_at,
         )
 
@@ -354,17 +357,23 @@ class CompactionRunner:
         ``prepare()`` makes the last additions to ``edit``, the edit goes to
         the MANIFEST, ``settle(durable)`` does everything that depends on
         whether that append was durable, the trace span is emitted, and
-        whatever became due is scheduled.
+        whatever became due is scheduled.  A storage fault ``prepare()``
+        raises (its own retries spent) degrades the store and queues the
+        edit for ``resume()``; the job still settles, not durable.
         """
         trc = self.tracer
         parent = trc.current() if trc is not None else None
 
         def apply() -> None:
-            if prepare is not None:
-                prepare()
-            durable = self._manifest.append(
-                edit, self.storage.background_account(self.prefix + "manifest")
-            )
+            try:
+                if prepare is not None:
+                    prepare()
+            except (CorruptionError, StorageError) as exc:
+                durable = self._manifest.hold(edit, f"{kind} apply", exc)
+            else:
+                durable = self._manifest.append(
+                    edit, self.storage.background_account(self.prefix + "manifest")
+                )
             settle(durable)
             if trc is not None:
                 name, attrs = span(job)

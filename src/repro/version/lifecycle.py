@@ -85,6 +85,7 @@ class ManifestLog:
         #: Once an append fails, the file may end in a torn or unsynced
         #: record; further appends would be shadowed behind it at recovery,
         #: so they queue instead until :meth:`rotate` replaces the file.
+        #: A held edit sets it too: the edits behind it keep their order.
         self.suspect = False
 
     def append(self, edit: VersionEdit, account: IoAccount) -> bool:
@@ -118,10 +119,16 @@ class ManifestLog:
             self.errors.retry("manifest_append", attempt, retryable=retryable)
             return True
         except (CorruptionError, StorageError) as exc:
-            self.suspect = True
-            self.pending.append(edit)
-            self.errors.fail("MANIFEST append", exc)
-            return False
+            return self.hold(edit, "MANIFEST append", exc)
+
+    def hold(self, edit: VersionEdit, kind: str, exc: Exception) -> bool:
+        """Queue ``edit`` for :meth:`rotate` instead of appending it, after
+        ``kind`` failed with ``exc``; sets the sticky background error and
+        returns False (not durable), as a failed append does."""
+        self.suspect = True
+        self.pending.append(edit)
+        self.errors.fail(kind, exc)
+        return False
 
     def rotate(self, account: IoAccount, alloc_number: Callable[[], int]) -> None:
         """Persist queued edits by rewriting the MANIFEST, named with a

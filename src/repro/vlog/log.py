@@ -25,6 +25,7 @@ range, which is what drives it to fully dead.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import CorruptionError
@@ -471,20 +472,26 @@ class VlogCompactionContext:
         self.relocated_bytes = 0
         self.relocated_records = 0
 
-    def commit(self, edit) -> None:
-        """Fold counters into ``edit``; call before the MANIFEST append.
+    def commit(
+        self, edit, retry: Callable[[str, Callable[[], None]], None] = lambda kind, step: step()
+    ) -> None:
+        """Fold counters into ``edit``, then sync the relocated records;
+        call before the MANIFEST append, which must never land ahead of
+        the records the edit's new sstables make reachable.
 
-        Relocated records are synced first: the edit's new sstables
-        reference the new pointers, and the manifest append must never
-        land ahead of the records it makes reachable.
+        ``retry(kind, step)`` runs the sync (a store passes its transient-
+        fault retry loop).  Only the sync is retried, as the folding is not
+        idempotent; a sync fault it gives up on is raised with the counters
+        already folded, and the caller must keep ``edit`` out of the
+        MANIFEST until the value log syncs.
         """
-        if self._appended:
-            self._vlog.sync(self._account)
+        appended, self._appended = self._appended, []
         self._vlog.gc_relocated_bytes += self.relocated_bytes
         self._vlog.gc_relocated_records += self.relocated_records
         self._retirable = self._vlog.commit_job(self.dead, edit)
-        self._appended = []
         self.dead = {}
+        if appended:
+            retry("vlog_sync", partial(self._vlog.sync, self._account))
 
     def retire(self, durable: bool) -> List[int]:
         """Delete (or defer) the segments :meth:`commit` found fully dead.

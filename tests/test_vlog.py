@@ -496,6 +496,55 @@ class TestFaults:
         db.close()
         self._check(_open(engine, env), model)
 
+    @pytest.mark.parametrize("kind", ["transient", "persistent"])
+    @pytest.mark.parametrize("engine", ["leveldb", "pebblesdb"])
+    def test_a_vlog_sync_fault_in_a_compaction_apply_settles_the_job(
+        self, engine, kind, monkeypatch
+    ):
+        """A ``sync`` fault on the value log while a relocating compaction
+        applies: a transient one is retried, a persistent one degrades the
+        store with the edit queued.  Either way the job settles (nothing
+        stays busy), no fault reaches the foreground call, and the store
+        holds its data through ``resume()`` and a reopen."""
+        from repro.vlog.log import VlogCompactionContext
+
+        env = repro.Environment(cache_bytes=1 << 20)
+        db = _open(engine, env)
+        commit = VlogCompactionContext.commit
+        armed, faulted = [], []
+
+        def faulting_commit(ctx, edit, *args):
+            if armed and ctx._appended and not faulted:
+                faulted.append(ctx)
+                plan = FaultPlan.from_string(kind + ":sync:db/*.vlg:at=0")
+                env.storage.set_fault_injector(FaultInjector(plan))
+            return commit(ctx, edit, *args)
+
+        monkeypatch.setattr(VlogCompactionContext, "commit", faulting_commit)
+        model = {}
+        self._overwrite(db, model, 0)
+        for version in range(1, 8):
+            self._overwrite(db, model, version, step=2)
+        for round_no in range(4):
+            if faulted:
+                break
+            self._overwrite(db, model, round_no, suffix=b"-%d" % round_no)
+            armed.append(round_no)  # only jobs applied by the calls below
+            db.compact_all()
+            db.wait_idle()
+            armed.clear()
+        assert faulted, "no relocating compaction reached its apply"
+        assert env.storage.faults.stats.faults_injected == 1
+        env.storage.set_fault_injector(None)
+        assert db.is_degraded == (kind == "persistent")
+        if kind == "persistent":
+            assert db.resume()
+        db.wait_idle()
+        assert not db._busy
+        self._check(db, model)
+        db.close()
+        self._check(_open(engine, env), model)
+
     def test_a_torn_vlog_append_counts_its_bytes_dead(self):
         """The torn bytes are data of their segment and dead at once, so
         the segment still retires when every record in it is overwritten."""
