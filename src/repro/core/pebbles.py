@@ -932,6 +932,9 @@ class PebblesDBStore(LSMStoreBase):
 
     def check_invariants(self) -> None:
         assert not len(self._guarded[0]), "Level 0 has guards"
+        if not self.executor.pending_count:
+            assert not self._claims and not self._inflight_outflow, "idle store holds claims"
+            assert not self._committing, "idle store has guards committing"
         for level, guarded in enumerate(self._guarded):
             # Skip-list property: a committed guard at level i must be
             # present (committed or pending) at every deeper level.

@@ -292,7 +292,11 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         """Raise AssertionError if internal invariants are violated: an
         engine's layout rules, each level's, then for every sstable a number,
         a file, a sequence bound no lower than its boundary keys and a
-        resident filter (if any) built over as many keys as the file holds."""
+        resident filter (if any) built over as many keys as the file holds.
+        With no job pending, no file is busy and no compaction in flight."""
+        if not self.executor.pending_count:
+            assert not self._busy, f"idle store has busy files: {sorted(self._busy)}"
+            assert not self._compactions_inflight, "idle store has compactions in flight"
         for level in self._levels:
             level.check_invariants()
         files = self.live_files()

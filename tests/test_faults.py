@@ -651,6 +651,74 @@ class TestGuardParallelFaults:
         db2.check_invariants()
 
 
+def _scheduling_state(db):
+    """What a compaction holds while in flight: busy files, the in-flight
+    count and, for FLSM, its claims and guard-commit bookkeeping."""
+    state = {"busy": set(db._busy), "inflight": db._compactions_inflight}
+    if hasattr(db, "_claims"):
+        state.update(
+            claims=dict(db._claims),
+            outflow=dict(db._inflight_outflow),
+            uncommitted=[set(keys) for keys in db._uncommitted],
+            committing=set(db._committing),
+        )
+    return state
+
+
+class TestFaultedComputeTakesNothing:
+    """A compaction whose first output append faults leaves the scheduling
+    state as it found it: its retry (transient fault) or the degraded
+    store (persistent fault) sees the same busy set and, for FLSM, the
+    same claims, uncommitted and committing guards."""
+
+    @pytest.mark.parametrize("kind", ["transient", "persistent"])
+    @pytest.mark.parametrize("engine", ["pebblesdb", "hyperleveldb"])
+    def test_state_is_unchanged_by_the_faulted_attempt(self, engine, kind, env):
+        db = make_store(engine, env, background_workers=4)
+        compute, fail = db._compute_compaction, db._faults.fail
+        faulted, pairs = [], []
+
+        def faulting_compute(level, pick, ctx):
+            if faulted:  # the retry
+                pairs.append((faulted.pop(), _scheduling_state(db)))
+            if pairs or not db._busy:  # fault one beside another job
+                return compute(level, pick, ctx)
+            state = _scheduling_state(db)
+            _attach(env, FaultPlan.from_string(kind + ":append:db/*.sst:at=0"))
+            try:
+                return compute(level, pick, ctx)
+            finally:
+                if env.storage.faults.stats.faults_injected:
+                    faulted.append(state)
+                _detach(env)
+
+        def failing(step, exc):
+            if faulted:  # no retry: the store degrades
+                pairs.append((faulted.pop(), _scheduling_state(db)))
+            fail(step, exc)
+
+        db._compute_compaction = faulting_compute
+        db._faults.fail = failing
+        model = {}
+        for i in range(4000):
+            if pairs:
+                break
+            key, value = b"key%04d" % ((i * 37) % 900), (b"val%05d" % i) * 16
+            try:
+                db.put(key, value)
+            except BackgroundError:
+                break
+            model[key] = value
+        assert len(pairs) == 1, "no compaction's first output append faulted"
+        before, after = pairs[0]
+        assert after == before
+        assert db.is_degraded == (kind == "persistent")
+        if kind == "persistent":
+            assert db.resume()
+        db.wait_idle()
+        assert dict(db.scan()) == model
+        db.check_invariants()
+
 class TestBtreeFaults:
     def test_torn_journal_append_degrades_then_resumes(self, env):
         db = make_store("btree", env)
