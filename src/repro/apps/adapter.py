@@ -79,5 +79,11 @@ class YcsbAppAdapter(KeyValueStore):
     def stats_part(self):
         return self.app.kv.stats_part()
 
+    def io_ledger(self):
+        return self.app.kv.io_ledger()
+
+    def enable_tracing(self, sink, component: str = "engine"):
+        return self.app.kv.enable_tracing(sink, component)
+
     def close(self) -> None:
         self.app.kv.close()

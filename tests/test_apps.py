@@ -225,6 +225,26 @@ class TestAdapter:
         with pytest.raises(repro.errors.ReproError):
             kv.get(b"k1")
 
+    @pytest.mark.parametrize("app_kind", ["hyperdex", "mongo"])
+    def test_ledger_and_tracing_are_the_stores_under_the_app(self, app_kind):
+        import io
+
+        from repro.obs.trace import TraceSink
+
+        env = repro.Environment(cache_bytes=1 << 20)
+        kv = repro.open_store("pebblesdb", env.storage)
+        adapter = YcsbAppAdapter(HyperDexStore(kv) if app_kind == "hyperdex" else MongoStore(kv))
+        out = io.StringIO()
+        tracer = adapter.enable_tracing(TraceSink(out))
+        assert kv.tracer is tracer
+        for i in range(300):
+            adapter.put(b"k%04d" % i, b"v" * 128)
+        kv.flush_memtable()
+        assert out.getvalue(), "no span reached the sink"
+        ledger = adapter.io_ledger()
+        assert ledger.total_write_bytes > 0
+        assert ledger.to_json() == kv.io_ledger().to_json()
+
     def test_app_overhead_dilutes_engine_gain(self):
         """Paper section 5.4: app latency shrinks PebblesDB's advantage."""
         throughput = {}
