@@ -33,7 +33,7 @@ from repro.memtable.memtable import GetResult
 from repro.sim.executor import BackgroundExecutor
 from repro.sim.ratelimit import TokenBucket
 from repro.sim.storage import IoAccount, SimulatedStorage
-from repro.sstable import SSTableBuilder
+from repro.sstable import SSTableBuilder, SSTableReader
 from repro.sstable.format import Entry
 from repro.util.keys import KIND_DELETE, KIND_PUT
 from repro.vlog.log import ValueLog
@@ -632,8 +632,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     def resume(self) -> bool:
         """Attempt to leave degraded mode (RocksDB's ``Resume``).
 
-        Waits out in-flight background work, re-verifies that every live
-        sstable still opens cleanly, persists any queued version edits
+        Waits out in-flight background work, reads back and checks every
+        live sstable's footer and index, persists any queued version edits
         into a fresh MANIFEST, completes deferred file deletions, then
         clears the error and re-schedules background work.  Returns True
         when the store is healthy again; on failure the store stays
@@ -647,8 +647,8 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         def repair() -> None:
             acct = self.storage.foreground_account(self.prefix + "recover")
             for number in self.sstable_file_numbers():
-                # Opening checks the footer magic and parses the index.
-                self._get_reader(number, acct)
+                # A cold open, whatever parsed form the read path holds.
+                SSTableReader.open(self.storage, self._sst_name(number), acct, load_bloom=False)
             if self._manifest.pending or self._manifest.suspect:
                 if self._vlog is not None:
                     # A held edit may reference relocated records whose
@@ -700,6 +700,7 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             )
             self._records_passed += builder.records_passed
             self._records_encoded += meta.num_entries - builder.records_passed
+            self._reads.add_table(meta, builder.footer, builder.index)
             metas.append(meta)
 
         if split_bytes is None:

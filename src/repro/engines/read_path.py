@@ -1,7 +1,9 @@
 """The read path of an LSM-family store: table cache, pins, probe and walk.
 
-:class:`ReadPath` owns the open sstable readers (the table cache and the
-decoded-block cache they share), the read pins that keep retired files on
+:class:`ReadPath` owns the parsed form of every live sstable (``tables``,
+filled as a table is built or first opened, emptied as its file is
+dropped), the table cache of open readers and the decoded-block cache
+they share, the read pins that keep retired files on
 storage while an iterator may read them, the one probe loop of a point
 lookup, the walker of a seek or scan, and the per-level tallies of both.
 It reaches the engine through ``engine``, a weak proxy: ``tracer``,
@@ -16,12 +18,11 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import CorruptionError, StorageError
 from repro.memtable.memtable import GetResult
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable import DecodedBlockCache, SSTableReader, merge_entries, merging_iterator
-from repro.sstable.format import Entry, ValuePointer
+from repro.sstable.format import Entry, Footer, IndexEntry, ValuePointer
 from repro.util.keys import KIND_DELETE, KIND_SEEK, KIND_VPTR, MAX_SEQUENCE, InternalKey
 from repro.util.murmur import murmur3_64
 from repro.version.files import FileMetadata
@@ -54,6 +55,10 @@ class ReadPath:
         self._cpu = storage.cpu
         self._user_acct = user_acct
         self._vlog = vlog
+        #: The one parsed reader of each live sstable, by file number: a
+        #: table is parsed once, when built or first opened.
+        self.tables: Dict[int, SSTableReader] = {}
+        #: The simulated table cache: which of ``tables`` are open.
         self.table_cache: "OrderedDict[int, SSTableReader]" = OrderedDict()
         #: Host-side memoization of parsed data blocks, shared by every
         #: reader this store opens (keyed by sstable file number).  None
@@ -115,7 +120,20 @@ class ReadPath:
     # ==================================================================
     # Table cache and file lifecycle
     # ==================================================================
+    def add_table(self, meta: FileMetadata, footer: Footer, index: List[IndexEntry]) -> None:
+        """Keep the parsed form of a table this store just wrote, so that
+        its first open reads nothing back."""
+        number = meta.number
+        self.tables[number] = SSTableReader(
+            self._storage, file_name(self._prefix, number, TABLE), footer, index,
+            None, meta.file_size, block_cache=self.block_cache, cache_key=number,
+        )
+
     def get_reader(self, number: int, account: IoAccount) -> SSTableReader:
+        """The open reader of a live table (none holds a filter: filters
+        live with the file metadata).  A table-cache miss charges the
+        footer and index reads; only the first open of a table this store
+        did not write reads, checks and parses them."""
         cache = self.table_cache
         reader = cache.get(number)
         if reader is not None:
@@ -123,22 +141,14 @@ class ReadPath:
             self._table_hits += 1
             return reader
         self._table_misses += 1
-        try:
-            reader = SSTableReader.open(
-                self._storage,
-                file_name(self._prefix, number, TABLE),
-                account,
-                load_bloom=False,  # filters live with the file metadata
-                block_cache=self.block_cache,
-                cache_key=number,
+        reader = self.tables.get(number)
+        if reader is None:
+            reader = self.tables[number] = SSTableReader.open(
+                self._storage, file_name(self._prefix, number, TABLE), account,
+                load_bloom=False, block_cache=self.block_cache, cache_key=number,
             )
-        except (CorruptionError, StorageError):
-            # A failed open may have cached partial metadata for this
-            # file; evict so a later retry starts from storage, not from
-            # a half-populated cache entry.
-            if self.block_cache is not None:
-                self.block_cache.drop_file(number)
-            raise
+        else:
+            reader.reopen(account)
         cache[number] = reader
         while len(cache) > self._options.table_cache_size:
             cache.popitem(last=False)
@@ -177,6 +187,7 @@ class ReadPath:
             self.drop_table_file(number)
 
     def drop_table_file(self, number: int) -> None:
+        self.tables.pop(number, None)
         self.table_cache.pop(number, None)
         if self.block_cache is not None:
             self.block_cache.drop_file(number)

@@ -5,7 +5,10 @@ decode_block` on raw bytes and rebuild a per-block key list before
 bisecting, so the pure-Python reproduction spent most of its wall-clock
 re-parsing blocks it had already parsed.  :class:`DecodedBlockCache`
 memoizes the *parsed* form — the ``(InternalKey, value)`` list plus its
-pre-extracted key array — keyed by ``(file_number, block_offset)``.
+pre-extracted key array — keyed by ``(file_number, block_offset)``.  It
+holds data blocks only: a table's parsed footer and index belong to its
+reader, which the engine keeps for as long as the file is live
+(:mod:`repro.sstable.reader`).
 
 The cache is **invisible to the simulation**: a hit still charges the
 exact device time, page-cache accounting, and IO statistics the raw read
@@ -103,22 +106,20 @@ class BlockCacheStats:
 
 
 class DecodedBlockCache:
-    """Byte-budgeted LRU over parsed sstable artifacts.
+    """Byte-budgeted LRU over parsed sstable data blocks.
 
     Keys are ``(file_id, block_offset)``; ``file_id`` is the engine's
-    sstable file number.  Values are :class:`DecodedBlock` instances for
-    data blocks, plus each opened table's reader (its parsed footer +
-    index + bloom) under a sentinel offset — anything with an ``nbytes``
-    budget charge.  ``drop_file`` (called when a compaction retires an sstable)
-    uses a per-file offset index, so invalidation costs O(blocks of that
-    file), not O(everything cached).
+    sstable file number.  Values are :class:`DecodedBlock` instances.
+    ``drop_file`` (called when a compaction retires an sstable) uses a
+    per-file offset index, so invalidation costs O(blocks of that file),
+    not O(everything cached).
     """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes < 0:
             raise ValueError("block cache capacity must be >= 0")
         self.capacity_bytes = capacity_bytes
-        self._blocks: "OrderedDict[Tuple[Hashable, int], object]" = OrderedDict()
+        self._blocks: "OrderedDict[Tuple[Hashable, int], DecodedBlock]" = OrderedDict()
         self._file_index: Dict[Hashable, Set[int]] = {}
         self._size = 0
         self.stats = BlockCacheStats()
@@ -132,8 +133,8 @@ class DecodedBlockCache:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    def get(self, file_id: Hashable, offset: int):
-        """The cached item, freshened in LRU order; None on a miss."""
+    def get(self, file_id: Hashable, offset: int) -> Optional[DecodedBlock]:
+        """The cached block, freshened in LRU order; None on a miss."""
         block = self._blocks.get((file_id, offset))
         if block is None:
             self.stats.misses += 1
@@ -142,8 +143,8 @@ class DecodedBlockCache:
         self.stats.hits += 1
         return block
 
-    def put(self, file_id: Hashable, offset: int, block) -> None:
-        """Insert a freshly parsed item, evicting LRU items over budget."""
+    def put(self, file_id: Hashable, offset: int, block: DecodedBlock) -> None:
+        """Insert a freshly parsed block, evicting LRU blocks over budget."""
         if block.nbytes > self.capacity_bytes:
             return  # would evict everything and still not fit
         key = (file_id, offset)

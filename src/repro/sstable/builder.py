@@ -37,7 +37,9 @@ class SSTableBuilder:
     """Feed internal-key-ordered entries; ``finish`` yields file bytes.
 
     Entries must arrive in strictly increasing internal-key order — the
-    invariant every sstable relies on for binary search.
+    invariant every sstable relies on for binary search.  A finished
+    builder also hands over the parsed table it encoded, ``footer`` and
+    ``index``: what a reader would otherwise read back and parse.
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
@@ -45,7 +47,8 @@ class SSTableBuilder:
         #: Records of the data block being filled.
         self._buf = bytearray()
         self._blob = bytearray()
-        self._index: List[IndexEntry] = []
+        self.index: List[IndexEntry] = []
+        self.footer: Optional[Footer] = None
         self._user_keys: List[bytes] = []
         self._smallest: Optional[InternalKey] = None
         self._largest: Optional[InternalKey] = None
@@ -105,7 +108,7 @@ class SSTableBuilder:
         blob += buf
         blob += block_trailer(buf)
         assert self._largest is not None
-        self._index.append(
+        self.index.append(
             IndexEntry(self._largest, offset, len(buf) + BLOCK_TRAILER_SIZE)
         )
         buf.clear()
@@ -120,7 +123,7 @@ class SSTableBuilder:
         filter_block = bloom.encode()
         filter_offset = len(self._blob)
         self._blob += filter_block
-        index_block = encode_index(self._index)
+        index_block = encode_index(self.index)
         index_offset = len(self._blob)
         self._blob += index_block
         footer = Footer(
@@ -131,6 +134,7 @@ class SSTableBuilder:
             num_entries=num_entries,
         )
         self._blob += footer.encode()
+        self.footer = footer
         assert self._smallest is not None and self._largest is not None
         props = TableProperties(
             smallest=self._smallest,

@@ -11,6 +11,13 @@ sstables miss that cache more often).  A standalone reader (the tools,
 metadata — before a reader is even looked up; a recovered file's filter
 is fetched once with :meth:`SSTableReader.read_filter`.
 
+:meth:`SSTableReader.open` is the one way to read, check and parse a
+table.  An engine parses each table once: it builds the reader of a table
+it wrote from the builder's own footer and index, opens a recovered table
+cold once, and keeps that reader for as long as the file is live.  When
+its table cache opens it again, :meth:`SSTableReader.reopen` charges the
+simulated footer and index reads an open would issue, reading nothing.
+
 All data-block access funnels through :meth:`SSTableReader._decoded_block`,
 which consults the engine's host-side :class:`DecodedBlockCache` when one
 is attached.  A cache hit skips the CRC check and varint re-parse but
@@ -44,12 +51,11 @@ from repro.sstable.format import (
 )
 from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE, InternalKey
 
-#: Sentinel "offset" under which an opened table's reader lives in the
-#: decoded cache.  Real block offsets are non-negative, so it can't collide.
-_META_OFFSET = -1
-
-#: Rough per-index-entry host overhead when budgeting a cached reader.
-_INDEX_ENTRY_OVERHEAD = 96
+def _checked_size(storage: SimulatedStorage, name: str) -> int:
+    size = storage.size(name)
+    if size < FOOTER_SIZE:
+        raise CorruptionError(f"sstable too small: {name}")
+    return size
 
 
 def _read_filter(
@@ -66,9 +72,9 @@ class SSTableReader:
     """Random and sequential access to one immutable sstable.
 
     The parsed table — footer, index, bloom — is this object and nothing
-    else: a decoded cache, when attached, retains it (under
-    ``_META_OFFSET``, charged ``nbytes`` against the byte budget), and
-    :meth:`open` hands it back to an engine whose table cache evicted it.
+    else.  It is built by :meth:`open`, or by an owner that already holds
+    the parsed footer and index (an engine, from the builder that wrote
+    the table).
     """
 
     def __init__(
@@ -82,7 +88,6 @@ class SSTableReader:
         block_cache: Optional[DecodedBlockCache] = None,
         cache_key: Optional[Hashable] = None,
         zero_copy: bool = True,
-        load_bloom: bool = True,
     ) -> None:
         self._storage = storage
         self.name = name
@@ -93,11 +98,9 @@ class SSTableReader:
         #: pure C comparison per step (no InternalKey.__lt__ frames).
         self._index_sks = [key.sort_key for key in self._index_keys]
         self.bloom = bloom
-        self._load_bloom = load_bloom
         self.file_size = file_size
-        #: Weak: the cache retains this reader, and a reader that owned
-        #: the cache back would close a cycle keeping every decoded block
-        #: of a discarded store alive until the cyclic collector runs.
+        #: Weak: a reader outliving its store (a caller may keep one) must
+        #: not keep every decoded block of that store alive.
         self._block_cache = (
             weakref.ref(block_cache) if block_cache is not None else None
         )
@@ -108,15 +111,8 @@ class SSTableReader:
         #: Decoded-cache namespace for this table (the engine passes its
         #: file number); defaults to the file name for standalone readers.
         self._cache_key: Hashable = cache_key if cache_key is not None else name
-        #: Decoded-cache budget charge of the retained reader.
-        self.nbytes = (
-            footer.index_size
-            + (footer.filter_size if bloom is not None else 0)
-            + _INDEX_ENTRY_OVERHEAD * len(index)
-        )
-        #: The reads :meth:`open` issued — footer, index, and the filter
-        #: if it loaded one — which reopening the retained reader charges
-        #: again.
+        #: The reads :meth:`open` issues — footer, index, and the filter
+        #: if the reader holds one — which :meth:`reopen` charges again.
         spans = [
             (file_size - FOOTER_SIZE, FOOTER_SIZE),
             (footer.index_offset, footer.index_size),
@@ -138,50 +134,28 @@ class SSTableReader:
         cache_key: Optional[Hashable] = None,
         zero_copy: bool = True,
     ) -> "SSTableReader":
-        """Read footer + index (+ bloom) and return a ready reader.
-
-        When the decoded cache still holds the reader an earlier open of
-        this table built (the engine's table cache evicted it since),
-        that reader is the result: nothing is read, checked or parsed
-        again, but the identical simulated footer/index/filter reads are
-        charged, as one ``charge_reads`` call.  It is reused only for the
-        storage, name and options it was built with; anything else, and
-        every open without a cache, reads and verifies the file.
-        """
-        size = storage.size(name)
-        if size < FOOTER_SIZE:
-            raise CorruptionError(f"sstable too small: {name}")
-        ckey: Hashable = cache_key if cache_key is not None else name
-        if block_cache is not None:
-            reader = block_cache.get(ckey, _META_OFFSET)
-            if (
-                reader is not None
-                and reader._storage is storage
-                and reader.name == name
-                and reader._load_bloom == load_bloom
-                and reader._zero_copy == zero_copy
-            ):
-                storage.charge_reads(name, reader._open_reads, account)
-                return reader
+        """Read and check footer + index (+ bloom); return a ready reader."""
+        size = _checked_size(storage, name)
         footer = Footer.decode(storage.read(name, size - FOOTER_SIZE, FOOTER_SIZE, account))
-        index_raw = storage.read(name, footer.index_offset, footer.index_size, account)
-        index = decode_index(index_raw)
-        bloom = _read_filter(storage, name, footer, account) if load_bloom else None
-        reader = cls(
-            storage,
-            name,
-            footer,
-            index,
-            bloom,
-            size,
-            block_cache=block_cache,
-            cache_key=ckey,
-            zero_copy=zero_copy,
-            load_bloom=load_bloom,
+        index = decode_index(
+            storage.read(name, footer.index_offset, footer.index_size, account)
         )
-        if block_cache is not None:
-            block_cache.put(ckey, _META_OFFSET, reader)
-        return reader
+        bloom = _read_filter(storage, name, footer, account) if load_bloom else None
+        return cls(
+            storage, name, footer, index, bloom, size,
+            block_cache=block_cache, cache_key=cache_key, zero_copy=zero_copy,
+        )
+
+    def reopen(self, account: IoAccount) -> None:
+        """Open this parsed table again: charge what :meth:`open` reads.
+
+        Nothing is read, checked or parsed; the identical simulated
+        footer/index/filter reads are charged as one ``charge_reads``
+        call, which fails as a cold open would on a file that vanished or
+        shrank.
+        """
+        _checked_size(self._storage, self.name)
+        self._storage.charge_reads(self.name, self._open_reads, account)
 
     # ------------------------------------------------------------------
     @property

@@ -185,8 +185,7 @@ class TestMetricsNeutrality:
     @pytest.mark.parametrize("engine", ["pebblesdb", "leveldb"])
     def test_simulated_metrics_identical_cache_on_vs_off(self, engine):
         def observe(block_cache_bytes):
-            # A tiny table cache forces reader reopens, exercising the
-            # metadata-memoization path in SSTableReader.open as well.
+            # A tiny table cache forces table reopens as well.
             run = _warmed_run(
                 engine,
                 block_cache_bytes=block_cache_bytes,
@@ -222,11 +221,14 @@ class TestMetricsNeutrality:
         assert with_cache == without_cache
 
     @pytest.mark.parametrize("engine", ["pebblesdb", "leveldb"])
-    def test_identical_when_reopen_pages_get_evicted(self, engine, monkeypatch):
+    def test_identical_and_fused_alike_when_reopen_pages_get_evicted(
+        self, engine, monkeypatch
+    ):
         """The same invariant under a 24-page page cache: a reopened
-        reader finds its table's tail pages sometimes resident (one fused
-        charge) and sometimes evicted (the separate charges) — and the
-        run without a decoded cache, which always reads, cannot tell."""
+        table finds its tail pages sometimes resident (one fused charge)
+        and sometimes evicted (the separate charges) — and which, the
+        decoded cache does not decide: a reopen takes one path at any
+        ``block_cache_bytes``."""
         fused = {True: 0, False: 0}
         touch = PageCache.touch_if_resident
 
@@ -238,6 +240,7 @@ class TestMetricsNeutrality:
         monkeypatch.setattr(PageCache, "touch_if_resident", counting)
 
         def observe(block_cache_bytes):
+            fused.update({True: 0, False: 0})
             run = _warmed_run(
                 engine,
                 cache_bytes=24 * PAGE_SIZE,
@@ -260,13 +263,12 @@ class TestMetricsNeutrality:
                 seek.elapsed_seconds,
             )
             run.db.close()
-            return observed
+            return observed, dict(fused)
 
-        with_cache = observe(32 * 1024 * 1024)
-        assert fused[True] > 0 and fused[False] > 0, fused
-        reopens = dict(fused)
-        without_cache = observe(0)
-        assert fused == reopens, "no decoded cache: every open is a cold open"
+        with_cache, fused_on = observe(32 * 1024 * 1024)
+        assert fused_on[True] > 0 and fused_on[False] > 0, fused_on
+        without_cache, fused_off = observe(0)
+        assert fused_off == fused_on
         assert with_cache == without_cache
 
 
@@ -290,89 +292,14 @@ def _write_table(storage=None, name="t.sst"):
 
 
 class TestRetainedReader:
-    """The decoded cache keeps the opened reader itself; ``open`` hands
-    it back — charging what it first read — only to a caller asking for
-    the same table the same way."""
+    """A reader the engine keeps for as long as its file is live refers
+    to the decoded cache only weakly, and a reopen that fails leaves
+    nothing of the file cached."""
 
     _table = staticmethod(_write_table)
 
-    def test_reopen_is_the_retained_reader_and_charges_the_same(self):
-        from repro.sstable import SSTableReader
-
-        def charged(block_cache):
-            storage, acct = self._table()
-            readers = [
-                SSTableReader.open(storage, "t.sst", acct, block_cache=block_cache)
-                for _ in range(3)
-            ]
-            state = (
-                storage.clock.now,
-                acct.seconds,
-                storage.stats,
-                storage.cache.stats,
-                list(storage.cache._pages),
-                dict(storage.cpu.accounting),
-            )
-            return readers, state
-
-        cache = DecodedBlockCache(1 << 20)
-        retained, with_cache = charged(cache)
-        fresh, without_cache = charged(None)
-        assert retained[0] is retained[1] is retained[2]
-        assert len({id(reader) for reader in fresh}) == 3
-        assert with_cache == without_cache
-        assert cache.stats.insertions == 1  # one parsed table, kept once
-
-    def test_reused_only_for_same_storage_name_and_options(self):
-        from repro.sstable import SSTableReader
-
-        storage, acct = self._table()
-        self._table(storage, "other.sst")
-        elsewhere, acct2 = self._table()
-        cache = DecodedBlockCache(1 << 20)
-
-        def open_(storage=storage, name="t.sst", acct=acct, **how):
-            return SSTableReader.open(
-                storage, name, acct, block_cache=cache, cache_key=7, **how
-            )
-
-        for how in (
-            {"storage": elsewhere, "acct": acct2},
-            {"name": "other.sst"},
-            {"load_bloom": False},
-            {"zero_copy": False},
-        ):
-            first = open_()
-            assert open_() is first
-            other = open_(**how)
-            assert other is not first
-            assert open_(**how) is other  # the slot now holds that one
-        assert open_(load_bloom=False).bloom is None
-
-    def test_vanished_or_truncated_file_fails_the_reopen(self):
-        from repro.errors import CorruptionError, StorageError
-        from repro.sstable import SSTableReader
-
-        for damage, error, text in (
-            (lambda data: data[:40], CorruptionError, "too small"),
-            (lambda data: data[: len(data) // 2], StorageError, "out of bounds"),
-            (None, StorageError, "no such file"),
-        ):
-            storage, acct = self._table()
-            cache = DecodedBlockCache(1 << 20)
-            SSTableReader.open(storage, "t.sst", acct, block_cache=cache, cache_key=7)
-            if damage is None:
-                storage.delete("t.sst")
-            else:
-                f = storage._files["t.sst"]
-                f.data = damage(f.data)
-            with pytest.raises(error, match=text):
-                SSTableReader.open(
-                    storage, "t.sst", acct, block_cache=cache, cache_key=7
-                )
-
     def test_retained_reader_does_not_keep_its_cache_alive(self):
-        """The cache owns the reader, never the other way round: a
+        """A reader never owns the decoded cache: a
         discarded store's decoded blocks must go with its last reference,
         not wait for the cyclic collector (they are its largest
         allocation; ``peak_rss_mb`` of back-to-back stores shows it)."""
@@ -413,6 +340,55 @@ class TestRetainedReader:
         assert first not in db._block_cache.cached_files()
         assert first not in db._table_cache
         run.db.close()
+
+
+class TestTablesParsedOnce:
+    """A store parses a table's footer and index once: a table it built
+    from the builder's own, a recovered table at its first open."""
+
+    @pytest.mark.parametrize("engine", ["pebblesdb", "leveldb"])
+    def test_a_built_table_is_never_read_back_to_be_opened(self, engine, monkeypatch):
+        import repro.sstable.reader as reader_module
+        from repro.sstable import SSTableReader
+
+        decoded = []
+        decode_index = reader_module.decode_index
+
+        def counting_decode(data):
+            decoded.append(len(data))
+            return decode_index(data)
+
+        monkeypatch.setattr(reader_module, "decode_index", counting_decode)
+        opened = []
+        cold_open = SSTableReader.open.__func__
+
+        def counting_open(cls, storage, name, account, **how):
+            opened.append(name)
+            return cold_open(cls, storage, name, account, **how)
+
+        monkeypatch.setattr(SSTableReader, "open", classmethod(counting_open))
+
+        run = _warmed_run(engine, table_cache_size=4)
+        run.db.compact_all()
+        run.bench.read_random(400)
+        run.bench.seek_random(100, nexts=5)
+        run.db.wait_idle()
+        registry = run.db.stats_part()["registry"]
+        assert registry.value("read.table_cache_misses") > 0
+        assert decoded == [] and opened == []
+
+        run = run.reopen()
+        db = run.db
+        recovered = {
+            db._sst_name(n) for n in db.sstable_file_numbers() if n not in db._reads.tables
+        }
+        assert recovered
+        run.bench.read_random(400)
+        run.bench.seek_random(100, nexts=5)
+        run.db.wait_idle()
+        assert opened and set(opened) <= recovered
+        assert len(decoded) == len(opened) == len(set(opened))
+        db.close()
 
 
 class TestEvictionOnError:

@@ -29,6 +29,7 @@ from repro.errors import (
 )
 from repro.sim.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sim.storage import SimulatedStorage
+from repro.util.keys import KIND_PUT, InternalKey
 from tests.conftest import make_store, tiny_options
 
 
@@ -440,6 +441,59 @@ class TestBackgroundFaults:
         assert db.resume() is True
         db.put(b"healed", b"yes")
         assert db.get(b"healed") == b"yes"
+
+    @pytest.mark.parametrize("block_cache_bytes", [0, 32 * 1024 * 1024])
+    def test_resume_checks_every_live_table_against_storage(self, env, block_cache_bytes):
+        """resume() reads every live table's footer back, whatever the read
+        path holds parsed: a damaged one keeps the store degraded."""
+        db = make_store("pebblesdb", env, block_cache_bytes=block_cache_bytes)
+        model = _fill(db, 3000)
+        for key, value in list(model.items())[::30]:
+            assert db.get(key) == value
+        number = min(db.sstable_file_numbers())
+        data = env.storage._files[db._sst_name(number)].mutable()
+        magic = len(data) - 12  # two bytes of the footer's magic number
+        saved = bytes(data[magic : magic + 2])
+        assert saved != b"\0\0"
+        data[magic : magic + 2] = b"\0\0"
+        _attach(
+            env,
+            FaultPlan.fail_nth(0, op="append", name_pattern="db/*.sst", kind="persistent"),
+        )
+        with pytest.raises(BackgroundError):
+            for i in range(5000):
+                db.put(b"p%05d" % i, b"x")
+        _detach(env)
+        assert number in db.sstable_file_numbers()
+        assert db.resume() is False
+        assert db.is_degraded
+        assert "footer checksum mismatch" in db.get_property("repro.background-error")
+        data[magic : magic + 2] = saved
+        assert db.resume() is True
+        db.put(b"healed", b"yes")
+        assert db.get(b"healed") == b"yes"
+
+    def test_a_failed_attempts_undo_forgets_its_tables(self, env):
+        """Tables an attempt wrote before it failed are deleted, and the
+        read path no longer holds them parsed."""
+        db = make_store("pebblesdb", env)
+        acct = env.storage.background_account("db/flush")
+        entries = [(InternalKey(b"k%04d" % i, i + 1, KIND_PUT), b"v") for i in range(50)]
+        written = []
+
+        def compute():
+            metas = db._write_sstables(iter(entries), acct, split_bytes=None)
+            written.append(metas[0].number)
+            assert written[-1] in db._reads.tables
+            if len(written) == 1:
+                raise TransientIOError("after the table was written")
+            return metas
+
+        metas = db._run_protected("flush", compute)
+        first, second = written
+        assert [m.number for m in metas] == [second]
+        assert first not in db._reads.tables and second in db._reads.tables
+        assert not env.storage.exists(db._sst_name(first))
 
     def test_manifest_fault_queues_edits_and_resume_rotates(self, env):
         db = make_store("pebblesdb", env)

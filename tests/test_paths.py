@@ -6,9 +6,10 @@ from a stub whose Level 0 is a file count.  One write that stalls twice —
 on immutable-memtable backpressure, then on the Level-0 stop — charges
 every simulated second to exactly one cause; a failed WAL append moves the
 next write to a fresh file and burns the failed batch's sequence numbers;
-a table retired under an older read pin outlives it exactly; and a reader
-the table cache evicted comes back, on reopen, as the retained object for
-the simulated reads a real reopen charges.
+a table retired under an older read pin outlives it exactly; a table the
+table cache evicted comes back, on reopen, as the same parsed table for
+exactly the simulated reads a cold open charges, and fails as a cold open
+does when its file vanished or shrank; and a dropped table is forgotten.
 """
 
 import pytest
@@ -17,13 +18,14 @@ from repro.engines.background import BackgroundErrors
 from repro.engines.options import StoreOptions
 from repro.engines.read_path import ReadPath
 from repro.engines.write_path import WritePath
-from repro.errors import TransientIOError
+from repro.errors import CorruptionError, StorageError, TransientIOError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stats import StatsCounters
+from repro.sim.cache import PAGE_SIZE, PageCache
 from repro.sim.executor import BackgroundExecutor
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.storage import SimulatedStorage
-from repro.sstable import SSTableBuilder
+from repro.sstable import SSTableBuilder, SSTableReader
 from repro.util.keys import KIND_PUT, InternalKey
 from repro.version.lifecycle import write_table
 from repro.wal.log import LogReader, decode_batch
@@ -190,21 +192,101 @@ class TestReadPath:
         assert not storage.exists("db/000001.sst")
         assert not reads.read_pins and not reads.retired_files
 
-    def test_a_reopen_after_eviction_returns_the_retained_reader(self):
-        charged = {}
-        for block_cache_bytes in (1 << 20, 0):
-            storage = SimulatedStorage()
+    @pytest.mark.parametrize("block_cache_bytes", [0, 32 << 20])
+    def test_a_reopen_after_eviction_returns_the_same_parsed_table(
+        self, block_cache_bytes
+    ):
+        storage = SimulatedStorage()
+        reads = _read_path(
+            storage, tables=2, table_cache_size=1, block_cache_bytes=block_cache_bytes
+        )
+        acct = storage.foreground_account("db/user")
+        first = reads.get_reader(1, acct)
+        reads.get_reader(2, acct)  # evicts table 1 from the table cache
+        assert list(reads.table_cache) == [2]
+        assert reads.get_reader(1, acct) is first is reads.tables[1]
+        assert list(reads.table_cache) == [1]
+
+    @pytest.mark.parametrize("block_cache_bytes", [0, 32 << 20])
+    @pytest.mark.parametrize("cache_pages, fused", [(1 << 14, True), (1, False)])
+    def test_a_reopen_charges_what_a_cold_open_charges(
+        self, block_cache_bytes, cache_pages, fused, monkeypatch
+    ):
+        """With the table's tail pages still resident (one fused charge)
+        or evicted meanwhile (one charge per read)."""
+        touches = []
+        touch = PageCache.touch_if_resident
+
+        def counting(self, keys, hits):
+            touches.append(touch(self, keys, hits))
+            return touches[-1]
+
+        monkeypatch.setattr(PageCache, "touch_if_resident", counting)
+
+        def charged(open_again):
+            storage = SimulatedStorage(cache=PageCache(cache_pages * PAGE_SIZE))
             reads = _read_path(
                 storage, tables=2, table_cache_size=1, block_cache_bytes=block_cache_bytes
             )
-            acct = storage.background_account("db/user")
-            first = reads.get_reader(1, acct)
+            acct = storage.foreground_account("db/user")
+            reads.get_reader(1, acct)
             reads.get_reader(2, acct)  # evicts table 1 from the table cache
-            assert list(reads.table_cache) == [2]
-            reopen = storage.background_account("db/user")
-            read_ops = storage.stats.read_ops
-            again = reads.get_reader(1, reopen)
-            assert (again is first) == (block_cache_bytes > 0)
-            charged[block_cache_bytes] = (reopen.seconds, storage.stats.read_ops - read_ops)
-        # The retained reader charges what reading the file again does.
-        assert charged[1 << 20] == charged[0] and charged[0][0] > 0
+            start = acct.seconds
+            open_again(storage, reads, acct)
+            return (
+                storage.clock.now,
+                acct.seconds - start,
+                storage.stats,
+                storage.cache.stats,
+                list(storage.cache._pages),
+                dict(storage.cpu.accounting),
+            )
+
+        reopen = charged(lambda storage, reads, acct: reads.get_reader(1, acct))
+        assert touches == [fused]
+        cold = charged(
+            lambda storage, reads, acct: SSTableReader.open(
+                storage, "db/000001.sst", acct, load_bloom=False
+            )
+        )
+        assert touches == [fused]  # a cold open reads; it fuses nothing
+        assert reopen == cold and reopen[1] > 0
+
+    @pytest.mark.parametrize(
+        "damage, error, text",
+        [
+            (None, StorageError, "no such file"),
+            (lambda data: data[:40], CorruptionError, "too small"),
+            (lambda data: data[: len(data) // 2], StorageError, "out of bounds"),
+        ],
+    )
+    @pytest.mark.parametrize("block_cache_bytes", [0, 32 << 20])
+    def test_a_vanished_shrunk_or_truncated_file_fails_the_reopen(
+        self, damage, error, text, block_cache_bytes
+    ):
+        storage = SimulatedStorage()
+        reads = _read_path(
+            storage, tables=2, table_cache_size=1, block_cache_bytes=block_cache_bytes
+        )
+        acct = storage.foreground_account("db/user")
+        reads.get_reader(1, acct)
+        reads.get_reader(2, acct)  # evicts table 1 from the table cache
+        name = "db/000001.sst"
+        if damage is None:
+            storage.delete(name)
+        else:
+            f = storage._files[name]
+            f.data = damage(f.data)
+        with pytest.raises(error, match=text):
+            reads.get_reader(1, acct)
+        assert list(reads.table_cache) == [2]
+
+    def test_a_dropped_table_is_forgotten(self):
+        storage = SimulatedStorage()
+        reads = _read_path(storage, tables=2)
+        acct = storage.foreground_account("db/user")
+        reads.get_reader(1, acct)
+        reads.get_reader(2, acct)
+        reads.drop_table_file(1)
+        assert list(reads.tables) == [2] and list(reads.table_cache) == [2]
+        assert not storage.exists("db/000001.sst")
