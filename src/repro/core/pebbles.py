@@ -309,12 +309,14 @@ class PebblesDBStore(LSMStoreBase):
         return best_level
 
     # ------------------------------------------------------------------
+    #: Consecutive seek() calls that trigger seek-based compaction.
+    SEEK_COMPACTION_THRESHOLD = 10
+
     def _note_seek(self) -> None:
         self._consecutive_seeks += 1
-        opts = self.options
         if (
-            opts.enable_seek_based_compaction
-            and self._consecutive_seeks % opts.seek_compaction_threshold == 0
+            self.options.enable_seek_based_compaction
+            and self._consecutive_seeks % self.SEEK_COMPACTION_THRESHOLD == 0
         ):
             self._seek_compaction_due = True
             self._schedule_compactions()

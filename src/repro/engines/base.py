@@ -31,7 +31,6 @@ from repro.errors import CorruptionError, InvalidArgumentError, StorageError, St
 from repro.memtable import Memtable
 from repro.memtable.memtable import GetResult
 from repro.sim.executor import BackgroundExecutor
-from repro.sim.ratelimit import TokenBucket
 from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable import SSTableBuilder, SSTableReader
 from repro.sstable.format import Entry
@@ -89,7 +88,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
     _imm = _delegated("_writes", "imm")
     _wal = _delegated("_writes", "wal")
     _last_sequence = _delegated("_writes", "last_sequence")
-    _soft_limit_delay = _delegated("_writes", "soft_limit_delay")
     _attribute_stall = _delegated("_writes", "attribute_stall")
     _table_cache = _delegated("_reads", "table_cache")
     _block_cache = _delegated("_reads", "block_cache")
@@ -153,16 +151,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
         self._op_deletes = self._stats.bind("deletes")
         self._op_seeks = self._stats.bind("seeks")
         self._op_next_calls = self._stats.bind("next_calls")
-        #: Token-bucket pacing of compaction job start times (None = no
-        #: limit).  Flushes and due-L0 drains bypass it; see
-        #: :meth:`CompactionRunner._compaction_start_time`.
-        self._compaction_limiter: Optional[TokenBucket] = None
-        if opts.compaction_rate_bytes_per_sec is not None:
-            self._compaction_limiter = TokenBucket(opts.compaction_rate_bytes_per_sec)
-            self._rate_limited_jobs = self.registry.counter("compaction.rate_limited_jobs")
-            self._rate_limit_delay = self.registry.counter(
-                "compaction.rate_limit_delay_seconds"
-            )
         #: Build-lane tallies, bumped once per sstable built: entries the
         #: builder appended as the encoded record they arrived with, and
         #: entries it framed itself.  Folded into ``build.records_passed``
@@ -179,7 +167,6 @@ class LSMStoreBase(CompactionRunner, KeyValueStore):
             seed=seed,
             clock=self.clock,
             mode=opts.trace_sample,
-            capacity=opts.trace_ring_capacity,
             dump_dir=opts.trace_dump_dir,
         )
         self.tracer: Optional[Tracer] = self.recorder.sampling_tracer

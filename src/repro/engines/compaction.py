@@ -27,11 +27,11 @@ walks the levels and hands what overlaps to ``_run_compaction``;
 
 The runner owns the rest: fault-protected submission, the ledger account,
 the value-log GC context and its abandon / commit / retire, the merge
-stream, the CPU charge, the version edit, job cost, rate-limit
-reservation, the executor, and the apply step.  Apply's fallible IO (the
-value-log sync, the MANIFEST append) is retried; a fault that persists
-degrades the store, queues the edit for ``resume()`` and still settles
-the job.  Two ordering rules hold for every job of every engine:
+stream, the CPU charge, the version edit, job cost, the executor, and the
+apply step.  Apply's fallible IO (the value-log sync, the MANIFEST append)
+is retried; a fault that persists degrades the store, queues the edit for
+``resume()`` and still settles the job.  Two ordering rules hold for every
+job of every engine:
 
 * **File numbers.**  An output file's number comes from
   ``LSMStoreBase._write_sstables`` (single-file output: when the file is
@@ -224,28 +224,6 @@ class CompactionRunner:
         if self._compactions_inflight > self._stats.compactions_parallel_peak:
             self._stats.compactions_parallel_peak = self._compactions_inflight
 
-    def _compaction_start_time(self, amount_bytes: float) -> Optional[float]:
-        """Token-bucket admission for one compaction job.
-
-        Returns the sim time the job may start (to pass as ``at=`` to the
-        executor), or None when it may start immediately.  Bypasses the
-        limiter entirely while Level 0 is at or past the slowdown
-        trigger: a due L0 drain must never queue behind the limiter's
-        debt, which is what makes "rate limiter never deadlocks a due L0
-        compaction" an invariant rather than a tuning outcome.
-        """
-        limiter = self._compaction_limiter
-        if limiter is None:
-            return None
-        if self._level0_file_count() >= self.options.level0_slowdown_trigger:
-            return None
-        start = limiter.reserve(amount_bytes, self.clock.now)
-        if start <= self.clock.now:
-            return None
-        self._rate_limited_jobs.value += 1
-        self._rate_limit_delay.value += start - self.clock.now
-        return start
-
     # ------------------------------------------------------------------
     # The lifecycle
     # ------------------------------------------------------------------
@@ -295,13 +273,11 @@ class CompactionRunner:
             bytes_out = sum(meta.file_size for _, meta, _, _ in outputs)
             seconds = acct.seconds + (gc.seconds if gc is not None else 0.0)
             self._compaction_seconds.record(seconds)
-            kind, start_at = "compaction", self._compaction_start_time(
-                bytes_in + bytes_out
-            )
+            kind = "compaction"
         else:
             # Nothing was merged: a metadata-only move, no IO and no GC.
             gc, bytes_out = None, 0
-            kind, seconds, start_at = "move", MOVE_SECONDS, None
+            kind, seconds = "move", MOVE_SECONDS
 
         def settle(durable: bool) -> None:
             if gc is not None:
@@ -337,7 +313,6 @@ class CompactionRunner:
         self._submit_job(
             kind, seconds, edit, settle, span,
             prepare=(lambda: gc.commit(edit, self._faults.retry)) if gc is not None else None,
-            at=start_at,
         )
 
     def _submit_job(
@@ -348,7 +323,6 @@ class CompactionRunner:
         settle: Callable[[bool], None],
         span: Callable[[Job], Tuple[str, Dict[str, object]]],
         prepare: Optional[Callable[[], None]] = None,
-        at: Optional[float] = None,
     ) -> Job:
         """Queue a computed flush or compaction for deferred application.
 
@@ -383,5 +357,5 @@ class CompactionRunner:
             self._writes.maybe_schedule_flush()
             self._schedule_compactions()
 
-        job = self.executor.submit(kind, seconds, apply, at=at)
+        job = self.executor.submit(kind, seconds, apply)
         return job

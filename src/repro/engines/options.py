@@ -64,27 +64,6 @@ class StoreOptions:
     #: Extra write delay while Level 0 is in the slowdown band (LevelDB
     #: sleeps 1 ms; scaled with everything else).
     slowdown_delay: float = 0.25e-3
-    #: Write-stall shape between the slowdown and stop triggers.  "cliff"
-    #: is the historical LevelDB behaviour: a fixed ``slowdown_delay``
-    #: per write for the whole band.  "graduated" injects a delay
-    #: proportional to Level-0 debt inside the band — starting at
-    #: ``slowdown_delay`` at the soft limit and ramping linearly to
-    #: ``slowdown_delay_max`` one file short of the stop trigger — so
-    #: per-write latency rises smoothly instead of oscillating between
-    #: "free" and "hard stall".  Both modes delay at exactly the same
-    #: decision points, so same-seed runs produce byte-identical
-    #: MANIFESTs; only timing and stall metrics differ.
-    backpressure: str = "cliff"
-    #: Ceiling of the graduated delay ramp (per write, simulated seconds).
-    slowdown_delay_max: float = 1.0e-3
-    #: Token-bucket rate limit on compaction I/O (bytes read + written
-    #: per simulated second); ``None`` disables the limiter.  Flushes are
-    #: exempt — throttling the path that empties memtables would turn
-    #: the limiter into a stall amplifier — and so are compactions out
-    #: of a Level 0 at or above the slowdown trigger, which guarantees
-    #: the limiter can never deadlock a due L0 compaction behind the
-    #: very debt it is supposed to drain.
-    compaction_rate_bytes_per_sec: "int | None" = None
     #: Compaction scheduling granularity for the FLSM engine: "guard"
     #: serializes in-flight jobs with a per-(level, key-range) conflict
     #: map so independent guards compact concurrently; "level" restores
@@ -131,8 +110,6 @@ class StoreOptions:
     #: at zero hot-path cost, ``"1/N"`` (e.g. ``"1/64"``) additionally
     #: traces every Nth root operation in full into the bounded ring.
     trace_sample: str = "errors"
-    #: Flight-recorder ring capacity (recent span/event records kept).
-    trace_ring_capacity: int = 512
     #: Directory for automatic flight-recorder dumps on degradation /
     #: corruption / shedding; ``None`` keeps dumps in memory only.
     trace_dump_dir: "str | None" = None
@@ -147,8 +124,6 @@ class StoreOptions:
     enable_sstable_bloom: bool = True
     enable_parallel_seeks: bool = True
     enable_seek_based_compaction: bool = True
-    #: Consecutive seek() calls that trigger seek-based compaction.
-    seek_compaction_threshold: int = 10
 
     # ----------------------------------------------------------------------
     def __post_init__(self) -> None:
@@ -178,22 +153,11 @@ class StoreOptions:
             raise ValueError(
                 f"unknown compaction scheduler: {self.compaction_scheduler!r}"
             )
-        if self.backpressure not in ("cliff", "graduated"):
-            raise ValueError(f"unknown backpressure mode: {self.backpressure!r}")
         from repro.obs.recorder import parse_sample_mode
 
         parse_sample_mode(self.trace_sample)  # raises ValueError on bad specs
-        if self.trace_ring_capacity < 1:
-            raise ValueError("trace_ring_capacity must be >= 1")
-        if self.slowdown_delay < 0 or self.slowdown_delay_max < 0:
-            raise ValueError("slowdown delays must be >= 0")
-        if self.backpressure == "graduated" and self.slowdown_delay_max < self.slowdown_delay:
-            raise ValueError("slowdown_delay_max must be >= slowdown_delay")
-        if (
-            self.compaction_rate_bytes_per_sec is not None
-            and self.compaction_rate_bytes_per_sec <= 0
-        ):
-            raise ValueError("compaction_rate_bytes_per_sec must be > 0 (or None)")
+        if self.slowdown_delay < 0:
+            raise ValueError("slowdown_delay must be >= 0")
         if self.value_separation_bytes is not None and self.value_separation_bytes < 1:
             raise ValueError("value_separation_bytes must be >= 1 (or None)")
         if self.vlog_segment_bytes <= 0:

@@ -87,9 +87,7 @@ class WiredTigerStore(PagedTreeStore):
             # Previous checkpoint still running: stall once the dirty set
             # doubles (eviction pressure), as the real engine does.
             if self._dirty_bytes >= 2 * self.CHECKPOINT_DIRTY_BYTES:
-                before = self.storage.clock.now
-                self.executor.wait_for(self._checkpoint_job)
-                self._stats.stall_seconds += self.storage.clock.now - before
+                self._stall_for_checkpoint()
             else:
                 return
         dirty = sorted(self._tree.take_dirty())
@@ -113,6 +111,22 @@ class WiredTigerStore(PagedTreeStore):
             self._stats.flushes += 1
 
         self._checkpoint_job = self.executor.submit("checkpoint", acct.seconds, apply)
+
+    def _stall_for_checkpoint(self) -> None:
+        """Wait out the running checkpoint: a write stall charged, with its
+        ``stall`` span, to the ``checkpoint_wait`` cause."""
+        clock = self.storage.clock
+        before = clock.now
+        self.executor.wait_for(self._checkpoint_job)
+        waited = clock.now - before
+        if waited <= 0.0:
+            return
+        self._stats.stall_seconds += waited
+        self.registry.counter("stall.cause_seconds", cause="checkpoint_wait").value += waited
+        if self.tracer is not None:
+            self.tracer.start_span("stall", start=before, cause="checkpoint_wait").end(
+                at=clock.now
+            )
 
     # ------------------------------------------------------------------
     def _refresh_derived(self) -> None:

@@ -263,40 +263,11 @@ class WritePath:
                     self._stats.conflict_stall_seconds += clock.now - before
                 engine._schedule_compactions()
                 guard += 1
-        elif l0 >= opts.level0_slowdown_trigger:
-            # Soft-limit band.  Both backpressure modes inject their delay
-            # at exactly this decision point and nowhere else, so the
-            # background schedule — and therefore the MANIFEST — is
-            # byte-identical across modes; only the *amount* differs.
-            delay = self.soft_limit_delay(l0)
-            if delay > 0.0:
-                before = clock.now
-                clock.advance(delay)
-                cause = (
-                    "l0_slowdown"
-                    if opts.backpressure == "cliff"
-                    else "l0_graduated"
-                )
-                self.attribute_stall(cause, before, clock.now)
-
-    def soft_limit_delay(self, l0: int) -> float:
-        """Per-write delay while Level 0 sits in the slowdown band.
-
-        ``cliff`` mode returns the fixed historical ``slowdown_delay``.
-        ``graduated`` mode ramps linearly with debt: ``slowdown_delay``
-        at the soft limit, rising to ``slowdown_delay_max`` one file
-        short of the stop trigger, further scaled up by immutable-
-        memtable debt — monotone in both, so heavier debt always means
-        at least as much delay.
-        """
-        opts = self._options
-        if opts.backpressure == "cliff":
-            return opts.slowdown_delay
-        band = max(1, opts.level0_stop_trigger - 1 - opts.level0_slowdown_trigger)
-        l0_debt = (l0 - opts.level0_slowdown_trigger) / band
-        imm_debt = len(self.imm) / max(1, opts.max_immutable_memtables)
-        debt = min(1.0, max(0.0, l0_debt, imm_debt))
-        return opts.slowdown_delay + (opts.slowdown_delay_max - opts.slowdown_delay) * debt
+        elif l0 >= opts.level0_slowdown_trigger and opts.slowdown_delay > 0.0:
+            # Slowdown band: a fixed per-write delay, LevelDB's sleep.
+            before = clock.now
+            clock.advance(opts.slowdown_delay)
+            self.attribute_stall("l0_slowdown", before, clock.now)
 
     def attribute_stall(self, cause: str, start: float, end: float) -> None:
         """Charge the stall interval ``[start, end]`` to ``cause``.

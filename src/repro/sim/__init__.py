@@ -46,10 +46,8 @@ from repro.sim.storage import (
     StorageStats,
 )
 from repro.sim.executor import BackgroundExecutor, Job
-from repro.sim.ratelimit import TokenBucket
 
 __all__ = [
-    "TokenBucket",
     "SimClock",
     "CpuCosts",
     "DeviceModel",

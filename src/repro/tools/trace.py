@@ -34,15 +34,15 @@ from repro.obs.windows import SUMMARY_PERCENTILES, WindowedHistogram
 _TIMELINE_NAMES = ("flush", "compaction", "compaction.move", "compaction.guard")
 
 #: Every stall-cause label the engines emit, with a one-line gloss.  The
-#: stalls report annotates known causes and flags unknown ones, so a
-#: renamed label fails loudly here and in the stability bench together.
+#: stalls report annotates known causes and flags unknown ones; a test
+#: holds the keys to the benchmark's ``STALL_CAUSES`` plus WiredTiger's
+#: checkpoint wait, so a renamed or dead label fails in one place.
 _STALL_CAUSES = {
     "imm_backpressure": "waiting for a memtable flush",
-    "l0_slowdown": "cliff soft-limit delay (fixed)",
-    "l0_graduated": "graduated soft-limit delay (debt-proportional)",
+    "l0_slowdown": "soft limit: fixed per-write delay",
     "l0_stop": "hard stop: Level 0 at stop trigger",
     "l0_stop_conflict": "hard stop while the L0 drain was conflict-blocked",
-    "flush_wait": "explicit flush/close wait",
+    "checkpoint_wait": "WiredTiger: dirty set waiting on a running checkpoint",
 }
 
 

@@ -180,7 +180,7 @@ class TestOptionValidation:
         assert (
             len(dataclasses.fields(StoreOptions)),
             len(dataclasses.fields(ServerConfig)),
-        ) == (32, 16), (
+        ) == (27, 16), (
             "a new knob needs two callers that exist today and need different "
             "values (ROADMAP aim 2); a removed one lowers this number"
         )

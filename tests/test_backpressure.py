@@ -1,16 +1,6 @@
-"""Backpressure stall contract: graduated soft limits, rate-limited
-compaction, admission control.
-
-The load-bearing property is *differential*: ``cliff`` and ``graduated``
-backpressure inject their per-write delay at exactly the same decision
-point in ``_make_room``, differing only in the amount, so two same-seed
-runs must produce byte-identical MANIFESTs and storage digests — the
-modes may only disagree about timing (stall totals, latency windows),
-never about state.  On top of that sit the property-style invariants
-(delay monotone in debt; no soft-limit stall below the soft limit; the
-rate limiter can delay compactions but never deadlock a due L0 drain),
-exactly-once stall-cause attribution, seeded determinism across dispatch
-policies, chaos coverage, and the OVERLOADED admission-control loop.
+"""Backpressure stall contract: the one soft-limit brake, exactly-once
+stall-cause attribution, seeded determinism across dispatch policies, and
+the OVERLOADED admission-control loop.
 """
 
 from __future__ import annotations
@@ -22,20 +12,12 @@ import random
 import pytest
 
 import repro
-from repro.errors import BackgroundError
+from bench.spec import STALL_CAUSES
 from repro.net.client import ClusterClient
 from repro.net.protocol import Response, Status, decode_payload
 from repro.net.server import KVServer, ServerConfig
-from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.ratelimit import TokenBucket
+from repro.tools.trace import _STALL_CAUSES
 from tests.conftest import make_store
-
-#: Engines whose compaction policies let Level 0 climb past the soft
-#: limit under this workload, so the graduated ramp charges strictly
-#: more than the cliff floor.  (leveldb's eager full-overlap L0 drain
-#: pins the file count at the trigger: byte-identity still holds there,
-#: covered by its own test, but debt never exceeds zero.)
-DIFFERENTIAL_ENGINES = ["pebblesdb", "hyperleveldb", "rocksdb"]
 
 
 # ----------------------------------------------------------------------
@@ -74,121 +56,9 @@ def run(coro):
 
 
 # ----------------------------------------------------------------------
-# Differential contract: same data, only timing differs
-# ----------------------------------------------------------------------
-class TestDifferentialByteIdentity:
-    """Cliff vs graduated on the same seed: identical bytes, different
-    stalls.  The workload parks Level 0 deep inside the slowdown band
-    (slowdown=3, stop=10, one worker) so the graduated ramp is exercised
-    across its whole range, not just at the soft limit."""
-
-    def _run_mode(self, engine: str, mode: str):
-        env = repro.Environment(cache_bytes=1 << 20)
-        db = make_store(
-            engine,
-            env,
-            background_workers=1,
-            level0_compaction_trigger=2,
-            level0_slowdown_trigger=3,
-            level0_stop_trigger=10,
-            backpressure=mode,
-            # Light enough that L0 climbs past the soft limit (debt > 0
-            # for the graduated ramp), heavy enough that neither mode
-            # reaches the stop trigger — the stop loop re-plans
-            # compactions while waiting, which would legitimately fork
-            # the schedule.
-            slowdown_delay=3e-4,
-            slowdown_delay_max=4e-3,
-        )
-        rng = random.Random(99)
-        for step in range(2500):
-            key = b"key%05d" % rng.randrange(400)
-            db.put(key, (b"v%06d" % step) * 40)
-        db.wait_idle()
-        db.check_invariants()
-        state = dict(db.scan())
-        stats = db.stats()
-        causes = _stall_causes(db)
-        db.close()
-        return env, state, stats, causes
-
-    @pytest.mark.parametrize("engine", DIFFERENTIAL_ENGINES)
-    def test_same_manifest_and_digest_different_stalls(self, engine):
-        env_c, state_c, stats_c, causes_c = self._run_mode(engine, "cliff")
-        env_g, state_g, stats_g, causes_g = self._run_mode(engine, "graduated")
-        # State is identical down to the bytes.
-        assert state_c == state_g
-        assert _manifest_bytes(env_c) == _manifest_bytes(env_g)
-        assert _digest(env_c) == _digest(env_g)
-        # Timing is not: the graduated ramp charged materially more
-        # delay than the fixed cliff floor, under its own cause label.
-        assert causes_c.get("l0_slowdown", 0.0) > 0.0
-        assert "l0_graduated" not in causes_c
-        assert causes_g.get("l0_graduated", 0.0) > 0.0
-        assert "l0_slowdown" not in causes_g
-        assert causes_g["l0_graduated"] > causes_c["l0_slowdown"]
-        assert stats_g.stall_seconds != stats_c.stall_seconds
-
-    def test_leveldb_byte_identity_with_pinned_l0(self):
-        """leveldb's full-overlap L0 drain holds the file count at the
-        soft limit, so graduated debt stays zero: both modes charge the
-        shared floor — and the bytes still match."""
-        env_c, state_c, stats_c, causes_c = self._run_mode("leveldb", "cliff")
-        env_g, state_g, stats_g, causes_g = self._run_mode("leveldb", "graduated")
-        assert state_c == state_g
-        assert _digest(env_c) == _digest(env_g)
-        assert causes_g["l0_graduated"] == causes_c["l0_slowdown"]
-        assert stats_g.stall_seconds == stats_c.stall_seconds
-
-    def test_graduated_rerun_is_byte_identical(self):
-        env_a, _, stats_a, _ = self._run_mode("pebblesdb", "graduated")
-        env_b, _, stats_b, _ = self._run_mode("pebblesdb", "graduated")
-        assert _digest(env_a) == _digest(env_b)
-        assert stats_a.stall_seconds == stats_b.stall_seconds
-
-
-# ----------------------------------------------------------------------
-# Soft-limit delay curve
+# The soft limit
 # ----------------------------------------------------------------------
 class TestSoftLimitCurve:
-    def _db(self, env, mode):
-        return make_store(
-            "pebblesdb",
-            env,
-            level0_compaction_trigger=4,
-            level0_slowdown_trigger=4,
-            level0_stop_trigger=10,
-            backpressure=mode,
-            slowdown_delay=1e-4,
-            slowdown_delay_max=1e-3,
-            max_immutable_memtables=2,
-        )
-
-    def test_cliff_delay_is_flat(self, env):
-        db = self._db(env, "cliff")
-        delays = [db._soft_limit_delay(l0) for l0 in range(4, 10)]
-        assert delays == [1e-4] * 6
-
-    def test_graduated_delay_monotone_in_l0_debt(self, env):
-        db = self._db(env, "graduated")
-        delays = [db._soft_limit_delay(l0) for l0 in range(4, 10)]
-        assert delays == sorted(delays)
-        # Anchors: the configured floor at the soft limit, the cap one
-        # file short of the stop trigger.
-        assert delays[0] == pytest.approx(1e-4)
-        assert delays[-1] == pytest.approx(1e-3)
-
-    def test_graduated_delay_monotone_in_imm_debt(self, env):
-        db = self._db(env, "graduated")
-        floor = db._soft_limit_delay(4)
-        db._imm.append((db._mem, 0))
-        half = db._soft_limit_delay(4)
-        db._imm.append((db._mem, 0))
-        full = db._soft_limit_delay(4)
-        db._imm.clear()
-        assert floor < half < full
-        assert full == pytest.approx(1e-3)  # imm debt saturated the ramp
-
     def test_no_soft_limit_stall_below_the_soft_limit(self, env):
         """With the slowdown trigger parked far above reachable L0 depth,
         no write may ever be charged a soft-limit delay."""
@@ -198,7 +68,6 @@ class TestSoftLimitCurve:
             level0_compaction_trigger=2,
             level0_slowdown_trigger=50,
             level0_stop_trigger=60,
-            backpressure="graduated",
         )
         rng = random.Random(3)
         for step in range(1200):
@@ -229,7 +98,7 @@ class TestStallAttribution:
         assert db.stats().stall_seconds == pytest.approx(1.5)
         assert sum(causes.values()) == db.stats().stall_seconds
 
-    @pytest.mark.parametrize("mode", ["cliff", "graduated"])
+    @pytest.mark.parametrize("mode", ["cliff"])
     def test_cause_seconds_sum_to_stall_seconds(self, mode):
         """A workload that fires imm backpressure, the soft limit, and
         the hard stop in the same run: every stalled second lands under
@@ -243,7 +112,6 @@ class TestStallAttribution:
             level0_compaction_trigger=2,
             level0_slowdown_trigger=2,
             level0_stop_trigger=3,
-            backpressure=mode,
             # Near-zero soft-limit brake: L0 regularly punches through
             # to the stop trigger, so all three cause families fire.
             slowdown_delay=1e-5,
@@ -254,7 +122,7 @@ class TestStallAttribution:
         db.wait_idle()
         db.check_invariants()
         causes = _stall_causes(db)
-        soft = "l0_slowdown" if mode == "cliff" else "l0_graduated"
+        soft = "l0_slowdown"
         assert causes.get("imm_backpressure", 0.0) > 0.0
         assert causes.get(soft, 0.0) > 0.0
         assert (
@@ -263,128 +131,10 @@ class TestStallAttribution:
         # Same floats added in the same order on both sides: exact.
         assert sum(causes.values()) == db.stats().stall_seconds
 
-
-# ----------------------------------------------------------------------
-# Token bucket and the compaction rate limiter
-# ----------------------------------------------------------------------
-class TestTokenBucket:
-    def test_burst_credit_admits_cold_start_immediately(self):
-        bucket = TokenBucket(1000.0)  # burst defaults to one second: 1000
-        assert bucket.reserve(1000.0, now=5.0) == 5.0
-        # A job starts once *prior* debt is paid; its own cost lands
-        # after it.  The burst absorbed the first job, so the second
-        # still starts now — and the third pays the second's cost.
-        assert bucket.reserve(500.0, now=5.0) == 5.0
-        assert bucket.reserve(100.0, now=5.0) == pytest.approx(5.5)
-        assert bucket.delayed == 1
-        assert bucket.delay_seconds == pytest.approx(0.5)
-
-    def test_start_times_monotone_in_reservation_order(self):
-        bucket = TokenBucket(100.0, burst=0.0)
-        starts = [bucket.reserve(50.0, now=0.0) for _ in range(8)]
-        assert starts == sorted(starts)
-        assert starts[-1] == pytest.approx(3.5)
-
-    def test_idle_credit_caps_at_burst(self):
-        bucket = TokenBucket(100.0, burst=200.0)
-        bucket.reserve(100.0, now=0.0)
-        # A long idle gap refills at most ``burst`` units of credit:
-        # 400 units at t=100 start now but leave only 200 units of
-        # headroom, so the next 400 must wait 2 full seconds.
-        assert bucket.reserve(400.0, now=100.0) == 100.0
-        assert bucket.reserve(400.0, now=100.0) == pytest.approx(102.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            TokenBucket(0)
-        with pytest.raises(ValueError):
-            TokenBucket(100.0, burst=-1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(100.0).reserve(-1.0, now=0.0)
-
-
-class TestCompactionRateLimiter:
-    def _workload(self, db, steps=1500, keys=250, seed=11):
-        model = {}
-        rng = random.Random(seed)
-        for step in range(steps):
-            key = b"key%05d" % rng.randrange(keys)
-            value = (b"v%06d" % step) * 24
-            db.put(key, value)
-            model[key] = value
-        return model
-
-    def test_tiny_rate_never_deadlocks_a_due_l0_drain(self, env):
-        """An absurdly low rate puts the bucket kiloseconds into debt,
-        but the due-L0 bypass means the drain that relieves a stop stall
-        always runs — the run completes with the right data."""
-        db = make_store(
-            "pebblesdb",
-            env,
-            background_workers=2,
-            level0_compaction_trigger=2,
-            level0_slowdown_trigger=4,
-            level0_stop_trigger=8,
-            compaction_rate_bytes_per_sec=10_000,
-        )
-        model = self._workload(db)
-        db.wait_idle()
-        db.check_invariants()
-        assert dict(db.scan()) == model
-        limited = db.registry.counter("compaction.rate_limited_jobs")
-        assert limited.value > 0  # the limiter actually engaged
-
-    def test_rate_limiting_preserves_state_bytes(self):
-        """The limiter shifts *when* compactions run, never what they
-        produce: user-visible state matches the unlimited run."""
-        results = {}
-        for rate in (None, 50_000):
-            env = repro.Environment(cache_bytes=1 << 20)
-            db = make_store(
-                "pebblesdb", env, compaction_rate_bytes_per_sec=rate
-            )
-            model = self._workload(db, steps=900)
-            db.wait_idle()
-            db.check_invariants()
-            results[rate] = (dict(db.scan()), model)
-        for state, model in results.values():
-            assert state == model
-
-    def test_chaos_persistent_fault_under_rate_limit_degrades_then_resumes(
-        self, env
-    ):
-        """Rate limiting composes with the fault state machine: a sticky
-        compaction-path fault still degrades the store, and resume()
-        restores service with the limiter still attached."""
-        db = make_store(
-            "pebblesdb",
-            env,
-            background_workers=2,
-            compaction_rate_bytes_per_sec=100_000,
-        )
-        env.storage.set_fault_injector(
-            FaultInjector(
-                FaultPlan.fail_nth(
-                    0, op="append", name_pattern="db/*.sst", kind="persistent"
-                )
-            )
-        )
-        accepted = {}
-        with pytest.raises(BackgroundError):
-            for step in range(6000):
-                key, value = b"pressure%05d" % step, b"x%05d" % step
-                db.put(key, value)
-                accepted[key] = value
-        assert db.is_degraded
-        for key, value in list(accepted.items())[:50]:
-            assert db.get(key) == value
-        env.storage.set_fault_injector(None)
-        assert db.resume() is True
-        assert not db.is_degraded
-        db.put(b"post-resume", b"ok")
-        db.wait_idle()
-        assert db.get(b"post-resume") == b"ok"
-        db.check_invariants()
+    def test_the_stalls_report_glosses_exactly_the_emitted_causes(self):
+        """``repro-trace``'s cause table is the benchmark's LSM causes
+        plus WiredTiger's checkpoint wait, no more and no fewer."""
+        assert set(_STALL_CAUSES) == set(STALL_CAUSES) | {"checkpoint_wait"}
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +150,6 @@ class TestGraduatedScheduleDeterminism:
             level0_compaction_trigger=2,
             level0_slowdown_trigger=3,
             level0_stop_trigger=6,
-            backpressure="graduated",
-            slowdown_delay_max=2e-3,
         )
         if policy_seed is not None:
             rng = random.Random(policy_seed)

@@ -1,5 +1,6 @@
 """B+tree structure and the btree/wiredtiger stores."""
 
+import io
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import repro
 from repro.engines.btree import BPlusTree
 from repro.engines.btree.store import BPlusTreeStore
 from repro.engines.wiredtiger import WiredTigerStore
+from repro.obs.trace import TraceSink, read_trace
 
 
 class TestBPlusTree:
@@ -165,6 +167,30 @@ class TestWiredTigerStore:
             amps[engine] = store.stats().write_amplification
         assert amps["wiredtiger"] < amps["btree"]
         assert amps["pebblesdb"] < amps["btree"]
+
+    def test_checkpoint_stall_is_charged_to_a_cause(self, db):
+        """The eviction-pressure wait behind a running checkpoint is a
+        stall under one cause label, with its ``stall`` span, so the
+        per-cause counters sum to ``stall.seconds`` exactly."""
+        store, _ = db
+        buffer = io.StringIO()
+        store.enable_tracing(TraceSink(buffer))
+        rng = random.Random(1)
+        for _ in range(20_000):
+            store.put(b"key%09d" % rng.randrange(10**7), b"v" * 200)
+        store.close()
+        stall = store.stats().stall_seconds
+        causes = {
+            dict(metric.labels)["cause"]: metric.value
+            for metric in store.registry
+            if metric.name == "stall.cause_seconds"
+        }
+        assert stall > 0.0
+        assert set(causes) == {"checkpoint_wait"}
+        assert sum(causes.values()) == stall
+        spans = [s for s in read_trace(io.StringIO(buffer.getvalue())) if s["name"] == "stall"]
+        assert spans
+        assert sum(s["end"] - s["start"] for s in spans) == pytest.approx(stall)
 
     def test_scan(self, db):
         store, _ = db

@@ -4,7 +4,9 @@ Each collaborator is built on a bare :class:`SimulatedStorage` and
 :class:`BackgroundExecutor`; the engine hooks the write path calls come
 from a stub whose Level 0 is a file count.  One write that stalls twice —
 on immutable-memtable backpressure, then on the Level-0 stop — charges
-every simulated second to exactly one cause; a failed WAL append moves the
+every simulated second to exactly one cause; a write with Level 0 anywhere
+in the slowdown band pays exactly ``slowdown_delay``, charged to
+``l0_slowdown``, and one below it pays nothing; a failed WAL append moves the
 next write to a fresh file and burns the failed batch's sequence numbers;
 a table retired under an older read pin outlives it exactly; a table the
 table cache evicted comes back, on reopen, as the same parsed table for
@@ -70,13 +72,13 @@ class _Engine:
     def _install_flush(self, metas, edit):
         self.level0 += 1
 
-    def _submit_job(self, kind, seconds, edit, settle, span, prepare=None, at=None):
+    def _submit_job(self, kind, seconds, edit, settle, span, prepare=None):
         def apply():
             prepare()
             settle(True)
             self.writes.maybe_schedule_flush()
 
-        return self.executor.submit(kind, seconds, apply, at=at)
+        return self.executor.submit(kind, seconds, apply)
 
     def _schedule_compactions(self):
         if self.level0 >= self.options.level0_stop_trigger and self.compaction is None:
@@ -136,6 +138,29 @@ class TestWritePath:
         assert sum(causes.values()) == stats.stall_seconds
         assert engine.level0 == 0 and len(writes.imm) == 1
         assert writes.mem.get(b"stalled", writes.last_sequence).found
+
+    def test_a_write_in_the_slowdown_band_pays_exactly_the_slowdown_delay(self):
+        delay = 1e-3
+
+        def write_at(level0):
+            storage = SimulatedStorage()
+            writes, engine, stats = _write_path(
+                storage,
+                level0_compaction_trigger=2,
+                level0_slowdown_trigger=2,
+                level0_stop_trigger=5,
+                slowdown_delay=delay,
+            )
+            engine.level0 = level0
+            writes.write([(KIND_PUT, b"key", b"value")])
+            return storage.clock.now, _stall_causes(stats.registry), stats.stall_seconds
+
+        below, causes, stalled = write_at(1)
+        assert causes == {} and stalled == 0.0
+        for level0 in (2, 3, 4):  # the whole band [slowdown, stop)
+            now, causes, stalled = write_at(level0)
+            assert causes == {"l0_slowdown": delay} and stalled == delay
+            assert now - below == pytest.approx(delay, rel=1e-9)
 
     def test_a_failed_append_moves_to_a_fresh_wal_and_burns_its_sequences(self):
         storage = SimulatedStorage()

@@ -224,7 +224,6 @@ class TestOptimizations:
             "pebblesdb",
             env,
             enable_seek_based_compaction=True,
-            seek_compaction_threshold=5,
         )
         fill(db, 2000, seed=20)
         db.wait_idle()

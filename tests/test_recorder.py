@@ -56,8 +56,6 @@ class TestSampleModeParsing:
         env = repro.Environment(cache_bytes=1 << 20)
         with pytest.raises(ValueError):
             make_store("pebblesdb", env, trace_sample="sometimes")
-        with pytest.raises(ValueError):
-            make_store("pebblesdb", env, trace_ring_capacity=0)
 
 
 class TestRing:
