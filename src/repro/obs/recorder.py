@@ -160,6 +160,8 @@ class FlightRecorder:
         max_dumps: int = 8,
     ) -> None:
         self.mode, self.sample_rate = parse_sample_mode(mode)
+        if capacity < 1:
+            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.component = component.strip("/").replace("/", "-") or "store"
         self.seed = seed
         self.capacity = capacity

@@ -162,6 +162,32 @@ class TestWritePath:
             assert causes == {"l0_slowdown": delay} and stalled == delay
             assert now - below == pytest.approx(delay, rel=1e-9)
 
+    def test_a_zero_slowdown_delay_lifts_the_brake(self):
+        """``slowdown_delay=0`` turns the band off: a write with Level 0 in
+        it is charged nothing and costs what a write below the band does."""
+
+        def write_at(level0):
+            storage = SimulatedStorage()
+            writes, engine, stats = _write_path(
+                storage,
+                level0_compaction_trigger=2,
+                level0_slowdown_trigger=2,
+                level0_stop_trigger=5,
+                slowdown_delay=0.0,
+            )
+            engine.level0 = level0
+            writes.write([(KIND_PUT, b"key", b"value")])
+            return storage.clock.now, _stall_causes(stats.registry), stats.stall_seconds
+
+        below, _, _ = write_at(1)
+        now, causes, stalled = write_at(3)
+        assert causes == {} and stalled == 0.0
+        assert now == below
+
+    def test_a_negative_slowdown_delay_is_rejected(self):
+        with pytest.raises(ValueError, match="slowdown_delay"):
+            StoreOptions(slowdown_delay=-1e-4)
+
     def test_a_failed_append_moves_to_a_fresh_wal_and_burns_its_sequences(self):
         storage = SimulatedStorage()
         writes, _, _ = _write_path(storage)

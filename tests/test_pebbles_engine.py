@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro.core import PebblesDBStore
 from repro.harness import fresh_run, standard_config
-from tests.conftest import make_store
+from tests.conftest import make_store, tiny_options
 
 
 @pytest.fixture
@@ -234,6 +234,36 @@ class TestOptimizations:
             it.close()
         db.wait_idle()
         assert db.stats().compactions >= before
+
+    def test_a_subclass_sets_the_seek_compaction_threshold(self, env):
+        """Every ``SEEK_COMPACTION_THRESHOLD``-th consecutive seek starts a
+        compaction pass; a subclass that lowers the constant seeks less
+        between passes."""
+
+        class EagerSeeks(PebblesDBStore):
+            SEEK_COMPACTION_THRESHOLD = 5
+
+        passes = {}
+        for cls in (PebblesDBStore, EagerSeeks):
+            db = cls(
+                env.storage,
+                tiny_options("pebblesdb", enable_seek_based_compaction=True),
+                prefix=f"{cls.__name__}/",
+            )
+            fill(db, 2000, seed=20)
+            db.wait_idle()
+            fired = passes[cls] = []
+            schedule = db._schedule_compactions
+
+            def counting(db=db, fired=fired, schedule=schedule):
+                fired.append(db._consecutive_seeks)
+                schedule()
+
+            db._schedule_compactions = counting
+            for i in range(20):
+                db.seek(b"key%04d" % i).close()
+        assert passes[PebblesDBStore] == [10, 20]
+        assert passes[EagerSeeks] == [5, 10, 15, 20]
 
     def test_seek_compaction_speeds_up_the_ablation_seek_phase(self):
         """Section 5.2: seek-based compaction speeds seeks up.  The

@@ -69,6 +69,12 @@ class TestRing:
         # Oldest evicted, newest kept, order preserved.
         assert [r["attrs"]["n"] for r in records] == list(range(84, 100))
 
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_ring_rejects_a_capacity_below_one(self, capacity):
+        """A ring that holds no record would record nothing."""
+        with pytest.raises(ValueError):
+            FlightRecorder(component="t", capacity=capacity)
+
     def test_off_mode_records_and_dumps_nothing(self, tmp_path):
         rec = FlightRecorder(component="t", mode="off", dump_dir=str(tmp_path))
         rec.point("tick")
